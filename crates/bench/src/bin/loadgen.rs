@@ -23,9 +23,8 @@
 //!   `overloaded` responses.
 //! * `--stats-every-ms MS` — poll the daemon with Stats frames every
 //!   `MS` milliseconds for the duration of the main phase, verifying
-//!   the live accounting identity (`accepted == completed + shed +
-//!   deadline_exceeded + in_flight + queued`) in every snapshot; the
-//!   poll count and peak outstanding work land in the `"measured"`
+//!   the live serve identity ([`gpa_serve::check_snapshot_identity`])
+//!   in every snapshot; the poll count and peak outstanding work land in the `"measured"`
 //!   section. Exit 1 if any snapshot breaks the identity.
 //! * `--baseline FILE` — compare the deterministic section against a
 //!   committed baseline; exit 2 on mismatch (the perf-regression gate).
@@ -41,7 +40,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use gpa::json::Json;
-use gpa_serve::{fetch_stats, send_shutdown, submit};
+use gpa_serve::{check_snapshot_identity, fetch_stats, send_shutdown, submit};
 use gpa_trace::histogram::LogHistogram;
 
 /// Kernels the stream cycles over (a subset keeps the soak fast while
@@ -191,23 +190,14 @@ fn check_snapshot(doc: &str, poll: &StatsPoll) {
         return;
     };
     poll.polls.fetch_add(1, Ordering::Relaxed);
-    let in_flight = snapshot_int(&parsed, &["gauges", "in_flight"]);
-    let queued = snapshot_int(&parsed, &["gauges", "queued"]);
-    let accepted = snapshot_int(&parsed, &["counters", "serve.accepted"]);
-    let accounted = snapshot_int(&parsed, &["counters", "serve.completed"])
-        + snapshot_int(&parsed, &["counters", "serve.shed"])
-        + snapshot_int(&parsed, &["counters", "serve.deadline_exceeded"])
-        + in_flight
-        + queued;
-    if accepted != accounted {
+    if let Err(e) = check_snapshot_identity(&parsed) {
         if poll.violations.fetch_add(1, Ordering::Relaxed) == 0 {
-            eprintln!(
-                "gpa-bench: snapshot identity broken: accepted {accepted} != \
-                 completed + shed + deadline_exceeded + in_flight + queued {accounted}"
-            );
+            eprintln!("gpa-bench: snapshot identity broken: {e}");
         }
         return;
     }
+    let in_flight = snapshot_int(&parsed, &["gauges", "in_flight"]);
+    let queued = snapshot_int(&parsed, &["gauges", "queued"]);
     poll.max_outstanding
         .fetch_max((in_flight + queued).max(0) as u64, Ordering::Relaxed);
 }

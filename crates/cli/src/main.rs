@@ -35,16 +35,13 @@
 //!   kernel/method missing vs the baseline); `3` — only *soft* latency
 //!   drift beyond `--tolerance-pct`.
 //! * `gpa trace-check`: `2` — I/O error; `3` — schema violation (bad
-//!   JSON, missing header/summary, malformed event line); `4` — a
-//!   counter-invariant mismatch; `5` — the serve counter identity
-//!   (`serve.accepted == serve.completed + serve.shed +
-//!   serve.deadline_exceeded + serve.in_flight_at_drain`) is broken;
-//!   `6` — the incremental counter identity (`incr.funcs ==
-//!   incr.func_hit + incr.func_miss`) is broken.
+//!   JSON, missing header/summary, malformed event line, a snapshot
+//!   without its gauges); `4` — an event's line count disagrees with
+//!   its counter; `4`, `5` or `6` — a counter identity is broken, with
+//!   the class its row in `gpa_trace::identity::IDENTITIES` gives (`5`
+//!   for serve request accounting, `6` for incremental functions).
 //!   `gpa-stats/1` snapshot files (as written by `gpa stats --addr`)
-//!   are accepted too and checked against the gauge-augmented live
-//!   identity `serve.accepted == serve.completed + serve.shed +
-//!   serve.deadline_exceeded + gauges.in_flight + gauges.queued`.
+//!   are accepted too and checked against the live serve row.
 //!
 //! `gpa batch` exits `130` when interrupted (SIGINT/SIGTERM): in-flight
 //! images finish, the partial report carries `"interrupted": true`.
@@ -54,10 +51,11 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use gpa::json::Json;
-use gpa::{AliasLevel, Method, Optimizer, RunConfig, StageTimings, ValidateLevel};
+use gpa::{AliasLevel, Method, Optimizer, RunConfig, ValidateLevel};
 use gpa_emu::Machine;
 use gpa_image::Image;
 use gpa_pipeline::{expand_inputs, run_batch, BatchConfig, CacheBudget, ShutdownFlag};
+use gpa_trace::identity::{Form, IdentityError};
 use gpa_trace::{JsonlTracer, TRACE_SCHEMA};
 
 fn main() -> ExitCode {
@@ -759,13 +757,11 @@ fn optimize(args: &[String]) -> Result<ExitCode, String> {
         config.tracer = Arc::new(tracer);
     }
     let image = load_image(&input)?;
-    let mut timings = StageTimings::default();
-    let mut optimizer = Optimizer::from_image_configured(&image, &config, &mut timings)
-        .map_err(|e| e.to_string())?;
+    let mut optimizer =
+        Optimizer::from_image_configured(&image, &config).map_err(|e| e.to_string())?;
     let report = optimizer
-        .run_instrumented(method, &config, &mut timings, None)
+        .run_instrumented(method, &config, None)
         .map_err(|e| e.to_string())?;
-    timings.trace(config.tracer.as_ref());
     config.tracer.finish();
     if let Some(path) = &report_json_path {
         // The exact bytes `gpa serve` embeds as the response's
@@ -804,7 +800,8 @@ fn take_jobs<'a>(iter: &mut impl Iterator<Item = &'a String>) -> Result<usize, S
 /// content-addressed artifact cache.
 ///
 /// The deterministic corpus report goes to stdout (or `--report <file>`);
-/// a human-readable summary with cache and timing metrics goes to stderr.
+/// a human-readable summary with cache counters and wall time goes to
+/// stderr.
 /// Exits non-zero when any input failed; `130` when interrupted by
 /// SIGINT/SIGTERM (in-flight images finish, the partial report carries
 /// `"interrupted": true`, and stale cache temp files are swept).
@@ -874,13 +871,13 @@ fn batch_run(args: &[String]) -> Result<ExitCode, String> {
         Some(path) => std::fs::write(path, &document).map_err(|e| format!("{path}: {e}"))?,
         None => println!("{document}"),
     }
-    let timings = corpus.total_timings();
     eprintln!(
-        "batch: {} image(s) on {} worker(s), {} error(s), {} words saved",
+        "batch: {} image(s) on {} worker(s), {} error(s), {} words saved, wall {} ms",
         corpus.images.len(),
         corpus.jobs,
         corpus.error_count(),
-        corpus.total_saved_words()
+        corpus.total_saved_words(),
+        corpus.wall_ns / 1_000_000
     );
     eprintln!(
         "cache: reports {}/{} hit, dfgs {}/{} hit",
@@ -888,16 +885,6 @@ fn batch_run(args: &[String]) -> Result<ExitCode, String> {
         corpus.report_cache_hits + corpus.report_cache_misses,
         corpus.dfg_cache_hits,
         corpus.dfg_cache_hits + corpus.dfg_cache_misses
-    );
-    eprintln!(
-        "stages (ms): decode {} dfg {} mining {} mis {} extract {} validate {} | wall {}",
-        timings.decode_ns / 1_000_000,
-        timings.dfg_build_ns / 1_000_000,
-        timings.mining_ns / 1_000_000,
-        timings.mis_ns / 1_000_000,
-        timings.extraction_ns / 1_000_000,
-        timings.validation_ns / 1_000_000,
-        corpus.wall_ns / 1_000_000
     );
     for entry in corpus.images.iter().filter(|e| e.outcome.is_err()) {
         if let Err(message) = &entry.outcome {
@@ -1261,11 +1248,10 @@ fn incr_bench_run(
     dfg_cache: Option<&gpa::DfgCache>,
 ) -> Result<(u64, String), String> {
     let started = std::time::Instant::now();
-    let mut timings = StageTimings::default();
     let mut optimizer =
-        Optimizer::from_image_configured(image, config, &mut timings).map_err(|e| e.to_string())?;
+        Optimizer::from_image_configured(image, config).map_err(|e| e.to_string())?;
     let report = optimizer
-        .run_instrumented(method, config, &mut timings, dfg_cache)
+        .run_instrumented(method, config, dfg_cache)
         .map_err(|e| e.to_string())?;
     Ok((
         started.elapsed().as_nanos() as u64,
@@ -1430,40 +1416,38 @@ fn trace_profile(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// One failure class of `gpa trace-check`, each with its own exit code
-/// so scripts can tell an unreadable file from a malformed one from a
-/// broken invariant.
-enum TraceIssue {
-    /// The file could not be read (exit 2).
-    Io(String),
-    /// The stream violates the `gpa-trace/1` schema (exit 3).
-    Schema(String),
-    /// The trailing counters disagree with the event lines (exit 4).
-    Invariant(String),
-    /// The serve request-accounting identity is broken (exit 5).
-    ServeInvariant(String),
-    /// The incremental function-accounting identity is broken (exit 6).
-    IncrInvariant(String),
+/// One failure of `gpa trace-check`: the exit code of its class, so
+/// scripts can tell an unreadable file (`2`) from a malformed one (`3`)
+/// from a broken invariant (`4`–`6`), and the diagnostic.
+struct TraceIssue {
+    code: u8,
+    message: String,
 }
 
 impl TraceIssue {
-    fn exit_code(&self) -> u8 {
-        match self {
-            TraceIssue::Io(_) => 2,
-            TraceIssue::Schema(_) => 3,
-            TraceIssue::Invariant(_) => 4,
-            TraceIssue::ServeInvariant(_) => 5,
-            TraceIssue::IncrInvariant(_) => 6,
-        }
+    fn io(message: String) -> TraceIssue {
+        TraceIssue { code: 2, message }
     }
 
-    fn message(&self) -> &str {
-        match self {
-            TraceIssue::Io(m)
-            | TraceIssue::Schema(m)
-            | TraceIssue::Invariant(m)
-            | TraceIssue::ServeInvariant(m)
-            | TraceIssue::IncrInvariant(m) => m,
+    fn schema(message: String) -> TraceIssue {
+        TraceIssue { code: 3, message }
+    }
+
+    /// An event whose line count disagrees with its counter.
+    fn invariant(message: String) -> TraceIssue {
+        TraceIssue { code: 4, message }
+    }
+
+    /// A broken [`gpa_trace::identity`] row carries its own exit class;
+    /// a live snapshot without its gauges is a schema violation.
+    fn identity(error: &IdentityError, at: &str) -> TraceIssue {
+        let code = match error {
+            IdentityError::MissingGauge(_) => 3,
+            IdentityError::Imbalance { identity, .. } => identity.exit_class,
+        };
+        TraceIssue {
+            code,
+            message: format!("{at}: {error}"),
         }
     }
 }
@@ -1472,17 +1456,13 @@ impl TraceIssue {
 ///
 /// For each file: every line must parse as JSON, the first line must be
 /// the schema header, the last the counter summary; every event name's
-/// line count must equal its recorded counter; and the counter
-/// identities (`visited == expanded + subtree_skipped + stopped_max_nodes`,
-/// `canon_checks == canon_cache_hit + canon_cache_miss`, and
-/// `absint.mem_pairs_examined == mem_pairs_disjoint + mem_pairs_kept`)
-/// must hold. Traces written by `gpa serve` must additionally balance
-/// the request-accounting identity `serve.accepted == serve.completed +
-/// serve.shed + serve.deadline_exceeded + serve.in_flight_at_drain`
-/// (exit `5`), and incremental runs must balance the function-accounting
-/// identity `incr.funcs == incr.func_hit + incr.func_miss` (exit `6`).
-/// Diagnostics name the first offending line; the exit code
-/// is the most severe class seen across all files (see the module docs).
+/// line count must equal its recorded counter; and the summary must
+/// balance every finished-trace row of [`gpa_trace::identity::IDENTITIES`]
+/// (miner, canonicality cache and alias pairs exit `4`, serve requests
+/// `5`, incremental functions `6`). A `gpa-stats/1` snapshot is checked
+/// against the live row instead. Diagnostics name the first offending
+/// line; the exit code is the most severe class seen across all files
+/// (see the module docs).
 fn trace_check(args: &[String]) -> Result<ExitCode, String> {
     if args.is_empty() {
         return Err("missing trace file(s)".to_owned());
@@ -1490,15 +1470,15 @@ fn trace_check(args: &[String]) -> Result<ExitCode, String> {
     let mut worst = 0u8;
     for path in args {
         if let Err(issue) = check_one_trace(path) {
-            eprintln!("gpa: {}", issue.message());
-            worst = worst.max(issue.exit_code());
+            eprintln!("gpa: {}", issue.message);
+            worst = worst.max(issue.code);
         }
     }
     Ok(ExitCode::from(worst))
 }
 
 fn check_one_trace(path: &str) -> Result<(), TraceIssue> {
-    let text = std::fs::read_to_string(path).map_err(|e| TraceIssue::Io(format!("{path}: {e}")))?;
+    let text = std::fs::read_to_string(path).map_err(|e| TraceIssue::io(format!("{path}: {e}")))?;
     // A `gpa-stats/1` snapshot (as written by `gpa stats --addr`) is a
     // single JSON document, not a JSONL trace; route it to the live
     // identity check instead.
@@ -1508,110 +1488,60 @@ fn check_one_trace(path: &str) -> Result<(), TraceIssue> {
     let mut lines = Vec::new();
     for (number, line) in text.lines().enumerate() {
         let doc = Json::parse(line)
-            .map_err(|e| TraceIssue::Schema(format!("{path}:{}: {e}", number + 1)))?;
+            .map_err(|e| TraceIssue::schema(format!("{path}:{}: {e}", number + 1)))?;
         lines.push((number + 1, doc));
     }
     let Some(((_, header), rest)) = lines.split_first() else {
-        return Err(TraceIssue::Schema(format!("{path}: empty trace")));
+        return Err(TraceIssue::schema(format!("{path}: empty trace")));
     };
     if header.get("schema").and_then(Json::as_str) != Some(TRACE_SCHEMA) {
-        return Err(TraceIssue::Schema(format!(
+        return Err(TraceIssue::schema(format!(
             "{path}:1: missing or unknown schema header"
         )));
     }
     let Some(((summary_line, summary), events)) = rest.split_last() else {
-        return Err(TraceIssue::Schema(format!(
+        return Err(TraceIssue::schema(format!(
             "{path}: missing counter-summary line"
         )));
     };
     if summary.get("ev").and_then(Json::as_str) != Some("counters") {
-        return Err(TraceIssue::Schema(format!(
+        return Err(TraceIssue::schema(format!(
             "{path}:{summary_line}: last line is not the counter summary"
         )));
     }
     let counters = summary.get("counters").ok_or_else(|| {
-        TraceIssue::Schema(format!(
+        TraceIssue::schema(format!(
             "{path}:{summary_line}: summary has no counters object"
         ))
     })?;
     let mut observed: std::collections::BTreeMap<&str, i64> = std::collections::BTreeMap::new();
     for (number, doc) in events {
         let name = doc.get("ev").and_then(Json::as_str).ok_or_else(|| {
-            TraceIssue::Schema(format!("{path}:{number}: event line without \"ev\""))
+            TraceIssue::schema(format!("{path}:{number}: event line without \"ev\""))
         })?;
         if doc.get("at_ns").and_then(Json::as_int).is_none() {
-            return Err(TraceIssue::Schema(format!(
+            return Err(TraceIssue::schema(format!(
                 "{path}:{number}: event `{name}` without \"at_ns\""
             )));
         }
         *observed.entry(name).or_insert(0) += 1;
     }
-    let counter = |name: &str| counters.get(name).and_then(Json::as_int).unwrap_or(0);
+    let counter = |name: &str| counters.get(name).and_then(Json::as_int);
     for (name, lines_seen) in &observed {
-        let recorded = counter(name);
+        let recorded = counter(name).unwrap_or(0);
         if recorded != *lines_seen {
-            return Err(TraceIssue::Invariant(format!(
+            return Err(TraceIssue::invariant(format!(
                 "{path}:{summary_line}: counter `{name}` records {recorded}, \
                  but {lines_seen} event line(s) are present"
             )));
         }
     }
-    let visited = counter("mine.patterns_visited");
-    let accounted = counter("mine.expanded")
-        + counter("mine.subtree_skipped")
-        + counter("mine.stopped_max_nodes");
-    if visited != accounted {
-        return Err(TraceIssue::Invariant(format!(
-            "{path}:{summary_line}: mine.patterns_visited is {visited}, \
-             but expanded + subtree_skipped + stopped_max_nodes is {accounted}"
-        )));
-    }
-    let canon_checks = counter("mine.canon_checks");
-    let canon_accounted = counter("mine.canon_cache_hit") + counter("mine.canon_cache_miss");
-    if canon_checks != canon_accounted {
-        return Err(TraceIssue::Invariant(format!(
-            "{path}:{summary_line}: mine.canon_checks is {canon_checks}, \
-             but canon_cache_hit + canon_cache_miss is {canon_accounted}"
-        )));
-    }
-    let mem_examined = counter("absint.mem_pairs_examined");
-    let mem_accounted = counter("absint.mem_pairs_disjoint") + counter("absint.mem_pairs_kept");
-    if mem_examined != mem_accounted {
-        return Err(TraceIssue::Invariant(format!(
-            "{path}:{summary_line}: absint.mem_pairs_examined is {mem_examined}, \
-             but mem_pairs_disjoint + mem_pairs_kept is {mem_accounted}"
-        )));
-    }
-    // The serve request-accounting identity. Non-serve traces have no
-    // `serve.*` counters at all, so both sides are zero there.
-    let serve_accepted = counter("serve.accepted");
-    let serve_accounted = counter("serve.completed")
-        + counter("serve.shed")
-        + counter("serve.deadline_exceeded")
-        + counter("serve.in_flight_at_drain");
-    if serve_accepted != serve_accounted {
-        return Err(TraceIssue::ServeInvariant(format!(
-            "{path}:{summary_line}: serve.accepted is {serve_accepted}, \
-             but completed + shed + deadline_exceeded + in_flight_at_drain \
-             is {serve_accounted}"
-        )));
-    }
-    // The incremental function-accounting identity: every function in a
-    // replayed round is either a hit (all its seeds cached) or a miss.
-    // Non-incremental traces have no `incr.*` counters, so both sides
-    // are zero there.
-    let incr_funcs = counter("incr.funcs");
-    let incr_accounted = counter("incr.func_hit") + counter("incr.func_miss");
-    if incr_funcs != incr_accounted {
-        return Err(TraceIssue::IncrInvariant(format!(
-            "{path}:{summary_line}: incr.funcs is {incr_funcs}, \
-             but incr.func_hit + incr.func_miss is {incr_accounted}"
-        )));
-    }
+    gpa_trace::identity::check(Form::Trace, |_, name| counter(name))
+        .map_err(|e| TraceIssue::identity(&e, &format!("{path}:{summary_line}")))?;
     let counter_total = match counters {
         Json::Obj(pairs) => pairs.len(),
         _ => {
-            return Err(TraceIssue::Schema(format!(
+            return Err(TraceIssue::schema(format!(
                 "{path}:{summary_line}: counters is not an object"
             )))
         }
@@ -1624,50 +1554,32 @@ fn check_one_trace(path: &str) -> Result<(), TraceIssue> {
 }
 
 /// Validates one `gpa-stats/1` snapshot document: structural shape plus
-/// the gauge-augmented live identity. Unlike the trace identity, a live
-/// snapshot has no `in_flight_at_drain` yet — requests still in the
-/// system appear in the `in_flight` and `queued` gauges instead.
+/// the live row of [`gpa_trace::identity::IDENTITIES`], which reads the
+/// requests still in the system from the `in_flight` and `queued`
+/// gauges.
 fn check_one_stats(path: &str, text: &str) -> Result<(), TraceIssue> {
-    let doc = Json::parse(text.trim()).map_err(|e| TraceIssue::Schema(format!("{path}: {e}")))?;
+    let doc = Json::parse(text.trim()).map_err(|e| TraceIssue::schema(format!("{path}: {e}")))?;
     if doc.get("schema").and_then(Json::as_str) != Some("gpa-stats/1") {
-        return Err(TraceIssue::Schema(format!(
+        return Err(TraceIssue::schema(format!(
             "{path}: missing or unknown schema tag"
         )));
     }
     for key in ["uptime_ns", "workers", "queue_depth"] {
         if doc.get(key).and_then(Json::as_int).is_none() {
-            return Err(TraceIssue::Schema(format!(
+            return Err(TraceIssue::schema(format!(
                 "{path}: snapshot has no integer `{key}`"
             )));
         }
     }
-    let gauges = doc
-        .get("gauges")
-        .ok_or_else(|| TraceIssue::Schema(format!("{path}: snapshot has no gauges object")))?;
-    let counters = doc
-        .get("counters")
-        .ok_or_else(|| TraceIssue::Schema(format!("{path}: snapshot has no counters object")))?;
-    let gauge = |name: &str| -> Result<i64, TraceIssue> {
-        gauges
-            .get(name)
-            .and_then(Json::as_int)
-            .ok_or_else(|| TraceIssue::Schema(format!("{path}: gauges has no integer `{name}`")))
-    };
-    let counter = |name: &str| counters.get(name).and_then(Json::as_int).unwrap_or(0);
-    let in_flight = gauge("in_flight")?;
-    let queued = gauge("queued")?;
-    let accepted = counter("serve.accepted");
-    let accounted = counter("serve.completed")
-        + counter("serve.shed")
-        + counter("serve.deadline_exceeded")
-        + in_flight
-        + queued;
-    if accepted != accounted {
-        return Err(TraceIssue::ServeInvariant(format!(
-            "{path}: serve.accepted is {accepted}, but completed + shed + \
-             deadline_exceeded + in_flight + queued is {accounted}"
-        )));
+    for key in ["gauges", "counters"] {
+        if doc.get(key).is_none() {
+            return Err(TraceIssue::schema(format!(
+                "{path}: snapshot has no {key} object"
+            )));
+        }
     }
+    gpa_serve::check_snapshot_identity(&doc).map_err(|e| TraceIssue::identity(&e, path))?;
+    let accepted = stat_int(&doc, &["counters", "serve.accepted"]);
     println!("{path}: ok (gpa-stats/1 snapshot, {accepted} accepted)");
     Ok(())
 }

@@ -905,6 +905,141 @@ fn trace_check_flags_broken_incr_identity_with_exit_6() {
     }
 }
 
+/// Rounds served through the seed cache (`--incremental`) explain their
+/// winners from the same candidate table as plain rounds: replayed seeds
+/// contribute their cached winners, re-mined seeds their top lines.
+#[test]
+fn incremental_trace_keeps_the_candidate_table() {
+    let img = tmp("incr_table.img");
+    let out = gpa()
+        .args(["build-bench", "crc", "-o", img.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let trace_of = |name: &str, extra: &[&str]| {
+        let opt = tmp(&format!("{name}.img"));
+        let trace = tmp(&format!("{name}.jsonl"));
+        let mut args = vec![
+            "optimize",
+            img.to_str().unwrap(),
+            "-o",
+            opt.to_str().unwrap(),
+            "--validate",
+            "off",
+            "--trace",
+            trace.to_str().unwrap(),
+        ];
+        args.extend(extra);
+        let out = gpa().args(&args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let check = gpa()
+            .args(["trace-check", trace.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(
+            check.status.code(),
+            Some(0),
+            "{}",
+            String::from_utf8_lossy(&check.stderr)
+        );
+        let text = std::fs::read_to_string(&trace).unwrap();
+        for p in [opt, trace] {
+            let _ = std::fs::remove_file(p);
+        }
+        text
+    };
+    let lines = |text: &str, ev: &str| {
+        text.lines()
+            .filter(|l| l.contains(&format!("\"ev\":\"{ev}\"")))
+            .map(str::to_owned)
+            .collect::<Vec<_>>()
+    };
+    let cached = trace_of("incr_table_cached", &["--incremental"]);
+    let plain = trace_of("incr_table_plain", &[]);
+    let seed_hits: u64 = cached
+        .split("\"incr.seed_hit\":")
+        .nth(1)
+        .map(|rest| {
+            rest.chars()
+                .take_while(char::is_ascii_digit)
+                .collect::<String>()
+        })
+        .and_then(|digits| digits.parse().ok())
+        .unwrap_or(0);
+    assert!(seed_hits > 0, "the cached run must replay seeds");
+    let candidates = lines(&cached, "detect.candidate");
+    assert!(
+        !candidates.is_empty(),
+        "seed-cache rounds must write their candidate table"
+    );
+    let winners = lines(&cached, "detect.winner");
+    assert!(!winners.is_empty());
+    assert!(
+        winners
+            .iter()
+            .any(|w| !w.contains("\"why\":\"only_candidate\"")),
+        "some winner must be explained against a runner-up: {winners:?}"
+    );
+    // Both runs pick the same winners for the same reasons.
+    let whys = |text: &str| -> Vec<String> {
+        lines(text, "detect.winner")
+            .iter()
+            .map(|w| w.split("\"why\":").nth(1).unwrap_or("").to_owned())
+            .collect()
+    };
+    assert_eq!(whys(&cached), whys(&plain));
+    let _ = std::fs::remove_file(img);
+}
+
+/// A round that runs out of pattern budget on the detection path says
+/// so: one `mine.budget_exhausted` event per exhausted worker, and the
+/// trace still passes every `gpa trace-check` identity.
+#[test]
+fn detection_budget_exhaustion_is_traced() {
+    use std::sync::Arc;
+
+    let image = gpa_minicc::compile_benchmark("crc", &gpa_minicc::Options::default()).unwrap();
+    let run = |tracer: Arc<dyn gpa_trace::Tracer>| {
+        let config = gpa::RunConfig {
+            max_patterns: 200,
+            validate: gpa::ValidateLevel::Off,
+            tracer: tracer.clone(),
+            ..gpa::RunConfig::default()
+        };
+        let mut optimizer = gpa::Optimizer::from_image_configured(&image, &config).unwrap();
+        optimizer
+            .run_instrumented(gpa::Method::Edgar, &config, None)
+            .unwrap();
+        tracer.finish();
+    };
+    let counters = Arc::new(gpa_trace::CounterTracer::new());
+    run(counters.clone());
+    let c = gpa_trace::Tracer::counters(&*counters);
+    assert!(
+        c.get("mine.budget_exhausted") >= 1,
+        "a 200-pattern budget must run out on crc: {c:?}"
+    );
+    let path = tmp("budget.jsonl");
+    run(Arc::new(gpa_trace::JsonlTracer::to_file(&path).unwrap()));
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.contains("\"ev\":\"mine.budget_exhausted\""));
+    let out = gpa()
+        .args(["trace-check", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let _ = std::fs::remove_file(path);
+}
+
 /// `gpa incr-bench` runs the cold/warm pair, asserts byte-identity
 /// internally, and emits a parsable `gpa-incr-bench/1` document with a
 /// real hit rate. (The dijkstra kernel keeps the smoke test fast; the

@@ -215,9 +215,15 @@ impl DfgCache {
 /// [`RunConfig`], the knobs that shape the search (`max_rounds`,
 /// `max_fragment_nodes`, `alias`) and the validation level (a failed
 /// validation yields an error, not a report) are included;
-/// `mining_threads` and `front_threads` are not, because partitioned
-/// detection merges to the single-threaded result and the parallel
-/// front-end builds the same graphs in input order.
+/// `mining_threads` and `front_threads` are not. The parallel front-end
+/// builds the same graphs in input order at any thread count. Partitioned
+/// detection merges to the single-threaded result only while no round
+/// exhausts the pattern budget: past it, `mining_threads` can change the
+/// report (qsort under `--alias stack` saves 145 words at one thread and
+/// 148 at two), so the key is exact only for one fixed thread count.
+/// Every product caller that shares a report cache (`gpa batch`, `gpa
+/// serve`, `gpa perf`) mines on one thread. ROADMAP.md open item 1 makes
+/// the knob neutral by construction.
 pub fn image_cache_key(image: &Image, method: Method, config: &RunConfig) -> u128 {
     let mut h = Fnv128::new();
     h.write(b"gpa-image-key/1");

@@ -2,7 +2,6 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
 
 use gpa_cfg::{Item, Program};
 use gpa_dfg::{function_fingerprint, AliasOracle, Dfg, LabelMode};
@@ -20,7 +19,6 @@ use crate::cost::saved_words;
 use crate::extract::contract_region_with;
 use crate::incremental::{self, MineCache, SeedEntry, SeedKeyConfig, TupleNote};
 use crate::optimizer::AliasLevel;
-use crate::stage::StageTimings;
 use crate::trace::trace_equivalent;
 
 /// Detection configuration for the graph-based methods.
@@ -39,7 +37,10 @@ pub struct GraphConfig {
     /// Worker threads for the lattice search (seed-level round-robin
     /// partition; `1` = in-place sequential search). Results are merged
     /// so the winning candidate matches the sequential search whenever
-    /// the pattern budget is not exhausted.
+    /// the pattern budget is not exhausted. Each worker owns a full
+    /// `max_patterns` budget, so once a round exhausts it the thread
+    /// count changes the work done and can change the winner
+    /// (ROADMAP.md open item 1).
     pub threads: usize,
     /// Worker threads for the front-end per-block artifact build (the
     /// region DFGs, their reachability closures, and — under
@@ -279,7 +280,6 @@ fn candidate_from_frequent(
     artifacts: &[Arc<BlockArtifact>],
     relaxed: Option<&[Arc<BlockArtifact>]>,
     lr_free: &[bool],
-    mis_ns: &mut u64,
     tracer: &dyn Tracer,
 ) -> Option<Candidate> {
     if freq.embeddings.len() < 2 {
@@ -398,9 +398,7 @@ fn candidate_from_frequent(
     // both methods.
     let selected: Vec<&gpa_mining::embed::Embedding> = {
         let owned: Vec<gpa_mining::embed::Embedding> = valid.iter().map(|e| (*e).clone()).collect();
-        let mis_start = Instant::now();
         let (_, chosen) = non_overlapping_count_traced(&owned, tracer);
-        *mis_ns += gpa_trace::saturating_ns(mis_start.elapsed());
         chosen.into_iter().map(|i| valid[i]).collect()
     };
 
@@ -544,13 +542,12 @@ impl CandidateSummary {
 const CANDIDATE_TABLE_LEN: usize = 5;
 
 /// One worker's running result: its best candidate, the seed index that
-/// produced it (for deterministic cross-worker tie-breaking), its MIS
-/// time share, and — when tracing — its slice of the candidate table.
+/// produced it (for deterministic cross-worker tie-breaking), and — when
+/// tracing — its slice of the candidate table.
 #[derive(Default)]
 struct WorkerBest {
     candidate: Option<Candidate>,
     seed: usize,
-    mis_ns: u64,
     top: Vec<CandidateSummary>,
 }
 
@@ -617,7 +614,6 @@ impl SearchCtx<'_> {
                 self.artifacts,
                 self.relaxed,
                 self.lr_free,
-                &mut best.mis_ns,
                 self.tracer,
             ) {
                 if self.tracer.enabled() {
@@ -682,12 +678,13 @@ where
         .collect()
 }
 
-/// The result of a successfully replayed incremental round: the merged
-/// winner (with its seed index for the common winner-event tail) and the
-/// MIS time actually spent on dirty seeds.
-struct IncrOutcome {
+/// A round's search result: the merged winner (with its seed index for
+/// the common winner-event tail) and, when tracing, the candidate table
+/// — every worker's or re-mined seed's top lines, plus every replayed
+/// seed's cached winner.
+struct SearchOutcome {
     merged: Option<(Candidate, usize)>,
-    mis_ns: u64,
+    table: Vec<CandidateSummary>,
 }
 
 /// One seed's slice of the round's incremental plan.
@@ -722,7 +719,7 @@ fn incremental_search(
     config: &GraphConfig,
     program: &Program,
     cache: &dyn MineCache,
-) -> Option<IncrOutcome> {
+) -> Option<SearchOutcome> {
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -860,13 +857,18 @@ fn incremental_search(
         .filter_map(|(si, wb)| wb.map(|w| (si, w)))
         .collect();
     let mut merged: Option<(Candidate, usize)> = None;
-    let mut mis_ns = 0u64;
+    let mut table = Vec::new();
     for (si, plan) in plans.iter().enumerate() {
         let candidate = match &plan.cached {
             Some(entry) => match &entry.candidate {
                 None => None,
                 Some(p) => match incremental::to_concrete(p, &index) {
-                    Some(c) => Some(c),
+                    Some(c) => {
+                        if ctx.tracer.enabled() {
+                            table.push(CandidateSummary::of(&c, si));
+                        }
+                        Some(c)
+                    }
                     None => {
                         ctx.tracer.count("incr.fallback", 1);
                         return None;
@@ -875,7 +877,7 @@ fn incremental_search(
             },
             None => {
                 let wb = dirty_results.remove(&si)?;
-                mis_ns += wb.mis_ns;
+                table.extend(wb.top);
                 wb.candidate
             }
         };
@@ -911,18 +913,19 @@ fn incremental_search(
         "incr.invalidated",
         plans.iter().filter(|p| p.invalidated).count() as u64,
     );
-    Some(IncrOutcome { merged, mis_ns })
+    Some(SearchOutcome { merged, table })
 }
 
 /// Finds the best extractable candidate in the program under graph-based
 /// detection, or `None` when no extraction shrinks the program.
 pub fn best_candidate(program: &Program, config: &GraphConfig) -> Option<Candidate> {
-    let mut scratch = StageTimings::default();
-    best_candidate_instrumented(program, config, &mut scratch, None)
+    best_candidate_instrumented(program, config, None)
 }
 
-/// [`best_candidate`] with per-stage timing accumulation and an optional
-/// content-addressed cache of per-block artifacts.
+/// [`best_candidate`] with an optional content-addressed cache of
+/// per-block artifacts. The artifact build runs inside a `front` span,
+/// the lattice search (MIS overlap resolution included) inside a `mine`
+/// span.
 ///
 /// With `config.threads > 1` the seed patterns of the DFS-code lattice
 /// are partitioned round-robin over worker threads; each worker keeps a
@@ -933,11 +936,9 @@ pub fn best_candidate(program: &Program, config: &GraphConfig) -> Option<Candida
 pub(crate) fn best_candidate_instrumented(
     program: &Program,
     config: &GraphConfig,
-    timings: &mut StageTimings,
     cache: Option<&DfgCache>,
 ) -> Option<Candidate> {
     let infos = region_infos(program);
-    let build_start = Instant::now();
     let front_span = gpa_trace::span(&*config.tracer, "front");
     // Mining always counts on the conservative DFGs: alias verdicts are
     // context-dependent, so relaxed edges would break cross-region
@@ -985,7 +986,6 @@ pub(crate) fn best_candidate_instrumented(
     drop(front_span);
     let lr_free = lr_free_functions(program);
     let (graphs, interner) = InputGraph::from_dfg_refs(artifacts.iter().map(|a| &a.dfg));
-    timings.dfg_build_ns += gpa_trace::saturating_ns(build_start.elapsed());
     // A region is "live" when it could ever host an extraction: its
     // function's lr is clobberable (procedures), or its return
     // participates in a connected fragment (cross-jumps).
@@ -1021,7 +1021,6 @@ pub(crate) fn best_candidate_instrumented(
         tracer: config.tracer.clone(),
         ..Config::default()
     };
-    let mine_start = Instant::now();
     let mine_span = gpa_trace::span(&*config.tracer, "mine");
     let seeds: Vec<_> = seed_buckets(&graphs).into_iter().collect();
     // Incremental replay first: when a seed cache is attached (and the
@@ -1042,15 +1041,7 @@ pub(crate) fn best_candidate_instrumented(
         ),
         _ => None,
     };
-    let (mut mis_total, mut merged, mut table): (
-        u64,
-        Option<(Candidate, usize)>,
-        Vec<CandidateSummary>,
-    ) = (0, None, Vec::new());
-    if let Some(outcome) = incremental {
-        mis_total = outcome.mis_ns;
-        merged = outcome.merged;
-    } else {
+    let SearchOutcome { merged, mut table } = incremental.unwrap_or_else(|| {
         let workers = config.threads.max(1).min(seeds.len().max(1));
         let run_worker = |worker: usize, stride: usize| -> WorkerBest {
             let mut best = WorkerBest::default();
@@ -1068,6 +1059,15 @@ pub(crate) fn best_candidate_instrumented(
                     &mut budget,
                 );
                 if !keep_going {
+                    // The rest of this worker's seeds go unexplored.
+                    config.tracer.event(
+                        "mine.budget_exhausted",
+                        &[
+                            ("seed", Value::from(si)),
+                            ("worker", Value::from(worker)),
+                            ("stride", Value::from(stride)),
+                        ],
+                    );
                     break;
                 }
             }
@@ -1089,8 +1089,9 @@ pub(crate) fn best_candidate_instrumented(
                     .collect()
             })
         };
+        let mut merged: Option<(Candidate, usize)> = None;
+        let mut table = Vec::new();
         for wb in worker_bests {
-            mis_total += wb.mis_ns;
             table.extend(wb.top);
             let Some(c) = wb.candidate else { continue };
             merged = match merged {
@@ -1104,7 +1105,8 @@ pub(crate) fn best_candidate_instrumented(
                 }
             };
         }
-    }
+        SearchOutcome { merged, table }
+    });
     drop(mine_span);
     if config.tracer.enabled() {
         table.sort_by_key(|s| (-s.saved, s.body_words, s.seed));
@@ -1149,9 +1151,6 @@ pub(crate) fn best_candidate_instrumented(
             );
         }
     }
-    let mine_ns = gpa_trace::saturating_ns(mine_start.elapsed());
-    timings.mining_ns += mine_ns.saturating_sub(mis_total);
-    timings.mis_ns += mis_total;
     merged.map(|(c, _)| c)
 }
 
@@ -1264,15 +1263,13 @@ mod tests {
         };
         let uncached = best_candidate(&program, &config);
         let cache = DfgCache::new();
-        let mut timings = StageTimings::default();
-        let first = best_candidate_instrumented(&program, &config, &mut timings, Some(&cache));
-        let second = best_candidate_instrumented(&program, &config, &mut timings, Some(&cache));
+        let first = best_candidate_instrumented(&program, &config, Some(&cache));
+        let second = best_candidate_instrumented(&program, &config, Some(&cache));
         assert_eq!(first, uncached);
         assert_eq!(second, uncached);
         // Both regions are identical blocks, so even the cold pass hits
         // once; the warm pass hits on every region.
         assert!(cache.hits() >= 2, "hits: {}", cache.hits());
-        assert!(timings.dfg_build_ns > 0 && timings.mining_ns > 0);
     }
 
     #[test]
@@ -1332,16 +1329,15 @@ mod tests {
         best_candidate(&program, &config);
         best_candidate(&program, &config);
         let c = tracer.counters();
-        let funcs = c.get("incr.funcs");
-        let hit = c.get("incr.func_hit");
-        let miss = c.get("incr.func_miss");
-        assert!(funcs > 0, "incremental rounds must count functions");
-        assert_eq!(
-            funcs,
-            hit + miss,
-            "incr.funcs == incr.func_hit + incr.func_miss"
+        assert!(
+            c.get("incr.funcs") > 0,
+            "incremental rounds must count functions"
         );
-        assert!(hit > 0, "the warm pass must report function hits");
+        assert_eq!(c.check_identities(), Ok(()));
+        assert!(
+            c.get("incr.func_hit") > 0,
+            "the warm pass must report function hits"
+        );
     }
 
     #[test]

@@ -58,7 +58,6 @@ pub mod json;
 pub mod optimizer;
 pub mod report;
 pub mod sfx_detect;
-pub mod stage;
 pub mod trace;
 pub mod validate;
 
@@ -71,5 +70,4 @@ pub use optimizer::{
     AliasLevel, Method, Optimizer, OptimizerError, RunConfig, DEFAULT_MAX_PATTERNS,
 };
 pub use report::{Report, Round, REPORT_SCHEMA};
-pub use stage::StageTimings;
 pub use validate::ValidateLevel;

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use gpa::incremental::{MemoryMineCache, MineCache, SeedEntry, TupleNote};
-use gpa::{Method, Optimizer, Report, RunConfig, StageTimings, ValidateLevel};
+use gpa::{Method, Optimizer, Report, RunConfig, ValidateLevel};
 
 /// A [`MemoryMineCache`] that records every entry published and every
 /// entry served, so the test can compare an image's own mining results
@@ -49,11 +49,8 @@ fn run(image: &gpa_image::Image, method: Method, cache: Arc<dyn MineCache>) -> R
         incremental: Some(cache),
         ..RunConfig::default()
     };
-    let mut timings = StageTimings::default();
-    let mut optimizer = Optimizer::from_image_configured(image, &config, &mut timings).unwrap();
-    optimizer
-        .run_instrumented(method, &config, &mut timings, None)
-        .unwrap()
+    let mut optimizer = Optimizer::from_image_configured(image, &config).unwrap();
+    optimizer.run_instrumented(method, &config, None).unwrap()
 }
 
 #[test]

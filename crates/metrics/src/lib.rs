@@ -4,7 +4,7 @@
 //! The paper's payoff is quantitative: Tables 1–3 report bytes saved,
 //! fragments extracted and runtime per benchmark. This crate is the
 //! layer that turns the toolchain's raw signal (per-image
-//! [`gpa::Report`]s, [`gpa::StageTimings`], `gpa-trace` streams) into
+//! [`gpa::Report`]s, `gpa-trace` streams and their spans) into
 //! comparable, regression-gated metrics:
 //!
 //! * [`run_perf`] runs the bundled minicc kernel corpus across the
@@ -12,7 +12,8 @@
 //!   [`PerfReport`]: paper-shape compression metrics per image × method
 //!   (original size, words saved, % savings in basis points, fragments,
 //!   rounds, per-method deltas) plus per-stage latency distributions as
-//!   log-bucketed [`gpa_trace::LogHistogram`]s with p50/p90/p99.
+//!   log-bucketed [`gpa_trace::LogHistogram`]s with p50/p90/p99, read
+//!   from the spans of each image's trace ([`perf::STAGES`]).
 //! * [`PerfReport::to_json`] serializes the `gpa-bench/1` document: a
 //!   *deterministic* section (depends only on inputs and method — byte
 //!   identical across runs, machines and `--jobs` settings) followed by
@@ -49,4 +50,6 @@ pub mod perf;
 pub mod profile;
 
 pub use baseline::{compare, Comparison};
-pub use perf::{run_perf, KernelResult, MethodLatency, PerfConfig, PerfReport, BENCH_SCHEMA};
+pub use perf::{
+    run_perf, KernelResult, MethodLatency, PerfConfig, PerfReport, BENCH_SCHEMA, STAGES,
+};

@@ -1,11 +1,11 @@
 //! The `gpa perf` harness: corpus runs, the `gpa-bench/1` document and
 //! the human markdown tables.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use gpa::json::Json;
-use gpa::stage::STAGE_NAMES;
 use gpa::{AliasLevel, Method, Report, RunConfig, ValidateLevel};
 use gpa_minicc::Options;
 use gpa_pipeline::{run_batch, BatchConfig, BatchInput, FuncCache, FuncCacheStats};
@@ -13,6 +13,20 @@ use gpa_trace::{LogHistogram, SpanNode, SpanTree};
 
 /// Version tag of the benchmark-report JSON schema.
 pub const BENCH_SCHEMA: &str = "gpa-bench/1";
+
+/// The stages of the per-stage latency histograms, in pipeline order,
+/// each with the span path (root first) whose time it takes from every
+/// image's trace. Decode is the root `front` span; the rest nest under
+/// `optimize`. Mining covers the whole search, MIS overlap resolution
+/// included (its work is counted in `mis.bb_steps` and
+/// `mis.components`); SFX has a `mine` span but no DFG build.
+pub const STAGES: [(&str, &[&str]); 5] = [
+    ("decode", &["front"]),
+    ("dfg_build", &["optimize", "round", "detect", "front"]),
+    ("mining", &["optimize", "round", "detect", "mine"]),
+    ("extraction", &["optimize", "round", "apply"]),
+    ("validation", &["optimize", "validate"]),
+];
 
 /// What `gpa perf` runs.
 #[derive(Clone, Debug)]
@@ -32,7 +46,8 @@ pub struct PerfConfig {
     pub validate: ValidateLevel,
     /// Alias-analysis level for the optimization runs.
     pub alias: AliasLevel,
-    /// Collect a hierarchical span profile alongside the metrics.
+    /// Keep the hierarchical span profile the per-stage histograms are
+    /// read from (the images are traced either way).
     pub profile: bool,
     /// Give each method batch a fresh function-granularity mining cache
     /// ([`FuncCache`]), so the measured section's cache ratios cover all
@@ -99,8 +114,9 @@ pub struct MethodCacheStats {
 pub struct MethodLatency {
     /// The detection method.
     pub method: Method,
-    /// One histogram per [`STAGE_NAMES`] entry, in that order; each
-    /// image contributes one sample per stage.
+    /// One histogram per [`STAGES`] entry, in that order; each image
+    /// contributes one sample per stage (zero when its trace has no
+    /// span at that path).
     pub stages: Vec<(&'static str, LogHistogram)>,
 }
 
@@ -131,7 +147,9 @@ pub struct PerfReport {
 /// Each method gets one `gpa batch` run over the compiled kernels (the
 /// pipeline's worker pool and deterministic merge are reused wholesale),
 /// so the deterministic section of the result is byte-identical for any
-/// `jobs` setting.
+/// `jobs` setting. Every image is traced into a temporary directory;
+/// its spans give the per-stage samples ([`STAGES`]) and, with
+/// [`PerfConfig::profile`], the span profile.
 ///
 /// # Errors
 ///
@@ -162,16 +180,16 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
     let mut jobs_used = 1;
     for &method in &config.methods {
         let func_cache = config.incremental.then(|| Arc::new(FuncCache::default()));
-        let trace_dir = profile.as_ref().map(|_| {
-            std::env::temp_dir().join(format!(
-                "gpa-perf-profile-{}-{}",
-                std::process::id(),
-                method.as_str()
-            ))
-        });
-        if let Some(dir) = &trace_dir {
-            let _ = std::fs::remove_dir_all(dir);
-        }
+        // Unique per run, so concurrent harness runs in one process
+        // never share a directory.
+        static RUNS: AtomicUsize = AtomicUsize::new(0);
+        let trace_dir = std::env::temp_dir().join(format!(
+            "gpa-perf-trace-{}-{}-{}",
+            std::process::id(),
+            RUNS.fetch_add(1, Ordering::Relaxed),
+            method.as_str()
+        ));
+        let _ = std::fs::remove_dir_all(&trace_dir);
         let batch = BatchConfig {
             jobs: config.jobs,
             method,
@@ -187,7 +205,7 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
                 ..RunConfig::default()
             },
             cache_dir: None,
-            trace_dir: trace_dir.clone(),
+            trace_dir: Some(trace_dir.clone()),
             incremental: func_cache,
             ..BatchConfig::default()
         };
@@ -195,21 +213,26 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
             .iter()
             .map(|(name, image)| BatchInput::loaded(name.clone(), image.clone()))
             .collect();
-        let corpus = run_batch(&inputs, &batch)?;
+        let corpus = run_batch(&inputs, &batch);
+        let traces = crate::profile::spans_per_stream(&trace_dir);
+        let _ = std::fs::remove_dir_all(&trace_dir);
+        let (corpus, traces) = (corpus?, traces?);
         for entry in &corpus.images {
             if let Err(message) = &entry.outcome {
                 return Err(format!("{} [{}]: {message}", entry.name, method.as_str()));
             }
         }
         jobs_used = corpus.jobs;
-        let mut stages: Vec<(&'static str, LogHistogram)> = STAGE_NAMES
+        let mut stages: Vec<(&'static str, LogHistogram)> = STAGES
             .iter()
-            .map(|&name| (name, LogHistogram::new()))
+            .map(|&(name, _)| (name, LogHistogram::new()))
             .collect();
-        for (entry, _) in corpus.successful() {
-            for (i, (_, ns)) in entry.timings.stages().iter().enumerate() {
-                stages[i].1.record(*ns);
+        let mut spans = SpanTree::default();
+        for trace in &traces {
+            for ((_, path), (_, hist)) in STAGES.iter().zip(&mut stages) {
+                hist.record(trace.total_ns_at(path));
             }
+            spans.merge(trace);
         }
         latency.push(MethodLatency { method, stages });
         cache.push(MethodCacheStats {
@@ -226,9 +249,8 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
                 .map(|(_, report)| report.clone())
                 .collect(),
         );
-        if let (Some(tree), Some(dir)) = (&mut profile, &trace_dir) {
-            tree.merge(&method_profile(method, dir)?);
-            let _ = std::fs::remove_dir_all(dir);
+        if let Some(tree) = &mut profile {
+            tree.merge(&under_method_root(method, spans));
         }
     }
     let kernels = images
@@ -261,22 +283,21 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
     })
 }
 
-/// Aggregates one method's per-image trace streams into a profile
-/// grafted under a single `<method>` root.
-fn method_profile(method: Method, dir: &std::path::Path) -> Result<SpanTree, String> {
-    let merged = crate::profile::spans_from_trace_dir(dir)?;
+/// Grafts one method's merged per-image profile under a single
+/// `<method>` root.
+fn under_method_root(method: Method, merged: SpanTree) -> SpanTree {
     let mut wrapped = SpanNode {
         count: 0,
         total_ns: 0,
-        children: merged.roots.clone(),
+        children: merged.roots,
     };
-    for node in merged.roots.values() {
+    for node in wrapped.children.values() {
         wrapped.count += node.count;
         wrapped.total_ns += node.total_ns;
     }
     let mut tree = SpanTree::default();
     tree.roots.insert(method.as_str().to_owned(), wrapped);
-    Ok(tree)
+    tree
 }
 
 /// Basis points of savings: `saved * 10_000 / initial` in pure integer

@@ -68,20 +68,24 @@ pub fn spans_from_files(paths: &[PathBuf]) -> Result<SpanTree, String> {
     Ok(tree)
 }
 
-/// Merges every `*.jsonl` file of a batch trace directory, in byte-wise
-/// name order (matching how `gpa batch` numbers them).
+/// One profile per `*.jsonl` file of a batch trace directory, in
+/// byte-wise name order (matching how `gpa batch` numbers them, so
+/// stream `i` is input `i`).
 ///
 /// # Errors
 ///
 /// A message when the directory or any stream cannot be read.
-pub fn spans_from_trace_dir(dir: &Path) -> Result<SpanTree, String> {
+pub fn spans_per_stream(dir: &Path) -> Result<Vec<SpanTree>, String> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("{}: {e}", dir.display()))?
         .filter_map(|entry| entry.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|ext| ext == "jsonl"))
         .collect();
     paths.sort();
-    spans_from_files(&paths)
+    paths
+        .iter()
+        .map(|path| spans_from_files(std::slice::from_ref(path)))
+        .collect()
 }
 
 #[cfg(test)]

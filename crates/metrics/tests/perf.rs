@@ -4,7 +4,7 @@
 
 use gpa::json::Json;
 use gpa::{Method, ValidateLevel};
-use gpa_metrics::{compare, run_perf, PerfConfig};
+use gpa_metrics::{compare, run_perf, PerfConfig, STAGES};
 
 /// A small two-kernel, two-method configuration that keeps the test fast.
 fn small_config(jobs: usize) -> PerfConfig {
@@ -65,7 +65,11 @@ fn bench_document_round_trips_and_has_paper_shape() {
     assert_eq!(latency.len(), 2);
     for method in latency {
         let stages = method.get("stages").and_then(Json::as_arr).unwrap();
-        assert_eq!(stages.len(), gpa::stage::STAGE_NAMES.len());
+        let names: Vec<&str> = stages
+            .iter()
+            .filter_map(|s| s.get("stage").and_then(Json::as_str))
+            .collect();
+        assert_eq!(names, STAGES.map(|(name, _)| name));
         for stage in stages {
             assert_eq!(stage.get("count").and_then(Json::as_int), Some(2));
             let p50 = stage.get("p50_ns").and_then(Json::as_int).unwrap();
@@ -78,6 +82,37 @@ fn bench_document_round_trips_and_has_paper_shape() {
     assert!(md.contains("| crc |"), "{md}");
     assert!(md.contains("**total**"), "{md}");
     assert!(md.contains("| sfx | mining |"), "{md}");
+}
+
+/// The per-stage samples come from each image's spans: every stage gets
+/// one sample per kernel, and the search is timed for the suffix-trie
+/// baseline as well as for the graph miner.
+#[test]
+fn stage_samples_come_from_every_images_spans() {
+    let config = PerfConfig {
+        methods: vec![Method::Sfx, Method::Edgar],
+        kernels: vec!["crc".into(), "bitcnts".into()],
+        jobs: 2,
+        validate: ValidateLevel::Final,
+        ..PerfConfig::default()
+    };
+    let report = run_perf(&config).unwrap();
+    assert!(
+        report.profile.is_none(),
+        "the profile is kept only on request"
+    );
+    for latency in &report.latency {
+        let method = latency.method;
+        assert_eq!(latency.stages.len(), STAGES.len());
+        for (stage, hist) in &latency.stages {
+            assert_eq!(hist.count(), 2, "{method}/{stage}: one sample per kernel");
+            let positive = hist.min_ns() > 0;
+            match *stage {
+                "dfg_build" => assert_eq!(positive, method == Method::Edgar, "{method}/{stage}"),
+                _ => assert!(positive, "{method}/{stage}: every kernel spends time here"),
+            }
+        }
+    }
 }
 
 /// Adds `delta` to every `saved_words` field, anywhere in the document.

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use gpa::{image_cache_key, DfgCache, Method, Optimizer, Report, RunConfig, StageTimings};
+use gpa::{image_cache_key, DfgCache, Method, Optimizer, Report, RunConfig};
 use gpa_image::Image;
 use gpa_trace::{CounterTracer, JsonlTracer, NoopTracer, Tracer};
 
@@ -203,7 +203,6 @@ pub fn run_batch(inputs: &[BatchInput], config: &BatchConfig) -> Result<CorpusRe
                         key: None,
                         outcome: Err("interrupted".into()),
                         cached: false,
-                        timings: StageTimings::default(),
                         counters: gpa_trace::Counters::default(),
                     }
                 })
@@ -261,23 +260,13 @@ fn process_one(
         },
         None => Arc::new(NoopTracer),
     };
-    let mut timings = StageTimings::default();
-    let (key, outcome, cached) = optimize_input(
-        input,
-        config,
-        report_cache,
-        dfg_cache,
-        &tracer,
-        &mut timings,
-    );
-    timings.trace(tracer.as_ref());
+    let (key, outcome, cached) = optimize_input(input, config, report_cache, dfg_cache, &tracer);
     tracer.finish();
     ImageEntry {
         name,
         key,
         outcome,
         cached,
-        timings,
         counters: tracer.counters(),
     }
 }
@@ -291,7 +280,6 @@ fn optimize_input(
     report_cache: &ReportCache,
     dfg_cache: &DfgCache,
     tracer: &Arc<dyn Tracer>,
-    timings: &mut StageTimings,
 ) -> (Option<u128>, Result<Report, String>, bool) {
     let image = match input {
         BatchInput::Loaded(_, image) => image.clone(),
@@ -319,11 +307,11 @@ fn optimize_input(
     if let Some(report) = report_cache.get_traced(key, tracer.as_ref()) {
         return (Some(key), Ok(report), true);
     }
-    let mut optimizer = match Optimizer::from_image_configured(&image, &run, timings) {
+    let mut optimizer = match Optimizer::from_image_configured(&image, &run) {
         Ok(optimizer) => optimizer,
         Err(e) => return (Some(key), Err(e.to_string()), false),
     };
-    match optimizer.run_instrumented(config.method, &run, timings, Some(dfg_cache)) {
+    match optimizer.run_instrumented(config.method, &run, Some(dfg_cache)) {
         Ok(report) => {
             report_cache.put_traced(key, &report, tracer.as_ref());
             (Some(key), Ok(report), false)

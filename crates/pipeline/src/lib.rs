@@ -18,13 +18,14 @@
 //!   one [`gpa::DfgCache`], so blocks the optimizer re-sees — across
 //!   rounds, occurrences and *images* (every MiniC binary carries the
 //!   same runtime) — skip DFG and reachability construction.
-//! * **Per-stage metrics** — decode, DFG build, mining, MIS, extraction
-//!   and validation wall time ([`gpa::StageTimings`]) plus cache hit/miss
-//!   counters, reported per image and corpus-wide in the machine-readable
-//!   JSON corpus report ([`CorpusReport::to_json`]).
+//! * **Metrics** — wall time, cache hit/miss counters and (with a trace
+//!   directory) per-image trace counters, reported in the
+//!   machine-readable JSON corpus report ([`CorpusReport::to_json`]).
+//!   Per-stage time lives in the per-image trace streams' spans, which
+//!   `gpa perf` turns into histograms.
 //!
 //! The report separates a *deterministic* section (inputs, keys,
-//! per-image reports, totals) from a *metrics* section (timings, cache
+//! per-image reports, totals) from a *metrics* section (wall time, cache
 //! counters, worker count): `to_json(false)` compares byte-for-byte
 //! between a cold and a warm run, or between `--jobs 1` and `--jobs 8`,
 //! which is exactly what the regression tests assert.

@@ -1,7 +1,7 @@
-//! The corpus report: what a batch run produced and where the time went.
+//! The corpus report: what a batch run produced and what it cost.
 
 use gpa::json::Json;
-use gpa::{Method, Report, StageTimings};
+use gpa::{Method, Report};
 use gpa_trace::Counters;
 
 /// Version tag of the corpus-report JSON schema.
@@ -19,8 +19,6 @@ pub struct ImageEntry {
     pub outcome: Result<Report, String>,
     /// Whether the report came out of the artifact cache.
     pub cached: bool,
-    /// Per-stage time this entry cost (all zero on a cache hit).
-    pub timings: StageTimings,
     /// Aggregated trace counters for this entry (empty when the batch
     /// ran without a trace dir).
     pub counters: Counters,
@@ -79,15 +77,6 @@ impl CorpusReport {
             .filter_map(|e| e.outcome.as_ref().ok())
             .map(Report::saved_words)
             .sum()
-    }
-
-    /// Per-stage times summed over every entry.
-    pub fn total_timings(&self) -> StageTimings {
-        let mut total = StageTimings::default();
-        for e in &self.images {
-            total.merge(&e.timings);
-        }
-        total
     }
 
     /// Trace counters summed over every entry (empty when the batch ran
@@ -167,7 +156,6 @@ impl CorpusReport {
                     let mut pairs = vec![
                         ("name".to_owned(), Json::from(e.name.as_str())),
                         ("cached".to_owned(), Json::from(e.cached)),
-                        ("timings".to_owned(), e.timings.to_json()),
                     ];
                     if !e.counters.is_empty() {
                         pairs.push(("counters".to_owned(), counters_json(&e.counters)));
@@ -198,7 +186,6 @@ impl CorpusReport {
                 metrics.push(("func_cache", fc));
             }
             metrics.extend([
-                ("stage_totals", self.total_timings().to_json()),
                 ("trace", counters_json(&self.total_counters())),
                 ("images", Json::Arr(per_image)),
             ]);
@@ -236,7 +223,6 @@ mod tests {
                         rounds: vec![],
                     }),
                     cached: true,
-                    timings: StageTimings::default(),
                     counters: Counters(
                         [("mine.patterns_visited".to_owned(), 7u64)]
                             .into_iter()
@@ -248,10 +234,6 @@ mod tests {
                     key: None,
                     outcome: Err("boom".into()),
                     cached: false,
-                    timings: StageTimings {
-                        decode_ns: 5,
-                        ..StageTimings::default()
-                    },
                     counters: Counters::default(),
                 },
             ],
@@ -272,7 +254,6 @@ mod tests {
         let c = corpus();
         assert_eq!(c.total_saved_words(), 2);
         assert_eq!(c.error_count(), 1);
-        assert_eq!(c.total_timings().decode_ns, 5);
         assert_eq!(c.total_counters().get("mine.patterns_visited"), 7);
     }
 

@@ -24,10 +24,9 @@
 //!   overrunning requests return a well-formed partial document with
 //!   status `deadline_exceeded`, and never hang or poison the cache.
 //! * **Graceful drain** — SIGINT/SIGTERM or a Shutdown frame stops
-//!   intake, finishes queued work, then exits; the trace-check identity
-//!   `serve.accepted == serve.completed + serve.shed +
-//!   serve.deadline_exceeded + serve.in_flight_at_drain` audits that no
-//!   request was dropped on the floor.
+//!   intake, finishes queued work, then exits; the serve rows of
+//!   [`gpa_trace::identity::IDENTITIES`] audit that no request was
+//!   dropped on the floor.
 //! * **Live telemetry** — a Stats admin frame answers a `gpa-stats/1`
 //!   snapshot ([`ServeStats`]: lock-free counters and gauges, windowed
 //!   latency histograms, cache occupancy) without pausing workers, and
@@ -66,4 +65,4 @@ pub use recorder::{FlightRecorder, DEFAULT_RECORDER_CAPACITY};
 pub use server::{
     fetch_dump, fetch_stats, send_shutdown, submit, ServeConfig, ServeSummary, Server,
 };
-pub use stats::{Gauges, ServeStats, StatsSnapshot};
+pub use stats::{check_snapshot_identity, Gauges, ServeStats, StatsSnapshot};

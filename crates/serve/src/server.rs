@@ -46,9 +46,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gpa::json::Json;
-use gpa::{
-    image_cache_key, DfgCache, Method, Optimizer, Report, RunConfig, StageTimings, ValidateLevel,
-};
+use gpa::{image_cache_key, DfgCache, Method, Optimizer, Report, RunConfig, ValidateLevel};
 use gpa_image::Image;
 use gpa_pipeline::{CacheBudget, FuncCache, ReportCache, ShutdownFlag};
 use gpa_trace::histogram::{LogHistogram, WindowedHistogram};
@@ -937,12 +935,11 @@ fn execute(
     if let Some(report) = shared.report_cache.get_traced(key, shared.tracer.as_ref()) {
         return ("ok", Some(report), None, true, false);
     }
-    let mut timings = StageTimings::default();
-    let mut optimizer = match Optimizer::from_image_configured(&image, &run, &mut timings) {
+    let mut optimizer = match Optimizer::from_image_configured(&image, &run) {
         Ok(optimizer) => optimizer,
         Err(e) => return ("error", None, Some(e.to_string()), false, false),
     };
-    let outcome = optimizer.run_instrumented(method, &run, &mut timings, Some(&shared.dfg_cache));
+    let outcome = optimizer.run_instrumented(method, &run, Some(&shared.dfg_cache));
     lock_recover(&shared.job_counters).merge(&job_tracer.counters());
     match outcome {
         Ok(report) => {

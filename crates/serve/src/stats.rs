@@ -24,13 +24,32 @@
 //! never underflows, and the raw queued gauge (which can transiently
 //! read high while a request is between counters) is clamped to
 //! `outstanding`. The identity then holds *by construction* in every
-//! snapshot — which is exactly what `gpa trace-check` and the soak
-//! tests assert.
+//! snapshot — which is exactly what [`check_snapshot_identity`] asserts
+//! for `gpa trace-check`, the load generator and the soak tests.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use gpa::json::Json;
+use gpa_trace::identity::{self, Form, IdentityError, Source};
 use gpa_trace::LogHistogram;
+
+/// Checks a parsed `gpa-stats/1` snapshot against the live row of
+/// [`gpa_trace::identity::IDENTITIES`]: counters come from its
+/// `counters` object, gauges from its `gauges` object.
+///
+/// # Errors
+///
+/// A missing gauge, or the unbalanced row.
+pub fn check_snapshot_identity(doc: &Json) -> Result<(), IdentityError> {
+    identity::check(Form::Live, |source, name| {
+        let section = match source {
+            Source::Counter => "counters",
+            Source::Gauge => "gauges",
+        };
+        doc.get(section)?.get(name)?.as_int()
+    })
+}
 
 /// Lifecycle counters and gauges for a running serve process, all
 /// atomic: increments are wait-free and a snapshot never takes a lock.
@@ -545,18 +564,9 @@ mod tests {
         let json = snap.to_json_string();
         assert!(json.starts_with("{\"schema\":\"gpa-stats/1\",\"uptime_ns\":5000000,"));
         let doc = gpa::json::Json::parse(&json).expect("snapshot must be valid JSON");
-        let counters = doc.get("counters").expect("counters object");
         let int =
             |j: &gpa::json::Json, k: &str| j.get(k).and_then(gpa::json::Json::as_int).unwrap();
-        let gauges = doc.get("gauges").expect("gauges object");
-        assert_eq!(
-            int(counters, "serve.accepted"),
-            int(counters, "serve.completed")
-                + int(counters, "serve.shed")
-                + int(counters, "serve.deadline_exceeded")
-                + int(gauges, "in_flight")
-                + int(gauges, "queued"),
-        );
+        assert_eq!(check_snapshot_identity(&doc), Ok(()));
         assert_eq!(int(doc.get("recorder").unwrap(), "capacity"), 4096);
         let report = doc.get("cache").unwrap().get("report").unwrap();
         assert_eq!(int(report, "entries"), 3);

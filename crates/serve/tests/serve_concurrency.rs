@@ -152,9 +152,10 @@ fn overload_sheds_with_immediate_overloaded_response() {
         shed > 0,
         "6 concurrent cold requests must overflow a 1-deep queue"
     );
+    assert_eq!(summary.counters.get("serve.in_flight_at_drain"), 0);
     assert_eq!(
-        summary.counters.get("serve.accepted"),
-        completed + shed + summary.counters.get("serve.deadline_exceeded"),
+        summary.counters.check_identities(),
+        Ok(()),
         "counter identity must balance"
     );
 }

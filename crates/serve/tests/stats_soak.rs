@@ -12,7 +12,7 @@ use std::time::Duration;
 use gpa::json::Json;
 use gpa::RunConfig;
 use gpa::ValidateLevel;
-use gpa_serve::{fetch_dump, fetch_stats, submit, ServeConfig, Server};
+use gpa_serve::{check_snapshot_identity, fetch_dump, fetch_stats, submit, ServeConfig, Server};
 
 fn fast_config() -> ServeConfig {
     ServeConfig {
@@ -46,18 +46,17 @@ fn snap_int(doc: &Json, path: &[&str]) -> i64 {
 /// Asserts the live identity on one parsed snapshot and returns
 /// (accepted, completed, shed, deadline_exceeded, in_flight, queued).
 fn assert_identity(doc: &Json) -> (i64, i64, i64, i64, i64, i64) {
-    let accepted = snap_int(doc, &["counters", "serve.accepted"]);
-    let completed = snap_int(doc, &["counters", "serve.completed"]);
-    let shed = snap_int(doc, &["counters", "serve.shed"]);
-    let deadline = snap_int(doc, &["counters", "serve.deadline_exceeded"]);
-    let in_flight = snap_int(doc, &["gauges", "in_flight"]);
-    let queued = snap_int(doc, &["gauges", "queued"]);
-    assert_eq!(
-        accepted,
-        completed + shed + deadline + in_flight + queued,
-        "live identity broken in snapshot: {doc}"
-    );
-    (accepted, completed, shed, deadline, in_flight, queued)
+    if let Err(e) = check_snapshot_identity(doc) {
+        panic!("live identity broken in snapshot: {e}: {doc}");
+    }
+    (
+        snap_int(doc, &["counters", "serve.accepted"]),
+        snap_int(doc, &["counters", "serve.completed"]),
+        snap_int(doc, &["counters", "serve.shed"]),
+        snap_int(doc, &["counters", "serve.deadline_exceeded"]),
+        snap_int(doc, &["gauges", "in_flight"]),
+        snap_int(doc, &["gauges", "queued"]),
+    )
 }
 
 /// Mid-soak snapshots all balance; the quiescent final snapshot matches

@@ -32,7 +32,10 @@
 //! appears as an event (`gpa trace-check` enforces this). Hot-path
 //! figures (patterns visited, branch-and-bound steps) are counted via
 //! [`Tracer::count`] without emitting per-increment events; they appear
-//! only in the final summary.
+//! only in the final summary. The accounting equations those counters
+//! satisfy (visited patterns, canonicality cache, alias pairs, serve
+//! requests, incremental functions) are declared once in
+//! [`identity::IDENTITIES`].
 //!
 //! Event ordering between threads follows lock acquisition, so two runs
 //! may interleave events differently; counter totals for a fixed
@@ -48,6 +51,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 pub mod histogram;
+pub mod identity;
 pub mod span;
 
 pub use histogram::{LogHistogram, WindowedHistogram};
@@ -150,6 +154,36 @@ impl Counters {
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
+
+    /// Checks the finished-trace rows of [`identity::IDENTITIES`].
+    ///
+    /// # Errors
+    ///
+    /// The first unbalanced row.
+    pub fn check_identities(&self) -> Result<(), identity::IdentityError> {
+        identity::check(identity::Form::Trace, |_, name| {
+            self.0
+                .get(name)
+                .map(|&v| i64::try_from(v).unwrap_or(i64::MAX))
+        })
+    }
+}
+
+impl From<&BTreeMap<&'static str, u64>> for Counters {
+    fn from(counters: &BTreeMap<&'static str, u64>) -> Counters {
+        Counters(counters.iter().map(|(&k, &v)| (k.to_owned(), v)).collect())
+    }
+}
+
+/// Debug builds: panics when a finished tracer's counters break a
+/// finished-trace identity. Called with no lock held, and never from
+/// `Drop`.
+fn debug_assert_identities(tracer: &dyn Tracer) {
+    if cfg!(debug_assertions) {
+        if let Err(e) = tracer.counters().check_identities() {
+            panic!("trace finished with a broken counter identity: {e}");
+        }
+    }
 }
 
 /// The tracing sink threaded through mining, detection, extraction and
@@ -225,14 +259,11 @@ impl Tracer for CounterTracer {
     }
 
     fn counters(&self) -> Counters {
-        Counters(
-            self.counters
-                .lock()
-                .expect("counter tracer poisoned")
-                .iter()
-                .map(|(&k, &v)| (k.to_owned(), v))
-                .collect(),
-        )
+        Counters::from(&*self.counters.lock().expect("counter tracer poisoned"))
+    }
+
+    fn finish(&self) {
+        debug_assert_identities(self);
     }
 }
 
@@ -340,21 +371,25 @@ impl Tracer for JsonlTracer {
     }
 
     fn counters(&self) -> Counters {
-        Counters(
-            self.inner
-                .lock()
-                .expect("jsonl tracer poisoned")
-                .counters
-                .iter()
-                .map(|(&k, &v)| (k.to_owned(), v))
-                .collect(),
-        )
+        Counters::from(&self.inner.lock().expect("jsonl tracer poisoned").counters)
     }
 
     fn finish(&self) {
-        let mut inner = self.inner.lock().expect("jsonl tracer poisoned");
+        if self.write_summary() {
+            debug_assert_identities(self);
+        }
+    }
+}
+
+impl JsonlTracer {
+    /// Writes the trailing counter-summary line unless it is already
+    /// written; returns whether this call wrote it.
+    fn write_summary(&self) -> bool {
+        let Ok(mut inner) = self.inner.lock() else {
+            return false;
+        };
         if inner.finished {
-            return;
+            return false;
         }
         inner.finished = true;
         let mut line = String::from("{\"ev\":\"counters\",\"counters\":{");
@@ -369,12 +404,13 @@ impl Tracer for JsonlTracer {
         line.push_str("}}\n");
         let _ = inner.out.write_all(line.as_bytes());
         let _ = inner.out.flush();
+        true
     }
 }
 
 impl Drop for JsonlTracer {
     fn drop(&mut self) {
-        self.finish();
+        self.write_summary();
     }
 }
 
@@ -439,6 +475,24 @@ mod tests {
         assert_eq!(c.get("mine.patterns_visited"), 7);
         assert_eq!(c.get("mis.budget_exhausted"), 1);
         assert_eq!(c.get("absent"), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "broken counter identity")]
+    fn counter_finish_asserts_the_identities() {
+        let t = CounterTracer::new();
+        t.count("mine.patterns_visited", 1);
+        t.finish();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "broken counter identity")]
+    fn jsonl_finish_asserts_the_identities_after_writing_the_summary() {
+        let t = JsonlTracer::to_writer(Box::new(io::sink()));
+        t.count("incr.funcs", 1);
+        t.finish();
     }
 
     #[test]

@@ -125,6 +125,19 @@ impl SpanTree {
         node.total_ns += dur_ns;
     }
 
+    /// Total time of the spans recorded at `path` (root first); zero
+    /// when none were.
+    pub fn total_ns_at(&self, path: &[&str]) -> u64 {
+        let Some((first, rest)) = path.split_first() else {
+            return 0;
+        };
+        let mut node = self.roots.get(*first);
+        for name in rest {
+            node = node.and_then(|n| n.children.get(*name));
+        }
+        node.map_or(0, |n| n.total_ns)
+    }
+
     /// Merges another profile into this one, path by path.
     pub fn merge(&mut self, other: &SpanTree) {
         for (name, node) in &other.roots {
@@ -255,6 +268,9 @@ mod tests {
         assert_eq!(round.children["detect"].total_ns, 300);
         assert_eq!(round.children["apply"].count, 3);
         assert_eq!(round.self_ns(), 390 - 330);
+        assert_eq!(tree.total_ns_at(&["round", "detect"]), 300);
+        assert_eq!(tree.total_ns_at(&["round", "validate"]), 0);
+        assert_eq!(tree.total_ns_at(&["detect"]), 0);
         let text = tree.render();
         assert!(text.contains("round"), "{text}");
         assert!(text.contains("detect"), "{text}");

@@ -74,8 +74,8 @@ echo "verify: batch + incremental smoke OK ($(cat BENCH_pipeline.json))"
 
 # Trace smoke: one traced kernel. The stream must pass the structural
 # validator (every line parses, counters match their event-line counts,
-# the miner's visit identity holds), and the deterministic report line
-# plus the output image must be byte-identical with tracing on and off.
+# the counter identities hold), and the deterministic report line plus
+# the output image must be byte-identical with tracing on and off.
 # (capture full stdout, then compare only the report line: the second
 # line names the per-run output path, and `| head` would close the pipe
 # under gpa's feet)
@@ -92,6 +92,20 @@ if ! cmp -s "$WORK/opt_plain.txt" "$WORK/opt_traced.txt"; then
 fi
 if ! cmp -s "$WORK/crc_plain.img" "$WORK/crc_traced.img"; then
     echo "verify: tracing changed the optimized image" >&2
+    exit 1
+fi
+# Seed-cache rounds trace like plain ones: the stream checks out, the
+# image is the plain one, and the rounds still write their candidate
+# tables (replayed seeds contribute their cached winners).
+"$GPA" optimize "$WORK/crc.img" -o "$WORK/crc_incr.img" --validate off \
+    --incremental --trace "$WORK/crc_incr.jsonl" > /dev/null
+"$GPA" trace-check "$WORK/crc_incr.jsonl"
+if ! cmp -s "$WORK/crc_plain.img" "$WORK/crc_incr.img"; then
+    echo "verify: --incremental changed the optimized image" >&2
+    exit 1
+fi
+if ! grep -q '"ev":"detect.candidate"' "$WORK/crc_incr.jsonl"; then
+    echo "verify: --incremental trace has no detect.candidate line" >&2
     exit 1
 fi
 # Traced batch run: per-image streams check out, and the deterministic
