@@ -1,6 +1,6 @@
 //! Graph-based fragment detection: DgSpan and Edgar candidates.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use gpa_cfg::{Item, Program};
@@ -16,7 +16,6 @@ use gpa_trace::{NoopTracer, Tracer, Value};
 use crate::artifact::{BlockArtifact, DfgCache};
 use crate::candidate::{classify_body, Candidate, ExtractionKind, Occurrence, RelaxedPair};
 use crate::cost::saved_words;
-use crate::extract::contract_region_with;
 use crate::incremental::{self, MineCache, SeedEntry, SeedKeyConfig, TupleNote};
 use crate::optimizer::AliasLevel;
 use crate::trace::trace_equivalent;
@@ -233,9 +232,10 @@ pub(crate) fn lr_free_functions(program: &Program) -> Vec<bool> {
     live.into_iter().map(|l| !l).collect()
 }
 
-/// Builds the best extractable candidate from one frequent fragment, or
-/// `None`.
 /// Forward-reachability closure of a DFG as one bitset row per node.
+///
+/// Node sets are masks of `words` `u64` words, bit `v % 64` of word
+/// `v / 64` standing for node `v`.
 pub(crate) struct Reach {
     words: usize,
     rows: Vec<u64>,
@@ -268,12 +268,111 @@ impl Reach {
     fn row(&self, u: usize) -> &[u64] {
         &self.rows[u * self.words..(u + 1) * self.words]
     }
+
+    /// An embedding's node set as a mask (node ids are below the node
+    /// count, so the set has no significant words beyond the mask's).
+    fn mask_of(&self, emb: &Embedding) -> Vec<u64> {
+        let mut mask = vec![0u64; self.words];
+        let set_words = emb.node_set().as_words();
+        let n = set_words.len().min(self.words);
+        mask[..n].copy_from_slice(&set_words[..n]);
+        mask
+    }
+
+    /// The nodes reachable from any node of `members`.
+    fn reach_out(&self, members: &[u64]) -> Vec<u64> {
+        let mut out = vec![0u64; self.words];
+        for (wi, &word) in members.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let u = wi * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                for (o, &r) in out.iter_mut().zip(self.row(u)) {
+                    *o |= r;
+                }
+            }
+        }
+        out
+    }
+
+    /// Convexity (Fig. 9): no path leaves `members` and comes back in,
+    /// i.e. no node outside the set that the set reaches itself reaches
+    /// into the set.
+    fn convex(&self, members: &[u64]) -> bool {
+        for (wi, (&out, &inside)) in self.reach_out(members).iter().zip(members).enumerate() {
+            let mut outside = out & !inside;
+            while outside != 0 {
+                let w = wi * 64 + outside.trailing_zeros() as usize;
+                outside &= outside - 1;
+                if intersects(self.row(w), members) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+}
+
+fn intersects(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(x, y)| x & y != 0)
+}
+
+/// The occurrences kept so far in one region, as the contraction probe
+/// sees them: each one's member mask and the mask of nodes it reaches.
+///
+/// Contracting convex occurrences is cyclic exactly when the set-level
+/// relation "some member of A reaches some member of B" has a cycle. The
+/// closure is that of the DFG, the transitive reduction of the same
+/// pairwise conflicts (minus the relaxed MEM pairs) that
+/// [`crate::extract::contract_region_with`] orders units by, so this
+/// decides what that rewrite would without building it.
+#[derive(Default)]
+struct KeptInRegion {
+    members: Vec<Vec<u64>>,
+    reach_out: Vec<Vec<u64>>,
+}
+
+impl KeptInRegion {
+    /// Keeps a convex occurrence (`members`) unless contracting it with
+    /// the ones already kept would be cyclic. Those are acyclic among
+    /// themselves, so any new cycle runs through the newcomer: it is
+    /// dropped iff a kept occurrence it reaches, directly or through
+    /// other kept occurrences, reaches back into it.
+    fn try_keep(&mut self, reach: &Reach, members: Vec<u64>) -> bool {
+        let out = reach.reach_out(&members);
+        let mut reached = out.clone();
+        let mut absorbed = vec![false; self.members.len()];
+        loop {
+            let mut grew = false;
+            for (i, kept) in self.members.iter().enumerate() {
+                if absorbed[i] || !intersects(&reached, kept) {
+                    continue;
+                }
+                if intersects(&self.reach_out[i], &members) {
+                    return false;
+                }
+                absorbed[i] = true;
+                grew = true;
+                for (r, &o) in reached.iter_mut().zip(&self.reach_out[i]) {
+                    *r |= o;
+                }
+            }
+            if !grew {
+                break;
+            }
+        }
+        self.members.push(members);
+        self.reach_out.push(out);
+        true
+    }
 }
 
 /// Cap on embeddings validated per pattern: beyond this many occurrences
 /// the benefit is enormous anyway, and validation cost must stay bounded.
 const MAX_VALIDATED_EMBEDDINGS: usize = 512;
 
+/// Builds the best extractable candidate from one frequent fragment, or
+/// `None`.
 fn candidate_from_frequent(
     freq: &Frequent,
     infos: &[RegionInfo],
@@ -312,70 +411,40 @@ fn candidate_from_frequent(
     // alias-relaxed graph when one exists: fewer edges means weakly less
     // reachability, so everything extractable conservatively stays
     // extractable and provably-disjoint stack traffic stops blocking.
-    let mut valid: Vec<&gpa_mining::embed::Embedding> = Vec::new();
+    let check_of = |graph: u32| -> &BlockArtifact {
+        match relaxed {
+            Some(r) => &r[graph as usize],
+            None => &artifacts[graph as usize],
+        }
+    };
+    let mut valid: Vec<&Embedding> = Vec::new();
     for emb in freq.embeddings.iter().take(MAX_VALIDATED_EMBEDDINGS) {
         let info = &infos[emb.graph as usize];
-        let check: &BlockArtifact = match relaxed {
-            Some(r) => &r[emb.graph as usize],
-            None => &artifacts[emb.graph as usize],
-        };
-        let dfg = &check.dfg;
-        let reach = &check.reach;
-        let nodes = emb.sorted_nodes();
-        let seq: Vec<Item> = nodes
+        let check = check_of(emb.graph);
+        let seq: Vec<Item> = emb
+            .sorted_nodes()
             .iter()
             .map(|&n| info.items[n as usize].clone())
             .collect();
         if !trace_equivalent(&body, &seq) {
             continue;
         }
-        let in_set = |n: usize| emb.node_set().contains(n as u32);
         let ok = match kind {
+            ExtractionKind::Procedure { .. } if !lr_free[info.function] => false,
             ExtractionKind::Procedure { .. } => {
-                if !lr_free[info.function] {
-                    false
-                } else {
-                    // Convexity (Fig. 9): no path from the fragment out and
-                    // back in through an external node — checked on the
-                    // precomputed reachability closure: the fragment is
-                    // convex iff no externally-reachable node w (reached
-                    // FROM the fragment) itself reaches INTO the fragment.
-                    let words = dfg.node_count().div_ceil(64).max(1);
-                    let mut frag_mask = vec![0u64; words];
-                    // The embedding's bitset IS the fragment mask: copy
-                    // its words instead of re-setting bits one by one
-                    // (node ids are < dfg.node_count(), so the set never
-                    // has significant words beyond `words`).
-                    let set_words = emb.node_set().as_words();
-                    let n = set_words.len().min(words);
-                    frag_mask[..n].copy_from_slice(&set_words[..n]);
-                    let mut from_frag = vec![0u64; words];
-                    for &u in &nodes {
-                        for (w, &r) in reach.row(u as usize).iter().enumerate() {
-                            from_frag[w] |= r;
-                        }
-                    }
-                    let mut convex = true;
-                    'outer: for wi in 0..words {
-                        let mut outside = from_frag[wi] & !frag_mask[wi];
-                        while outside != 0 {
-                            let bit = outside.trailing_zeros() as usize;
-                            outside &= outside - 1;
-                            let w = wi * 64 + bit;
-                            let row = reach.row(w);
-                            if (0..words).any(|x| row[x] & frag_mask[x] != 0) {
-                                convex = false;
-                                break 'outer;
-                            }
-                        }
-                    }
-                    convex
-                }
+                // Convexity (Fig. 9), on the precomputed reachability
+                // closure.
+                check.reach.convex(&check.reach.mask_of(emb))
             }
             ExtractionKind::CrossJump => {
                 // Exit-closed: no direct edge from a fragment node to an
                 // external node (the fragment must be schedulable last).
-                !dfg.edges().iter().any(|e| in_set(e.from) && !in_set(e.to))
+                let in_set = |n: usize| emb.node_set().contains(n as u32);
+                !check
+                    .dfg
+                    .edges()
+                    .iter()
+                    .any(|e| in_set(e.from) && !in_set(e.to))
             }
         };
         if ok {
@@ -396,42 +465,35 @@ fn candidate_from_frequent(
     // look infrequent to DgSpan); once a fragment is selected, the
     // extraction machinery takes every non-overlapping occurrence for
     // both methods.
-    let selected: Vec<&gpa_mining::embed::Embedding> = {
-        let owned: Vec<gpa_mining::embed::Embedding> = valid.iter().map(|e| (*e).clone()).collect();
+    let selected: Vec<&Embedding> = {
+        let owned: Vec<Embedding> = valid.iter().map(|e| (*e).clone()).collect();
         let (_, chosen) = non_overlapping_count_traced(&owned, tracer);
         chosen.into_iter().map(|i| valid[i]).collect()
     };
 
     // Per-region compatibility: simultaneous contractions must stay
     // acyclic. Greedily keep occurrences in order, dropping incompatible
-    // ones.
-    let mut kept: Vec<&gpa_mining::embed::Embedding> = Vec::new();
-    if matches!(kind, ExtractionKind::Procedure { .. }) {
-        let mut by_region: BTreeMap<u32, Vec<Vec<usize>>> = BTreeMap::new();
-        let mut exempts: BTreeMap<u32, HashSet<(usize, usize)>> = BTreeMap::new();
-        for e in selected {
-            let info = &infos[e.graph as usize];
-            let set: Vec<usize> = e.sorted_nodes().iter().map(|&n| n as usize).collect();
-            let sets = by_region.entry(e.graph).or_default();
-            sets.push(set);
-            // The probe ignores memory conflicts the oracle relaxed —
-            // the same exemptions `extract::apply` will use, and which
-            // the validator re-derives from the candidate's claims.
-            let exempt = exempts.entry(e.graph).or_insert_with(|| {
-                relaxed
-                    .map(|r| r[e.graph as usize].relaxed.iter().copied().collect())
-                    .unwrap_or_default()
-            });
-            if contract_region_with(&info.items, sets, "__probe", exempt).is_none() {
-                sets.pop();
-                tracer.count("detect.probe_dropped", 1);
-            } else {
-                kept.push(e);
-            }
-        }
+    // ones. The probe reads the same graph convexity was checked on, so
+    // it ignores exactly the memory conflicts the oracle relaxed — the
+    // exemptions `extract::apply` will use, and which the validator
+    // re-derives from the candidate's claims.
+    let kept: Vec<&Embedding> = if matches!(kind, ExtractionKind::Procedure { .. }) {
+        let mut by_region: BTreeMap<u32, KeptInRegion> = BTreeMap::new();
+        selected
+            .into_iter()
+            .filter(|e| {
+                let reach = &check_of(e.graph).reach;
+                let region = by_region.entry(e.graph).or_default();
+                let keep = region.try_keep(reach, reach.mask_of(e));
+                if !keep {
+                    tracer.count("detect.probe_dropped", 1);
+                }
+                keep
+            })
+            .collect()
     } else {
-        kept = selected;
-    }
+        selected
+    };
     if kept.len() < 2 {
         return None;
     }
@@ -1419,5 +1481,155 @@ mod tests {
             edgar >= dgspan,
             "edgar {edgar} must be at least dgspan {dgspan}"
         );
+    }
+
+    /// Runs the greedy per-region filter of `candidate_from_frequent`
+    /// over a family of disjoint node sets, holding the closure probe to
+    /// the rewrite it stands in for: a set is convex iff contracting it
+    /// alone succeeds, and a convex set is kept iff contracting it with
+    /// the sets kept before it succeeds. Returns how many sets were
+    /// dropped for a cycle.
+    fn probe_family(items: &[Item], artifact: &BlockArtifact, family: &[Vec<usize>]) -> usize {
+        use crate::extract::contract_region_with;
+        let exempt: std::collections::HashSet<(usize, usize)> =
+            artifact.relaxed.iter().copied().collect();
+        let reach = &artifact.reach;
+        let mut probe = KeptInRegion::default();
+        let mut kept: Vec<Vec<usize>> = Vec::new();
+        let mut dropped = 0;
+        for set in family {
+            let mut members = vec![0u64; reach.words];
+            for &n in set {
+                members[n / 64] |= 1 << (n % 64);
+            }
+            let convex = reach.convex(&members);
+            let alone = contract_region_with(items, std::slice::from_ref(set), "f", &exempt);
+            assert_eq!(convex, alone.is_some(), "convexity of {set:?} in {items:?}");
+            if !convex {
+                continue;
+            }
+            let mut with = kept.clone();
+            with.push(set.clone());
+            let rewrite = contract_region_with(items, &with, "f", &exempt).is_some();
+            assert_eq!(
+                probe.try_keep(reach, members),
+                rewrite,
+                "probe disagrees on {with:?} in {items:?}"
+            );
+            if rewrite {
+                kept.push(set.clone());
+            } else {
+                dropped += 1;
+            }
+        }
+        dropped
+    }
+
+    #[test]
+    fn closure_probe_drops_mutually_dependent_convex_occurrences() {
+        // 0 → 3 and 1 → 2: {0, 2} and {1, 3} are each convex, but each
+        // feeds the other, so contracting both is cyclic.
+        let items: Vec<Item> = [
+            "mov r0, #1",
+            "mov r1, #2",
+            "add r2, r1, #0",
+            "add r3, r0, #0",
+        ]
+        .iter()
+        .map(|s| insn(s))
+        .collect();
+        let artifact = BlockArtifact::build(&items, LabelMode::Exact);
+        assert_eq!(
+            probe_family(&items, &artifact, &[vec![0, 2], vec![1, 3]]),
+            1
+        );
+        assert_eq!(
+            probe_family(&items, &artifact, &[vec![0, 3], vec![1, 2]]),
+            0
+        );
+        // 0 → 3, 1 → 4 and 2 → 5: {0, 5} feeds {1, 3} feeds {2, 4} feeds
+        // {0, 5}. No two of them depend on each other both ways; the
+        // third closes the cycle only through the other two.
+        let items: Vec<Item> = [
+            "mov r0, #1",
+            "mov r1, #1",
+            "mov r2, #1",
+            "add r3, r0, #0",
+            "add r4, r1, #0",
+            "add r5, r2, #0",
+        ]
+        .iter()
+        .map(|s| insn(s))
+        .collect();
+        let artifact = BlockArtifact::build(&items, LabelMode::Exact);
+        let ring = [vec![0, 5], vec![1, 3], vec![2, 4]];
+        assert_eq!(probe_family(&items, &artifact, &ring), 1);
+    }
+
+    /// Random regions of loads, stores and ALU ops over a few registers,
+    /// on conservative and oracle-relaxed artifacts: the closure probe
+    /// agrees with `contract_region_with` on every family.
+    #[test]
+    fn closure_probe_matches_contraction_on_random_regions() {
+        use gpa_dfg::{AliasBase, AliasInterval, AliasOracle};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x70726f6265);
+        let mut dropped = 0;
+        let mut relaxed_pairs = 0;
+        for _ in 0..300 {
+            let n = rng.gen_range(6..19usize);
+            let mut items = Vec::with_capacity(n);
+            let mut slots = Vec::with_capacity(n);
+            for _ in 0..n {
+                let (a, b, c) = (
+                    rng.gen_range(0..3u32),
+                    rng.gen_range(0..3u32),
+                    rng.gen_range(0..3u32),
+                );
+                let off = 4 * rng.gen_range(0..4i64);
+                let stack = Some(vec![AliasInterval {
+                    base: AliasBase::Sp,
+                    lo: off,
+                    hi: off + 4,
+                }]);
+                let (text, slot) = match rng.gen_range(0..8u32) {
+                    0 => (format!("ldr r{a}, [sp, #{off}]"), stack),
+                    1 => (format!("str r{a}, [sp, #{off}]"), stack),
+                    2 => (format!("ldr r{a}, [r{b}]"), None),
+                    3 => (format!("str r{a}, [r{b}]"), None),
+                    4 => (format!("add r{a}, r{b}, r{c}"), None),
+                    5 => (format!("sub r{a}, r{b}, #1"), None),
+                    6 => (format!("cmp r{a}, r{b}"), None),
+                    _ => (format!("moveq r{a}, #{off}"), None),
+                };
+                items.push(insn(&text));
+                slots.push(slot);
+            }
+            let conservative = BlockArtifact::build(&items, LabelMode::Exact);
+            let relaxed =
+                BlockArtifact::build_with(&items, LabelMode::Exact, Some(&AliasOracle { slots }));
+            relaxed_pairs += relaxed.relaxed.len();
+            for _ in 0..4 {
+                let mut free: Vec<usize> = (0..n).collect();
+                let mut family = Vec::new();
+                for _ in 0..rng.gen_range(2..7usize) {
+                    let mut set = Vec::new();
+                    for _ in 0..rng.gen_range(1..4usize) {
+                        if !free.is_empty() {
+                            set.push(free.swap_remove(rng.gen_range(0..free.len())));
+                        }
+                    }
+                    set.sort_unstable();
+                    if !set.is_empty() {
+                        family.push(set);
+                    }
+                }
+                dropped += probe_family(&items, &conservative, &family);
+                dropped += probe_family(&items, &relaxed, &family);
+            }
+        }
+        assert!(relaxed_pairs > 0, "the oracle must relax some pairs");
+        assert!(dropped > 0, "some families must need a drop");
     }
 }

@@ -21,7 +21,7 @@ const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV_PRIME: u128 = 0x0000000001000000000000000000013B;
 
 /// An incremental FNV-1a/128 hasher over byte streams.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Fnv128(u128);
 
 impl Default for Fnv128 {

@@ -4,26 +4,22 @@
 //! A pattern is a list of [`DfsTuple`]s, each describing one edge in the
 //! order it was attached during the depth-first construction. The
 //! *minimal* code over all possible constructions is the canonical form;
-//! [`is_min`](Pattern::is_min) tests minimality by re-running the
-//! extension engine against the pattern itself and checking that the
-//! stored code never exceeds the smallest realizable tuple.
+//! [`is_min`](Pattern::is_min) tests minimality by replaying the code
+//! over the pattern's own graph and failing at the first realizable
+//! tuple smaller than the stored one.
 //!
-//! That re-run is a full second mining pass over the pattern's own graph
-//! and dominates canonical-form pruning cost, so the miner goes through
-//! [`is_min_cached`](Pattern::is_min_cached): a per-thread direct-mapped
-//! cache keyed by the FNV-1a/128 content hash of the code. Minimality is
-//! a pure function of the code, so a cache can never change what is
-//! mined — each `mine_seed` worker owns its thread's cache, keeping
-//! seed-partitioned parallel runs deterministic.
+//! The miner goes through [`is_min_cached`](Pattern::is_min_cached): a
+//! per-thread direct-mapped cache keyed by the FNV-1a/128 content hash
+//! of the code, which every [`Pattern`] carries and extends tuple by
+//! tuple. Minimality is a pure function of the code, so a cache can
+//! never change what is mined — each `mine_seed` worker owns its
+//! thread's cache, keeping seed-partitioned parallel runs deterministic.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
 
 use gpa_dfg::hash::Fnv128;
 use gpa_trace::Tracer;
-
-use crate::embed::{extensions, seed_buckets, Embedding};
-use crate::graph::{GEdge, InputGraph};
 
 /// One edge of a DFS code.
 ///
@@ -101,6 +97,17 @@ pub struct Pattern {
     tuples: Vec<DfsTuple>,
     node_labels: Vec<u32>,
     rightmost_path: Vec<u16>,
+    /// FNV-1a/128 state over the tuples so far (see
+    /// [`content_hash`](Pattern::content_hash)).
+    hash: Fnv128,
+}
+
+/// Absorbs one tuple into a code hash. Every tuple is 24 bytes, so the
+/// byte stream determines the tuple list without a length prefix.
+fn absorb(hash: &mut Fnv128, t: &DfsTuple) {
+    hash.write_u64((u64::from(t.from) << 32) | u64::from(t.to));
+    hash.write_u64((u64::from(t.from_label) << 32) | u64::from(t.to_label));
+    hash.write_u64((u64::from(t.outgoing) << 8) | u64::from(t.edge_label));
 }
 
 impl Pattern {
@@ -111,10 +118,14 @@ impl Pattern {
     /// Panics if the tuple is not `(0, 1)`.
     pub fn root(tuple: DfsTuple) -> Pattern {
         assert_eq!((tuple.from, tuple.to), (0, 1), "root tuple must be (0, 1)");
+        let mut hash = Fnv128::new();
+        hash.write(b"gpa-dfs-code/2");
+        absorb(&mut hash, &tuple);
         Pattern {
             tuples: vec![tuple],
             node_labels: vec![tuple.from_label, tuple.to_label],
             rightmost_path: vec![0, 1],
+            hash,
         }
     }
 
@@ -154,9 +165,7 @@ impl Pattern {
     /// Whether the pattern has an edge (either direction) between the two
     /// DFS indices.
     pub fn has_edge(&self, a: u16, b: u16) -> bool {
-        self.tuples
-            .iter()
-            .any(|t| (t.from == a && t.to == b) || (t.from == b && t.to == a))
+        joins(&self.tuples, a, b)
     }
 
     /// Extends the pattern with one more tuple.
@@ -178,13 +187,7 @@ impl Pattern {
                 "forward tuples attach on the rightmost path"
             );
             child.node_labels.push(tuple.to_label);
-            let cut = child
-                .rightmost_path
-                .iter()
-                .position(|&v| v == tuple.from)
-                .expect("attachment point is on the rightmost path");
-            child.rightmost_path.truncate(cut + 1);
-            child.rightmost_path.push(tuple.to);
+            advance_rightmost_path(&mut child.rightmost_path, tuple);
         } else {
             assert_eq!(
                 tuple.from,
@@ -193,70 +196,119 @@ impl Pattern {
             );
         }
         child.tuples.push(tuple);
+        absorb(&mut child.hash, &tuple);
         child
-    }
-
-    /// Materializes the pattern as an [`InputGraph`] (DFS indices become
-    /// node indices).
-    pub fn to_input_graph(&self) -> InputGraph {
-        let edges = self
-            .tuples
-            .iter()
-            .map(|t| {
-                let (from, to) = if t.outgoing {
-                    (t.from, t.to)
-                } else {
-                    (t.to, t.from)
-                };
-                GEdge {
-                    from: from as u32,
-                    to: to as u32,
-                    label: t.edge_label,
-                }
-            })
-            .collect();
-        InputGraph::new(self.node_labels.clone(), edges)
     }
 
     /// Whether this code is the canonical (minimal) DFS code of its graph.
     ///
-    /// Runs the extension engine against the pattern's own graph: at every
-    /// prefix the stored tuple must equal the smallest realizable
-    /// extension tuple.
+    /// Replays the code over the pattern's own graph. A *projection* maps
+    /// the DFS indices of a prefix to graph nodes; at every prefix each
+    /// projection enumerates its rightmost-path extensions. A realizable
+    /// tuple smaller than the stored one means a smaller code exists, so
+    /// the walk fails there; otherwise only the projections that realize
+    /// the stored tuple carry on to the next prefix. Extensions whose
+    /// structure alone orders them after the stored tuple are never
+    /// enumerated.
     pub fn is_min(&self) -> bool {
-        let graph = self.to_input_graph();
-        let graphs = std::slice::from_ref(&graph);
-        // Minimal first tuple over all seeds of the pattern graph.
-        let seeds = seed_buckets(graphs);
-        let (min_tuple, embeds) = seeds
-            .iter()
-            .next()
-            .map(|(t, e)| (*t, e.clone()))
-            .expect("patterns have at least one edge");
-        if tuple_cmp(&min_tuple, &self.tuples[0]) == Ordering::Less {
-            return false;
-        }
-        debug_assert_eq!(min_tuple, self.tuples[0], "stored code must be realizable");
-        let mut current = Pattern::root(min_tuple);
-        let mut embeddings: Vec<Embedding> = embeds;
-        for k in 1..self.tuples.len() {
-            let exts = extensions(&current, graphs, &embeddings);
-            let Some((&min_tuple, _)) = exts.iter().next() else {
-                unreachable!("prefix of a realizable code is extensible");
-            };
-            match tuple_cmp(&min_tuple, &self.tuples[k]) {
-                Ordering::Less => return false,
-                Ordering::Equal => {}
-                Ordering::Greater => {
-                    unreachable!("stored code must be realizable in its own graph")
+        let graph = PatternGraph::of(self);
+        let labels = &self.node_labels;
+        // The first tuple: either orientation of any edge.
+        let first = self.tuples[0];
+        let mut projections: Vec<u16> = Vec::new();
+        for a in 0..self.node_count() as u16 {
+            for link in graph.links(a) {
+                let t = DfsTuple {
+                    from: 0,
+                    to: 1,
+                    from_label: labels[a as usize],
+                    to_label: labels[link.node as usize],
+                    outgoing: link.outgoing,
+                    edge_label: link.label,
+                };
+                match tuple_cmp(&t, &first) {
+                    Ordering::Less => return false,
+                    Ordering::Equal => projections.extend_from_slice(&[a, link.node]),
+                    Ordering::Greater => {}
                 }
             }
-            embeddings = exts
-                .into_iter()
-                .next()
-                .map(|(_, e)| e)
-                .expect("checked above");
-            current = current.extend(min_tuple);
+        }
+        let mut width = 2;
+        let mut rightmost_path: Vec<u16> = vec![0, 1];
+        let mut backward: Vec<u16> = Vec::new();
+        let mut next: Vec<u16> = Vec::new();
+        for k in 1..self.tuples.len() {
+            let want = self.tuples[k];
+            let rightmost = *rightmost_path.last().expect("paths hold the root");
+            let path_above = &rightmost_path[..rightmost_path.len() - 1];
+            // Backward tuples precede every forward one and order by their
+            // target; forward tuples order deepest attachment first.
+            backward.clear();
+            backward.extend(path_above.iter().copied().filter(|&v| {
+                (want.is_forward() || v <= want.to) && !joins(&self.tuples[..k], rightmost, v)
+            }));
+            let forward: &[u16] = if want.is_forward() {
+                &rightmost_path[rightmost_path.partition_point(|&u| u < want.from)..]
+            } else {
+                &[]
+            };
+            next.clear();
+            for p in projections.chunks_exact(width) {
+                for &v in &backward {
+                    let Some(link) = graph
+                        .links(p[rightmost as usize])
+                        .iter()
+                        .find(|l| l.node == p[v as usize])
+                    else {
+                        continue;
+                    };
+                    let t = DfsTuple {
+                        from: rightmost,
+                        to: v,
+                        from_label: labels[rightmost as usize],
+                        to_label: labels[v as usize],
+                        outgoing: link.outgoing,
+                        edge_label: link.label,
+                    };
+                    match tuple_cmp(&t, &want) {
+                        Ordering::Less => return false,
+                        Ordering::Equal => next.extend_from_slice(p),
+                        Ordering::Greater => {}
+                    }
+                }
+                for &u in forward {
+                    for link in graph.links(p[u as usize]) {
+                        if p.contains(&link.node) {
+                            continue;
+                        }
+                        let t = DfsTuple {
+                            from: u,
+                            to: width as u16,
+                            from_label: labels[u as usize],
+                            to_label: labels[link.node as usize],
+                            outgoing: link.outgoing,
+                            edge_label: link.label,
+                        };
+                        match tuple_cmp(&t, &want) {
+                            Ordering::Less => return false,
+                            Ordering::Equal => {
+                                next.extend_from_slice(p);
+                                next.push(link.node);
+                            }
+                            Ordering::Greater => {}
+                        }
+                    }
+                }
+            }
+            assert!(
+                !next.is_empty(),
+                "stored code must be realizable in its own graph"
+            );
+            std::mem::swap(&mut projections, &mut next);
+            if want.is_forward() {
+                width += 1;
+                advance_rightmost_path(&mut rightmost_path, want);
+            }
         }
         true
     }
@@ -266,15 +318,7 @@ impl Pattern {
     /// tuples), up to the usual negligible 128-bit collision odds — the
     /// same trade the pipeline's content-addressed caches already make.
     pub fn content_hash(&self) -> u128 {
-        let mut h = Fnv128::new();
-        h.write(b"gpa-dfs-code/1");
-        h.write_u64(self.tuples.len() as u64);
-        for t in &self.tuples {
-            h.write_u64((u64::from(t.from) << 32) | u64::from(t.to));
-            h.write_u64((u64::from(t.from_label) << 32) | u64::from(t.to_label));
-            h.write_u64((u64::from(t.outgoing) << 8) | u64::from(t.edge_label));
-        }
-        h.finish()
+        self.hash.finish()
     }
 
     /// [`is_min`](Pattern::is_min) through the calling thread's
@@ -294,6 +338,85 @@ impl Pattern {
         let result = self.is_min();
         canon_cache_store(key, result);
         result
+    }
+}
+
+/// Whether the tuples hold an edge (either direction) between two DFS
+/// indices.
+fn joins(tuples: &[DfsTuple], a: u16, b: u16) -> bool {
+    tuples
+        .iter()
+        .any(|t| (t.from == a && t.to == b) || (t.from == b && t.to == a))
+}
+
+/// Cuts the rightmost path below a forward tuple's attachment point and
+/// appends the node it discovers.
+fn advance_rightmost_path(path: &mut Vec<u16>, tuple: DfsTuple) {
+    let cut = path
+        .iter()
+        .position(|&v| v == tuple.from)
+        .expect("attachment point is on the rightmost path");
+    path.truncate(cut + 1);
+    path.push(tuple.to);
+}
+
+/// One end of a pattern edge, as seen from the node it is listed under.
+#[derive(Clone, Copy)]
+struct Link {
+    /// The DFS index at the other end.
+    node: u16,
+    /// Whether the arc leaves the listing node.
+    outgoing: bool,
+    /// Edge label.
+    label: u8,
+}
+
+/// A pattern's own graph, with each node's links in one flat array.
+struct PatternGraph {
+    /// Node `i`'s links are `links[start[i]..start[i + 1]]`.
+    start: Vec<usize>,
+    links: Vec<Link>,
+}
+
+impl PatternGraph {
+    fn of(pattern: &Pattern) -> PatternGraph {
+        let n = pattern.node_count();
+        let mut start = vec![0usize; n + 1];
+        for t in &pattern.tuples {
+            start[t.from as usize + 1] += 1;
+            start[t.to as usize + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start.clone();
+        let mut links = vec![
+            Link {
+                node: 0,
+                outgoing: false,
+                label: 0,
+            };
+            2 * pattern.tuples.len()
+        ];
+        for t in &pattern.tuples {
+            links[fill[t.from as usize]] = Link {
+                node: t.to,
+                outgoing: t.outgoing,
+                label: t.edge_label,
+            };
+            fill[t.from as usize] += 1;
+            links[fill[t.to as usize]] = Link {
+                node: t.from,
+                outgoing: !t.outgoing,
+                label: t.edge_label,
+            };
+            fill[t.to as usize] += 1;
+        }
+        PatternGraph { start, links }
+    }
+
+    fn links(&self, node: u16) -> &[Link] {
+        &self.links[self.start[node as usize]..self.start[node as usize + 1]]
     }
 }
 
@@ -329,6 +452,66 @@ fn canon_cache_store(key: u128, value: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::embed::{extensions, seed_buckets, Embedding};
+    use crate::graph::{GEdge, InputGraph};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The pattern as an [`InputGraph`] (DFS indices become node indices).
+    fn to_input_graph(pattern: &Pattern) -> InputGraph {
+        let edges = pattern
+            .tuples
+            .iter()
+            .map(|t| {
+                let (from, to) = if t.outgoing {
+                    (t.from, t.to)
+                } else {
+                    (t.to, t.from)
+                };
+                GEdge {
+                    from: from as u32,
+                    to: to as u32,
+                    label: t.edge_label,
+                }
+            })
+            .collect();
+        InputGraph::new(pattern.node_labels.clone(), edges)
+    }
+
+    /// The reference canonicality check: runs the general extension
+    /// engine against the pattern's own graph, and at every prefix the
+    /// stored tuple must equal the smallest realizable extension tuple.
+    fn is_min_reference(pattern: &Pattern) -> bool {
+        let graph = to_input_graph(pattern);
+        let graphs = std::slice::from_ref(&graph);
+        let seeds = seed_buckets(graphs);
+        let (min_tuple, embeds) = seeds
+            .iter()
+            .next()
+            .map(|(t, e)| (*t, e.clone()))
+            .expect("patterns have at least one edge");
+        if tuple_cmp(&min_tuple, &pattern.tuples[0]) == Ordering::Less {
+            return false;
+        }
+        assert_eq!(
+            min_tuple, pattern.tuples[0],
+            "stored code must be realizable"
+        );
+        let mut current = Pattern::root(min_tuple);
+        let mut embeddings: Vec<Embedding> = embeds;
+        for k in 1..pattern.tuples.len() {
+            let exts = extensions(&current, graphs, &embeddings);
+            let (&min_tuple, _) = exts.iter().next().expect("prefix is extensible");
+            match tuple_cmp(&min_tuple, &pattern.tuples[k]) {
+                Ordering::Less => return false,
+                Ordering::Equal => {}
+                Ordering::Greater => panic!("stored code must be realizable in its own graph"),
+            }
+            embeddings = exts.into_iter().next().map(|(_, e)| e).expect("checked");
+            current = current.extend(min_tuple);
+        }
+        true
+    }
 
     fn t(from: u16, to: u16, fl: u32, tl: u32, out: bool) -> DfsTuple {
         DfsTuple {
@@ -509,5 +692,60 @@ mod tests {
         // only the identity is exact; hits are at least the re-checks.
         assert_eq!(c.check_identities(), Ok(()));
         assert!(c.get("mine.canon_cache_hit") >= 4);
+    }
+
+    /// Every code rightmost-path extension reaches from the seeds of
+    /// random directed labelled graphs — canonical or not — gets the same
+    /// verdict from the projection walk as from the reference engine.
+    #[test]
+    fn is_min_matches_reference_on_random_graphs() {
+        let mut rng = StdRng::seed_from_u64(0x6d696e);
+        let mut checked = 0usize;
+        let mut canonical = 0usize;
+        for _ in 0..60 {
+            let n = rng.gen_range(2..7u32);
+            let labels: Vec<u32> = (0..n).map(|_| rng.gen_range(0..3u32)).collect();
+            let mut edges = Vec::new();
+            for from in 0..n {
+                for to in 0..n {
+                    if from != to && rng.gen_bool(0.35) {
+                        edges.push(GEdge {
+                            from,
+                            to,
+                            label: rng.gen_range(1..3u8),
+                        });
+                    }
+                }
+            }
+            let graph = InputGraph::new(labels, edges);
+            let graphs = std::slice::from_ref(&graph);
+            let mut stack: Vec<(Pattern, Vec<Embedding>)> = seed_buckets(graphs)
+                .into_iter()
+                .map(|(t, e)| (Pattern::root(t), e))
+                .collect();
+            let mut budget = 3000;
+            while let Some((pattern, embeddings)) = stack.pop() {
+                let fast = pattern.is_min();
+                assert_eq!(
+                    fast,
+                    is_min_reference(&pattern),
+                    "verdicts differ on {:?}",
+                    pattern.tuples()
+                );
+                checked += 1;
+                canonical += usize::from(fast);
+                budget -= 1;
+                if budget == 0 {
+                    break;
+                }
+                if pattern.node_count() < 6 {
+                    for (t, e) in extensions(&pattern, graphs, &embeddings) {
+                        stack.push((pattern.extend(t), e));
+                    }
+                }
+            }
+        }
+        assert!(checked > 10_000, "only {checked} codes checked");
+        assert!(canonical > 0 && canonical < checked);
     }
 }

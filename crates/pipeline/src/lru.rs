@@ -75,9 +75,13 @@ pub struct ShardOccupancy {
     pub bytes: u64,
 }
 
+/// A shard map's value: (value, cost, recency tick of the last touch).
+/// The value is boxed so a bucket holds a 48-byte `(key, Slot)` pair
+/// whatever `V` is (a `FuncCache` bucket was 112 bytes).
+type Slot<V> = (Box<V>, u64, u64);
+
 struct Shard<V> {
-    /// key → (value, cost, recency tick of the last touch).
-    map: HashMap<u128, (V, u64, u64)>,
+    map: HashMap<u128, Slot<V>>,
     /// tick → key, ascending; the front is the LRU victim.
     recency: BTreeMap<u64, u128>,
     /// Total cost of the resident entries.
@@ -162,7 +166,7 @@ impl<V: Clone> ShardedLru<V> {
         let mut shard = self.shard(key).lock().expect("lru shard poisoned");
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let (value, _, old) = shard.map.get_mut(&key)?;
-        let value = value.clone();
+        let value = V::clone(value);
         let old_tick = *old;
         *old = tick;
         shard.recency.remove(&old_tick);
@@ -187,7 +191,16 @@ impl<V: Clone> ShardedLru<V> {
             shard.bytes -= old_cost;
             shard.recency.remove(&old_tick);
         }
-        shard.map.insert(key, (value, cost, tick));
+        if shard.map.len() >= self.shard_entries && shard.map.len() == shard.map.capacity() {
+            // A full shard evicts on every insert, and each eviction can
+            // leave a tombstone. Once they use up the spare room, hashbrown
+            // doubles a table more than half full rather than rehash it in
+            // place; rebuild it at the bound's size instead.
+            let live = std::mem::take(&mut shard.map);
+            shard.map = HashMap::with_capacity(self.shard_entries + 1);
+            shard.map.extend(live);
+        }
+        shard.map.insert(key, (Box::new(value), cost, tick));
         shard.bytes += cost;
         shard.recency.insert(tick, key);
         let mut evictions = 0;
@@ -347,5 +360,29 @@ mod tests {
         assert_eq!(lru.evicted(), 0);
         assert_eq!(lru.get(k(1)), Some(2));
         assert_eq!(lru.get(k(2)), Some(3));
+    }
+
+    #[test]
+    fn map_slots_stay_small_whatever_the_value() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<(u128, Slot<gpa::incremental::SeedEntry>)>(), 48);
+        assert_eq!(size_of::<(u128, Slot<[u8; 256]>)>(), 48);
+    }
+
+    #[test]
+    fn a_full_shard_keeps_its_table_size_under_churn() {
+        // 4,096 live entries fit a table of 8,192 buckets (7,168 usable);
+        // churn must not double it to 16,384.
+        let bound = 4096;
+        let lru: ShardedLru<u32> = ShardedLru::new(CacheBudget::bounded(bound * SHARDS, u64::MAX));
+        let mut most = 0;
+        for i in 0..40_000u128 {
+            lru.insert(k(i), i as u32, 1);
+            most = most.max(lru.shard(k(0)).lock().unwrap().map.capacity());
+        }
+        assert!(most < 2 * bound, "the table grew to hold {most} entries");
+        assert_eq!(lru.len(), bound);
+        assert_eq!(lru.get(k(39_999)), Some(39_999));
+        assert_eq!(lru.get(k(40_000 - bound as u128 - 1)), None);
     }
 }

@@ -164,6 +164,10 @@ impl std::error::Error for FrameError {}
 /// Writes one frame. Fails with `InvalidInput` if the payload exceeds
 /// [`MAX_FRAME_LEN`] (a frame that no peer would accept).
 ///
+/// Header and payload go out in one `write_all`: on a socket with
+/// Nagle's algorithm on, a separate header write leaves the payload
+/// waiting for the peer's delayed ACK.
+///
 /// # Errors
 ///
 /// Propagates transport write failures.
@@ -174,13 +178,13 @@ pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> io::R
             format!("payload of {} bytes exceeds MAX_FRAME_LEN", payload.len()),
         ));
     }
-    let mut header = [0u8; HEADER_LEN];
-    header[..4].copy_from_slice(&MAGIC);
-    header[4] = kind.min_version();
-    header[5] = kind.to_byte();
-    header[6..].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    frame.extend_from_slice(&MAGIC);
+    frame.push(kind.min_version());
+    frame.push(kind.to_byte());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -399,5 +403,24 @@ mod tests {
                 FrameError::Truncated
             );
         }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        /// Accepts everything, counting `write` calls.
+        struct Counting(usize);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0 += 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting(0);
+        write_frame(&mut w, FrameKind::Response, b"{\"ok\":true}").unwrap();
+        write_frame(&mut w, FrameKind::Shutdown, b"").unwrap();
+        assert_eq!(w.0, 2);
     }
 }

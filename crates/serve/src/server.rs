@@ -93,7 +93,9 @@ pub struct ServeConfig {
     /// default here is bounded — a resident process must not grow
     /// without limit.
     pub cache_budget: CacheBudget,
-    /// Bound on the shared per-block [`DfgCache`] (entries).
+    /// Bound on the shared per-block [`DfgCache`] (entries). The default
+    /// covers the working set of the bundled kernels and their edits;
+    /// see DESIGN.md §15.
     pub dfg_entries: usize,
     /// Flight-recorder ring capacity in events.
     pub recorder_capacity: usize,
@@ -121,7 +123,7 @@ impl Default for ServeConfig {
             run: RunConfig::default(),
             cache_dir: None,
             cache_budget: CacheBudget::bounded(4096, 256 << 20),
-            dfg_entries: 1 << 16,
+            dfg_entries: 1 << 10,
             recorder_capacity: DEFAULT_RECORDER_CAPACITY,
             trace_file: None,
             incremental: true,

@@ -86,6 +86,23 @@ echo "verify: batch + incremental smoke OK ($(cat BENCH_pipeline.json))"
 head -n1 "$WORK/opt_plain_full.txt" > "$WORK/opt_plain.txt"
 head -n1 "$WORK/opt_traced_full.txt" > "$WORK/opt_traced.txt"
 "$GPA" trace-check "$WORK/crc.jsonl"
+# Work-counter gate: the lattice search on crc does exactly this much
+# work. A faster check per pattern must visit the same patterns, test
+# the same codes and evaluate the same candidates. (The canonicality
+# cache's hit/miss split is left out: it depends on the code hash.)
+crc_counters=$(tail -n1 "$WORK/crc.jsonl")
+for expect in mine.patterns_visited=5146 mine.canon_checks=28184 \
+    mine.expanded=4636 mine.extensions_generated=14758 \
+    mine.prune_non_canonical=14340 mine.prune_infrequent=8698 \
+    detect.candidates_evaluated=3678 detect.embedding_unextractable=1012 \
+    mis.bb_steps=3655; do
+    name=${expect%=*}
+    got=$(printf '%s' "$crc_counters" | sed -n "s/.*\"${name//./\\.}\":\([0-9][0-9]*\).*/\1/p")
+    if [ "${got:-missing}" != "${expect#*=}" ]; then
+        echo "verify: crc trace counter $name is ${got:-missing}, expected ${expect#*=}" >&2
+        exit 1
+    fi
+done
 if ! cmp -s "$WORK/opt_plain.txt" "$WORK/opt_traced.txt"; then
     echo "verify: tracing changed the optimize report" >&2
     exit 1
