@@ -78,32 +78,6 @@ fn bench_fragment_cap(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel(c: &mut Criterion) {
-    // The paper's companion work [33] reports shared-memory speedups for
-    // exactly this workload; seed-level partitioning scales until subtree
-    // sizes skew.
-    let graphs = graphs_for("sha");
-    let config = Config {
-        min_support: 2,
-        support: Support::Embeddings,
-        max_nodes: 8,
-        max_patterns: 30_000,
-        ..Config::default()
-    };
-    let mut group = c.benchmark_group("mining_parallel");
-    group.sample_size(10);
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| gpa_mining::miner::mine_parallel(&graphs, &config, threads));
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_dense_bucket(c: &mut Criterion) {
     // Regression guard for the `push_bucket` dedup rewrite: a star graph
     // funnels every seed embedding into one extension bucket, which the
@@ -184,7 +158,6 @@ criterion_group!(
     benches,
     bench_support_modes,
     bench_fragment_cap,
-    bench_parallel,
     bench_dense_bucket,
     bench_canonical_cache
 );

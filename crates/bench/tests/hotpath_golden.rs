@@ -5,9 +5,8 @@
 //! canonicality cache) must be invisible in every deterministic output:
 //! same fragments, same MIS choices, same savings. These tests pin the
 //! deterministic sections of the `gpa-report/1`, `gpa-corpus/1` and
-//! `gpa-bench/1` documents — and a raw fingerprint of `mine` /
-//! `mine_parallel` results — to golden files captured from the
-//! pre-rewrite implementation.
+//! `gpa-bench/1` documents — and a raw fingerprint of `mine` results —
+//! to golden files captured from the pre-rewrite implementation.
 //!
 //! Regenerate deliberately (e.g. after an intentional behavior change)
 //! with `GPA_REGEN_GOLDEN=1 cargo test -p gpa-bench --test
@@ -20,7 +19,7 @@ use gpa_dfg::hash::Fnv128;
 use gpa_dfg::{build_all, LabelMode};
 use gpa_metrics::{run_perf, PerfConfig};
 use gpa_mining::graph::InputGraph;
-use gpa_mining::miner::{mine, mine_parallel, Config, Frequent, Support};
+use gpa_mining::miner::{mine, Config, Frequent, Support};
 use gpa_pipeline::{run_batch, BatchConfig, BatchInput};
 
 fn golden_path(name: &str) -> PathBuf {
@@ -137,8 +136,8 @@ fn fingerprint(results: &[Frequent]) -> String {
     format!("{:032x}", h.finish())
 }
 
-/// Raw `mine` / `mine_parallel` results over the 8-kernel corpus are
-/// identical pre/post rewrite, down to every embedding map.
+/// Raw `mine` results over the 8-kernel corpus are identical pre/post
+/// rewrite, down to every embedding map.
 #[test]
 fn mine_results_match_pre_rewrite_fingerprint() {
     let mut dfgs = Vec::new();
@@ -156,13 +155,6 @@ fn mine_results_match_pre_rewrite_fingerprint() {
         ..Config::default()
     };
     let sequential = mine(&graphs, &config);
-    let mut lines = format!("sequential\t{}\n", fingerprint(&sequential));
-    // Parallel runs split the pattern budget per worker, so their result
-    // lists are pinned separately (they need not match the sequential
-    // list when budgets bind, but must be stable run over run).
-    for threads in [2usize, 4] {
-        let parallel = mine_parallel(&graphs, &config, threads);
-        lines.push_str(&format!("threads{threads}\t{}\n", fingerprint(&parallel)));
-    }
+    let lines = format!("sequential\t{}\n", fingerprint(&sequential));
     assert_golden("mine_fingerprint.txt", &lines);
 }

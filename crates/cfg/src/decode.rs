@@ -73,24 +73,6 @@ fn is_mov_lr_pc(insn: &Instruction) -> bool {
 /// function without targeting another function's entry, or a literal
 /// points into the middle of a function.
 pub fn decode_image(image: &Image) -> Result<Program, DecodeImageError> {
-    decode_image_with(image, 1)
-}
-
-/// [`decode_image`] with the per-function lifting fanned out over up to
-/// `jobs` worker threads.
-///
-/// Functions decode independently — each one reads only the image and
-/// the shared entry map — so the fan-out is a plain bounded pool over
-/// the address-sorted function list with results merged back in that
-/// order. The outcome is bit-identical to the sequential lift at any
-/// job count, including failures: when several functions are
-/// undecodable, the error reported is the one the sequential sweep
-/// would have hit first.
-///
-/// # Errors
-///
-/// See [`decode_image`].
-pub fn decode_image_with(image: &Image, jobs: usize) -> Result<Program, DecodeImageError> {
     // Function extents from the symbol table, sorted by address.
     let mut fn_syms: Vec<_> = image
         .symbols()
@@ -104,75 +86,8 @@ pub fn decode_image_with(image: &Image, jobs: usize) -> Result<Program, DecodeIm
     let entry_by_addr: HashMap<u32, &str> =
         fn_syms.iter().map(|s| (s.addr, s.name.as_str())).collect();
 
-    let jobs = jobs.max(1).min(fn_syms.len());
-    let functions = if jobs <= 1 {
-        let mut functions = Vec::with_capacity(fn_syms.len());
-        for (i, sym) in fn_syms.iter().enumerate() {
-            functions.push(decode_function(image, &fn_syms, i, sym, &entry_by_addr)?);
-        }
-        functions
-    } else {
-        // Bounded pool: workers claim function indices from a shared
-        // counter and park results in per-function slots, so the merge
-        // below reassembles the sequential order (and error priority)
-        // regardless of scheduling.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<FunctionCode, DecodeImageError>>>> =
-            fn_syms.iter().map(|_| Mutex::new(None)).collect();
-        let worker = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(sym) = fn_syms.get(i) else { return };
-            let decoded = decode_function(image, &fn_syms, i, sym, &entry_by_addr);
-            *slots[i].lock().expect("decode slot poisoned") = Some(decoded);
-        };
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(worker);
-            }
-        });
-        let mut functions = Vec::with_capacity(fn_syms.len());
-        for slot in slots {
-            let decoded = slot
-                .into_inner()
-                .expect("decode slot poisoned")
-                .expect("every claimed index leaves a result");
-            functions.push(decoded?);
-        }
-        functions
-    };
-
-    let entry = entry_by_addr
-        .get(&image.entry())
-        .ok_or_else(|| err("entry point is not a function symbol"))?
-        .to_string();
-    Ok(Program {
-        functions,
-        data: image.data_bytes().to_vec(),
-        data_symbols: image
-            .symbols()
-            .iter()
-            .filter(|s| s.kind == SymbolKind::Object)
-            .cloned()
-            .collect(),
-        code_base: image.code_base(),
-        data_base: image.data_base(),
-        entry,
-    })
-}
-
-/// Lifts one function body (three passes over its extent). Pure in
-/// everything but the shared image and entry map, which makes it safe to
-/// fan out across functions.
-fn decode_function(
-    image: &Image,
-    fn_syms: &[&gpa_image::Symbol],
-    i: usize,
-    sym: &gpa_image::Symbol,
-    entry_by_addr: &HashMap<u32, &str>,
-) -> Result<FunctionCode, DecodeImageError> {
-    {
+    let mut functions = Vec::with_capacity(fn_syms.len());
+    for (i, sym) in fn_syms.iter().enumerate() {
         let start = sym.addr;
         let next = fn_syms
             .get(i + 1)
@@ -342,13 +257,31 @@ fn decode_function(
             return Err(err("function ends inside an indirect-call pair".to_string()));
         }
 
-        Ok(FunctionCode {
+        functions.push(FunctionCode {
             name: sym.name.clone(),
             address_taken: sym.address_taken,
             items,
             label_count: labels.len() as u32,
-        })
+        });
     }
+
+    let entry = entry_by_addr
+        .get(&image.entry())
+        .ok_or_else(|| err("entry point is not a function symbol"))?
+        .to_string();
+    Ok(Program {
+        functions,
+        data: image.data_bytes().to_vec(),
+        data_symbols: image
+            .symbols()
+            .iter()
+            .filter(|s| s.kind == SymbolKind::Object)
+            .cloned()
+            .collect(),
+        code_base: image.code_base(),
+        data_base: image.data_base(),
+        entry,
+    })
 }
 
 #[cfg(test)]
@@ -447,39 +380,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_decode_matches_sequential() {
-        let image = compile(
-            "int h(int x) { return x * 3 + 1; }\n\
-             int a(int x, int y) { return h(x) * h(y); }\n\
-             int b(int x, int y) { return h(x) + h(y); }\n\
-             int main() { int s = 0; for (int i = 0; i < 5; i++) s += a(i, i + 1) - b(i, s); \
-             putint(s); return s; }",
-            &Options::default(),
-        )
-        .unwrap();
-        let sequential = decode_image(&image).unwrap();
-        for jobs in [2, 3, 8, 64] {
-            let parallel = decode_image_with(&image, jobs).unwrap();
-            assert_eq!(parallel, sequential, "jobs = {jobs}");
-        }
-    }
-
-    #[test]
-    fn parallel_decode_reports_the_first_error_in_address_order() {
-        // Two undecodable functions: every job count must surface the
-        // error of the lower-addressed one, exactly like the sequential
-        // sweep.
+    fn reports_the_first_error_in_address_order() {
+        // Two undecodable functions: the error names the lower-addressed
+        // one.
         let mut image = gpa_image::Image::new(0x8000, 0x2_0000);
         image.push_code_word(0xffff_ffff); // bad word in `f`
         image.push_code_word(0xffff_ffff); // bad word in `g`
         image.add_symbol(gpa_image::Symbol::function("f", 0x8000, 4));
         image.add_symbol(gpa_image::Symbol::function("g", 0x8004, 4));
-        let sequential = decode_image(&image).unwrap_err();
-        assert!(format!("{sequential}").contains("`f`"), "{sequential}");
-        for jobs in [2, 8] {
-            let parallel = decode_image_with(&image, jobs).unwrap_err();
-            assert_eq!(parallel, sequential, "jobs = {jobs}");
-        }
+        let error = decode_image(&image).unwrap_err();
+        assert!(format!("{error}").contains("`f`"), "{error}");
     }
 
     #[test]

@@ -33,6 +33,6 @@ pub mod decode;
 pub mod encode;
 pub mod program;
 
-pub use decode::{decode_image, decode_image_with, DecodeImageError};
+pub use decode::{decode_image, DecodeImageError};
 pub use encode::{encode_program, EncodeProgramError};
 pub use program::{FunctionCode, Item, LabelId, Literal, Program, Region, FRAGMENT_PREFIX};

@@ -14,17 +14,17 @@
 //! gpa lint <image> [--json]                           static binary lints
 //! gpa absint <image>                                  abstract-interpretation dump
 //! gpa optimize <image> -o <out.img> [--method sfx|dgspan|edgar] [--validate off|final|every-round] [--alias off|stack] [--jobs N] [--incremental] [--trace out.jsonl] [--report-json out.json]
+//!                                                     optimize one image on one thread
+//!                                                     (`--jobs` is accepted and ignored)
 //! gpa batch <dir|files...> [--jobs N] [--cache-dir D] [--cache-entries N] [--cache-bytes N] [--trace-dir D] [--method sfx|dgspan|edgar] [--validate] [--incremental] [--report out.json]
 //! gpa serve --listen <addr> [--workers N] [--queue-depth N] [--method M] [--cache-dir D] [--cache-entries N] [--cache-bytes N] [--no-incremental] [--trace out.jsonl]
 //! gpa submit <image> --addr <addr> [--knobs JSON] [--report-only]
 //! gpa perf [-o bench.json] [--methods a,b] [--kernels a,b] [--jobs N] [--no-sched] [--validate L] [--alias off|stack] [--profile] [--baseline FILE] [--tolerance-pct N] [--compare FILE]
-//! gpa incr-bench --kernel <name> [--edits N] [--seed S] [--iters N] [--jobs N] [-o out.json]
+//! gpa incr-bench --kernel <name> [--edits N] [--seed S] [--iters N] [-o out.json]
 //!                                                     cold vs warm incremental re-optimization
 //! gpa trace-check <trace.jsonl...>                    validate trace streams
 //! gpa trace-profile <trace.jsonl...>                  aggregate span profile
 //! ```
-//!
-//! `gpa bench` remains a deprecated alias of `gpa build-bench`.
 //!
 //! # Exit codes
 //!
@@ -77,8 +77,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let rest = &args[1..];
     match command.as_str() {
         "compile" => compile(rest),
-        // `bench` is the historical spelling, kept for compatibility.
-        "build-bench" | "bench" => bench(rest),
+        "build-bench" => bench(rest),
         "run" => run_image(rest),
         "dis" => disassemble(rest),
         "stats" => stats(rest),
@@ -106,7 +105,7 @@ fn print_usage() {
         "usage:\n  \
          gpa compile <source.mc> -o <out.img> [--no-sched]\n  \
          gpa build-bench <name> -o <out.img> [--no-sched] [--edits N] [--seed S] \
-         [--sched-seed X]   (alias: bench)\n  \
+         [--sched-seed X]\n  \
          gpa run <image> [--input <file>]\n  \
          gpa dis <image>\n  \
          gpa stats <image> [--json]\n  \
@@ -116,7 +115,8 @@ fn print_usage() {
          gpa absint <image>\n  \
          gpa optimize <image> -o <out.img> [--method sfx|dgspan|edgar] \
          [--validate off|final|every-round] [--alias off|stack] [--jobs N] \
-         [--incremental] [--trace out.jsonl] [--report-json out.json]\n  \
+         [--incremental] [--trace out.jsonl] [--report-json out.json]\n    \
+         (one image, one thread: --jobs is accepted and ignored)\n  \
          gpa batch <dir|files...> [--jobs N] [--cache-dir D] [--cache-entries N] \
          [--cache-bytes N] [--trace-dir D] \
          [--method sfx|dgspan|edgar] [--validate] [--incremental] [--report out.json]\n  \
@@ -129,7 +129,7 @@ fn print_usage() {
          [--no-sched] [--validate off|final|every-round] [--alias off|stack] \
          [--profile] [--baseline FILE] [--tolerance-pct N] [--compare FILE]\n  \
          gpa incr-bench --kernel <name> [--edits N] [--seed S] [--iters N] \
-         [--jobs N] [-o out.json]\n  \
+         [-o out.json]\n  \
          gpa trace-check <trace.jsonl...>\n  \
          gpa trace-profile <trace.jsonl...>"
     );
@@ -713,12 +713,11 @@ fn optimize(args: &[String]) -> Result<ExitCode, String> {
                     AliasLevel::parse(v).ok_or_else(|| format!("unknown alias level `{v}`"))?;
             }
             "--jobs" => {
-                // One knob drives both thread pools: the front-end
-                // (decode + per-block DFG build) and the mining lattice
-                // search.
-                let jobs = take_jobs(&mut iter)?;
-                config.mining_threads = jobs;
-                config.front_threads = jobs;
+                // Parsed for compatibility, but one image is optimized on
+                // one thread: the flag selects nothing.
+                if take_jobs(&mut iter)? != 1 {
+                    eprintln!("gpa: --jobs ignored: one image is optimized on one thread");
+                }
             }
             "--incremental" => {
                 // Within one run the cache pays off across *rounds*:
@@ -744,13 +743,6 @@ fn optimize(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let input = input.ok_or_else(|| "missing image path".to_owned())?;
-    if config.mining_threads == 0 {
-        config.mining_threads =
-            std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    }
-    if config.front_threads == 0 {
-        config.front_threads = config.mining_threads;
-    }
     if let Some(path) = &trace_path {
         let tracer =
             JsonlTracer::to_file(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
@@ -1277,7 +1269,6 @@ fn incr_bench(args: &[String]) -> Result<ExitCode, String> {
     let mut edits = 2usize;
     let mut seed = 1u64;
     let mut iters = 3usize;
-    let mut jobs = 1usize;
     let mut method = Method::Edgar;
     let mut output = None;
     let mut iter = args.iter();
@@ -1292,7 +1283,6 @@ fn incr_bench(args: &[String]) -> Result<ExitCode, String> {
             "--edits" => edits = take_count(&mut iter, "--edits")?,
             "--seed" => seed = take_count(&mut iter, "--seed")? as u64,
             "--iters" => iters = take_count(&mut iter, "--iters")?.max(1),
-            "--jobs" => jobs = take_jobs(&mut iter)?,
             "--method" => {
                 let m = iter
                     .next()
@@ -1319,8 +1309,6 @@ fn incr_bench(args: &[String]) -> Result<ExitCode, String> {
         // The bench isolates mining latency; validation would add an
         // identical emulator pass to both sides and dilute the ratio.
         validate: ValidateLevel::Off,
-        mining_threads: jobs,
-        front_threads: jobs,
         ..RunConfig::default()
     };
     let mut cold_wall_ns = u64::MAX;
@@ -1369,7 +1357,6 @@ fn incr_bench(args: &[String]) -> Result<ExitCode, String> {
         ("edits", Json::from(edits)),
         ("seed", Json::from(seed)),
         ("iters", Json::from(iters)),
-        ("jobs", Json::from(jobs)),
         ("cold_wall_ns", Json::from(cold_wall_ns)),
         ("warm_wall_ns", Json::from(warm_wall_ns)),
         (

@@ -75,7 +75,7 @@ fn compile_run_optimize_roundtrip() {
 fn dis_and_stats() {
     let img = tmp("bench.img");
     let out = gpa()
-        .args(["bench", "crc", "-o", img.to_str().unwrap()])
+        .args(["build-bench", "crc", "-o", img.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(
@@ -105,7 +105,7 @@ fn dis_and_stats() {
 fn stats_json_is_machine_readable() {
     let img = tmp("stats_json.img");
     let out = gpa()
-        .args(["bench", "crc", "-o", img.to_str().unwrap()])
+        .args(["build-bench", "crc", "-o", img.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(
@@ -219,7 +219,7 @@ fn batch_cold_then_warm_hits_the_cache() {
 fn optimize_trace_writes_a_checkable_stream_and_changes_nothing() {
     let img = tmp("trace.img");
     let out = gpa()
-        .args(["bench", "crc", "-o", img.to_str().unwrap()])
+        .args(["build-bench", "crc", "-o", img.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(
@@ -301,7 +301,7 @@ fn optimize_trace_writes_a_checkable_stream_and_changes_nothing() {
 fn batch_trace_dir_writes_per_image_streams() {
     let img = tmp("batch_trace.img");
     let out = gpa()
-        .args(["bench", "qsort", "-o", img.to_str().unwrap()])
+        .args(["build-bench", "qsort", "-o", img.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(
@@ -362,7 +362,7 @@ fn lint_accepts_clean_image_and_rejects_corruption() {
     let img = tmp("lint.img");
     let bad = tmp("lint_bad.img");
     let out = gpa()
-        .args(["bench", "crc", "-o", img.to_str().unwrap()])
+        .args(["build-bench", "crc", "-o", img.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(
@@ -409,7 +409,7 @@ fn lint_accepts_clean_image_and_rejects_corruption() {
 fn lint_json_round_trips() {
     let img = tmp("lint_json.img");
     let out = gpa()
-        .args(["bench", "crc", "-o", img.to_str().unwrap()])
+        .args(["build-bench", "crc", "-o", img.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(
@@ -473,31 +473,6 @@ fn lint_rejects_unreadable_container() {
         .unwrap();
     assert!(!out.status.success());
     let _ = std::fs::remove_file(bad);
-}
-
-#[test]
-fn build_bench_alias_matches_bench() {
-    let via_alias = tmp("alias_a.img");
-    let via_legacy = tmp("alias_b.img");
-    for (cmd, img) in [("build-bench", &via_alias), ("bench", &via_legacy)] {
-        let out = gpa()
-            .args([cmd, "crc", "-o", img.to_str().unwrap()])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{cmd}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    assert_eq!(
-        std::fs::read(&via_alias).unwrap(),
-        std::fs::read(&via_legacy).unwrap(),
-        "both spellings must build the same image"
-    );
-    for p in [via_alias, via_legacy] {
-        let _ = std::fs::remove_file(p);
-    }
 }
 
 #[test]
@@ -996,7 +971,7 @@ fn incremental_trace_keeps_the_candidate_table() {
 }
 
 /// A round that runs out of pattern budget on the detection path says
-/// so: one `mine.budget_exhausted` event per exhausted worker, and the
+/// so: one `mine.budget_exhausted` event per exhausted round, and the
 /// trace still passes every `gpa trace-check` identity.
 #[test]
 fn detection_budget_exhaustion_is_traced() {

@@ -213,17 +213,12 @@ impl DfgCache {
 /// reads it), while everything decode consumes — code words, section
 /// bases, entry point, and the full symbol table — is hashed. Of the
 /// [`RunConfig`], the knobs that shape the search (`max_rounds`,
-/// `max_fragment_nodes`, `alias`) and the validation level (a failed
-/// validation yields an error, not a report) are included;
-/// `mining_threads` and `front_threads` are not. The parallel front-end
-/// builds the same graphs in input order at any thread count. Partitioned
-/// detection merges to the single-threaded result only while no round
-/// exhausts the pattern budget: past it, `mining_threads` can change the
-/// report (qsort under `--alias stack` saves 145 words at one thread and
-/// 148 at two), so the key is exact only for one fixed thread count.
-/// Every product caller that shares a report cache (`gpa batch`, `gpa
-/// serve`, `gpa perf`) mines on one thread. ROADMAP.md open item 1 makes
-/// the knob neutral by construction.
+/// `max_fragment_nodes`, `alias`, a non-default `max_patterns`) and the
+/// validation level (a failed
+/// validation yields an error, not a report) are included. No knob
+/// selects a thread count: one image is optimized on one thread, so the
+/// key is exact for every caller (`gpa optimize`, `gpa batch`, `gpa
+/// serve`, `gpa perf`), however many images those run side by side.
 pub fn image_cache_key(image: &Image, method: Method, config: &RunConfig) -> u128 {
     let mut h = Fnv128::new();
     h.write(b"gpa-image-key/1");
@@ -330,16 +325,6 @@ mod tests {
         let mut smaller = config.clone();
         smaller.max_fragment_nodes = 4;
         assert_ne!(base, image_cache_key(&image, Method::Edgar, &smaller));
-        let mut threaded = config.clone();
-        threaded.mining_threads = 8;
-        assert_eq!(base, image_cache_key(&image, Method::Edgar, &threaded));
-        let mut fronted = config.clone();
-        fronted.front_threads = 8;
-        assert_eq!(
-            base,
-            image_cache_key(&image, Method::Edgar, &fronted),
-            "front_threads never changes the output, so it must not key the cache"
-        );
         let mut aliased = config.clone();
         aliased.alias = crate::optimizer::AliasLevel::Stack;
         assert_ne!(base, image_cache_key(&image, Method::Edgar, &aliased));

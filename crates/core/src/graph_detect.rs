@@ -33,25 +33,10 @@ pub struct GraphConfig {
     /// lattice of large repetitive blocks; see
     /// [`gpa_mining::miner::Config::max_patterns`]).
     pub max_patterns: usize,
-    /// Worker threads for the lattice search (seed-level round-robin
-    /// partition; `1` = in-place sequential search). Results are merged
-    /// so the winning candidate matches the sequential search whenever
-    /// the pattern budget is not exhausted. Each worker owns a full
-    /// `max_patterns` budget, so once a round exhausts it the thread
-    /// count changes the work done and can change the winner
-    /// (ROADMAP.md open item 1).
-    pub threads: usize,
-    /// Worker threads for the front-end per-block artifact build (the
-    /// region DFGs, their reachability closures, and — under
-    /// [`AliasLevel::Stack`] — the relaxed overlays). Each block builds
-    /// independently and results land in input order, so the graphs are
-    /// bit-identical at any thread count and the knob — like `threads` —
-    /// is excluded from [`crate::artifact::image_cache_key`].
-    pub front_threads: usize,
     /// Telemetry sink for detection counters, the per-round candidate
     /// table and degradation events. Tracing never changes which
-    /// candidate wins, so the tracer — like `threads` — is excluded
-    /// from [`crate::artifact::image_cache_key`].
+    /// candidate wins, so the tracer is excluded from
+    /// [`crate::artifact::image_cache_key`].
     pub tracer: Arc<dyn Tracer>,
     /// Memory disambiguation for the region DFGs. Under
     /// [`AliasLevel::Stack`] the abstract interpreter builds a second,
@@ -71,7 +56,7 @@ pub struct GraphConfig {
     /// candidate the plain search would, and rounds that cannot be
     /// proven equivalent (pattern budget reached, relaxed-alias
     /// overlays active) fall back to the plain search — so the handle,
-    /// like `threads` and the tracer, is excluded from
+    /// like the tracer, is excluded from
     /// [`crate::artifact::image_cache_key`].
     pub incremental: Option<Arc<dyn MineCache>>,
 }
@@ -83,8 +68,6 @@ impl Default for GraphConfig {
             label_mode: LabelMode::Exact,
             max_nodes: 16,
             max_patterns: crate::optimizer::DEFAULT_MAX_PATTERNS,
-            threads: 1,
-            front_threads: 1,
             tracer: Arc::new(NoopTracer),
             alias: AliasLevel::default(),
             incremental: None,
@@ -603,13 +586,11 @@ impl CandidateSummary {
 /// How many candidate-table lines each round's trace carries.
 const CANDIDATE_TABLE_LEN: usize = 5;
 
-/// One worker's running result: its best candidate, the seed index that
-/// produced it (for deterministic cross-worker tie-breaking), and — when
-/// tracing — its slice of the candidate table.
+/// A search's running result: its best candidate and — when tracing —
+/// its slice of the candidate table.
 #[derive(Default)]
-struct WorkerBest {
+struct RunningBest {
     candidate: Option<Candidate>,
-    seed: usize,
     top: Vec<CandidateSummary>,
 }
 
@@ -641,8 +622,8 @@ impl SearchCtx<'_> {
     /// subtree is being grown. Bounds are compared against
     /// `max(best, 1)` *inclusively*, so candidates tying the incumbent
     /// are still evaluated — this keeps the tie-break total and makes
-    /// the partitioned search merge to the sequential result.
-    fn visit(&self, f: &Frequent, seed: usize, best: &mut WorkerBest) -> GrowDecision {
+    /// the seed cache's per-seed bests merge to the sequential result.
+    fn visit(&self, f: &Frequent, seed: usize, best: &mut RunningBest) -> GrowDecision {
         let m = f.pattern.node_count();
         // Any real candidate saves at least one word.
         let target = best.candidate.as_ref().map(|b| b.saved).unwrap_or(0).max(1);
@@ -689,7 +670,6 @@ impl SearchCtx<'_> {
                 };
                 if wins {
                     best.candidate = Some(c);
-                    best.seed = seed;
                 }
             }
         } else {
@@ -699,53 +679,11 @@ impl SearchCtx<'_> {
     }
 }
 
-/// Runs `build(i)` for every `i in 0..n` over a bounded pool of up to
-/// `threads` workers and returns the results in input order (the
-/// `crates/pipeline` batch idiom: a shared claim counter plus one result
-/// slot per item). `build` must be independent per item; with one
-/// worker the pool degenerates to a plain in-place map.
-fn pooled_build<T, F>(n: usize, threads: usize, build: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = threads.max(1).min(n);
-    if threads <= 1 {
-        return (0..n).map(build).collect();
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let worker = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            return;
-        }
-        let built = build(i);
-        *slots[i].lock().expect("front slot poisoned") = Some(built);
-    };
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(worker);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("front slot poisoned")
-                .expect("every claimed index leaves a result")
-        })
-        .collect()
-}
-
-/// A round's search result: the merged winner (with its seed index for
-/// the common winner-event tail) and, when tracing, the candidate table
-/// — every worker's or re-mined seed's top lines, plus every replayed
-/// seed's cached winner.
+/// A round's search result: the winner and, when tracing, the candidate
+/// table — the plain search's or every re-mined seed's top lines, plus
+/// every replayed seed's cached winner.
 struct SearchOutcome {
-    merged: Option<(Candidate, usize)>,
+    winner: Option<Candidate>,
     table: Vec<CandidateSummary>,
 }
 
@@ -764,8 +702,8 @@ struct SeedPlan {
 }
 
 /// Serves a detection round from the seed cache: unchanged seeds replay
-/// their cached subtree bests, dirty seeds are re-mined (in parallel,
-/// each with a fresh pattern budget and a seed-local incumbent so the
+/// their cached subtree bests, dirty seeds are re-mined in seed order
+/// (each with a fresh pattern budget and a seed-local incumbent so the
 /// result is cacheable), and the per-seed bests merge in seed order.
 ///
 /// Returns `None` when the round cannot be proven byte-equivalent to
@@ -783,7 +721,6 @@ fn incremental_search(
     cache: &dyn MineCache,
 ) -> Option<SearchOutcome> {
     use std::collections::HashMap;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     let funcs = program.functions.len();
     let fingerprints: Vec<u128> = program
@@ -861,15 +798,18 @@ fn incremental_search(
     let dirty: Vec<usize> = (0..plans.len())
         .filter(|&si| plans[si].cached.is_none())
         .collect();
-    let visited_total = AtomicU64::new(visited_cached);
-    let aborted = AtomicBool::new(visited_cached >= budget_total);
-    let mined: Vec<Option<WorkerBest>> = pooled_build(dirty.len(), config.threads, |di| {
-        if aborted.load(Ordering::Relaxed) {
-            return None;
-        }
-        let si = dirty[di];
+    let fallback = || {
+        ctx.tracer.count("incr.fallback", 1);
+        None
+    };
+    let mut visited_total = visited_cached;
+    if visited_total >= budget_total {
+        return fallback();
+    }
+    let mut mined: Vec<Option<RunningBest>> = (0..plans.len()).map(|_| None).collect();
+    for &si in &dirty {
         let (tuple, embeddings) = &seeds[si];
-        let mut best = WorkerBest::default();
+        let mut best = RunningBest::default();
         let mut budget = mine_config.max_patterns;
         let complete = mine_seed(
             *tuple,
@@ -879,13 +819,12 @@ fn incremental_search(
             &mut |f| ctx.visit(f, si, &mut best),
             &mut budget,
         );
-        let visited = (mine_config.max_patterns - budget) as u64;
         if !complete {
             // This seed alone exhausted the budget: its subtree best is
             // not exact, so neither cache nor replay it.
-            aborted.store(true, Ordering::Relaxed);
-            return None;
+            return fallback();
         }
+        let visited = (mine_config.max_patterns - budget) as u64;
         // The entry is exact for this seed regardless of how the round
         // ends, so publish it even if the round later falls back.
         let portable = match &best.candidate {
@@ -895,16 +834,13 @@ fn incremental_search(
         if let Some(candidate) = portable {
             cache.put(plans[si].key, SeedEntry { candidate, visited });
         }
-        if visited_total.fetch_add(visited, Ordering::Relaxed) + visited >= budget_total {
+        visited_total += visited;
+        if visited_total >= budget_total {
             // The sequential search might exhaust its shared budget on
             // this round: fall back for exact exhaustion semantics.
-            aborted.store(true, Ordering::Relaxed);
+            return fallback();
         }
-        Some(best)
-    });
-    if aborted.load(Ordering::Relaxed) {
-        ctx.tracer.count("incr.fallback", 1);
-        return None;
+        mined[si] = Some(best);
     }
     let index: HashMap<&str, usize> = program
         .functions
@@ -912,13 +848,7 @@ fn incremental_search(
         .enumerate()
         .map(|(i, f)| (f.name.as_str(), i))
         .collect();
-    let mut dirty_results: HashMap<usize, WorkerBest> = dirty
-        .iter()
-        .copied()
-        .zip(mined)
-        .filter_map(|(si, wb)| wb.map(|w| (si, w)))
-        .collect();
-    let mut merged: Option<(Candidate, usize)> = None;
+    let mut winner: Option<Candidate> = None;
     let mut table = Vec::new();
     for (si, plan) in plans.iter().enumerate() {
         let candidate = match &plan.cached {
@@ -931,32 +861,24 @@ fn incremental_search(
                         }
                         Some(c)
                     }
-                    None => {
-                        ctx.tracer.count("incr.fallback", 1);
-                        return None;
-                    }
+                    None => return fallback(),
                 },
             },
             None => {
-                let wb = dirty_results.remove(&si)?;
-                table.extend(wb.top);
-                wb.candidate
+                let best = mined[si].take()?;
+                table.extend(best.top);
+                best.candidate
             }
         };
         let Some(c) = candidate else { continue };
         // Seeds merge in ascending order, so a full tie keeps the
-        // incumbent — the earlier seed, as in the plain search's
-        // cross-worker merge.
-        merged = match merged {
-            None => Some((c, si)),
-            Some((incumbent, inc_seed)) => {
-                if better(&c, &incumbent) {
-                    Some((c, si))
-                } else {
-                    Some((incumbent, inc_seed))
-                }
-            }
-        };
+        // incumbent — the earlier seed, as in the plain search.
+        if winner
+            .as_ref()
+            .is_none_or(|incumbent| better(&c, incumbent))
+        {
+            winner = Some(c);
+        }
     }
     let mut dirty_fn = vec![false; funcs];
     for &si in &dirty {
@@ -975,7 +897,7 @@ fn incremental_search(
         "incr.invalidated",
         plans.iter().filter(|p| p.invalidated).count() as u64,
     );
-    Some(SearchOutcome { merged, table })
+    Some(SearchOutcome { winner, table })
 }
 
 /// Finds the best extractable candidate in the program under graph-based
@@ -989,12 +911,9 @@ pub fn best_candidate(program: &Program, config: &GraphConfig) -> Option<Candida
 /// the lattice search (MIS overlap resolution included) inside a `mine`
 /// span.
 ///
-/// With `config.threads > 1` the seed patterns of the DFS-code lattice
-/// are partitioned round-robin over worker threads; each worker keeps a
-/// local best and the results merge under the same total preference
-/// order the sequential search uses (ties broken towards the earlier
-/// seed), so the returned candidate is the sequential one whenever the
-/// per-worker pattern budget is not exhausted.
+/// The plain search grows the seeds of the DFS-code lattice in seed
+/// order under one `max_patterns` budget for the whole round, carrying
+/// one incumbent from seed to seed.
 pub(crate) fn best_candidate_instrumented(
     program: &Program,
     config: &GraphConfig,
@@ -1007,13 +926,13 @@ pub(crate) fn best_candidate_instrumented(
     // isomorphism and fragment connectivity (shrinking the candidate
     // universe instead of growing it). Conservative artifacts are also
     // what the content-addressed cache may serve.
-    let artifacts: Vec<Arc<BlockArtifact>> = pooled_build(infos.len(), config.front_threads, |i| {
-        let info = &infos[i];
-        match cache {
+    let artifacts: Vec<Arc<BlockArtifact>> = infos
+        .iter()
+        .map(|info| match cache {
             Some(cache) => cache.get_or_build(&info.items, config.label_mode),
             None => Arc::new(BlockArtifact::build(&info.items, config.label_mode)),
-        }
-    });
+        })
+        .collect();
     // Under `Stack`, a second per-region artifact built against the alias
     // oracle overlays the conservative one wherever *extractability* is
     // decided (convexity, exit-closedness, contraction). Oracle-refined
@@ -1023,14 +942,17 @@ pub(crate) fn best_candidate_instrumented(
         AliasLevel::Off => None,
         AliasLevel::Stack => {
             let oracles = region_oracles(program, &infos, &*config.tracer);
-            let overlay: Vec<Arc<BlockArtifact>> =
-                pooled_build(infos.len(), config.front_threads, |i| {
+            let overlay: Vec<Arc<BlockArtifact>> = infos
+                .iter()
+                .zip(&oracles)
+                .map(|(info, oracle)| {
                     Arc::new(BlockArtifact::build_with(
-                        &infos[i].items,
+                        &info.items,
                         config.label_mode,
-                        Some(&oracles[i]),
+                        Some(oracle),
                     ))
-                });
+                })
+                .collect();
             let mut examined = 0u64;
             let mut disjoint = 0u64;
             for a in &overlay {
@@ -1103,71 +1025,30 @@ pub(crate) fn best_candidate_instrumented(
         ),
         _ => None,
     };
-    let SearchOutcome { merged, mut table } = incremental.unwrap_or_else(|| {
-        let workers = config.threads.max(1).min(seeds.len().max(1));
-        let run_worker = |worker: usize, stride: usize| -> WorkerBest {
-            let mut best = WorkerBest::default();
-            let mut budget = mine_config.max_patterns;
-            for (si, (tuple, embeddings)) in seeds.iter().enumerate() {
-                if si % stride != worker {
-                    continue;
-                }
-                let keep_going = mine_seed(
-                    *tuple,
-                    embeddings.clone(),
-                    &graphs,
-                    &mine_config,
-                    &mut |f| ctx.visit(f, si, &mut best),
-                    &mut budget,
-                );
-                if !keep_going {
-                    // The rest of this worker's seeds go unexplored.
-                    config.tracer.event(
-                        "mine.budget_exhausted",
-                        &[
-                            ("seed", Value::from(si)),
-                            ("worker", Value::from(worker)),
-                            ("stride", Value::from(stride)),
-                        ],
-                    );
-                    break;
-                }
+    let SearchOutcome { winner, mut table } = incremental.unwrap_or_else(|| {
+        let mut best = RunningBest::default();
+        let mut budget = mine_config.max_patterns;
+        for (si, (tuple, embeddings)) in seeds.iter().enumerate() {
+            let keep_going = mine_seed(
+                *tuple,
+                embeddings.clone(),
+                &graphs,
+                &mine_config,
+                &mut |f| ctx.visit(f, si, &mut best),
+                &mut budget,
+            );
+            if !keep_going {
+                // The rest of the round's seeds go unexplored.
+                config
+                    .tracer
+                    .event("mine.budget_exhausted", &[("seed", Value::from(si))]);
+                break;
             }
-            best
-        };
-        let worker_bests: Vec<WorkerBest> = if workers <= 1 {
-            vec![run_worker(0, 1)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let run_worker = &run_worker;
-                        scope.spawn(move || run_worker(w, workers))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("mining worker panicked"))
-                    .collect()
-            })
-        };
-        let mut merged: Option<(Candidate, usize)> = None;
-        let mut table = Vec::new();
-        for wb in worker_bests {
-            table.extend(wb.top);
-            let Some(c) = wb.candidate else { continue };
-            merged = match merged {
-                None => Some((c, wb.seed)),
-                Some((incumbent, inc_seed)) => {
-                    if better(&c, &incumbent) || (!better(&incumbent, &c) && wb.seed < inc_seed) {
-                        Some((c, wb.seed))
-                    } else {
-                        Some((incumbent, inc_seed))
-                    }
-                }
-            };
         }
-        SearchOutcome { merged, table }
+        SearchOutcome {
+            winner: best.candidate,
+            table: best.top,
+        }
     });
     drop(mine_span);
     if config.tracer.enabled() {
@@ -1186,7 +1067,7 @@ pub(crate) fn best_candidate_instrumented(
                 ],
             );
         }
-        if let Some((winner, _)) = &merged {
+        if let Some(winner) = &winner {
             // Explain the win against the strongest runner-up in the
             // table (the table order mirrors `better`, so the winner is
             // line 1 and the runner-up line 2).
@@ -1213,7 +1094,7 @@ pub(crate) fn best_candidate_instrumented(
             );
         }
     }
-    merged.map(|(c, _)| c)
+    winner
 }
 
 #[cfg(test)]
@@ -1292,31 +1173,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_search_matches_sequential() {
-        let program = running_example_program();
-        for support in [Support::Embeddings, Support::Graphs] {
-            let sequential = best_candidate(
-                &program,
-                &GraphConfig {
-                    support,
-                    ..GraphConfig::default()
-                },
-            );
-            for threads in [2, 3, 8] {
-                let parallel = best_candidate(
-                    &program,
-                    &GraphConfig {
-                        support,
-                        threads,
-                        ..GraphConfig::default()
-                    },
-                );
-                assert_eq!(parallel, sequential, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn cached_search_matches_uncached_and_hits_on_reuse() {
         let program = running_example_program();
         let config = GraphConfig {
@@ -1358,20 +1214,6 @@ mod tests {
             let warm = best_candidate(&program, &config);
             assert_eq!(warm, plain, "warm incremental must match plain");
             assert!(cache.hits() > 0, "warm pass must hit the seed cache");
-            // Dirty-seed mining parallelizes per seed; any thread count
-            // replays the same merged winner.
-            for threads in [2, 8] {
-                let threaded = best_candidate(
-                    &program,
-                    &GraphConfig {
-                        support,
-                        threads,
-                        incremental: Some(cache.clone()),
-                        ..GraphConfig::default()
-                    },
-                );
-                assert_eq!(threaded, plain, "threads={threads}");
-            }
         }
     }
 

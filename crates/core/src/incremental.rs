@@ -59,13 +59,13 @@
 //! seeds stays below the round's pattern budget, the sequential search
 //! cannot have exhausted its budget either, so merging the per-seed
 //! bests in seed order — ties to the earlier seed — reproduces the
-//! sequential (and the partitioned-parallel) result exactly. When the
-//! sum reaches the budget, the round *falls back* to the plain search,
-//! so exhaustion semantics are preserved bit-for-bit too.
+//! sequential result exactly. When the sum reaches the budget, the
+//! round *falls back* to the plain search, so exhaustion semantics are
+//! preserved bit-for-bit too.
 //!
 //! The incremental handle is deliberately excluded from
-//! `image_cache_key` — like `front_threads` and the tracer, it never
-//! changes which candidate wins, only how fast it is found.
+//! `image_cache_key` — like the tracer, it never changes which
+//! candidate wins, only how fast it is found.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -155,9 +155,9 @@ pub enum TupleNote {
 /// A content-addressed store of per-seed mining results, shared across
 /// detection rounds, images and (in serve) requests.
 ///
-/// Implementations must be safe for concurrent use: the dirty seeds of
-/// one round are mined in parallel, and serve shares one cache across
-/// its worker pool. The cache is purely an accelerator — correctness
+/// Implementations must be safe for concurrent use: batch and serve
+/// share one cache across their worker pools. The cache is purely an
+/// accelerator — correctness
 /// never depends on what `get` returns, because a hit replays a value
 /// that is a pure function of its key.
 pub trait MineCache: Send + Sync + fmt::Debug {

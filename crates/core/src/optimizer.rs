@@ -143,29 +143,9 @@ pub struct RunConfig {
     pub max_fragment_nodes: usize,
     /// How much of the run the translation validator re-checks.
     pub validate: ValidateLevel,
-    /// Worker threads for the graph miners' lattice search (see
-    /// [`GraphConfig::threads`]). Excluded from
-    /// [`crate::artifact::image_cache_key`], but not output-neutral: the
-    /// partitioned search merges to the single-threaded result only
-    /// while no round exhausts [`RunConfig::max_patterns`]. Past that,
-    /// every worker has had a full budget, so the thread count changes
-    /// the work done and can change the winner (qsort under `--alias
-    /// stack` saves 145 words at one thread and 148 at two). ROADMAP.md
-    /// open item 1 tracks the fix.
-    pub mining_threads: usize,
-    /// Worker threads for the front-end: per-function decode
-    /// ([`gpa_cfg::decode_image_with`] via
-    /// [`Optimizer::from_image_configured`]) and the per-block DFG /
-    /// artifact build inside graph detection (see
-    /// [`GraphConfig::front_threads`]). Every unit of front-end work is
-    /// independent and results merge in input order, so this knob never
-    /// changes the output and is excluded from
-    /// [`crate::artifact::image_cache_key`].
-    pub front_threads: usize,
     /// Telemetry sink threaded through detection, mining and MIS
     /// resolution. Tracing observes the run without changing it, so the
-    /// tracer — like `mining_threads` — is excluded from
-    /// [`crate::artifact::image_cache_key`].
+    /// tracer is excluded from [`crate::artifact::image_cache_key`].
     pub tracer: Arc<dyn Tracer>,
     /// Memory-disambiguation level for the graph miners' DFGs. Changes
     /// the graphs (and therefore the output), so it participates in
@@ -191,7 +171,7 @@ pub struct RunConfig {
     /// re-optimization (see [`crate::incremental`]). Purely an
     /// accelerator: rounds served from it return exactly the candidate
     /// the plain search would, and unprovable rounds fall back — so the
-    /// handle, like `mining_threads` and the tracer, is excluded from
+    /// handle, like the tracer, is excluded from
     /// [`crate::artifact::image_cache_key`]. Sharing one handle across
     /// runs (batch) or requests (serve) is what makes re-submission of
     /// a lightly edited image near-warm.
@@ -209,8 +189,6 @@ impl Default for RunConfig {
             max_rounds: 10_000,
             max_fragment_nodes: 16,
             validate: ValidateLevel::default(),
-            mining_threads: 1,
-            front_threads: 1,
             tracer: Arc::new(NoopTracer),
             alias: AliasLevel::default(),
             max_patterns: DEFAULT_MAX_PATTERNS,
@@ -240,11 +218,10 @@ impl Optimizer {
         ))
     }
 
-    /// [`Optimizer::from_image`] under a [`RunConfig`]: the
-    /// per-function lift fans out over [`RunConfig::front_threads`]
-    /// workers, and the whole decode runs inside a `front` span on the
-    /// configured tracer so `gpa perf`, `gpa trace-profile` and the
-    /// per-stage histograms see decode as its own node.
+    /// [`Optimizer::from_image`] under a [`RunConfig`]: the decode runs
+    /// inside a `front` span on the configured tracer so `gpa perf`,
+    /// `gpa trace-profile` and the per-stage histograms see decode as
+    /// its own node.
     ///
     /// # Errors
     ///
@@ -254,9 +231,7 @@ impl Optimizer {
         config: &RunConfig,
     ) -> Result<Optimizer, OptimizerError> {
         let _front_span = gpa_trace::span(config.tracer.as_ref(), "front");
-        gpa_cfg::decode_image_with(image, config.front_threads)
-            .map(Optimizer::from_program)
-            .map_err(OptimizerError::Decode)
+        Optimizer::from_image(image)
     }
 
     /// Wraps an already-lifted program.
@@ -310,8 +285,6 @@ impl Optimizer {
                 support,
                 max_nodes: config.max_fragment_nodes,
                 max_patterns: config.max_patterns,
-                threads: config.mining_threads,
-                front_threads: config.front_threads,
                 tracer: config.tracer.clone(),
                 alias: config.alias,
                 incremental: config.incremental.clone(),

@@ -37,8 +37,9 @@ pub struct PerfConfig {
     /// Bundled kernel names ([`gpa_minicc::programs::BENCHMARKS`] by
     /// default).
     pub kernels: Vec<String>,
-    /// Worker threads per method batch; `0` means auto-detect. Never
-    /// affects the deterministic section.
+    /// Images optimized side by side per method batch, each on one
+    /// thread; `0` means auto-detect. Never affects the deterministic
+    /// section.
     pub jobs: usize,
     /// Compile the kernels with the instruction scheduler.
     pub schedule: bool,
@@ -196,12 +197,6 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
             run: RunConfig {
                 validate: config.validate,
                 alias: config.alias,
-                // The front-end (decode + per-block DFG build) pool
-                // shares the --jobs knob; it never changes the output,
-                // only the dfg_build/decode latency in the measured
-                // section (0 = auto falls back to one front worker per
-                // batch worker).
-                front_threads: config.jobs,
                 ..RunConfig::default()
             },
             cache_dir: None,

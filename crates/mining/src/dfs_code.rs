@@ -12,8 +12,9 @@
 //! per-thread direct-mapped cache keyed by the FNV-1a/128 content hash
 //! of the code, which every [`Pattern`] carries and extends tuple by
 //! tuple. Minimality is a pure function of the code, so a cache can
-//! never change what is mined — each `mine_seed` worker owns its
-//! thread's cache, keeping seed-partitioned parallel runs deterministic.
+//! never change what is mined. Each thread has its own cache, so the
+//! `gpa batch` and `gpa serve` workers, which optimize images side by
+//! side, never contend for one.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;

@@ -258,53 +258,14 @@ pub fn mine_streaming(
     config: &Config,
     visit: &mut dyn FnMut(&Frequent) -> GrowDecision,
 ) {
-    mine_streaming_partition(graphs, config, 0, 1, visit);
-}
-
-/// [`mine_streaming`] restricted to the seeds of one worker in a
-/// round-robin partition: worker `worker` of `stride` visits exactly the
-/// seed patterns with index `si % stride == worker` (in seed order), each
-/// grown to completion.
-///
-/// The DFS-code lattice decomposes perfectly at the seed level, so
-/// running every worker of a partition covers exactly the patterns one
-/// [`mine_streaming`] call visits — this is the building block both
-/// [`mine_parallel`] and the optimizer's threaded detection use. Each
-/// call owns a full `config.max_patterns` budget; when budgets are tight
-/// enough to exhaust, a partitioned run may therefore visit a superset of
-/// the single-threaded run.
-///
-/// # Panics
-///
-/// Panics if `stride` is zero or `worker >= stride`.
-pub fn mine_streaming_partition(
-    graphs: &[InputGraph],
-    config: &Config,
-    worker: usize,
-    stride: usize,
-    visit: &mut dyn FnMut(&Frequent) -> GrowDecision,
-) {
-    assert!(stride > 0, "partition stride must be positive");
-    assert!(
-        worker < stride,
-        "worker {worker} out of range for stride {stride}"
-    );
     let mut budget = config.max_patterns;
     for (si, (tuple, embeddings)) in seed_buckets(graphs).into_iter().enumerate() {
-        if si % stride != worker {
-            continue;
-        }
         if !mine_seed(tuple, embeddings, graphs, config, visit, &mut budget) {
-            // The pattern budget ran dry mid-seed: the rest of this
-            // worker's lattice share is silently unexplored — trace it.
-            config.tracer.event(
-                "mine.budget_exhausted",
-                &[
-                    ("seed", Value::from(si)),
-                    ("worker", Value::from(worker)),
-                    ("stride", Value::from(stride)),
-                ],
-            );
+            // The pattern budget ran dry mid-seed: the rest of the
+            // lattice is silently unexplored — trace it.
+            config
+                .tracer
+                .event("mine.budget_exhausted", &[("seed", Value::from(si))]);
             return;
         }
     }
@@ -314,8 +275,9 @@ pub fn mine_streaming_partition(
 /// (canonicality, embedding cap, support); returns `false` when the
 /// pattern budget is exhausted.
 ///
-/// Public so callers that need per-seed control (e.g. a partitioned
-/// search that tracks which seed produced a result) can drive the
+/// Public so callers that need per-seed control (the optimizer's
+/// detection tracks which seed produced each candidate, and its seed
+/// cache gives every dirty seed a budget of its own) can drive the
 /// lattice themselves from [`crate::embed::seed_buckets`].
 pub fn mine_seed(
     tuple: crate::dfs_code::DfsTuple,
@@ -358,79 +320,6 @@ pub fn mine_seed(
         visit,
         budget,
     )
-}
-
-/// Mines in parallel across `threads` worker threads, partitioning the
-/// seed patterns round-robin and giving each worker an equal share of the
-/// pattern budget. Results are concatenated in a deterministic order
-/// (seed order, then discovery order within a seed).
-///
-/// This reproduces the shared-memory parallelization the paper's authors
-/// report for their miner (Meinl et al., "Parallel Mining for Frequent
-/// Fragments on a Shared-Memory Multiprocessor", cited as \[33\]): the
-/// DFS-code lattice decomposes perfectly at the seed level, so speedups
-/// are near-linear until seed subtree sizes skew.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn mine_parallel(graphs: &[InputGraph], config: &Config, threads: usize) -> Vec<Frequent> {
-    assert!(threads > 0, "at least one worker thread is required");
-    // Seed work items, precomputed sequentially (cheap relative to
-    // growth).
-    let seeds: Vec<(crate::dfs_code::DfsTuple, Vec<Embedding>)> =
-        seed_buckets(graphs).into_iter().collect();
-    if threads == 1 || seeds.len() <= 1 {
-        return mine(graphs, config);
-    }
-    let per_thread_budget = (config.max_patterns / threads).max(1);
-    let results: Vec<Vec<(usize, Vec<Frequent>)>> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for worker in 0..threads {
-            let seeds = &seeds;
-            let config = config.clone();
-            handles.push(scope.spawn(move || {
-                let mut out: Vec<(usize, Vec<Frequent>)> = Vec::new();
-                for (si, (tuple, embeddings)) in seeds.iter().enumerate() {
-                    if si % threads != worker {
-                        continue;
-                    }
-                    let mut found = Vec::new();
-                    let mut budget = per_thread_budget;
-                    if !mine_seed(
-                        *tuple,
-                        embeddings.clone(),
-                        graphs,
-                        &config,
-                        &mut |f| {
-                            found.push(f.clone());
-                            GrowDecision::Continue
-                        },
-                        &mut budget,
-                    ) {
-                        config.tracer.event(
-                            "mine.budget_exhausted",
-                            &[
-                                ("seed", Value::from(si)),
-                                ("worker", Value::from(worker)),
-                                ("stride", Value::from(threads)),
-                            ],
-                        );
-                    }
-                    out.push((si, found));
-                }
-                out
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    // Deterministic merge by seed index.
-    let mut by_seed: Vec<(usize, Vec<Frequent>)> = results.into_iter().flatten().collect();
-    by_seed.sort_by_key(|(si, _)| *si);
-    by_seed.into_iter().flat_map(|(_, v)| v).collect()
 }
 
 /// Returns `false` when the pattern budget is exhausted (abort the run).
@@ -805,110 +694,5 @@ mod tests {
         for w in sizes.windows(2) {
             assert!(w[0].1 >= w[1].1, "support not antimonotone: {sizes:?}");
         }
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use gpa_arm::parse::parse_listing;
-    use gpa_cfg::Item;
-    use gpa_dfg::{build_dfg_from_items, LabelMode};
-
-    fn graphs_of(listings: &[&str]) -> Vec<InputGraph> {
-        let dfgs: Vec<_> = listings
-            .iter()
-            .map(|asm| {
-                let items: Vec<Item> = parse_listing(asm)
-                    .unwrap()
-                    .into_iter()
-                    .map(Item::Insn)
-                    .collect();
-                build_dfg_from_items("bb", 0, &items, LabelMode::Exact)
-            })
-            .collect();
-        InputGraph::from_dfgs(&dfgs).0
-    }
-
-    const BLOCK: &str = "ldr r3, [r1]!\n\
-                         sub r2, r2, r3\n\
-                         add r4, r2, #4\n\
-                         ldr r3, [r1]!\n\
-                         sub r2, r2, r3\n\
-                         ldr r3, [r1]!\n\
-                         add r4, r2, #4";
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let graphs = graphs_of(&[BLOCK, BLOCK, "mov r0, #1\nadd r1, r0, #2"]);
-        let config = Config {
-            min_support: 2,
-            support: Support::Embeddings,
-            max_nodes: 6,
-            ..Config::default()
-        };
-        let sequential = mine(&graphs, &config);
-        for threads in [1usize, 2, 4] {
-            let parallel = mine_parallel(&graphs, &config, threads);
-            assert_eq!(parallel.len(), sequential.len(), "threads={threads}");
-            let key = |f: &Frequent| {
-                (
-                    format!("{:?}", f.pattern.tuples()),
-                    f.support,
-                    f.embeddings.len(),
-                )
-            };
-            let mut a: Vec<_> = sequential.iter().map(key).collect();
-            let mut b: Vec<_> = parallel.iter().map(key).collect();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn partition_union_matches_full_stream() {
-        let graphs = graphs_of(&[BLOCK, BLOCK, "mov r0, #1\nadd r1, r0, #2"]);
-        let config = Config {
-            min_support: 2,
-            support: Support::Embeddings,
-            max_nodes: 6,
-            ..Config::default()
-        };
-        let mut full = Vec::new();
-        mine_streaming(&graphs, &config, &mut |f| {
-            full.push(format!("{:?}", f.pattern.tuples()));
-            GrowDecision::Continue
-        });
-        for stride in [1usize, 2, 3, 5] {
-            let mut union = Vec::new();
-            for worker in 0..stride {
-                mine_streaming_partition(&graphs, &config, worker, stride, &mut |f| {
-                    union.push(format!("{:?}", f.pattern.tuples()));
-                    GrowDecision::Continue
-                });
-            }
-            let mut a = full.clone();
-            let mut b = union;
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "stride={stride}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn partition_worker_out_of_range_panics() {
-        let graphs = graphs_of(&[BLOCK]);
-        mine_streaming_partition(&graphs, &Config::default(), 2, 2, &mut |_| {
-            GrowDecision::Continue
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker thread")]
-    fn zero_threads_panics() {
-        let graphs = graphs_of(&[BLOCK]);
-        let _ = mine_parallel(&graphs, &Config::default(), 0);
     }
 }

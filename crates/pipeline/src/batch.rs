@@ -18,12 +18,13 @@ use crate::shutdown::ShutdownFlag;
 /// Tuning for one batch run.
 #[derive(Clone, Debug)]
 pub struct BatchConfig {
-    /// Worker threads; `0` means [`std::thread::available_parallelism`].
+    /// Worker threads, each optimizing one image at a time; `0` means
+    /// [`std::thread::available_parallelism`].
     pub jobs: usize,
     /// Detection method for every image.
     pub method: Method,
-    /// Per-image optimizer tuning (validation level, round caps, mining
-    /// threads).
+    /// Per-image optimizer tuning (validation level, round caps, pattern
+    /// budget).
     pub run: RunConfig,
     /// Directory for the persistent report-cache layer; `None` keeps the
     /// cache in memory only.

@@ -6,8 +6,10 @@
 //! the workspace root), and these tests assert pipeline properties, not
 //! rewrite soundness.
 
+use std::sync::Arc;
+
 use gpa::{Method, Optimizer, RunConfig, ValidateLevel};
-use gpa_pipeline::{run_batch, BatchConfig, BatchInput};
+use gpa_pipeline::{run_batch, BatchConfig, BatchInput, FuncCache};
 
 fn kernel_inputs(names: &[&str]) -> Vec<BatchInput> {
     names
@@ -151,47 +153,45 @@ fn trace_dir_writes_jsonl_and_never_changes_reports() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `mining_threads` feeds the partitioned lattice search and must not
-/// change any report.
+/// The seed-cache identity matrix over the full 8-kernel corpus: at the
+/// default pattern budget and at 300, a run with one [`FuncCache`]
+/// shared across the corpus has the same deterministic section as a run
+/// without it. At 300 every kernel's rounds run out of budget, so the
+/// seed cache's fallback to the plain search (`incr.fallback`) runs on
+/// real kernels, not only on hand-made programs.
 #[test]
-fn mining_threads_do_not_change_results() {
-    let inputs = kernel_inputs(&["search", "patricia"]);
-    let corpus_of = |mining_threads: usize| {
-        let mut config = fast_config();
-        config.jobs = 1;
-        config.run.mining_threads = mining_threads;
-        run_batch(&inputs, &config).unwrap()
-    };
-    assert_eq!(
-        corpus_of(1).to_json(false).to_string(),
-        corpus_of(4).to_json(false).to_string()
-    );
-}
-
-/// The determinism matrix for the parallel front-end: the deterministic
-/// report section is byte-identical across `front_threads` ∈ {1, 2, 8}
-/// on the full 8-kernel corpus. Decode and per-block DFG builds fan out
-/// over a pool, but the arena graphs are assembled in input order, so
-/// thread count must never leak into any report.
-#[test]
-fn front_threads_determinism_matrix() {
+fn seed_cache_identity_matrix() {
     let inputs = kernel_inputs(&gpa_minicc::programs::BENCHMARKS);
-    let corpus_of = |front_threads: usize| {
+    for max_patterns in [gpa::DEFAULT_MAX_PATTERNS, 300] {
         let mut config = fast_config();
-        config.jobs = 1;
-        config.run.front_threads = front_threads;
-        run_batch(&inputs, &config).unwrap()
-    };
-    let baseline = corpus_of(1);
-    assert_eq!(baseline.error_count(), 0);
-    assert!(baseline.total_saved_words() > 0);
-    let expected = baseline.to_json(false).to_string();
-    for front_threads in [2, 8] {
+        config.run.max_patterns = max_patterns;
+        let plain = run_batch(&inputs, &config).unwrap();
+        assert_eq!(plain.error_count(), 0);
+        assert!(plain.total_saved_words() > 0);
+        // Traced, so each entry carries its counters.
+        let dir = std::env::temp_dir().join(format!(
+            "gpa-seed-cache-matrix-{}-{max_patterns}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        config.incremental = Some(Arc::new(FuncCache::default()));
+        config.trace_dir = Some(dir.clone());
+        let cached = run_batch(&inputs, &config).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(
-            corpus_of(front_threads).to_json(false).to_string(),
-            expected,
-            "front_threads={front_threads} changed the deterministic section"
+            cached.to_json(false).to_string(),
+            plain.to_json(false).to_string(),
+            "max_patterns={max_patterns}: the seed cache changed the deterministic section"
         );
+        if max_patterns == 300 {
+            for entry in &cached.images {
+                assert!(
+                    entry.counters.get("incr.fallback") > 0,
+                    "{}: no round fell back at max_patterns=300",
+                    entry.name
+                );
+            }
+        }
     }
 }
 

@@ -150,7 +150,11 @@ impl RequestKnobs {
     /// Strict parse: unknown keys and ill-typed values are errors, so a
     /// client typo degrades loudly instead of silently running with
     /// defaults.
-    fn parse(text: &str) -> Result<RequestKnobs, String> {
+    ///
+    /// `budget` is the daemon's own per-round pattern budget. A request
+    /// may lower it but never raise it: deadlines are checked only
+    /// between rounds, so the budget is what bounds a round.
+    fn parse(text: &str, budget: usize) -> Result<RequestKnobs, String> {
         let text = text.trim();
         if text.is_empty() {
             return Ok(RequestKnobs::default());
@@ -194,6 +198,11 @@ impl RequestKnobs {
                     let Some(n) = value.as_int().filter(|&v| v > 0) else {
                         return Err(format!("knobs: bad max_patterns {value}"));
                     };
+                    if n as u64 > budget as u64 {
+                        return Err(format!(
+                            "knobs: max_patterns {n} exceeds the daemon's budget {budget}"
+                        ));
+                    }
                     knobs.max_patterns = Some(n as usize);
                 }
                 "test_panic" => {
@@ -713,7 +722,7 @@ fn handle_request(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) 
         req,
         &[("bytes", Value::from(request.image.len()))],
     );
-    let knobs = match RequestKnobs::parse(&request.knobs) {
+    let knobs = match RequestKnobs::parse(&request.knobs, shared.config.run.max_patterns) {
         Ok(knobs) => knobs,
         Err(message) => {
             // A malformed knob is a completed (rejected) request, not a
@@ -1019,11 +1028,15 @@ fn read_response(stream: &mut TcpStream) -> Result<String, FrameError> {
 mod tests {
     use super::*;
 
+    /// The pattern budget the knob tests parse against.
+    const BUDGET: usize = gpa::DEFAULT_MAX_PATTERNS;
+
     #[test]
     fn knobs_parse_defaults_and_overrides() {
-        assert_eq!(RequestKnobs::parse("").unwrap(), RequestKnobs::default());
-        assert_eq!(RequestKnobs::parse("{}").unwrap(), RequestKnobs::default());
-        let parsed = RequestKnobs::parse(
+        let parse = |text: &str| RequestKnobs::parse(text, BUDGET);
+        assert_eq!(parse("").unwrap(), RequestKnobs::default());
+        assert_eq!(parse("{}").unwrap(), RequestKnobs::default());
+        let parsed = parse(
             "{\"method\":\"sfx\",\"validate\":\"off\",\"deadline_ms\":250,\
              \"max_rounds\":3,\"max_patterns\":1000}",
         )
@@ -1034,21 +1047,25 @@ mod tests {
         assert_eq!(parsed.max_rounds, Some(3));
         assert_eq!(parsed.max_patterns, Some(1000));
         assert!(!parsed.test_panic);
-        assert!(
-            RequestKnobs::parse("{\"test_panic\":true}")
-                .unwrap()
-                .test_panic
-        );
+        assert!(parse("{\"test_panic\":true}").unwrap().test_panic);
     }
 
     #[test]
     fn knobs_parse_rejects_unknown_and_illtyped() {
-        assert!(RequestKnobs::parse("{\"metod\":\"sfx\"}").is_err());
-        assert!(RequestKnobs::parse("{\"deadline_ms\":-1}").is_err());
-        assert!(RequestKnobs::parse("{\"max_rounds\":0}").is_err());
-        assert!(RequestKnobs::parse("{\"test_panic\":1}").is_err());
-        assert!(RequestKnobs::parse("[1,2]").is_err());
-        assert!(RequestKnobs::parse("not json").is_err());
+        let parse = |text: &str| RequestKnobs::parse(text, BUDGET);
+        assert!(parse("{\"metod\":\"sfx\"}").is_err());
+        assert!(parse("{\"deadline_ms\":-1}").is_err());
+        assert!(parse("{\"max_rounds\":0}").is_err());
+        assert!(parse("{\"test_panic\":1}").is_err());
+        assert!(parse("[1,2]").is_err());
+        assert!(parse("not json").is_err());
+        // A request may lower the daemon's pattern budget, never raise it.
+        let max_patterns = |n: usize| format!("{{\"max_patterns\":{n}}}");
+        assert_eq!(
+            parse(&max_patterns(BUDGET)).unwrap().max_patterns,
+            Some(BUDGET)
+        );
+        assert!(parse(&max_patterns(BUDGET + 1)).is_err());
     }
 
     #[test]

@@ -218,6 +218,45 @@ fn bad_knobs_error_keeps_the_connection_usable() {
     assert_eq!(summary.counters.get("serve.completed"), 2);
 }
 
+/// A request's `max_patterns` may lower the daemon's per-round budget
+/// but never raise it: the budget is what bounds a round, and deadlines
+/// are checked only between rounds.
+#[test]
+fn max_patterns_above_the_daemon_budget_is_rejected() {
+    let image = gpa_minicc::compile_benchmark("crc", &gpa_minicc::Options::default())
+        .unwrap()
+        .to_bytes();
+    let config = fast_config();
+    let budget = config.run.max_patterns;
+    let server = Server::start("127.0.0.1:0", config).unwrap();
+    let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+    let status_for = |conn: &mut TcpStream, max_patterns: usize| {
+        let knobs = format!("{{\"validate\":\"off\",\"max_patterns\":{max_patterns}}}");
+        let doc = submit(conn, &knobs, &image).unwrap();
+        let parsed = Json::parse(&doc).unwrap();
+        (
+            parsed
+                .get("status")
+                .and_then(Json::as_str)
+                .unwrap()
+                .to_owned(),
+            parsed
+                .get("error")
+                .and_then(Json::as_str)
+                .map(str::to_owned),
+        )
+    };
+    let (status, error) = status_for(&mut conn, budget + 1);
+    assert_eq!(status, "error");
+    assert!(error.unwrap().starts_with("knobs: max_patterns"));
+    let (status, _) = status_for(&mut conn, budget - 1);
+    assert_eq!(status, "ok");
+    server.drain();
+    let summary = server.join();
+    assert_eq!(summary.counters.get("serve.accepted"), 2);
+    assert_eq!(summary.counters.get("serve.completed"), 2);
+}
+
 /// A Shutdown frame acks `draining`, the server stops accepting, and
 /// `join` returns with the identity balanced.
 #[test]
