@@ -720,10 +720,12 @@ fn optimize(args: &[String]) -> Result<ExitCode, String> {
                 }
             }
             "--incremental" => {
-                // Within one run the cache pays off across *rounds*:
-                // seeds hosted only by functions the previous round did
-                // not rewrite replay their mining decision instead of
-                // re-searching.
+                // Seeds hosted only by functions the previous round did
+                // not rewrite replay their mining decision. On one cold
+                // image that does not pay: building and looking up every
+                // seed's key each round costs more than the search it
+                // saves, so the run is slower. The cache pays across
+                // images (batch, serve).
                 config.incremental = Some(Arc::new(gpa_pipeline::FuncCache::default()));
             }
             "--trace" => {
@@ -743,6 +745,9 @@ fn optimize(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let input = input.ok_or_else(|| "missing image path".to_owned())?;
+    if config.incremental.is_some() && config.alias == AliasLevel::Stack {
+        eprintln!("gpa: --incremental ignored under --alias stack: the seed cache serves --alias off only");
+    }
     if let Some(path) = &trace_path {
         let tracer =
             JsonlTracer::to_file(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))?;

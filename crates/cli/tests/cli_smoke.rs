@@ -970,6 +970,78 @@ fn incremental_trace_keeps_the_candidate_table() {
     let _ = std::fs::remove_file(img);
 }
 
+/// The seed cache does not serve `--alias stack` rounds, and a run that
+/// asked for it says so: one stderr note, and one `incr.skipped` event
+/// per round. At `--alias off` the cache runs and neither appears.
+#[test]
+fn incremental_under_alias_stack_is_reported_as_skipped() {
+    let img = tmp("incr_skip.img");
+    let out = gpa()
+        .args(["build-bench", "crc", "-o", img.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let counter = |text: &str, name: &str| -> u64 {
+        let summary = text.lines().last().unwrap_or("");
+        summary
+            .split(&format!("\"{name}\":"))
+            .nth(1)
+            .map(|rest| {
+                rest.chars()
+                    .take_while(char::is_ascii_digit)
+                    .collect::<String>()
+            })
+            .and_then(|digits| digits.parse().ok())
+            .unwrap_or(0)
+    };
+    for (alias, skipped) in [("stack", true), ("off", false)] {
+        let opt = tmp(&format!("incr_skip_{alias}_opt.img"));
+        let trace = tmp(&format!("incr_skip_{alias}.jsonl"));
+        let out = gpa()
+            .args([
+                "optimize",
+                img.to_str().unwrap(),
+                "-o",
+                opt.to_str().unwrap(),
+                "--validate",
+                "off",
+                "--alias",
+                alias,
+                "--incremental",
+                "--trace",
+                trace.to_str().unwrap(),
+            ])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        assert_eq!(
+            stderr.contains("--incremental ignored under --alias stack"),
+            skipped,
+            "--alias {alias}: {stderr}"
+        );
+        let text = std::fs::read_to_string(&trace).unwrap();
+        let rounds = counter(&text, "run.rounds");
+        assert!(rounds > 0);
+        if skipped {
+            // Every detection, the final empty one included, skipped it.
+            assert_eq!(counter(&text, "incr.skipped"), rounds + 1, "{alias}");
+            assert!(text.contains("\"ev\":\"incr.skipped\""));
+            assert!(text.contains("\"reason\":\"alias_stack\""));
+        } else {
+            assert_eq!(counter(&text, "incr.skipped"), 0, "{alias}");
+            assert!(
+                counter(&text, "incr.funcs") > 0,
+                "the cache must run at --alias off"
+            );
+        }
+        for p in [opt, trace] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+    let _ = std::fs::remove_file(img);
+}
+
 /// A round that runs out of pattern budget on the detection path says
 /// so: one `mine.budget_exhausted` event per exhausted round, and the
 /// trace still passes every `gpa trace-check` identity.

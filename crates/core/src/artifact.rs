@@ -1,34 +1,44 @@
-//! Content-addressed artifacts shared by batch runs.
+//! Detection artifacts: the inputs one optimization carries from round
+//! to round, the content-addressed block cache shared across images,
+//! and the address of a whole optimization result.
 //!
-//! Corpus optimization re-sees the same inputs constantly: the same
-//! runtime blocks in every image, unchanged images across re-runs, and —
-//! within one run — every block the current round did not rewrite. Two
-//! addresses make that reuse safe:
-//!
+//! * [`RoundState`] — one optimization's detection inputs: per function,
+//!   its regions with their DFGs, reachability closures and mining
+//!   graphs, and under `--alias stack` their alias oracles and relaxed
+//!   overlays. An extraction rewrites only the functions hosting the
+//!   winner's occurrences and appends the fragment function, so after
+//!   each round only those are rebuilt; every other function's entries
+//!   carry over. This is where round-to-round reuse within one run
+//!   comes from.
+//! * [`DfgCache`] — an in-memory map from a block's content address
+//!   ([`gpa_dfg::block_content_hash`]) to its built artifact: the DFG and
+//!   the forward-reachability closure detection needs for convexity
+//!   checks. Batch runs and `gpa serve` share one across images, where
+//!   the same runtime blocks recur; a [`RoundState`] consults it only
+//!   for the regions it rebuilds. Graph construction is deterministic,
+//!   so a hit returns exactly what a rebuild would.
 //! * [`image_cache_key`] — the address of a whole optimization *result*:
 //!   a stable hash of the image's normalized code (code words, layout
 //!   bases, entry, symbol table — everything lifting reads; the data
 //!   payload is excluded because it cannot influence the rewrite) plus
 //!   the [`Method`] and every [`RunConfig`] knob that changes the output.
 //!   Equal keys ⇒ byte-identical [`crate::Report`]s.
-//! * [`DfgCache`] — an in-memory map from a block's content address
-//!   ([`gpa_dfg::block_content_hash`]) to its built artifact: the DFG and
-//!   the forward-reachability closure detection needs for convexity
-//!   checks. The cache is shared across rounds, images and worker
-//!   threads; graph construction is deterministic, so a hit returns
-//!   exactly what a rebuild would.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use gpa_cfg::Item;
+use gpa_arm::reg::RegSet;
+use gpa_cfg::{Item, Program};
 use gpa_dfg::hash::Fnv128;
-use gpa_dfg::{block_content_hash, Dfg, LabelMode};
+use gpa_dfg::{block_content_hash, AliasOracle, Dfg, LabelMode};
 use gpa_image::Image;
+use gpa_mining::graph::{InputGraph, LabelInterner};
+use gpa_trace::Tracer;
 
-use crate::graph_detect::Reach;
-use crate::optimizer::{Method, RunConfig};
+use crate::graph_detect::{function_region_infos, region_oracle, GraphConfig, Reach, RegionInfo};
+use crate::optimizer::{AliasLevel, Method, RunConfig};
 use crate::validate::ValidateLevel;
 
 /// A per-block detection artifact: the DFG plus its reachability closure.
@@ -36,6 +46,7 @@ use crate::validate::ValidateLevel;
 /// Cached entries are built with an empty function name and region start
 /// zero — detection reads only labels, edges and degrees, all of which
 /// are position-independent.
+#[derive(Debug, PartialEq)]
 pub(crate) struct BlockArtifact {
     pub(crate) dfg: Dfg,
     pub(crate) reach: Reach,
@@ -69,6 +80,249 @@ impl BlockArtifact {
             relaxed: relaxed_dfg.relaxed,
             relax_stats: relaxed_dfg.stats,
         }
+    }
+}
+
+/// One region as detection sees it, with everything built from it.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct RegionState {
+    pub(crate) info: RegionInfo,
+    /// The conservative DFG and closure: mining counts on these.
+    pub(crate) artifact: Arc<BlockArtifact>,
+    /// Under [`AliasLevel::Stack`], the region's alias oracle and the
+    /// relaxed artifact built against it.
+    pub(crate) overlay: Option<Overlay>,
+    /// The mining graph's node labels as region-local indices, and per
+    /// index the node where that label first occurs (see
+    /// [`InputGraph::from_dfg_local`]).
+    local: Vec<u32>,
+    first: Vec<u32>,
+}
+
+impl RegionState {
+    /// The artifact extractability is decided on: the relaxed overlay
+    /// when there is one (fewer edges, so weakly less reachability),
+    /// the conservative artifact otherwise.
+    pub(crate) fn extractability(&self) -> &BlockArtifact {
+        self.overlay
+            .as_ref()
+            .map_or(&self.artifact, |o| &o.artifact)
+    }
+}
+
+/// A region's alias oracle and the artifact built against it.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct Overlay {
+    pub(crate) oracle: AliasOracle,
+    pub(crate) artifact: Arc<BlockArtifact>,
+}
+
+/// Where one function's regions sit in the flat lists, and what its
+/// oracles were built from.
+#[derive(Clone, Debug)]
+struct FuncState {
+    regions: Range<usize>,
+    /// The callee facts ([`gpa_verify::AbsEnv::call_facts`]) the
+    /// function's oracles were projected under.
+    facts: Vec<RegSet>,
+    /// Reachable program points of the function's abstract
+    /// interpretation (a function of its items alone).
+    points: u64,
+}
+
+/// The detection inputs of one optimization, carried from round to
+/// round.
+///
+/// [`RoundState::refresh`] rebuilds exactly the functions marked dirty
+/// since the last refresh, plus any it has not seen; round 1 is the case
+/// where that is every function. The whole-program views the search
+/// reads (`regions`, `graphs`, `interner`) are then reassembled in the
+/// order a fresh build produces them, so the search sees the same
+/// inputs either way. Superseded entries are dropped as they are
+/// replaced: the state holds one generation.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RoundState {
+    /// The label mode and alias level the entries were built under.
+    built_for: Option<(LabelMode, AliasLevel)>,
+    /// Functions rewritten since the last refresh.
+    dirty: BTreeSet<usize>,
+    /// Per function, aligned with `Program::functions`.
+    funcs: Vec<FuncState>,
+    /// Every region of the program, in function and item order.
+    pub(crate) regions: Vec<RegionState>,
+    /// The mining graph of each region, labelled by `interner`.
+    pub(crate) graphs: Vec<InputGraph>,
+    /// Label ids in first-seen order over `regions`.
+    pub(crate) interner: LabelInterner,
+    /// Under [`AliasLevel::Stack`], the call graph and sp-balance facts
+    /// of the last refresh, which the next one updates.
+    call_graph: Option<gpa_verify::CallGraph>,
+    balanced: Vec<bool>,
+}
+
+impl RoundState {
+    /// Marks `function` as rewritten (or about to be), so the next
+    /// refresh rebuilds it.
+    pub(crate) fn mark_dirty(&mut self, function: usize) {
+        self.dirty.insert(function);
+    }
+
+    /// Brings the state up to date with `program`: rebuilds the dirty
+    /// functions' entries (looking their conservative artifacts up in
+    /// `cache` when given), keeps the rest, and reassembles the
+    /// whole-program views.
+    ///
+    /// Emits `front.regions`, `front.regions_built` and
+    /// `front.regions_reused`, and under [`AliasLevel::Stack`] the
+    /// `absint.*` counters.
+    pub(crate) fn refresh(
+        &mut self,
+        program: &Program,
+        config: &GraphConfig,
+        cache: Option<&DfgCache>,
+    ) {
+        let tracer = &*config.tracer;
+        let front_span = gpa_trace::span(tracer, "front");
+        let settings = (config.label_mode, config.alias);
+        if self.built_for != Some(settings) || program.functions.len() < self.funcs.len() {
+            *self = RoundState {
+                built_for: Some(settings),
+                ..RoundState::default()
+            };
+        }
+        let mut old_funcs = std::mem::take(&mut self.funcs).into_iter();
+        let mut old_regions = std::mem::take(&mut self.regions).into_iter();
+        let mut old_graphs = std::mem::take(&mut self.graphs).into_iter();
+        let mut rebuilt = vec![false; program.functions.len()];
+        for (fi, f) in program.functions.iter().enumerate() {
+            let start = self.regions.len();
+            let old = old_funcs.next();
+            let carried = old.as_ref().map_or(0, |o| o.regions.len());
+            match old {
+                Some(old) if !self.dirty.contains(&fi) => {
+                    self.regions.extend(old_regions.by_ref().take(carried));
+                    self.graphs.extend(old_graphs.by_ref().take(carried));
+                    self.funcs.push(FuncState {
+                        regions: start..self.regions.len(),
+                        ..old
+                    });
+                }
+                _ => {
+                    old_regions.by_ref().take(carried).for_each(drop);
+                    old_graphs.by_ref().take(carried).for_each(drop);
+                    rebuilt[fi] = true;
+                    for info in function_region_infos(fi, f) {
+                        let artifact = match cache {
+                            Some(cache) => cache.get_or_build(&info.items, config.label_mode),
+                            None => Arc::new(BlockArtifact::build(&info.items, config.label_mode)),
+                        };
+                        let (graph, first) = InputGraph::from_dfg_local(&artifact.dfg);
+                        self.regions.push(RegionState {
+                            info,
+                            artifact,
+                            overlay: None,
+                            local: graph.labels.clone(),
+                            first,
+                        });
+                        self.graphs.push(graph);
+                    }
+                    self.funcs.push(FuncState {
+                        regions: start..self.regions.len(),
+                        facts: Vec::new(),
+                        points: 0,
+                    });
+                }
+            }
+        }
+        self.dirty.clear();
+        let built: usize = self
+            .funcs
+            .iter()
+            .zip(&rebuilt)
+            .filter(|(_, &r)| r)
+            .map(|(f, _)| f.regions.len())
+            .sum();
+        tracer.count("front.regions", self.regions.len() as u64);
+        tracer.count("front.regions_built", built as u64);
+        tracer.count("front.regions_reused", (self.regions.len() - built) as u64);
+        if config.alias == AliasLevel::Stack {
+            self.refresh_overlays(program, config.label_mode, &rebuilt, tracer);
+        }
+        drop(front_span);
+        // Label ids depend on the order of first sight across the whole
+        // program (minimal DFS codes compare them), so a label new in
+        // one rewritten function can shift every later id: re-intern
+        // every round, from the per-region lists.
+        self.interner = LabelInterner::new();
+        for (region, graph) in self.regions.iter().zip(&mut self.graphs) {
+            let dfg = &region.artifact.dfg;
+            let ids = self
+                .interner
+                .intern_all(region.first.iter().map(|&n| dfg.label(n as usize)));
+            for (label, &local) in graph.labels.iter_mut().zip(&region.local) {
+                *label = ids[local as usize];
+            }
+        }
+    }
+
+    /// Rebuilds the alias oracles and relaxed overlays of every function
+    /// that was rebuilt or whose callee facts changed. Those facts are
+    /// all a function's abstract states read from other functions, so
+    /// every other function keeps exactly the oracles a fresh analysis
+    /// would give it. The two whole-program fixpoints behind the facts
+    /// (call-graph summaries, sp balance) start from the last refresh's
+    /// and recompute only the rebuilt functions and those that reach
+    /// one.
+    fn refresh_overlays(
+        &mut self,
+        program: &Program,
+        mode: LabelMode,
+        rebuilt: &[bool],
+        tracer: &dyn Tracer,
+    ) {
+        let previous = self.call_graph.take();
+        let graph =
+            gpa_verify::CallGraph::rebuild(program, previous.as_ref().map(|g| (g, rebuilt)));
+        let (env, mut states) = gpa_verify::AbsEnv::build_with_states(
+            program,
+            &graph,
+            previous.is_some().then_some(self.balanced.as_slice()),
+            rebuilt,
+        );
+        let mut points = 0u64;
+        for (fi, f) in program.functions.iter().enumerate() {
+            let facts = env.call_facts(f);
+            let func = &mut self.funcs[fi];
+            if rebuilt[fi] || facts != func.facts {
+                let analysis = states[fi]
+                    .take()
+                    .unwrap_or_else(|| gpa_verify::AbsInt::analyze(f, Some(&env)));
+                func.facts = facts;
+                func.points = analysis.points;
+                for region in &mut self.regions[func.regions.clone()] {
+                    let oracle = region_oracle(&region.info, &analysis, &env);
+                    let artifact = Arc::new(BlockArtifact::build_with(
+                        &region.info.items,
+                        mode,
+                        Some(&oracle),
+                    ));
+                    region.overlay = Some(Overlay { oracle, artifact });
+                }
+            }
+            points += func.points;
+        }
+        self.balanced = env.balanced().to_vec();
+        self.call_graph = Some(graph);
+        tracer.count("absint.points", points);
+        let mut examined = 0u64;
+        let mut disjoint = 0u64;
+        for overlay in self.regions.iter().filter_map(|r| r.overlay.as_ref()) {
+            examined += overlay.artifact.relax_stats.mem_pairs_examined;
+            disjoint += overlay.artifact.relax_stats.mem_pairs_disjoint;
+        }
+        tracer.count("absint.mem_pairs_examined", examined);
+        tracer.count("absint.mem_pairs_disjoint", disjoint);
+        tracer.count("absint.mem_pairs_kept", examined - disjoint);
     }
 }
 

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use gpa_cfg::{Item, Program};
+use gpa_cfg::{FunctionCode, Item, Program};
 use gpa_dfg::{function_fingerprint, AliasOracle, Dfg, LabelMode};
 use gpa_mining::dfs_code::DfsTuple;
 use gpa_mining::embed::{seed_buckets, Embedding};
@@ -13,7 +13,7 @@ use gpa_mining::miner::{
 };
 use gpa_trace::{NoopTracer, Tracer, Value};
 
-use crate::artifact::{BlockArtifact, DfgCache};
+use crate::artifact::{BlockArtifact, DfgCache, RegionState, RoundState};
 use crate::candidate::{classify_body, Candidate, ExtractionKind, Occurrence, RelaxedPair};
 use crate::cost::saved_words;
 use crate::incremental::{self, MineCache, SeedEntry, SeedKeyConfig, TupleNote};
@@ -76,6 +76,7 @@ impl Default for GraphConfig {
 }
 
 /// A region with its provenance, aligned with the DFG/graph indices.
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct RegionInfo {
     pub function: usize,
     pub start: usize,
@@ -84,88 +85,71 @@ pub(crate) struct RegionInfo {
 }
 
 pub(crate) fn region_infos(program: &Program) -> Vec<RegionInfo> {
-    let mut infos = Vec::new();
-    for (fi, f) in program.functions.iter().enumerate() {
-        for r in f.regions() {
-            infos.push(RegionInfo {
-                function: fi,
-                start: r.start,
-                len: r.items.len(),
-                items: r.items.to_vec(),
-            });
-        }
-    }
-    infos
+    program
+        .functions
+        .iter()
+        .enumerate()
+        .flat_map(|(fi, f)| function_region_infos(fi, f))
+        .collect()
 }
 
-/// Runs the value-set abstract interpreter over the whole program and
-/// projects its verdicts onto the detection regions: one [`AliasOracle`]
-/// per region, whose slot `u` holds the based byte intervals item `u`
-/// touches (entry-sp-relative, absolute, or symbolic-pointer-relative) —
-/// or `None` when the interpreter could not resolve every access of that
-/// item to a based interval.
+/// The regions of function `fi`, `f`.
+pub(crate) fn function_region_infos(fi: usize, f: &FunctionCode) -> Vec<RegionInfo> {
+    f.regions()
+        .into_iter()
+        .map(|r| RegionInfo {
+            function: fi,
+            start: r.start,
+            len: r.items.len(),
+            items: r.items.to_vec(),
+        })
+        .collect()
+}
+
+/// Projects the value-set abstract interpreter's verdicts on one
+/// function (`analysis`, computed under `env`) onto one of its detection
+/// regions: an [`AliasOracle`] whose slot `u` holds the based byte
+/// intervals item `u` touches (entry-sp-relative, absolute, or
+/// symbolic-pointer-relative) — or `None` when the interpreter could not
+/// resolve every access of that item to a based interval.
 ///
 /// Symbolic bases whose defining item lies inside the region carry the
 /// def's region-relative index so [`AliasOracle::disjoint`] can refuse
 /// pairs that straddle a redefinition of the base pointer.
-///
-/// Emits the `absint.points` counter (reachable program points analyzed).
-pub(crate) fn region_oracles(
-    program: &Program,
-    infos: &[RegionInfo],
-    tracer: &dyn Tracer,
-) -> Vec<AliasOracle> {
+pub(crate) fn region_oracle(
+    info: &RegionInfo,
+    analysis: &gpa_verify::AbsInt,
+    env: &gpa_verify::AbsEnv,
+) -> AliasOracle {
     use gpa_dfg::{AliasBase, AliasInterval};
     use gpa_verify::AccessBase;
 
-    let graph = gpa_verify::CallGraph::build(program);
-    let env = gpa_verify::AbsEnv::build(program, &graph);
-    let mut points = 0u64;
-    let per_fn: Vec<gpa_verify::AbsInt> = program
-        .functions
-        .iter()
-        .map(|f| {
-            let analysis = gpa_verify::AbsInt::analyze(f, Some(&env));
-            points += analysis.points;
-            analysis
+    let slots = (0..info.len)
+        .map(|u| {
+            let state = analysis.before.get(info.start + u)?.as_ref()?;
+            let accesses = gpa_verify::absint::resolved_accesses(state, &info.items[u], Some(env))?;
+            Some(
+                accesses
+                    .iter()
+                    .map(|a| AliasInterval {
+                        base: match a.base {
+                            AccessBase::Sp => AliasBase::Sp,
+                            AccessBase::Abs => AliasBase::Abs,
+                            AccessBase::Sym(sym) => AliasBase::Sym {
+                                sym,
+                                def: gpa_verify::absint::sym_def_index(sym)
+                                    .filter(|&d| d >= info.start && d < info.start + info.len)
+                                    .map(|d| d - info.start),
+                            },
+                        },
+                        lo: a.lo,
+                        hi: a.hi,
+                    })
+                    .collect(),
+            )
         })
         .collect();
-    tracer.count("absint.points", points);
-    infos
-        .iter()
-        .map(|info| {
-            let before = &per_fn[info.function].before;
-            let slots = (0..info.len)
-                .map(|u| {
-                    let state = before.get(info.start + u)?.as_ref()?;
-                    let accesses =
-                        gpa_verify::absint::resolved_accesses(state, &info.items[u], Some(&env))?;
-                    Some(
-                        accesses
-                            .iter()
-                            .map(|a| AliasInterval {
-                                base: match a.base {
-                                    AccessBase::Sp => AliasBase::Sp,
-                                    AccessBase::Abs => AliasBase::Abs,
-                                    AccessBase::Sym(sym) => AliasBase::Sym {
-                                        sym,
-                                        def: gpa_verify::absint::sym_def_index(sym)
-                                            .filter(|&d| {
-                                                d >= info.start && d < info.start + info.len
-                                            })
-                                            .map(|d| d - info.start),
-                                    },
-                                },
-                                lo: a.lo,
-                                hi: a.hi,
-                            })
-                            .collect(),
-                    )
-                })
-                .collect();
-            AliasOracle { slots }
-        })
-        .collect()
+    AliasOracle { slots }
 }
 
 /// Computes, per function, whether `lr` is free to clobber (a `bl` may be
@@ -219,6 +203,7 @@ pub(crate) fn lr_free_functions(program: &Program) -> Vec<bool> {
 ///
 /// Node sets are masks of `words` `u64` words, bit `v % 64` of word
 /// `v / 64` standing for node `v`.
+#[derive(Debug, PartialEq)]
 pub(crate) struct Reach {
     words: usize,
     rows: Vec<u64>,
@@ -358,9 +343,7 @@ const MAX_VALIDATED_EMBEDDINGS: usize = 512;
 /// `None`.
 fn candidate_from_frequent(
     freq: &Frequent,
-    infos: &[RegionInfo],
-    artifacts: &[Arc<BlockArtifact>],
-    relaxed: Option<&[Arc<BlockArtifact>]>,
+    regions: &[RegionState],
     lr_free: &[bool],
     tracer: &dyn Tracer,
 ) -> Option<Candidate> {
@@ -381,7 +364,7 @@ fn candidate_from_frequent(
     }
     // Body: the first embedding's nodes in program order.
     let first = &freq.embeddings[0];
-    let first_info = &infos[first.graph as usize];
+    let first_info = &regions[first.graph as usize].info;
     let first_nodes = first.sorted_nodes();
     let body: Vec<Item> = first_nodes
         .iter()
@@ -394,15 +377,10 @@ fn candidate_from_frequent(
     // alias-relaxed graph when one exists: fewer edges means weakly less
     // reachability, so everything extractable conservatively stays
     // extractable and provably-disjoint stack traffic stops blocking.
-    let check_of = |graph: u32| -> &BlockArtifact {
-        match relaxed {
-            Some(r) => &r[graph as usize],
-            None => &artifacts[graph as usize],
-        }
-    };
+    let check_of = |graph: u32| -> &BlockArtifact { regions[graph as usize].extractability() };
     let mut valid: Vec<&Embedding> = Vec::new();
     for emb in freq.embeddings.iter().take(MAX_VALIDATED_EMBEDDINGS) {
-        let info = &infos[emb.graph as usize];
+        let info = &regions[emb.graph as usize].info;
         let check = check_of(emb.graph);
         let seq: Vec<Item> = emb
             .sorted_nodes()
@@ -489,7 +467,7 @@ fn candidate_from_frequent(
     let occurrences: Vec<Occurrence> = kept
         .iter()
         .map(|e| {
-            let info = &infos[e.graph as usize];
+            let info = &regions[e.graph as usize].info;
             Occurrence {
                 function: info.function,
                 region_start: info.start,
@@ -506,16 +484,17 @@ fn candidate_from_frequent(
     // kept occurrence becomes an explicit claim for the validator to
     // re-derive (regions can host several occurrences; dedup).
     let mut claims: std::collections::BTreeSet<RelaxedPair> = std::collections::BTreeSet::new();
-    if let Some(r) = relaxed {
-        for e in &kept {
-            let info = &infos[e.graph as usize];
-            for &(u, v) in &r[e.graph as usize].relaxed {
-                claims.insert(RelaxedPair {
-                    function: info.function,
-                    earlier: info.start + u,
-                    later: info.start + v,
-                });
-            }
+    for e in &kept {
+        let region = &regions[e.graph as usize];
+        let Some(overlay) = &region.overlay else {
+            continue;
+        };
+        for &(u, v) in &overlay.artifact.relaxed {
+            claims.insert(RelaxedPair {
+                function: region.info.function,
+                earlier: region.info.start + u,
+                later: region.info.start + v,
+            });
         }
     }
     Some(Candidate {
@@ -542,9 +521,7 @@ fn better(c: &Candidate, b: &Candidate) -> bool {
 
 /// Shared, read-only state of one detection round's lattice search.
 struct SearchCtx<'a> {
-    infos: &'a [RegionInfo],
-    artifacts: &'a [Arc<BlockArtifact>],
-    relaxed: Option<&'a [Arc<BlockArtifact>]>,
+    regions: &'a [RegionState],
     lr_free: &'a [bool],
     region_live: &'a [bool],
     graphs: &'a [InputGraph],
@@ -651,14 +628,7 @@ impl SearchCtx<'_> {
         // validation but keep growing.
         if Self::benefit_bound(k_ub, 2 * m as i64) >= target {
             self.tracer.count("detect.candidates_evaluated", 1);
-            if let Some(c) = candidate_from_frequent(
-                f,
-                self.infos,
-                self.artifacts,
-                self.relaxed,
-                self.lr_free,
-                self.tracer,
-            ) {
+            if let Some(c) = candidate_from_frequent(f, self.regions, self.lr_free, self.tracer) {
                 if self.tracer.enabled() {
                     best.top.push(CandidateSummary::of(&c, seed));
                     best.top.sort_by_key(|s| (-s.saved, s.body_words, s.seed));
@@ -745,8 +715,8 @@ fn incremental_search(
     // subtree owns each pattern, so it is part of the seed's content
     // address (see `crate::incremental`).
     let mut func_vocab: Vec<Vec<u32>> = vec![Vec::new(); funcs];
-    for (gi, graph) in ctx.graphs.iter().enumerate() {
-        func_vocab[ctx.infos[gi].function].extend_from_slice(&graph.labels);
+    for (region, graph) in ctx.regions.iter().zip(ctx.graphs) {
+        func_vocab[region.info.function].extend_from_slice(&graph.labels);
     }
     for vocab in &mut func_vocab {
         vocab.sort_unstable();
@@ -757,7 +727,7 @@ fn incremental_search(
     for (tuple, embeddings) in seeds {
         let mut hosts: Vec<usize> = embeddings
             .iter()
-            .map(|e| ctx.infos[e.graph as usize].function)
+            .map(|e| ctx.regions[e.graph as usize].info.function)
             .collect();
         hosts.sort_unstable();
         hosts.dedup();
@@ -903,13 +873,14 @@ fn incremental_search(
 /// Finds the best extractable candidate in the program under graph-based
 /// detection, or `None` when no extraction shrinks the program.
 pub fn best_candidate(program: &Program, config: &GraphConfig) -> Option<Candidate> {
-    best_candidate_instrumented(program, config, None)
+    best_candidate_instrumented(program, config, None, &mut RoundState::default())
 }
 
-/// [`best_candidate`] with an optional content-addressed cache of
-/// per-block artifacts. The artifact build runs inside a `front` span,
-/// the lattice search (MIS overlap resolution included) inside a `mine`
-/// span.
+/// [`best_candidate`] on detection inputs carried in `state` from the
+/// previous round: the state first rebuilds what the program's rewrites
+/// since then invalidated (inside a `front` span, with `cache` serving
+/// the rebuilt regions' conservative artifacts), then the lattice
+/// search, MIS overlap resolution included, runs inside a `mine` span.
 ///
 /// The plain search grows the seeds of the DFS-code lattice in seed
 /// order under one `max_patterns` budget for the whole round, carrying
@@ -918,82 +889,39 @@ pub(crate) fn best_candidate_instrumented(
     program: &Program,
     config: &GraphConfig,
     cache: Option<&DfgCache>,
+    state: &mut RoundState,
 ) -> Option<Candidate> {
-    let infos = region_infos(program);
-    let front_span = gpa_trace::span(&*config.tracer, "front");
     // Mining always counts on the conservative DFGs: alias verdicts are
     // context-dependent, so relaxed edges would break cross-region
     // isomorphism and fragment connectivity (shrinking the candidate
-    // universe instead of growing it). Conservative artifacts are also
-    // what the content-addressed cache may serve.
-    let artifacts: Vec<Arc<BlockArtifact>> = infos
-        .iter()
-        .map(|info| match cache {
-            Some(cache) => cache.get_or_build(&info.items, config.label_mode),
-            None => Arc::new(BlockArtifact::build(&info.items, config.label_mode)),
-        })
-        .collect();
-    // Under `Stack`, a second per-region artifact built against the alias
-    // oracle overlays the conservative one wherever *extractability* is
-    // decided (convexity, exit-closedness, contraction). Oracle-refined
-    // DFGs depend on whole-function abstract states, not just the block's
-    // items, so the overlay bypasses the content-addressed cache.
-    let relaxed_artifacts: Option<Vec<Arc<BlockArtifact>>> = match config.alias {
-        AliasLevel::Off => None,
-        AliasLevel::Stack => {
-            let oracles = region_oracles(program, &infos, &*config.tracer);
-            let overlay: Vec<Arc<BlockArtifact>> = infos
-                .iter()
-                .zip(&oracles)
-                .map(|(info, oracle)| {
-                    Arc::new(BlockArtifact::build_with(
-                        &info.items,
-                        config.label_mode,
-                        Some(oracle),
-                    ))
-                })
-                .collect();
-            let mut examined = 0u64;
-            let mut disjoint = 0u64;
-            for a in &overlay {
-                examined += a.relax_stats.mem_pairs_examined;
-                disjoint += a.relax_stats.mem_pairs_disjoint;
-            }
-            config.tracer.count("absint.mem_pairs_examined", examined);
-            config.tracer.count("absint.mem_pairs_disjoint", disjoint);
-            config
-                .tracer
-                .count("absint.mem_pairs_kept", examined - disjoint);
-            Some(overlay)
-        }
-    };
-    drop(front_span);
+    // universe instead of growing it). Under `Stack` each region's
+    // relaxed overlay decides extractability instead (convexity,
+    // exit-closedness, contraction).
+    state.refresh(program, config, cache);
+    let regions = &state.regions;
+    let graphs = &state.graphs;
     let lr_free = lr_free_functions(program);
-    let (graphs, interner) = InputGraph::from_dfg_refs(artifacts.iter().map(|a| &a.dfg));
     // A region is "live" when it could ever host an extraction: its
     // function's lr is clobberable (procedures), or its return
     // participates in a connected fragment (cross-jumps).
-    let region_live: Vec<bool> = infos
+    let region_live: Vec<bool> = regions
         .iter()
-        .zip(&artifacts)
-        .map(|(info, artifact)| {
-            if lr_free[info.function] {
+        .map(|region| {
+            if lr_free[region.info.function] {
                 return true;
             }
-            let dfg = &artifact.dfg;
+            let dfg = &region.artifact.dfg;
             let n = dfg.node_count();
             n > 0
-                && info.items[n - 1].is_return()
+                && region.info.items[n - 1].is_return()
                 && (dfg.in_degree(n - 1) > 0 || dfg.out_degree(n - 1) > 0)
         })
         .collect();
     let ctx = SearchCtx {
-        infos: &infos,
-        artifacts: &artifacts,
-        relaxed: relaxed_artifacts.as_deref(),
+        regions,
         lr_free: &lr_free,
         region_live: &region_live,
-        graphs: &graphs,
+        graphs,
         max_body_words: 2 * config.max_nodes as i64, // fused calls = 2 words
         tracer: &*config.tracer,
     };
@@ -1006,7 +934,7 @@ pub(crate) fn best_candidate_instrumented(
         ..Config::default()
     };
     let mine_span = gpa_trace::span(&*config.tracer, "mine");
-    let seeds: Vec<_> = seed_buckets(&graphs).into_iter().collect();
+    let seeds: Vec<_> = seed_buckets(graphs).into_iter().collect();
     // Incremental replay first: when a seed cache is attached (and the
     // round is cacheable — conservative DFGs only), serve unchanged
     // seeds from their content addresses and re-mine just the dirty
@@ -1017,22 +945,30 @@ pub(crate) fn best_candidate_instrumented(
         (Some(cache), AliasLevel::Off) => incremental_search(
             &ctx,
             &seeds,
-            &interner,
+            &state.interner,
             &mine_config,
             config,
             program,
             &**cache,
         ),
-        _ => None,
+        (Some(_), AliasLevel::Stack) => {
+            // The cache's keys do not cover the alias oracles' inputs:
+            // say that this round ran without it.
+            config
+                .tracer
+                .event("incr.skipped", &[("reason", Value::from("alias_stack"))]);
+            None
+        }
+        (None, _) => None,
     };
     let SearchOutcome { winner, mut table } = incremental.unwrap_or_else(|| {
         let mut best = RunningBest::default();
         let mut budget = mine_config.max_patterns;
-        for (si, (tuple, embeddings)) in seeds.iter().enumerate() {
+        for (si, (tuple, embeddings)) in seeds.into_iter().enumerate() {
             let keep_going = mine_seed(
-                *tuple,
-                embeddings.clone(),
-                &graphs,
+                tuple,
+                embeddings,
+                graphs,
                 &mine_config,
                 &mut |f| ctx.visit(f, si, &mut best),
                 &mut budget,
@@ -1181,8 +1117,18 @@ mod tests {
         };
         let uncached = best_candidate(&program, &config);
         let cache = DfgCache::new();
-        let first = best_candidate_instrumented(&program, &config, Some(&cache));
-        let second = best_candidate_instrumented(&program, &config, Some(&cache));
+        let first = best_candidate_instrumented(
+            &program,
+            &config,
+            Some(&cache),
+            &mut RoundState::default(),
+        );
+        let second = best_candidate_instrumented(
+            &program,
+            &config,
+            Some(&cache),
+            &mut RoundState::default(),
+        );
         assert_eq!(first, uncached);
         assert_eq!(second, uncached);
         // Both regions are identical blocks, so even the cold pass hits

@@ -10,7 +10,7 @@ use gpa_mining::miner::Support;
 use gpa_trace::{NoopTracer, Tracer, Value};
 use gpa_verify::{has_errors, Diagnostic};
 
-use crate::artifact::DfgCache;
+use crate::artifact::{DfgCache, RoundState};
 use crate::candidate::Candidate;
 use crate::extract;
 use crate::graph_detect::{self, GraphConfig};
@@ -204,6 +204,10 @@ impl Default for RunConfig {
 pub struct Optimizer {
     program: Program,
     fragment_counter: usize,
+    /// The graph methods' detection inputs, carried from round to round:
+    /// each extraction marks the functions it rewrites, and the next
+    /// detection rebuilds only those.
+    state: RoundState,
 }
 
 impl Optimizer {
@@ -239,6 +243,7 @@ impl Optimizer {
         Optimizer {
             program,
             fragment_counter: 0,
+            state: RoundState::default(),
         }
     }
 
@@ -257,16 +262,18 @@ impl Optimizer {
     }
 
     /// Finds the best candidate under `method` without applying it.
-    pub fn detect(&self, method: Method, config: &RunConfig) -> Option<Candidate> {
+    pub fn detect(&mut self, method: Method, config: &RunConfig) -> Option<Candidate> {
         self.detect_instrumented(method, config, None)
     }
 
     /// [`Optimizer::detect`] with an optional shared DFG artifact cache.
     ///
     /// Every method searches inside a `mine` span; the graph methods
-    /// build their DFGs inside a `front` span before it.
+    /// first bring their carried detection inputs up to date inside a
+    /// `front` span, rebuilding only the functions rewritten since the
+    /// last detection (and consulting `cache` for those alone).
     pub fn detect_instrumented(
-        &self,
+        &mut self,
         method: Method,
         config: &RunConfig,
         cache: Option<&DfgCache>,
@@ -291,6 +298,7 @@ impl Optimizer {
                 ..GraphConfig::default()
             },
             cache,
+            &mut self.state,
         )
     }
 
@@ -329,6 +337,12 @@ impl Optimizer {
     ) -> Result<String, OptimizerError> {
         let name = format!("{}{}", gpa_cfg::FRAGMENT_PREFIX, self.fragment_counter);
         self.fragment_counter += 1;
+        // Mark before rewriting, so that an extraction failing halfway
+        // cannot leave entries of a half-rewritten function behind.
+        for occurrence in &candidate.occurrences {
+            self.state.mark_dirty(occurrence.function);
+        }
+        self.state.mark_dirty(self.program.functions.len());
         let before = (level == ValidateLevel::EveryRound).then(|| self.program.clone());
         extract::apply(&mut self.program, candidate, &name).map_err(OptimizerError::Extract)?;
         if let Some(before) = before {
@@ -676,6 +690,58 @@ mod tests {
             let off = saved(AliasLevel::Off);
             let stack = saved(AliasLevel::Stack);
             assert!(stack >= off, "stack {stack} < off {off}");
+        }
+    }
+
+    /// The detection inputs an optimization carries from round to round
+    /// equal a fresh build of the same program after every extraction —
+    /// regions, conservative artifacts, oracles and overlays, mining
+    /// graphs, label ids and seed buckets — and so does every round's
+    /// winner, on the five small bundled kernels at both alias levels.
+    #[test]
+    fn carried_detection_inputs_equal_a_fresh_build_every_round() {
+        use gpa_mining::embed::seed_buckets;
+        let names = |state: &RoundState| -> Vec<String> {
+            (0..state.interner.len() as u32)
+                .map(|id| state.interner.name(id).to_owned())
+                .collect()
+        };
+        for kernel in ["bitcnts", "crc", "dijkstra", "patricia", "search"] {
+            let image = gpa_minicc::compile_benchmark(kernel, &Options::default()).unwrap();
+            for alias in [AliasLevel::Off, AliasLevel::Stack] {
+                let config = RunConfig {
+                    alias,
+                    validate: ValidateLevel::Off,
+                    ..RunConfig::default()
+                };
+                let mut opt = Optimizer::from_image(&image).unwrap();
+                for round in 0.. {
+                    let mut fresh = Optimizer::from_program(opt.program().clone());
+                    let winner = opt.detect(Method::Edgar, &config);
+                    let expected = fresh.detect(Method::Edgar, &config);
+                    let at = format!("{kernel} --alias {alias}, round {round}");
+                    let (carried, built) = (&opt.state, &fresh.state);
+                    assert_eq!(carried.regions.len(), built.regions.len(), "{at}");
+                    for (g, (a, b)) in carried.regions.iter().zip(&built.regions).enumerate() {
+                        assert!(
+                            a == b,
+                            "{at}: region {g} (function {}, item {}) differs",
+                            b.info.function,
+                            b.info.start
+                        );
+                    }
+                    assert!(carried.graphs == built.graphs, "{at}: mining graphs");
+                    assert_eq!(names(carried), names(built), "{at}: label ids");
+                    assert!(
+                        seed_buckets(&carried.graphs) == seed_buckets(&built.graphs),
+                        "{at}: seed buckets"
+                    );
+                    assert_eq!(winner, expected, "{at}: winner");
+                    let Some(candidate) = winner else { break };
+                    opt.apply_candidate_with(&candidate, ValidateLevel::Off, alias)
+                        .unwrap();
+                }
+            }
         }
     }
 

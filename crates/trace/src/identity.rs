@@ -81,6 +81,13 @@ pub const IDENTITIES: &[Identity] = &[
         "absint.mem_pairs_examined",
         &["absint.mem_pairs_disjoint", "absint.mem_pairs_kept"],
     ),
+    // Every region a detection round reads was rebuilt for it or carried
+    // over from the round before.
+    trace(
+        4,
+        "front.regions",
+        &["front.regions_built", "front.regions_reused"],
+    ),
     // Every request the daemon accepted was answered, shed, expired, or
     // abandoned at drain.
     trace(
@@ -206,7 +213,7 @@ mod tests {
     #[test]
     fn every_row_accepts_a_balanced_record_and_rejects_a_one_off_imbalance() {
         let classes: Vec<u8> = IDENTITIES.iter().map(|i| i.exit_class).collect();
-        assert_eq!(classes, [4, 4, 4, 5, 5, 6]);
+        assert_eq!(classes, [4, 4, 4, 4, 5, 5, 6]);
         for identity in IDENTITIES {
             let record = balanced(identity);
             assert_eq!(run(identity.form, &record), Ok(()));

@@ -372,6 +372,28 @@ impl<'a> AbsEnv<'a> {
     /// optimistic (`balanced`) and only ever flip to `false`, so the
     /// loop terminates.
     pub fn build(program: &Program, graph: &'a CallGraph) -> AbsEnv<'a> {
+        AbsEnv::build_with_states(program, graph, None, &[]).0
+    }
+
+    /// [`AbsEnv::build`] reusing `previous`, the [`AbsEnv::balanced`]
+    /// facts of an earlier version of `program` when `graph` is its
+    /// [`CallGraph::rebuild`] from that version's call graph: functions
+    /// outside [`CallGraph::affected`] keep their previous facts, and the
+    /// fixpoint runs over the rest (the facts of those outside depend
+    /// only on each other, so this is the fixpoint a fresh build reaches).
+    ///
+    /// Also returns the states the last pass computed for the functions
+    /// marked in `keep`: entry `i` is [`AbsInt::analyze`] of function `i`
+    /// under the returned environment when `keep[i]` holds and the pass
+    /// analyzed it, and `None` otherwise (the pass skips unbalanced and
+    /// unaffected functions). That pass flips no fact, so the
+    /// environment it analyzed under is the final one.
+    pub fn build_with_states(
+        program: &Program,
+        graph: &'a CallGraph,
+        previous: Option<&[bool]>,
+        keep: &[bool],
+    ) -> (AbsEnv<'a>, Vec<Option<AbsInt>>) {
         let address_taken: Vec<usize> = program
             .functions
             .iter()
@@ -386,21 +408,33 @@ impl<'a> AbsEnv<'a> {
             .map(|s| (i64::from(s.addr), i64::from(s.addr) + i64::from(s.size)))
             .collect();
         objects.sort_unstable();
-        let mut balanced = vec![true; program.functions.len()];
+        let fixed = |i: usize| previous.is_some() && !graph.affected[i];
+        let mut env = AbsEnv {
+            graph,
+            balanced: (0..program.functions.len())
+                .map(|i| match previous {
+                    Some(previous) if fixed(i) => previous[i],
+                    _ => true,
+                })
+                .collect(),
+            address_taken,
+            objects,
+        };
+        let mut states: Vec<Option<AbsInt>> = vec![None; program.functions.len()];
         loop {
             let mut changed = false;
             for (i, f) in program.functions.iter().enumerate() {
-                if !balanced[i] {
+                if fixed(i) || !env.balanced[i] {
                     continue;
                 }
-                let env = AbsEnv {
-                    graph,
-                    balanced: balanced.clone(),
-                    address_taken: address_taken.clone(),
-                    objects: objects.clone(),
-                };
-                if !env.returns_balanced(f) {
-                    balanced[i] = false;
+                // Each function sees the facts flipped earlier in the
+                // same pass.
+                let a = AbsInt::analyze(f, Some(&env));
+                if env.returns_balanced(f, &a) {
+                    states[i] = keep.get(i).is_some_and(|&k| k).then_some(a);
+                } else {
+                    env.balanced[i] = false;
+                    states[i] = None;
                     changed = true;
                 }
             }
@@ -408,12 +442,22 @@ impl<'a> AbsEnv<'a> {
                 break;
             }
         }
-        AbsEnv {
-            graph,
-            balanced,
-            address_taken,
-            objects,
-        }
+        (env, states)
+    }
+
+    /// The callee facts [`AbsInt::analyze`] consults on `f`, in item
+    /// order: the clobber set of each direct call (which folds in the
+    /// callee's sp balance) and of each indirect call. Two environments
+    /// that agree on them give `f` the same states.
+    pub fn call_facts(&self, f: &FunctionCode) -> Vec<gpa_arm::reg::RegSet> {
+        f.items
+            .iter()
+            .filter_map(|item| match item {
+                Item::Call { target, .. } => Some(self.call_clobbers(target)),
+                Item::IndirectCall { .. } => Some(self.indirect_call_clobbers()),
+                _ => None,
+            })
+            .collect()
     }
 
     /// The extent `[lo, hi)` of the data object `addr` points into, if
@@ -424,11 +468,11 @@ impl<'a> AbsEnv<'a> {
         (addr < hi).then_some((lo, hi))
     }
 
-    /// Whether every reachable return of `f` restores `sp` exactly.
-    /// Tail calls fail the check: the unwind continues in another
-    /// function, beyond this analysis.
-    fn returns_balanced(&self, f: &FunctionCode) -> bool {
-        let a = AbsInt::analyze(f, Some(self));
+    /// Whether every reachable return of `f` (whose states under this
+    /// environment are `a`) restores `sp` exactly. Tail calls fail the
+    /// check: the unwind continues in another function, beyond this
+    /// analysis.
+    fn returns_balanced(&self, f: &FunctionCode, a: &AbsInt) -> bool {
         for (i, item) in f.items.iter().enumerate() {
             let Some(before) = a.before[i] else { continue };
             match item {
@@ -443,6 +487,11 @@ impl<'a> AbsEnv<'a> {
             }
         }
         true
+    }
+
+    /// Per function, whether it provably returns with `sp` restored.
+    pub fn balanced(&self) -> &[bool] {
+        &self.balanced
     }
 
     /// Whether a call to `target` provably returns with `sp` restored.

@@ -56,6 +56,10 @@ pub struct CallGraph {
     pub has_indirect: Vec<bool>,
     /// The fixpoint summaries, aligned with `Program::functions`.
     pub summaries: Vec<FnSummary>,
+    /// Per function, whether this build computed its facts afresh: every
+    /// function for [`CallGraph::build`]; for [`CallGraph::rebuild`], the
+    /// changed functions and every function that reaches one.
+    pub affected: Vec<bool>,
 }
 
 /// Call-item targets of one function body.
@@ -81,6 +85,23 @@ fn callee_names(items: &[Item]) -> (Vec<&str>, bool) {
 impl CallGraph {
     /// Builds the call graph and runs the summary fixpoint.
     pub fn build(program: &Program) -> CallGraph {
+        CallGraph::rebuild(program, None)
+    }
+
+    /// [`CallGraph::build`], reusing `previous` when given: the call graph
+    /// of an earlier version of `program` that differed only in the
+    /// functions `changed` marks (functions past either's end count as
+    /// changed).
+    ///
+    /// A function's facts — its summary here, its sp balance in
+    /// [`crate::AbsEnv`] — depend only on the functions it reaches
+    /// through calls, tail calls and code addresses, and through an
+    /// indirect call on every address-taken function. A function that
+    /// reaches no changed function keeps its previous summary; the
+    /// fixpoint runs over the rest ([`CallGraph::affected`]) from bottom.
+    /// Summaries grow monotonically in their callees', so it reaches the
+    /// least fixpoint a fresh build reaches.
+    pub fn rebuild(program: &Program, previous: Option<(&CallGraph, &[bool])>) -> CallGraph {
         let index: HashMap<String, usize> = program
             .functions
             .iter()
@@ -109,16 +130,55 @@ impl CallGraph {
             defs: RegSet::EMPTY,
             writes_flags: false,
         };
-        let mut summaries = vec![bottom; program.functions.len()];
-        let cfgs: Vec<FnCfg> = program.functions.iter().map(FnCfg::build).collect();
+        let n = program.functions.len();
+        let mut affected = vec![true; n];
+        let mut summaries = vec![bottom; n];
+        if let Some((previous, changed)) = previous {
+            let address_taken: Vec<usize> = (0..n)
+                .filter(|&i| program.functions[i].address_taken)
+                .collect();
+            let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
+            for (f, deps) in callees.iter().enumerate() {
+                let indirect: &[usize] = if has_indirect[f] { &address_taken } else { &[] };
+                for &d in deps.iter().chain(indirect) {
+                    dependents[d].push(f);
+                }
+            }
+            for (i, a) in affected.iter_mut().enumerate() {
+                *a = i >= previous.summaries.len() || changed.get(i).is_none_or(|&c| c);
+            }
+            let mut work: Vec<usize> = (0..n).filter(|&i| affected[i]).collect();
+            while let Some(d) = work.pop() {
+                for &f in &dependents[d] {
+                    if !affected[f] {
+                        affected[f] = true;
+                        work.push(f);
+                    }
+                }
+            }
+            for (i, summary) in summaries.iter_mut().enumerate() {
+                if !affected[i] {
+                    *summary = previous.summaries[i];
+                }
+            }
+        }
+        let cfgs: Vec<Option<FnCfg>> = program
+            .functions
+            .iter()
+            .zip(&affected)
+            .map(|(f, &a)| a.then(|| FnCfg::build(f)))
+            .collect();
         loop {
             let mut changed = false;
             for (i, f) in program.functions.iter().enumerate() {
+                let Some(cfg) = &cfgs[i] else {
+                    continue;
+                };
                 let transfer = SummaryTransfer {
                     index: &index,
                     summaries: &summaries,
                 };
-                let live = Liveness::analyze(f, &cfgs[i], &transfer, LiveState::EMPTY);
+                let live = Liveness::analyze(f, cfg, &transfer, LiveState::EMPTY);
                 let live_in = live.live_in.first().copied().unwrap_or(LiveState::EMPTY);
                 let mut defs = RegSet::EMPTY;
                 let mut writes_flags = false;
@@ -177,6 +237,7 @@ impl CallGraph {
             callees,
             has_indirect,
             summaries,
+            affected,
         }
     }
 
@@ -345,6 +406,44 @@ mod tests {
             .live_in
             .regs
             .contains(Reg::LR));
+    }
+
+    /// After one function changes, a rebuild recomputes it and the
+    /// functions that reach it, keeps the rest, and lands on the facts
+    /// of a fresh build — summaries here, sp balance in `AbsEnv`.
+    #[test]
+    fn rebuild_recomputes_what_reaches_a_change_and_matches_build() {
+        let call = |target: &str| Item::Call {
+            cond: Cond::Al,
+            target: target.into(),
+        };
+        let before = program(vec![
+            func("main", vec![call("mid"), insn("bx lr")]),
+            func(
+                "mid",
+                vec![insn("push {r4, lr}"), call("leaf"), insn("pop {r4, pc}")],
+            ),
+            func("leaf", vec![insn("mov r0, r4"), insn("bx lr")]),
+            func("other", vec![insn("add r0, r0, r1"), insn("bx lr")]),
+        ]);
+        let old = CallGraph::build(&before);
+        let old_env = crate::AbsEnv::build(&before, &old);
+        assert_eq!(old_env.balanced(), [true; 4]);
+        // The leaf now clobbers r5 and returns with sp moved.
+        let mut after = before.clone();
+        after.functions[2]
+            .items
+            .splice(0..0, [insn("mov r5, #1"), insn("sub sp, sp, #8")]);
+        let rebuilt = CallGraph::rebuild(&after, Some((&old, &[false, false, true, false])));
+        let fresh = CallGraph::build(&after);
+        assert_eq!(rebuilt.affected, [true, true, true, false]);
+        assert_eq!(rebuilt.summaries, fresh.summaries);
+        assert!(rebuilt.summaries[0].defs.contains(Reg::r(5)));
+        let (env, _) =
+            crate::AbsEnv::build_with_states(&after, &rebuilt, Some(old_env.balanced()), &[]);
+        let fresh_env = crate::AbsEnv::build(&after, &fresh);
+        assert_eq!(env.balanced(), fresh_env.balanced());
+        assert_eq!(env.balanced(), [false, false, false, true]);
     }
 
     #[test]
