@@ -13,15 +13,13 @@
 //! gpa top --addr <addr> [--interval-ms N] [--iterations N]   live serve dashboard
 //! gpa lint <image> [--json]                           static binary lints
 //! gpa absint <image>                                  abstract-interpretation dump
-//! gpa optimize <image> -o <out.img> [--method sfx|dgspan|edgar] [--validate off|final|every-round] [--alias off|stack] [--jobs N] [--incremental] [--trace out.jsonl] [--report-json out.json]
+//! gpa optimize <image> -o <out.img> [--method sfx|dgspan|edgar] [--validate off|final|every-round] [--alias off|stack] [--jobs N] [--trace out.jsonl] [--report-json out.json]
 //!                                                     optimize one image on one thread
 //!                                                     (`--jobs` is accepted and ignored)
-//! gpa batch <dir|files...> [--jobs N] [--cache-dir D] [--cache-entries N] [--cache-bytes N] [--trace-dir D] [--method sfx|dgspan|edgar] [--validate] [--incremental] [--report out.json]
-//! gpa serve --listen <addr> [--workers N] [--queue-depth N] [--method M] [--cache-dir D] [--cache-entries N] [--cache-bytes N] [--no-incremental] [--trace out.jsonl]
+//! gpa batch <dir|files...> [--jobs N] [--cache-dir D] [--cache-entries N] [--cache-bytes N] [--trace-dir D] [--method sfx|dgspan|edgar] [--validate] [--report out.json]
+//! gpa serve --listen <addr> [--workers N] [--queue-depth N] [--method M] [--cache-dir D] [--cache-entries N] [--cache-bytes N] [--trace out.jsonl]
 //! gpa submit <image> --addr <addr> [--knobs JSON] [--report-only]
 //! gpa perf [-o bench.json] [--methods a,b] [--kernels a,b] [--jobs N] [--no-sched] [--validate L] [--alias off|stack] [--profile] [--baseline FILE] [--tolerance-pct N] [--compare FILE]
-//! gpa incr-bench --kernel <name> [--edits N] [--seed S] [--iters N] [-o out.json]
-//!                                                     cold vs warm incremental re-optimization
 //! gpa trace-check <trace.jsonl...>                    validate trace streams
 //! gpa trace-profile <trace.jsonl...>                  aggregate span profile
 //! ```
@@ -37,9 +35,9 @@
 //! * `gpa trace-check`: `2` — I/O error; `3` — schema violation (bad
 //!   JSON, missing header/summary, malformed event line, a snapshot
 //!   without its gauges); `4` — an event's line count disagrees with
-//!   its counter; `4`, `5` or `6` — a counter identity is broken, with
-//!   the class its row in `gpa_trace::identity::IDENTITIES` gives (`5`
-//!   for serve request accounting, `6` for incremental functions).
+//!   its counter; `4` or `5` — a counter identity is broken, with the
+//!   class its row in `gpa_trace::identity::IDENTITIES` gives (`5` for
+//!   serve request accounting).
 //!   `gpa-stats/1` snapshot files (as written by `gpa stats --addr`)
 //!   are accepted too and checked against the live serve row.
 //!
@@ -89,7 +87,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "submit" => submit(rest),
         "top" => top(rest),
         "perf" => perf(rest),
-        "incr-bench" => incr_bench(rest),
         "trace-check" => trace_check(rest),
         "trace-profile" => trace_profile(rest),
         "help" | "--help" | "-h" => {
@@ -115,21 +112,18 @@ fn print_usage() {
          gpa absint <image>\n  \
          gpa optimize <image> -o <out.img> [--method sfx|dgspan|edgar] \
          [--validate off|final|every-round] [--alias off|stack] [--jobs N] \
-         [--incremental] [--trace out.jsonl] [--report-json out.json]\n    \
+         [--trace out.jsonl] [--report-json out.json]\n    \
          (one image, one thread: --jobs is accepted and ignored)\n  \
          gpa batch <dir|files...> [--jobs N] [--cache-dir D] [--cache-entries N] \
          [--cache-bytes N] [--trace-dir D] \
-         [--method sfx|dgspan|edgar] [--validate] [--incremental] [--report out.json]\n  \
+         [--method sfx|dgspan|edgar] [--validate] [--report out.json]\n  \
          gpa serve --listen <addr> [--workers N] [--queue-depth N] \
          [--method sfx|dgspan|edgar] [--validate off|final|every-round] \
-         [--cache-dir D] [--cache-entries N] [--cache-bytes N] [--no-incremental] \
-         [--trace out.jsonl]\n  \
+         [--cache-dir D] [--cache-entries N] [--cache-bytes N] [--trace out.jsonl]\n  \
          gpa submit <image> --addr <addr> [--knobs JSON] [--report-only]\n  \
          gpa perf [-o bench.json] [--methods a,b] [--kernels a,b] [--jobs N] \
          [--no-sched] [--validate off|final|every-round] [--alias off|stack] \
          [--profile] [--baseline FILE] [--tolerance-pct N] [--compare FILE]\n  \
-         gpa incr-bench --kernel <name> [--edits N] [--seed S] [--iters N] \
-         [-o out.json]\n  \
          gpa trace-check <trace.jsonl...>\n  \
          gpa trace-profile <trace.jsonl...>"
     );
@@ -193,13 +187,13 @@ fn compile(args: &[String]) -> Result<ExitCode, String> {
 
 /// `gpa build-bench`: compiles a bundled benchmark kernel to an image.
 ///
-/// The edit-corpus knobs generate *variants* of a kernel for the
-/// incremental-reoptimization bench: `--edits N --seed S` injects N
-/// deterministic statement edits into the kernel source before
-/// compiling (the "developer touched a function" image), and
-/// `--sched-seed X` reruns the list scheduler with a different
-/// tie-break seed (the "slightly different toolchain" image — same
-/// computations, reordered blocks everywhere).
+/// The edit-corpus knobs generate *variants* of a kernel, the inputs of
+/// the benchmark's edit workloads and of verify.sh's cross-image DFG
+/// reuse gate: `--edits N --seed S` injects N deterministic statement
+/// edits into the kernel source before compiling (the "developer
+/// touched a function" image), and `--sched-seed X` reruns the list
+/// scheduler with a different tie-break seed (the "slightly different
+/// toolchain" image — same computations, reordered blocks everywhere).
 fn bench(args: &[String]) -> Result<ExitCode, String> {
     let (output, rest) = take_output(args)?;
     let schedule = !rest.iter().any(|a| a == "--no-sched");
@@ -719,15 +713,6 @@ fn optimize(args: &[String]) -> Result<ExitCode, String> {
                     eprintln!("gpa: --jobs ignored: one image is optimized on one thread");
                 }
             }
-            "--incremental" => {
-                // Seeds hosted only by functions the previous round did
-                // not rewrite replay their mining decision. On one cold
-                // image that does not pay: building and looking up every
-                // seed's key each round costs more than the search it
-                // saves, so the run is slower. The cache pays across
-                // images (batch, serve).
-                config.incremental = Some(Arc::new(gpa_pipeline::FuncCache::default()));
-            }
             "--trace" => {
                 let p = iter
                     .next()
@@ -745,9 +730,6 @@ fn optimize(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let input = input.ok_or_else(|| "missing image path".to_owned())?;
-    if config.incremental.is_some() && config.alias == AliasLevel::Stack {
-        eprintln!("gpa: --incremental ignored under --alias stack: the seed cache serves --alias off only");
-    }
     if let Some(path) = &trace_path {
         let tracer =
             JsonlTracer::to_file(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
@@ -836,9 +818,6 @@ fn batch_run(args: &[String]) -> Result<ExitCode, String> {
                 config.method = Method::parse(m).ok_or_else(|| format!("unknown method `{m}`"))?;
             }
             "--validate" => config.run.validate = ValidateLevel::Final,
-            "--incremental" => {
-                config.incremental = Some(Arc::new(gpa_pipeline::FuncCache::default()));
-            }
             "--report" => {
                 let p = iter
                     .next()
@@ -967,7 +946,6 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
             }
             "--cache-entries" => cache_entries = Some(take_count(&mut iter, "--cache-entries")?),
             "--cache-bytes" => cache_bytes = Some(take_count(&mut iter, "--cache-bytes")? as u64),
-            "--no-incremental" => config.incremental = false,
             "--trace" => {
                 let p = iter
                     .next()
@@ -1019,16 +997,6 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
         summary.dfg_cache.0 + summary.dfg_cache.1,
         summary.dfg_cache.2
     );
-    if let Some(fc) = &summary.func_cache {
-        eprintln!(
-            "cache: funcs {}/{} hit ({}%), {} entries, {} evicted",
-            fc.hits,
-            fc.hits + fc.misses,
-            fc.hit_rate_pct(),
-            fc.entries,
-            fc.evicted
-        );
-    }
     eprintln!(
         "latency (us): queue p50 {} p90 {} p99 {} | run p50 {} p90 {} p99 {} | \
          e2e p50 {} p90 {} p99 {}",
@@ -1233,165 +1201,6 @@ fn perf(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// Schema tag of the `gpa incr-bench` document.
-const INCR_BENCH_SCHEMA: &str = "gpa-incr-bench/1";
-
-/// One timed optimizer run; returns the wall time and the deterministic
-/// report JSON (the byte-identity surface).
-fn incr_bench_run(
-    image: &Image,
-    config: &RunConfig,
-    method: Method,
-    dfg_cache: Option<&gpa::DfgCache>,
-) -> Result<(u64, String), String> {
-    let started = std::time::Instant::now();
-    let mut optimizer =
-        Optimizer::from_image_configured(image, config).map_err(|e| e.to_string())?;
-    let report = optimizer
-        .run_instrumented(method, config, dfg_cache)
-        .map_err(|e| e.to_string())?;
-    Ok((
-        started.elapsed().as_nanos() as u64,
-        report.to_json().to_string(),
-    ))
-}
-
-/// `gpa incr-bench`: measures incremental re-optimization on the
-/// "developer edited one function and resubmitted" scenario.
-///
-/// For each iteration the *same* edited kernel image is optimized twice:
-/// **cold** (no mining cache — the from-scratch latency) and **warm**
-/// (a fresh [`gpa_pipeline::FuncCache`] is first populated by optimizing
-/// the unedited kernel, then the edited image is timed against it — the
-/// resubmit-after-edit latency). The two runs' deterministic reports
-/// must be byte-identical — a mismatch is a correctness failure and
-/// exits non-zero. Wall times are the minimum across `--iters`
-/// (default 3) to shed scheduler noise; the `gpa-incr-bench/1` JSON
-/// document goes to `-o` (default stdout) and verify.sh gates the
-/// speedup.
-fn incr_bench(args: &[String]) -> Result<ExitCode, String> {
-    let mut kernel = None;
-    let mut edits = 2usize;
-    let mut seed = 1u64;
-    let mut iters = 3usize;
-    let mut method = Method::Edgar;
-    let mut output = None;
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        match a.as_str() {
-            "--kernel" => {
-                let k = iter
-                    .next()
-                    .ok_or_else(|| "--kernel requires a name".to_owned())?;
-                kernel = Some(k.clone());
-            }
-            "--edits" => edits = take_count(&mut iter, "--edits")?,
-            "--seed" => seed = take_count(&mut iter, "--seed")? as u64,
-            "--iters" => iters = take_count(&mut iter, "--iters")?.max(1),
-            "--method" => {
-                let m = iter
-                    .next()
-                    .ok_or_else(|| "--method requires a value".to_owned())?;
-                method = Method::parse(m).ok_or_else(|| format!("unknown method `{m}`"))?;
-            }
-            "-o" => {
-                let p = iter.next().ok_or_else(|| "-o requires a path".to_owned())?;
-                output = Some(p.clone());
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    let kernel = kernel.ok_or_else(|| "missing --kernel <name>".to_owned())?;
-    let opts = gpa_minicc::Options::default();
-    let source = gpa_minicc::programs::source(&kernel)
-        .ok_or_else(|| format!("unknown benchmark `{kernel}`"))?;
-    let original = gpa_minicc::compile(source, &opts).map_err(|e| e.to_string())?;
-    let edited_source =
-        gpa_minicc::edits::apply_edits(source, &gpa_minicc::edits::EditConfig { edits, seed });
-    let edited = gpa_minicc::compile(&edited_source, &opts).map_err(|e| e.to_string())?;
-
-    let base = RunConfig {
-        // The bench isolates mining latency; validation would add an
-        // identical emulator pass to both sides and dilute the ratio.
-        validate: ValidateLevel::Off,
-        ..RunConfig::default()
-    };
-    let mut cold_wall_ns = u64::MAX;
-    let mut warm_wall_ns = u64::MAX;
-    let mut stats = gpa_pipeline::FuncCacheStats::default();
-    for _ in 0..iters {
-        let (cold_ns, cold_report) = incr_bench_run(&edited, &base, method, None)?;
-        cold_wall_ns = cold_wall_ns.min(cold_ns);
-        // Fresh caches per iteration keep every warm measurement the
-        // one-edit scenario (a reused cache would be fully warm for the
-        // edited image after the first iteration). The warm side gets
-        // both reuse layers a resident daemon has: the per-block
-        // DfgCache (unchanged functions skip DFG construction) and the
-        // function-granularity mining cache.
-        let cache = Arc::new(gpa_pipeline::FuncCache::default());
-        let dfg_cache = gpa::DfgCache::new();
-        let warm = RunConfig {
-            incremental: Some(Arc::clone(&cache) as Arc<dyn gpa::MineCache>),
-            ..base.clone()
-        };
-        incr_bench_run(&original, &warm, method, Some(&dfg_cache))?;
-        let before = cache.stats();
-        let (warm_ns, warm_report) = incr_bench_run(&edited, &warm, method, Some(&dfg_cache))?;
-        if warm_report != cold_report {
-            return Err(format!(
-                "incremental report for {kernel} (edits {edits}, seed {seed}) \
-                 is not byte-identical to the cold run"
-            ));
-        }
-        if warm_ns < warm_wall_ns {
-            warm_wall_ns = warm_ns;
-            let after = cache.stats();
-            // Only the edited run's lookups: the populate run's misses
-            // would mask the hit rate the scenario is about.
-            stats = gpa_pipeline::FuncCacheStats {
-                hits: after.hits - before.hits,
-                misses: after.misses - before.misses,
-                ..after
-            };
-        }
-    }
-    let doc = Json::obj([
-        ("schema", Json::from(INCR_BENCH_SCHEMA)),
-        ("kernel", Json::from(kernel.as_str())),
-        ("method", Json::from(method.as_str())),
-        ("edits", Json::from(edits)),
-        ("seed", Json::from(seed)),
-        ("iters", Json::from(iters)),
-        ("cold_wall_ns", Json::from(cold_wall_ns)),
-        ("warm_wall_ns", Json::from(warm_wall_ns)),
-        (
-            "speedup_x100",
-            Json::from(cold_wall_ns * 100 / warm_wall_ns.max(1)),
-        ),
-        ("func_hits", Json::from(stats.hits)),
-        ("func_misses", Json::from(stats.misses)),
-        ("func_hit_rate_pct", Json::from(stats.hit_rate_pct())),
-        ("identical", Json::from(true)),
-    ]);
-    match &output {
-        Some(path) => {
-            std::fs::write(path, format!("{doc}\n")).map_err(|e| format!("{path}: {e}"))?;
-        }
-        None => println!("{doc}"),
-    }
-    eprintln!(
-        "incr-bench {kernel}: cold {} ms, warm {} ms ({}.{:02}x), \
-         func cache {}/{} hit",
-        cold_wall_ns / 1_000_000,
-        warm_wall_ns / 1_000_000,
-        cold_wall_ns / warm_wall_ns.max(1),
-        (cold_wall_ns * 100 / warm_wall_ns.max(1)) % 100,
-        stats.hits,
-        stats.hits + stats.misses,
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
 /// `gpa trace-profile`: aggregate the span events of one or more
 /// `gpa-trace/1` streams into a single flamegraph-style text tree.
 fn trace_profile(args: &[String]) -> Result<ExitCode, String> {
@@ -1410,7 +1219,7 @@ fn trace_profile(args: &[String]) -> Result<ExitCode, String> {
 
 /// One failure of `gpa trace-check`: the exit code of its class, so
 /// scripts can tell an unreadable file (`2`) from a malformed one (`3`)
-/// from a broken invariant (`4`–`6`), and the diagnostic.
+/// from a broken invariant (`4`–`5`), and the diagnostic.
 struct TraceIssue {
     code: u8,
     message: String,
@@ -1450,8 +1259,8 @@ impl TraceIssue {
 /// the schema header, the last the counter summary; every event name's
 /// line count must equal its recorded counter; and the summary must
 /// balance every finished-trace row of [`gpa_trace::identity::IDENTITIES`]
-/// (miner, canonicality cache and alias pairs exit `4`, serve requests
-/// `5`, incremental functions `6`). A `gpa-stats/1` snapshot is checked
+/// (miner, canonicality cache, alias pairs and carried regions exit
+/// `4`, serve requests `5`). A `gpa-stats/1` snapshot is checked
 /// against the live row instead. Diagnostics name the first offending
 /// line; the exit code is the most severe class seen across all files
 /// (see the module docs).

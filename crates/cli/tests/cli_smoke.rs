@@ -273,8 +273,22 @@ fn optimize_trace_writes_a_checkable_stream_and_changes_nothing() {
     );
     assert!(String::from_utf8_lossy(&check.stdout).contains("ok"));
 
-    // A tampered counter summary must be rejected.
+    // Every round writes its candidate table, and some winner is
+    // explained against a runner-up from it.
     let text = std::fs::read_to_string(&trace).unwrap();
+    assert!(text.contains("\"ev\":\"detect.candidate\""));
+    let winners: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains("\"ev\":\"detect.winner\""))
+        .collect();
+    assert!(
+        winners
+            .iter()
+            .any(|w| !w.contains("\"why\":\"only_candidate\"")),
+        "some winner must be explained against a runner-up: {winners:?}"
+    );
+
+    // A tampered counter summary must be rejected.
     assert!(text.contains("\"mine.patterns_visited\":"));
     let tampered_path = tmp("trace_tampered.jsonl");
     let tampered = text.replacen(
@@ -822,226 +836,6 @@ fn trace_check_flags_broken_serve_identity_with_exit_5() {
     }
 }
 
-/// The incremental function-accounting identity gets exit code 6: every
-/// function in a replayed round must be counted as either a hit or a
-/// miss — a gap means the cache silently skipped (or double-counted)
-/// part of the image.
-#[test]
-fn trace_check_flags_broken_incr_identity_with_exit_6() {
-    let header = "{\"schema\":\"gpa-trace/1\",\"ev\":\"trace_begin\"}\n";
-    // Balanced: 4 functions = 3 hits + 1 miss.
-    let balanced = tmp("incr_balanced.jsonl");
-    std::fs::write(
-        &balanced,
-        format!(
-            "{header}{{\"ev\":\"counters\",\"counters\":{{\
-             \"incr.funcs\":4,\"incr.func_hit\":3,\"incr.func_miss\":1}}}}\n"
-        ),
-    )
-    .unwrap();
-    let out = gpa()
-        .args(["trace-check", balanced.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    // One function unaccounted for: exit 6, diagnostic names the summary
-    // line and the identity.
-    let broken = tmp("incr_broken.jsonl");
-    std::fs::write(
-        &broken,
-        format!(
-            "{header}{{\"ev\":\"counters\",\"counters\":{{\
-             \"incr.funcs\":4,\"incr.func_hit\":2,\"incr.func_miss\":1}}}}\n"
-        ),
-    )
-    .unwrap();
-    let out = gpa()
-        .args(["trace-check", broken.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(
-        out.status.code(),
-        Some(6),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains(":2:") && stderr.contains("incr.funcs is 4"),
-        "diagnostic must name the summary line and the identity: {stderr}"
-    );
-    for p in [balanced, broken] {
-        let _ = std::fs::remove_file(p);
-    }
-}
-
-/// Rounds served through the seed cache (`--incremental`) explain their
-/// winners from the same candidate table as plain rounds: replayed seeds
-/// contribute their cached winners, re-mined seeds their top lines.
-#[test]
-fn incremental_trace_keeps_the_candidate_table() {
-    let img = tmp("incr_table.img");
-    let out = gpa()
-        .args(["build-bench", "crc", "-o", img.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let trace_of = |name: &str, extra: &[&str]| {
-        let opt = tmp(&format!("{name}.img"));
-        let trace = tmp(&format!("{name}.jsonl"));
-        let mut args = vec![
-            "optimize",
-            img.to_str().unwrap(),
-            "-o",
-            opt.to_str().unwrap(),
-            "--validate",
-            "off",
-            "--trace",
-            trace.to_str().unwrap(),
-        ];
-        args.extend(extra);
-        let out = gpa().args(&args).output().unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let check = gpa()
-            .args(["trace-check", trace.to_str().unwrap()])
-            .output()
-            .unwrap();
-        assert_eq!(
-            check.status.code(),
-            Some(0),
-            "{}",
-            String::from_utf8_lossy(&check.stderr)
-        );
-        let text = std::fs::read_to_string(&trace).unwrap();
-        for p in [opt, trace] {
-            let _ = std::fs::remove_file(p);
-        }
-        text
-    };
-    let lines = |text: &str, ev: &str| {
-        text.lines()
-            .filter(|l| l.contains(&format!("\"ev\":\"{ev}\"")))
-            .map(str::to_owned)
-            .collect::<Vec<_>>()
-    };
-    let cached = trace_of("incr_table_cached", &["--incremental"]);
-    let plain = trace_of("incr_table_plain", &[]);
-    let seed_hits: u64 = cached
-        .split("\"incr.seed_hit\":")
-        .nth(1)
-        .map(|rest| {
-            rest.chars()
-                .take_while(char::is_ascii_digit)
-                .collect::<String>()
-        })
-        .and_then(|digits| digits.parse().ok())
-        .unwrap_or(0);
-    assert!(seed_hits > 0, "the cached run must replay seeds");
-    let candidates = lines(&cached, "detect.candidate");
-    assert!(
-        !candidates.is_empty(),
-        "seed-cache rounds must write their candidate table"
-    );
-    let winners = lines(&cached, "detect.winner");
-    assert!(!winners.is_empty());
-    assert!(
-        winners
-            .iter()
-            .any(|w| !w.contains("\"why\":\"only_candidate\"")),
-        "some winner must be explained against a runner-up: {winners:?}"
-    );
-    // Both runs pick the same winners for the same reasons.
-    let whys = |text: &str| -> Vec<String> {
-        lines(text, "detect.winner")
-            .iter()
-            .map(|w| w.split("\"why\":").nth(1).unwrap_or("").to_owned())
-            .collect()
-    };
-    assert_eq!(whys(&cached), whys(&plain));
-    let _ = std::fs::remove_file(img);
-}
-
-/// The seed cache does not serve `--alias stack` rounds, and a run that
-/// asked for it says so: one stderr note, and one `incr.skipped` event
-/// per round. At `--alias off` the cache runs and neither appears.
-#[test]
-fn incremental_under_alias_stack_is_reported_as_skipped() {
-    let img = tmp("incr_skip.img");
-    let out = gpa()
-        .args(["build-bench", "crc", "-o", img.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let counter = |text: &str, name: &str| -> u64 {
-        let summary = text.lines().last().unwrap_or("");
-        summary
-            .split(&format!("\"{name}\":"))
-            .nth(1)
-            .map(|rest| {
-                rest.chars()
-                    .take_while(char::is_ascii_digit)
-                    .collect::<String>()
-            })
-            .and_then(|digits| digits.parse().ok())
-            .unwrap_or(0)
-    };
-    for (alias, skipped) in [("stack", true), ("off", false)] {
-        let opt = tmp(&format!("incr_skip_{alias}_opt.img"));
-        let trace = tmp(&format!("incr_skip_{alias}.jsonl"));
-        let out = gpa()
-            .args([
-                "optimize",
-                img.to_str().unwrap(),
-                "-o",
-                opt.to_str().unwrap(),
-                "--validate",
-                "off",
-                "--alias",
-                alias,
-                "--incremental",
-                "--trace",
-                trace.to_str().unwrap(),
-            ])
-            .output()
-            .unwrap();
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(out.status.success(), "{stderr}");
-        assert_eq!(
-            stderr.contains("--incremental ignored under --alias stack"),
-            skipped,
-            "--alias {alias}: {stderr}"
-        );
-        let text = std::fs::read_to_string(&trace).unwrap();
-        let rounds = counter(&text, "run.rounds");
-        assert!(rounds > 0);
-        if skipped {
-            // Every detection, the final empty one included, skipped it.
-            assert_eq!(counter(&text, "incr.skipped"), rounds + 1, "{alias}");
-            assert!(text.contains("\"ev\":\"incr.skipped\""));
-            assert!(text.contains("\"reason\":\"alias_stack\""));
-        } else {
-            assert_eq!(counter(&text, "incr.skipped"), 0, "{alias}");
-            assert!(
-                counter(&text, "incr.funcs") > 0,
-                "the cache must run at --alias off"
-            );
-        }
-        for p in [opt, trace] {
-            let _ = std::fs::remove_file(p);
-        }
-    }
-    let _ = std::fs::remove_file(img);
-}
-
 /// A round that runs out of pattern budget on the detection path says
 /// so: one `mine.budget_exhausted` event per exhausted round, and the
 /// trace still passes every `gpa trace-check` identity.
@@ -1085,51 +879,6 @@ fn detection_budget_exhaustion_is_traced() {
         String::from_utf8_lossy(&out.stderr)
     );
     let _ = std::fs::remove_file(path);
-}
-
-/// `gpa incr-bench` runs the cold/warm pair, asserts byte-identity
-/// internally, and emits a parsable `gpa-incr-bench/1` document with a
-/// real hit rate. (The dijkstra kernel keeps the smoke test fast; the
-/// verify gate uses the heavier sha configuration.)
-#[test]
-fn incr_bench_emits_schema_document_with_speedup_fields() {
-    let out_path = tmp("incr_bench.json");
-    let out = gpa()
-        .args([
-            "incr-bench",
-            "--kernel",
-            "dijkstra",
-            "--edits",
-            "1",
-            "--seed",
-            "1",
-            "--iters",
-            "1",
-            "-o",
-            out_path.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = std::fs::read_to_string(&out_path).unwrap();
-    let doc = gpa::json::Json::parse(&text).unwrap();
-    let int = |k: &str| doc.get(k).and_then(gpa::json::Json::as_int).unwrap();
-    assert_eq!(
-        doc.get("schema").and_then(gpa::json::Json::as_str),
-        Some("gpa-incr-bench/1")
-    );
-    assert_eq!(
-        doc.get("identical").and_then(gpa::json::Json::as_bool),
-        Some(true)
-    );
-    assert!(int("cold_wall_ns") > 0 && int("warm_wall_ns") > 0);
-    assert!(int("func_hits") > 0, "warm run must hit the cache");
-    assert!(int("func_hit_rate_pct") > 0);
-    let _ = std::fs::remove_file(out_path);
 }
 
 #[test]

@@ -582,15 +582,6 @@ mod tests {
         let mut aliased = config.clone();
         aliased.alias = crate::optimizer::AliasLevel::Stack;
         assert_ne!(base, image_cache_key(&image, Method::Edgar, &aliased));
-        let mut incremental = config.clone();
-        incremental.incremental = Some(std::sync::Arc::new(
-            crate::incremental::MemoryMineCache::new(),
-        ));
-        assert_eq!(
-            base,
-            image_cache_key(&image, Method::Edgar, &incremental),
-            "the seed cache never changes the output, so it must not key the cache"
-        );
         // A different program produces a different key.
         let other = compile("int main() { return 1; }", &Options::default()).unwrap();
         assert_ne!(base, image_cache_key(&other, Method::Edgar, &config));

@@ -4,10 +4,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use gpa_cfg::{FunctionCode, Item, Program};
-use gpa_dfg::{function_fingerprint, AliasOracle, Dfg, LabelMode};
-use gpa_mining::dfs_code::DfsTuple;
+use gpa_dfg::{AliasOracle, Dfg, LabelMode};
 use gpa_mining::embed::{seed_buckets, Embedding};
-use gpa_mining::graph::{InputGraph, LabelInterner};
+use gpa_mining::graph::InputGraph;
 use gpa_mining::miner::{
     mine_seed, non_overlapping_count_traced, Config, Frequent, GrowDecision, Support,
 };
@@ -16,7 +15,6 @@ use gpa_trace::{NoopTracer, Tracer, Value};
 use crate::artifact::{BlockArtifact, DfgCache, RegionState, RoundState};
 use crate::candidate::{classify_body, Candidate, ExtractionKind, Occurrence, RelaxedPair};
 use crate::cost::saved_words;
-use crate::incremental::{self, MineCache, SeedEntry, SeedKeyConfig, TupleNote};
 use crate::optimizer::AliasLevel;
 use crate::trace::trace_equivalent;
 
@@ -50,15 +48,6 @@ pub struct GraphConfig {
     /// winning candidate carries the dropped pairs as claims for the
     /// validator.
     pub alias: AliasLevel,
-    /// Content-addressed cache of per-seed mining results for
-    /// incremental re-optimization (see [`crate::incremental`]). Purely
-    /// an accelerator: rounds served from the cache return exactly the
-    /// candidate the plain search would, and rounds that cannot be
-    /// proven equivalent (pattern budget reached, relaxed-alias
-    /// overlays active) fall back to the plain search — so the handle,
-    /// like the tracer, is excluded from
-    /// [`crate::artifact::image_cache_key`].
-    pub incremental: Option<Arc<dyn MineCache>>,
 }
 
 impl Default for GraphConfig {
@@ -70,7 +59,6 @@ impl Default for GraphConfig {
             max_patterns: crate::optimizer::DEFAULT_MAX_PATTERNS,
             tracer: Arc::new(NoopTracer),
             alias: AliasLevel::default(),
-            incremental: None,
         }
     }
 }
@@ -598,8 +586,7 @@ impl SearchCtx<'_> {
     /// The streaming visitor body; `seed` is the index of the seed whose
     /// subtree is being grown. Bounds are compared against
     /// `max(best, 1)` *inclusively*, so candidates tying the incumbent
-    /// are still evaluated — this keeps the tie-break total and makes
-    /// the seed cache's per-seed bests merge to the sequential result.
+    /// are still evaluated — this keeps the tie-break total.
     fn visit(&self, f: &Frequent, seed: usize, best: &mut RunningBest) -> GrowDecision {
         let m = f.pattern.node_count();
         // Any real candidate saves at least one word.
@@ -647,227 +634,6 @@ impl SearchCtx<'_> {
         }
         GrowDecision::Continue
     }
-}
-
-/// A round's search result: the winner and, when tracing, the candidate
-/// table — the plain search's or every re-mined seed's top lines, plus
-/// every replayed seed's cached winner.
-struct SearchOutcome {
-    winner: Option<Candidate>,
-    table: Vec<CandidateSummary>,
-}
-
-/// One seed's slice of the round's incremental plan.
-struct SeedPlan {
-    /// Content address of the seed's mining result.
-    key: u128,
-    /// Hosting functions (ascending indices) — the dirty set for the
-    /// per-function hit/miss counters.
-    hosts: Vec<usize>,
-    /// The cached entry, when the key hit.
-    cached: Option<SeedEntry>,
-    /// Whether this miss superseded an entry cached under a different
-    /// key for the same seed tuple (an edit invalidated it).
-    invalidated: bool,
-}
-
-/// Serves a detection round from the seed cache: unchanged seeds replay
-/// their cached subtree bests, dirty seeds are re-mined in seed order
-/// (each with a fresh pattern budget and a seed-local incumbent so the
-/// result is cacheable), and the per-seed bests merge in seed order.
-///
-/// Returns `None` when the round cannot be proven byte-equivalent to
-/// the plain search — the summed pattern visits reach the round budget,
-/// a single seed exhausts it, or a cached occurrence fails to remap —
-/// in which case the caller falls back to the plain search. See
-/// [`crate::incremental`] for the equivalence argument.
-fn incremental_search(
-    ctx: &SearchCtx<'_>,
-    seeds: &[(DfsTuple, Vec<Embedding>)],
-    interner: &LabelInterner,
-    mine_config: &Config,
-    config: &GraphConfig,
-    program: &Program,
-    cache: &dyn MineCache,
-) -> Option<SearchOutcome> {
-    use std::collections::HashMap;
-
-    let funcs = program.functions.len();
-    let fingerprints: Vec<u128> = program
-        .functions
-        .iter()
-        .map(|f| function_fingerprint(&f.name, &f.items, config.label_mode))
-        .collect();
-    let key_config = SeedKeyConfig {
-        support: match mine_config.support {
-            Support::Graphs => 0,
-            Support::Embeddings => 1,
-        },
-        label_mode: match config.label_mode {
-            LabelMode::Exact => 0,
-            LabelMode::Canonical => 1,
-        },
-        max_nodes: mine_config.max_nodes as u64,
-        max_patterns: mine_config.max_patterns as u64,
-    };
-    // Ascending interner-id label vocabulary per function: the DFS-code
-    // canonical order restricted to a seed's hosts decides which seed's
-    // subtree owns each pattern, so it is part of the seed's content
-    // address (see `crate::incremental`).
-    let mut func_vocab: Vec<Vec<u32>> = vec![Vec::new(); funcs];
-    for (region, graph) in ctx.regions.iter().zip(ctx.graphs) {
-        func_vocab[region.info.function].extend_from_slice(&graph.labels);
-    }
-    for vocab in &mut func_vocab {
-        vocab.sort_unstable();
-        vocab.dedup();
-    }
-    let mut plans: Vec<SeedPlan> = Vec::with_capacity(seeds.len());
-    let mut visited_cached = 0u64;
-    for (tuple, embeddings) in seeds {
-        let mut hosts: Vec<usize> = embeddings
-            .iter()
-            .map(|e| ctx.regions[e.graph as usize].info.function)
-            .collect();
-        hosts.sort_unstable();
-        hosts.dedup();
-        let mut vocab: Vec<u32> = hosts
-            .iter()
-            .flat_map(|&fi| func_vocab[fi].iter().copied())
-            .collect();
-        vocab.sort_unstable();
-        vocab.dedup();
-        let key = incremental::seed_cache_key(
-            &key_config,
-            interner.name(tuple.from_label),
-            interner.name(tuple.to_label),
-            tuple.outgoing,
-            tuple.edge_label,
-            hosts.iter().map(|&fi| {
-                (
-                    program.functions[fi].name.as_str(),
-                    fingerprints[fi],
-                    ctx.lr_free[fi],
-                )
-            }),
-            vocab.iter().map(|&id| interner.name(id)),
-        );
-        let note = cache.note_tuple(key.tuple, key.full);
-        let cached = cache.get(key.full);
-        if let Some(entry) = &cached {
-            visited_cached += entry.visited;
-        }
-        plans.push(SeedPlan {
-            key: key.full,
-            hosts,
-            invalidated: cached.is_none() && note == TupleNote::Changed,
-            cached,
-        });
-    }
-    let budget_total = mine_config.max_patterns as u64;
-    let dirty: Vec<usize> = (0..plans.len())
-        .filter(|&si| plans[si].cached.is_none())
-        .collect();
-    let fallback = || {
-        ctx.tracer.count("incr.fallback", 1);
-        None
-    };
-    let mut visited_total = visited_cached;
-    if visited_total >= budget_total {
-        return fallback();
-    }
-    let mut mined: Vec<Option<RunningBest>> = (0..plans.len()).map(|_| None).collect();
-    for &si in &dirty {
-        let (tuple, embeddings) = &seeds[si];
-        let mut best = RunningBest::default();
-        let mut budget = mine_config.max_patterns;
-        let complete = mine_seed(
-            *tuple,
-            embeddings.clone(),
-            ctx.graphs,
-            mine_config,
-            &mut |f| ctx.visit(f, si, &mut best),
-            &mut budget,
-        );
-        if !complete {
-            // This seed alone exhausted the budget: its subtree best is
-            // not exact, so neither cache nor replay it.
-            return fallback();
-        }
-        let visited = (mine_config.max_patterns - budget) as u64;
-        // The entry is exact for this seed regardless of how the round
-        // ends, so publish it even if the round later falls back.
-        let portable = match &best.candidate {
-            None => Some(None),
-            Some(c) => incremental::to_portable(c, program).map(Some),
-        };
-        if let Some(candidate) = portable {
-            cache.put(plans[si].key, SeedEntry { candidate, visited });
-        }
-        visited_total += visited;
-        if visited_total >= budget_total {
-            // The sequential search might exhaust its shared budget on
-            // this round: fall back for exact exhaustion semantics.
-            return fallback();
-        }
-        mined[si] = Some(best);
-    }
-    let index: HashMap<&str, usize> = program
-        .functions
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.name.as_str(), i))
-        .collect();
-    let mut winner: Option<Candidate> = None;
-    let mut table = Vec::new();
-    for (si, plan) in plans.iter().enumerate() {
-        let candidate = match &plan.cached {
-            Some(entry) => match &entry.candidate {
-                None => None,
-                Some(p) => match incremental::to_concrete(p, &index) {
-                    Some(c) => {
-                        if ctx.tracer.enabled() {
-                            table.push(CandidateSummary::of(&c, si));
-                        }
-                        Some(c)
-                    }
-                    None => return fallback(),
-                },
-            },
-            None => {
-                let best = mined[si].take()?;
-                table.extend(best.top);
-                best.candidate
-            }
-        };
-        let Some(c) = candidate else { continue };
-        // Seeds merge in ascending order, so a full tie keeps the
-        // incumbent — the earlier seed, as in the plain search.
-        if winner
-            .as_ref()
-            .is_none_or(|incumbent| better(&c, incumbent))
-        {
-            winner = Some(c);
-        }
-    }
-    let mut dirty_fn = vec![false; funcs];
-    for &si in &dirty {
-        for &fi in &plans[si].hosts {
-            dirty_fn[fi] = true;
-        }
-    }
-    let func_miss = dirty_fn.iter().filter(|&&d| d).count() as u64;
-    ctx.tracer.count("incr.funcs", funcs as u64);
-    ctx.tracer.count("incr.func_hit", funcs as u64 - func_miss);
-    ctx.tracer.count("incr.func_miss", func_miss);
-    ctx.tracer
-        .count("incr.seed_hit", (plans.len() - dirty.len()) as u64);
-    ctx.tracer.count("incr.seed_miss", dirty.len() as u64);
-    ctx.tracer.count(
-        "incr.invalidated",
-        plans.iter().filter(|p| p.invalidated).count() as u64,
-    );
-    Some(SearchOutcome { winner, table })
 }
 
 /// Finds the best extractable candidate in the program under graph-based
@@ -934,62 +700,33 @@ pub(crate) fn best_candidate_instrumented(
         ..Config::default()
     };
     let mine_span = gpa_trace::span(&*config.tracer, "mine");
+    let mut best = RunningBest::default();
+    let mut budget = mine_config.max_patterns;
     let seeds: Vec<_> = seed_buckets(graphs).into_iter().collect();
-    // Incremental replay first: when a seed cache is attached (and the
-    // round is cacheable — conservative DFGs only), serve unchanged
-    // seeds from their content addresses and re-mine just the dirty
-    // ones. `None` means the round could not be proven byte-equivalent
-    // to the plain search (pattern budget reached, or a defensive remap
-    // failure); fall back to the plain search below.
-    let incremental = match (&config.incremental, config.alias) {
-        (Some(cache), AliasLevel::Off) => incremental_search(
-            &ctx,
-            &seeds,
-            &state.interner,
+    for (si, (tuple, embeddings)) in seeds.into_iter().enumerate() {
+        let keep_going = mine_seed(
+            tuple,
+            embeddings,
+            graphs,
             &mine_config,
-            config,
-            program,
-            &**cache,
-        ),
-        (Some(_), AliasLevel::Stack) => {
-            // The cache's keys do not cover the alias oracles' inputs:
-            // say that this round ran without it.
+            &mut |f| ctx.visit(f, si, &mut best),
+            &mut budget,
+        );
+        if !keep_going {
+            // The rest of the round's seeds go unexplored.
             config
                 .tracer
-                .event("incr.skipped", &[("reason", Value::from("alias_stack"))]);
-            None
+                .event("mine.budget_exhausted", &[("seed", Value::from(si))]);
+            break;
         }
-        (None, _) => None,
-    };
-    let SearchOutcome { winner, mut table } = incremental.unwrap_or_else(|| {
-        let mut best = RunningBest::default();
-        let mut budget = mine_config.max_patterns;
-        for (si, (tuple, embeddings)) in seeds.into_iter().enumerate() {
-            let keep_going = mine_seed(
-                tuple,
-                embeddings,
-                graphs,
-                &mine_config,
-                &mut |f| ctx.visit(f, si, &mut best),
-                &mut budget,
-            );
-            if !keep_going {
-                // The rest of the round's seeds go unexplored.
-                config
-                    .tracer
-                    .event("mine.budget_exhausted", &[("seed", Value::from(si))]);
-                break;
-            }
-        }
-        SearchOutcome {
-            winner: best.candidate,
-            table: best.top,
-        }
-    });
+    }
     drop(mine_span);
+    let RunningBest {
+        candidate: winner,
+        top: table,
+    } = best;
     if config.tracer.enabled() {
-        table.sort_by_key(|s| (-s.saved, s.body_words, s.seed));
-        table.truncate(CANDIDATE_TABLE_LEN);
+        // `visit` keeps the table sorted and truncated.
         for (rank, s) in table.iter().enumerate() {
             config.tracer.event(
                 "detect.candidate",
@@ -1134,114 +871,6 @@ mod tests {
         // Both regions are identical blocks, so even the cold pass hits
         // once; the warm pass hits on every region.
         assert!(cache.hits() >= 2, "hits: {}", cache.hits());
-    }
-
-    #[test]
-    fn incremental_search_matches_plain_and_hits_on_reuse() {
-        use crate::incremental::MemoryMineCache;
-        let program = running_example_program();
-        for support in [Support::Embeddings, Support::Graphs] {
-            let plain = best_candidate(
-                &program,
-                &GraphConfig {
-                    support,
-                    ..GraphConfig::default()
-                },
-            );
-            let cache = Arc::new(MemoryMineCache::new());
-            let config = GraphConfig {
-                support,
-                incremental: Some(cache.clone()),
-                ..GraphConfig::default()
-            };
-            let cold = best_candidate(&program, &config);
-            assert_eq!(cold, plain, "cold incremental must match plain");
-            assert!(cache.misses() > 0 && cache.hits() == 0);
-            let warm = best_candidate(&program, &config);
-            assert_eq!(warm, plain, "warm incremental must match plain");
-            assert!(cache.hits() > 0, "warm pass must hit the seed cache");
-        }
-    }
-
-    #[test]
-    fn incremental_counters_satisfy_the_func_identity() {
-        use crate::incremental::MemoryMineCache;
-        use gpa_trace::CounterTracer;
-        let program = running_example_program();
-        let cache = Arc::new(MemoryMineCache::new());
-        let tracer = Arc::new(CounterTracer::new());
-        let config = GraphConfig {
-            support: Support::Embeddings,
-            incremental: Some(cache),
-            tracer: tracer.clone(),
-            ..GraphConfig::default()
-        };
-        best_candidate(&program, &config);
-        best_candidate(&program, &config);
-        let c = tracer.counters();
-        assert!(
-            c.get("incr.funcs") > 0,
-            "incremental rounds must count functions"
-        );
-        assert_eq!(c.check_identities(), Ok(()));
-        assert!(
-            c.get("incr.func_hit") > 0,
-            "the warm pass must report function hits"
-        );
-    }
-
-    #[test]
-    fn incremental_edit_invalidates_only_touched_functions() {
-        use crate::incremental::MemoryMineCache;
-        use gpa_trace::CounterTracer;
-        let mut program = running_example_program();
-        // A third function unrelated to the edited one.
-        let f_c = FunctionCode {
-            name: "c".into(),
-            address_taken: false,
-            items: vec![
-                Item::Insn("mov r0, #7".parse().unwrap()),
-                Item::Insn("mov r1, #9".parse().unwrap()),
-                Item::Insn("mul r2, r0, r1".parse().unwrap()),
-                Item::Insn("mul r3, r0, r1".parse().unwrap()),
-                Item::Insn("bx lr".parse().unwrap()),
-            ],
-            label_count: 0,
-        };
-        program.functions.push(f_c);
-        let cache = Arc::new(MemoryMineCache::new());
-        let warm_config = GraphConfig {
-            support: Support::Embeddings,
-            incremental: Some(cache.clone()),
-            ..GraphConfig::default()
-        };
-        best_candidate(&program, &warm_config);
-        // Edit only function "b": the next round re-mines seeds hosted
-        // in "b" but replays everything local to "a" and "c".
-        let mut edited = program.clone();
-        edited.functions[1]
-            .items
-            .insert(1, Item::Insn("mov r5, #1".parse().unwrap()));
-        let tracer = Arc::new(CounterTracer::new());
-        let traced_config = GraphConfig {
-            support: Support::Embeddings,
-            incremental: Some(cache.clone()),
-            tracer: tracer.clone(),
-            ..GraphConfig::default()
-        };
-        let incremental = best_candidate(&edited, &traced_config);
-        let plain = best_candidate(&edited, &GraphConfig::default());
-        assert_eq!(incremental, plain, "edited incremental must match plain");
-        let c = tracer.counters();
-        assert!(
-            c.get("incr.func_hit") > 0,
-            "functions untouched by the edit must hit"
-        );
-        assert!(c.get("incr.func_miss") > 0, "the edited function must miss");
-        assert!(
-            c.get("incr.invalidated") > 0,
-            "seeds whose support set touches the edited function must be invalidated"
-        );
     }
 
     #[test]

@@ -11,7 +11,11 @@
 //!   count or a nanosecond total, and integer-only output stays
 //!   byte-deterministic across platforms);
 //! * objects preserve insertion order, so serialization is deterministic
-//!   and re-serializing a parsed document is the identity.
+//!   and re-serializing a parsed document is the identity;
+//! * arrays and objects nest at most 128 levels deep. The parser
+//!   recurses once per level and reads outside input (serve knobs, disk
+//!   cache entries, trace files), so a deeper document is an error, not
+//!   a stack overflow.
 //!
 //! # Examples
 //!
@@ -29,6 +33,10 @@
 //! ```
 
 use std::fmt;
+
+/// How deep [`Json::parse`] lets arrays and objects nest. The deepest
+/// document the toolchain writes (`gpa perf`'s) nests 8 levels.
+const MAX_DEPTH: usize = 128;
 
 /// A JSON value (integer-only numbers; see the module docs).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -137,11 +145,13 @@ impl Json {
     /// # Errors
     ///
     /// Returns a human-readable message with a byte offset on malformed
-    /// input, floats, or trailing garbage.
+    /// input, floats, nesting deeper than 128 levels, or trailing
+    /// garbage.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -204,6 +214,8 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -245,11 +257,28 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => self.nested(),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// An array or object, one level deeper than the current position.
+    fn nested(&mut self) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = if self.peek() == Some(b'[') {
+            self.array()
+        } else {
+            self.object()
+        };
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -412,6 +441,22 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+        // Unclosed, far past the cap: an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -53,7 +53,6 @@ pub mod candidate;
 pub mod cost;
 pub mod extract;
 pub mod graph_detect;
-pub mod incremental;
 pub mod json;
 pub mod optimizer;
 pub mod report;
@@ -63,9 +62,6 @@ pub mod validate;
 
 pub use artifact::{image_cache_key, DfgCache};
 pub use candidate::{Candidate, ExtractionKind, Occurrence, RelaxedPair};
-pub use incremental::{
-    MemoryMineCache, MineCache, PortableCandidate, PortableOccurrence, SeedEntry, TupleNote,
-};
 pub use optimizer::{
     AliasLevel, Method, Optimizer, OptimizerError, RunConfig, DEFAULT_MAX_PATTERNS,
 };

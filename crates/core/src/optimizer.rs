@@ -167,15 +167,6 @@ pub struct RunConfig {
     /// report whose run overran its deadline (the serve pipeline checks
     /// this before every cache store).
     pub deadline: Option<Instant>,
-    /// Content-addressed per-seed mining cache for incremental
-    /// re-optimization (see [`crate::incremental`]). Purely an
-    /// accelerator: rounds served from it return exactly the candidate
-    /// the plain search would, and unprovable rounds fall back — so the
-    /// handle, like the tracer, is excluded from
-    /// [`crate::artifact::image_cache_key`]. Sharing one handle across
-    /// runs (batch) or requests (serve) is what makes re-submission of
-    /// a lightly edited image near-warm.
-    pub incremental: Option<Arc<dyn crate::incremental::MineCache>>,
 }
 
 /// Default per-round pattern-visit budget (the historical
@@ -193,7 +184,6 @@ impl Default for RunConfig {
             alias: AliasLevel::default(),
             max_patterns: DEFAULT_MAX_PATTERNS,
             deadline: None,
-            incremental: None,
         }
     }
 }
@@ -294,7 +284,6 @@ impl Optimizer {
                 max_patterns: config.max_patterns,
                 tracer: config.tracer.clone(),
                 alias: config.alias,
-                incremental: config.incremental.clone(),
                 ..GraphConfig::default()
             },
             cache,

@@ -110,38 +110,6 @@ pub fn block_content_hash(items: &[Item], mode: LabelMode) -> u128 {
     h.finish()
 }
 
-/// The stable per-function fingerprint used by incremental re-optimization.
-///
-/// Covers the function name plus its full item stream under the same
-/// per-item encoding as [`block_content_hash`]. Region boundaries are
-/// fully determined by the item stream (labels and terminators split
-/// regions), so hashing the flat items captures the region structure,
-/// every region's content, and the intra-function DFG shape derived from
-/// it. Two functions with equal fingerprints decode to byte-identical
-/// mining inputs; a one-item edit anywhere in the function changes the
-/// fingerprint.
-///
-/// The name participates because extraction decisions are remapped across
-/// runs by function name: a renamed-but-identical function must re-key.
-pub fn function_fingerprint(name: &str, items: &[Item], mode: LabelMode) -> u128 {
-    let mut h = Fnv128::new();
-    h.write(b"gpa-func/1");
-    h.write(&[match mode {
-        LabelMode::Exact => 0u8,
-        LabelMode::Canonical => 1u8,
-    }]);
-    h.write_u64(name.len() as u64);
-    h.write(name.as_bytes());
-    h.write_u64(items.len() as u64);
-    for item in items {
-        h.write(&[item_discriminant(item)]);
-        let label = item.mining_label();
-        h.write_u64(label.len() as u64);
-        h.write(label.as_bytes());
-    }
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,38 +158,6 @@ mod tests {
         assert_ne!(
             block_content_hash(&a, LabelMode::Exact),
             block_content_hash(&a, LabelMode::Canonical)
-        );
-    }
-
-    #[test]
-    fn function_fingerprint_tracks_name_items_and_mode() {
-        let a = items("ldr r3, [r1]!\nsub r2, r2, r3");
-        let b = a.clone();
-        assert_eq!(
-            function_fingerprint("f", &a, LabelMode::Exact),
-            function_fingerprint("f", &b, LabelMode::Exact)
-        );
-        // The name participates (extraction decisions remap by name).
-        assert_ne!(
-            function_fingerprint("f", &a, LabelMode::Exact),
-            function_fingerprint("g", &a, LabelMode::Exact)
-        );
-        // Item order participates.
-        let rev: Vec<Item> = a.iter().rev().cloned().collect();
-        assert_ne!(
-            function_fingerprint("f", &a, LabelMode::Exact),
-            function_fingerprint("f", &rev, LabelMode::Exact)
-        );
-        // Label mode participates.
-        assert_ne!(
-            function_fingerprint("f", &a, LabelMode::Exact),
-            function_fingerprint("f", &a, LabelMode::Canonical)
-        );
-        // Name/items boundary is length-prefixed: ("fa", [b..]) vs ("f", [ab..])
-        // cannot collide by concatenation.
-        assert_ne!(
-            function_fingerprint("fa", &a[1..], LabelMode::Exact),
-            function_fingerprint("f", &a, LabelMode::Exact)
         );
     }
 

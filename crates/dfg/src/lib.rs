@@ -47,7 +47,7 @@ pub mod canon;
 pub mod hash;
 pub mod stats;
 
-pub use hash::{block_content_hash, function_fingerprint, Fnv128};
+pub use hash::{block_content_hash, Fnv128};
 
 use gpa_arm::defuse::conflicts;
 use gpa_cfg::{Item, Region};

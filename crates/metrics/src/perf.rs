@@ -2,13 +2,12 @@
 //! the human markdown tables.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use gpa::json::Json;
 use gpa::{AliasLevel, Method, Report, RunConfig, ValidateLevel};
 use gpa_minicc::Options;
-use gpa_pipeline::{run_batch, BatchConfig, BatchInput, FuncCache, FuncCacheStats};
+use gpa_pipeline::{run_batch, BatchConfig, BatchInput};
 use gpa_trace::{LogHistogram, SpanNode, SpanTree};
 
 /// Version tag of the benchmark-report JSON schema.
@@ -50,12 +49,6 @@ pub struct PerfConfig {
     /// Keep the hierarchical span profile the per-stage histograms are
     /// read from (the images are traced either way).
     pub profile: bool,
-    /// Give each method batch a fresh function-granularity mining cache
-    /// ([`FuncCache`]), so the measured section's cache ratios cover all
-    /// three layers. Never changes the deterministic section — the
-    /// incremental layer reproduces the uncached search byte-for-byte
-    /// (see `gpa::incremental`).
-    pub incremental: bool,
 }
 
 impl Default for PerfConfig {
@@ -71,7 +64,6 @@ impl Default for PerfConfig {
             validate: ValidateLevel::Final,
             alias: AliasLevel::default(),
             profile: false,
-            incremental: true,
         }
     }
 }
@@ -105,9 +97,6 @@ pub struct MethodCacheStats {
     pub dfg_hits: u64,
     /// Per-function DFG-cache misses across the batch.
     pub dfg_misses: u64,
-    /// Function-granularity mining-cache counters; `None` when the run
-    /// had [`PerfConfig::incremental`] off.
-    pub func: Option<FuncCacheStats>,
 }
 
 /// Per-stage latency histograms of one method's corpus run.
@@ -134,8 +123,7 @@ pub struct PerfReport {
     pub wall_ns: u64,
     /// Per-method per-stage latency distributions.
     pub latency: Vec<MethodLatency>,
-    /// Per-method cache hit/miss counters (report, DFG and — when the
-    /// incremental layer ran — function mining cache).
+    /// Per-method cache hit/miss counters (report and DFG caches).
     pub cache: Vec<MethodCacheStats>,
     /// Aggregated span profile, when [`PerfConfig::profile`] was set;
     /// one top-level node per method.
@@ -180,7 +168,6 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
     let mut profile = config.profile.then(SpanTree::default);
     let mut jobs_used = 1;
     for &method in &config.methods {
-        let func_cache = config.incremental.then(|| Arc::new(FuncCache::default()));
         // Unique per run, so concurrent harness runs in one process
         // never share a directory.
         static RUNS: AtomicUsize = AtomicUsize::new(0);
@@ -201,7 +188,6 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
             },
             cache_dir: None,
             trace_dir: Some(trace_dir.clone()),
-            incremental: func_cache,
             ..BatchConfig::default()
         };
         let inputs: Vec<BatchInput> = images
@@ -236,7 +222,6 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
             report_misses: corpus.report_cache_misses,
             dfg_hits: corpus.dfg_cache_hits,
             dfg_misses: corpus.dfg_cache_misses,
-            func: corpus.func_cache,
         });
         per_method.push(
             corpus
@@ -445,28 +430,11 @@ impl PerfReport {
                 .cache
                 .iter()
                 .map(|c| {
-                    let mut layers = vec![
-                        ("method".to_owned(), Json::from(c.method.as_str())),
-                        (
-                            "report".to_owned(),
-                            cache_layer_json(c.report_hits, c.report_misses),
-                        ),
-                        ("dfg".to_owned(), cache_layer_json(c.dfg_hits, c.dfg_misses)),
-                    ];
-                    if let Some(fc) = &c.func {
-                        layers.push((
-                            "func".to_owned(),
-                            Json::obj([
-                                ("hits", Json::from(fc.hits)),
-                                ("misses", Json::from(fc.misses)),
-                                ("hit_rate_pct", Json::from(fc.hit_rate_pct())),
-                                ("evicted", Json::from(fc.evicted)),
-                                ("entries", Json::from(fc.entries)),
-                                ("bytes", Json::from(fc.bytes)),
-                            ]),
-                        ));
-                    }
-                    Json::Obj(layers)
+                    Json::obj([
+                        ("method", Json::from(c.method.as_str())),
+                        ("report", cache_layer_json(c.report_hits, c.report_misses)),
+                        ("dfg", cache_layer_json(c.dfg_hits, c.dfg_misses)),
+                    ])
                 })
                 .collect();
             doc.push((
@@ -553,13 +521,10 @@ impl PerfReport {
             out.push_str("| method | layer | hits | misses | hit rate |\n");
             out.push_str("|---|---|---:|---:|---:|\n");
             for c in &self.cache {
-                let mut layers = vec![
+                let layers = [
                     ("report", c.report_hits, c.report_misses),
                     ("dfg", c.dfg_hits, c.dfg_misses),
                 ];
-                if let Some(fc) = &c.func {
-                    layers.push(("func", fc.hits, fc.misses));
-                }
                 for (layer, hits, misses) in layers {
                     out.push_str(&format!(
                         "| {} | {layer} | {hits} | {misses} | {}% |\n",

@@ -1,6 +1,7 @@
-//! Deterministic source-edit injection for the incremental bench.
+//! Deterministic source-edit injection for edit corpora.
 //!
-//! The incremental-reoptimization story needs *edited* images: the same
+//! Edit-and-resubmit traffic (the benchmark's edit workloads, the batch
+//! tests' cross-image cache checks) needs *edited* images: the same
 //! kernel with a small, localized source change — the "developer touched
 //! one function and rebuilt" scenario. [`apply_edits`] injects `N`
 //! statement edits (`putint(K);` calls — real code: a constant load plus

@@ -62,7 +62,7 @@ pub struct Options {
     /// toolchain — equal computations, different instruction orders in
     /// every block. Used by the edit-corpus generator
     /// (`gpa build-bench --sched-seed`) to produce whole-image variants
-    /// for the incremental-reoptimization bench.
+    /// of a kernel.
     pub sched_seed: u64,
 }
 

@@ -103,7 +103,7 @@ pub fn schedule_function(f: &mut AsmFunction) {
 /// hash. Seed 0 is byte-identical to [`schedule_function`]; any other
 /// seed produces a different (still dependence-respecting) instruction
 /// order in every region — the "recompiled by a slightly different
-/// toolchain" variant the incremental-reoptimization bench needs.
+/// toolchain" variant of an edit corpus.
 pub fn schedule_function_seeded(f: &mut AsmFunction, seed: u64) {
     let mut seed_base = f
         .name

@@ -10,7 +10,6 @@ use gpa_image::Image;
 use gpa_trace::{CounterTracer, JsonlTracer, NoopTracer, Tracer};
 
 use crate::cache::ReportCache;
-use crate::func_cache::FuncCache;
 use crate::lru::CacheBudget;
 use crate::report::{CorpusReport, ImageEntry};
 use crate::shutdown::ShutdownFlag;
@@ -40,14 +39,6 @@ pub struct BatchConfig {
     /// Bound on the in-memory report-cache layer (unbounded by default,
     /// matching historical batch behaviour).
     pub cache_budget: CacheBudget,
-    /// The third cache layer: a shared function-granularity mining
-    /// cache ([`FuncCache`]) enabling incremental re-optimization
-    /// across the corpus — near-duplicate images (the same program
-    /// after a small edit) re-mine only the functions that changed.
-    /// `None` (the default) disables the layer. The corpus report's
-    /// deterministic section is byte-identical either way; only the
-    /// metrics section reports the layer's hit rate.
-    pub incremental: Option<Arc<FuncCache>>,
 }
 
 impl Default for BatchConfig {
@@ -60,7 +51,6 @@ impl Default for BatchConfig {
             trace_dir: None,
             shutdown: ShutdownFlag::new(),
             cache_budget: CacheBudget::unbounded(),
-            incremental: None,
         }
     }
 }
@@ -223,7 +213,6 @@ pub fn run_batch(inputs: &[BatchInput], config: &BatchConfig) -> Result<CorpusRe
         report_cache_evicted: report_cache.evicted(),
         dfg_cache_hits: dfg_cache.hits(),
         dfg_cache_misses: dfg_cache.misses(),
-        func_cache: config.incremental.as_deref().map(FuncCache::stats),
     })
 }
 
@@ -297,11 +286,6 @@ fn optimize_input(
     };
     let run = RunConfig {
         tracer: Arc::clone(tracer),
-        incremental: config
-            .incremental
-            .clone()
-            .map(|cache| cache as Arc<dyn gpa::MineCache>)
-            .or_else(|| config.run.incremental.clone()),
         ..config.run.clone()
     };
     let key = image_cache_key(&image, config.method, &run);

@@ -437,16 +437,25 @@ mod tests {
 
     #[test]
     fn corrupt_disk_entry_is_traced() {
-        use gpa_trace::CounterTracer;
+        use gpa_trace::JsonlTracer;
         let dir = std::env::temp_dir().join(format!("gpa-cache-corrupt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ReportCache::with_dir(&dir).unwrap();
-        std::fs::write(dir.join(format!("{:032x}.json", 0x77u32)), "not json").unwrap();
-        let tracer = CounterTracer::new();
-        assert!(cache.get_traced(0x77, &tracer).is_none());
-        let c = tracer.counters();
-        assert_eq!(c.get("cache.corrupt_entry"), 1);
-        assert_eq!(c.get("cache.miss"), 1);
+        // Not JSON at all, and JSON nested far past the parser's cap.
+        let nested = "[".repeat(100_000);
+        for (key, text) in [(0x77u128, "not json"), (0x78, nested.as_str())] {
+            std::fs::write(dir.join(format!("{key:032x}.json")), text).unwrap();
+            let trace = dir.with_extension(format!("{key:x}.jsonl"));
+            let tracer = JsonlTracer::to_file(&trace).unwrap();
+            assert!(cache.get_traced(key, &tracer).is_none());
+            tracer.finish();
+            let c = tracer.counters();
+            assert_eq!(c.get("cache.corrupt_entry"), 1);
+            assert_eq!(c.get("cache.miss"), 1);
+            let events = std::fs::read_to_string(&trace).unwrap();
+            assert!(events.contains("\"reason\":\"invalid_json\""), "{events}");
+            let _ = std::fs::remove_file(trace);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

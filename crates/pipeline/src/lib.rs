@@ -50,14 +50,12 @@
 
 mod batch;
 mod cache;
-mod func_cache;
 mod lru;
 mod report;
 mod shutdown;
 
 pub use batch::{expand_inputs, run_batch, BatchConfig, BatchInput};
 pub use cache::ReportCache;
-pub use func_cache::{FuncCache, FuncCacheStats};
 pub use lru::{CacheBudget, ShardOccupancy, ShardedLru};
 pub use report::{CorpusReport, ImageEntry, CORPUS_SCHEMA};
 pub use shutdown::ShutdownFlag;

@@ -77,7 +77,7 @@ pub struct ShardOccupancy {
 
 /// A shard map's value: (value, cost, recency tick of the last touch).
 /// The value is boxed so a bucket holds a 48-byte `(key, Slot)` pair
-/// whatever `V` is (a `FuncCache` bucket was 112 bytes).
+/// whatever `V` is.
 type Slot<V> = (Box<V>, u64, u64);
 
 struct Shard<V> {
@@ -365,7 +365,7 @@ mod tests {
     #[test]
     fn map_slots_stay_small_whatever_the_value() {
         use std::mem::size_of;
-        assert_eq!(size_of::<(u128, Slot<gpa::incremental::SeedEntry>)>(), 48);
+        assert_eq!(size_of::<(u128, Slot<gpa::Report>)>(), 48);
         assert_eq!(size_of::<(u128, Slot<[u8; 256]>)>(), 48);
     }
 

@@ -51,9 +51,6 @@ pub struct CorpusReport {
     pub dfg_cache_hits: u64,
     /// Shared [`gpa::DfgCache`] misses across all workers.
     pub dfg_cache_misses: u64,
-    /// Shared [`crate::FuncCache`] stats, when the batch ran with the
-    /// incremental mining layer attached.
-    pub func_cache: Option<crate::FuncCacheStats>,
 }
 
 impl CorpusReport {
@@ -139,16 +136,6 @@ impl CorpusReport {
             doc.push(("interrupted".to_owned(), Json::from(true)));
         }
         if include_metrics {
-            let func_cache = self.func_cache.map(|s| {
-                Json::obj([
-                    ("hits", Json::from(s.hits)),
-                    ("misses", Json::from(s.misses)),
-                    ("hit_rate_pct", Json::from(s.hit_rate_pct())),
-                    ("evicted", Json::from(s.evicted)),
-                    ("entries", Json::from(s.entries)),
-                    ("bytes", Json::from(s.bytes)),
-                ])
-            });
             let per_image: Vec<Json> = self
                 .images
                 .iter()
@@ -163,7 +150,7 @@ impl CorpusReport {
                     Json::Obj(pairs)
                 })
                 .collect();
-            let mut metrics = vec![
+            let metrics = Json::obj([
                 ("jobs", Json::from(self.jobs)),
                 ("wall_ns", Json::from(self.wall_ns)),
                 (
@@ -181,15 +168,10 @@ impl CorpusReport {
                         ("misses", Json::from(self.dfg_cache_misses)),
                     ]),
                 ),
-            ];
-            if let Some(fc) = func_cache {
-                metrics.push(("func_cache", fc));
-            }
-            metrics.extend([
                 ("trace", counters_json(&self.total_counters())),
                 ("images", Json::Arr(per_image)),
             ]);
-            doc.push(("metrics".to_owned(), Json::obj(metrics)));
+            doc.push(("metrics".to_owned(), metrics));
         }
         Json::Obj(doc)
     }
@@ -245,7 +227,6 @@ mod tests {
             report_cache_evicted: 0,
             dfg_cache_hits: 0,
             dfg_cache_misses: 0,
-            func_cache: None,
         }
     }
 
@@ -281,31 +262,6 @@ mod tests {
         );
         // The document round-trips through the parser.
         assert_eq!(Json::parse(&full.to_string()).unwrap(), full);
-    }
-
-    #[test]
-    fn func_cache_metrics_appear_only_when_the_layer_ran() {
-        let mut c = corpus();
-        assert!(c
-            .to_json(true)
-            .get("metrics")
-            .unwrap()
-            .get("func_cache")
-            .is_none());
-        c.func_cache = Some(crate::FuncCacheStats {
-            hits: 3,
-            misses: 1,
-            evicted: 0,
-            entries: 4,
-            bytes: 512,
-        });
-        // Never in the deterministic section…
-        assert!(!c.to_json(false).to_string().contains("func_cache"));
-        // …always in the metrics object when the layer ran.
-        let metrics = c.to_json(true);
-        let fc = metrics.get("metrics").unwrap().get("func_cache").unwrap();
-        assert_eq!(fc.get("hits").and_then(Json::as_int), Some(3));
-        assert_eq!(fc.get("hit_rate_pct").and_then(Json::as_int), Some(75));
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! the workspace root), and these tests assert pipeline properties, not
 //! rewrite soundness.
 
-use std::sync::Arc;
-
 use gpa::{Method, Optimizer, RunConfig, ValidateLevel};
-use gpa_pipeline::{run_batch, BatchConfig, BatchInput, FuncCache};
+use gpa_minicc::edits::{apply_edits, EditConfig};
+use gpa_pipeline::{run_batch, BatchConfig, BatchInput};
 
 fn kernel_inputs(names: &[&str]) -> Vec<BatchInput> {
     names
@@ -153,46 +152,55 @@ fn trace_dir_writes_jsonl_and_never_changes_reports() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The seed-cache identity matrix over the full 8-kernel corpus: at the
-/// default pattern budget and at 300, a run with one [`FuncCache`]
-/// shared across the corpus has the same deterministic section as a run
-/// without it. At 300 every kernel's rounds run out of budget, so the
-/// seed cache's fallback to the plain search (`incr.fallback`) runs on
-/// real kernels, not only on hand-made programs.
+/// The shared [`gpa::DfgCache`] is output-neutral warm from another
+/// image, on all 8 kernels and at a budget that runs out. For each
+/// kernel a one-worker batch optimizes the kernel's one-statement edit
+/// first, so the kernel itself runs on the blocks the edit left in the
+/// cache; its report must equal [`Optimizer::run_with`] on the kernel
+/// alone, at the default pattern budget and at 300, where every
+/// kernel's rounds exhaust it (`mine.budget_exhausted`).
 #[test]
-fn seed_cache_identity_matrix() {
-    let inputs = kernel_inputs(&gpa_minicc::programs::BENCHMARKS);
-    for max_patterns in [gpa::DEFAULT_MAX_PATTERNS, 300] {
-        let mut config = fast_config();
-        config.run.max_patterns = max_patterns;
-        let plain = run_batch(&inputs, &config).unwrap();
-        assert_eq!(plain.error_count(), 0);
-        assert!(plain.total_saved_words() > 0);
-        // Traced, so each entry carries its counters.
-        let dir = std::env::temp_dir().join(format!(
-            "gpa-seed-cache-matrix-{}-{max_patterns}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        config.incremental = Some(Arc::new(FuncCache::default()));
-        config.trace_dir = Some(dir.clone());
-        let cached = run_batch(&inputs, &config).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(
-            cached.to_json(false).to_string(),
-            plain.to_json(false).to_string(),
-            "max_patterns={max_patterns}: the seed cache changed the deterministic section"
-        );
-        if max_patterns == 300 {
-            for entry in &cached.images {
+fn warm_dfg_cache_matrix() {
+    let opts = gpa_minicc::Options::default();
+    let dir = std::env::temp_dir().join(format!("gpa-warm-dfg-matrix-{}", std::process::id()));
+    for kernel in gpa_minicc::programs::BENCHMARKS {
+        let source = gpa_minicc::programs::source(kernel).unwrap();
+        let edit = apply_edits(source, &EditConfig { edits: 1, seed: 1 });
+        let image = gpa_minicc::compile(source, &opts).unwrap();
+        let inputs = [
+            BatchInput::loaded(
+                format!("{kernel}-e1s1"),
+                gpa_minicc::compile(&edit, &opts).unwrap(),
+            ),
+            BatchInput::loaded(kernel, image.clone()),
+        ];
+        for max_patterns in [gpa::DEFAULT_MAX_PATTERNS, 300] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut config = fast_config();
+            config.jobs = 1;
+            config.run.max_patterns = max_patterns;
+            // Traced, so each entry carries its counters.
+            config.trace_dir = Some(dir.clone());
+            let corpus = run_batch(&inputs, &config).unwrap();
+            let warm = &corpus.images[1];
+            let alone = Optimizer::from_image(&image)
+                .unwrap()
+                .run_with(Method::Edgar, &config.run)
+                .unwrap();
+            assert_eq!(
+                warm.outcome.as_ref(),
+                Ok(&alone),
+                "{kernel}, max_patterns={max_patterns}: a cache warm from the edit changed the report"
+            );
+            if max_patterns == 300 {
                 assert!(
-                    entry.counters.get("incr.fallback") > 0,
-                    "{}: no round fell back at max_patterns=300",
-                    entry.name
+                    warm.counters.get("mine.budget_exhausted") > 0,
+                    "{kernel}: no round exhausted max_patterns=300"
                 );
             }
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A shutdown flag raised before the pool starts: every input is an

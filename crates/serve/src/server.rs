@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 use gpa::json::Json;
 use gpa::{image_cache_key, DfgCache, Method, Optimizer, Report, RunConfig, ValidateLevel};
 use gpa_image::Image;
-use gpa_pipeline::{CacheBudget, FuncCache, ReportCache, ShutdownFlag};
+use gpa_pipeline::{CacheBudget, ReportCache, ShutdownFlag};
 use gpa_trace::histogram::{LogHistogram, WindowedHistogram};
 use gpa_trace::{CounterTracer, Counters, JsonlTracer, Tracer, Value};
 
@@ -102,14 +102,6 @@ pub struct ServeConfig {
     /// `gpa-trace/1` JSONL trace of the server's lifetime; `None`
     /// disables tracing.
     pub trace_file: Option<PathBuf>,
-    /// Share a function-granularity mining cache ([`FuncCache`]) across
-    /// requests, so a re-submitted image with a small edit re-mines only
-    /// the seeds whose hosting functions changed (on by default; the CLI
-    /// exposes `--no-incremental`). The cache never changes a report's
-    /// bytes — see `gpa::incremental` — only how much of it is re-derived.
-    pub incremental: bool,
-    /// Bound on the shared [`FuncCache`], when `incremental` is on.
-    pub func_budget: CacheBudget,
     /// Drain trigger shared with the host (signals, Shutdown frames).
     pub shutdown: ShutdownFlag,
 }
@@ -126,8 +118,6 @@ impl Default for ServeConfig {
             dfg_entries: 1 << 10,
             recorder_capacity: DEFAULT_RECORDER_CAPACITY,
             trace_file: None,
-            incremental: true,
-            func_budget: CacheBudget::bounded(1 << 15, 64 << 20),
             shutdown: ShutdownFlag::new(),
         }
     }
@@ -301,9 +291,6 @@ struct Shared {
     recorder: Arc<FlightRecorder>,
     report_cache: ReportCache,
     dfg_cache: DfgCache,
-    /// Function-granularity mining cache shared across requests; `None`
-    /// with `incremental: false`.
-    func_cache: Option<Arc<FuncCache>>,
     queue_hist: Mutex<LogHistogram>,
     run_hist: Mutex<LogHistogram>,
     e2e_hist: Mutex<LogHistogram>,
@@ -410,7 +397,6 @@ impl Shared {
             dfg_hits: self.dfg_cache.hits(),
             dfg_misses: self.dfg_cache.misses(),
             dfg_evicted: self.dfg_cache.evicted(),
-            func_cache: self.func_cache.as_deref().map(FuncCache::stats),
             recorder_events: self.recorder.len(),
             recorder_dropped: self.recorder.dropped(),
             recorder_capacity: self.recorder.capacity(),
@@ -434,9 +420,6 @@ pub struct ServeSummary {
     pub report_cache: (u64, u64, u64),
     /// Shared DFG-cache statistics: (hits, misses, evicted).
     pub dfg_cache: (u64, u64, u64),
-    /// Function-granularity mining-cache statistics; `None` when the
-    /// daemon ran with incremental mode off.
-    pub func_cache: Option<gpa_pipeline::FuncCacheStats>,
 }
 
 /// A running server; dropping it without [`Server::join`] detaches the
@@ -469,9 +452,6 @@ impl Server {
             None => ReportCache::with_budget(config.cache_budget),
         };
         let dfg_cache = DfgCache::bounded(config.dfg_entries);
-        let func_cache = config
-            .incremental
-            .then(|| Arc::new(FuncCache::new(config.func_budget)));
         let worker_count = if config.workers == 0 {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -489,7 +469,6 @@ impl Server {
             recorder,
             report_cache,
             dfg_cache,
-            func_cache,
             queue_hist: Mutex::new(LogHistogram::default()),
             run_hist: Mutex::new(LogHistogram::default()),
             e2e_hist: Mutex::new(LogHistogram::default()),
@@ -594,7 +573,6 @@ impl Server {
                 shared.dfg_cache.misses(),
                 shared.dfg_cache.evicted(),
             ),
-            func_cache: shared.func_cache.as_deref().map(FuncCache::stats),
         }
     }
 }
@@ -929,15 +907,6 @@ fn execute(
         max_patterns: job.knobs.max_patterns.unwrap_or(base.max_patterns),
         deadline: job.deadline,
         tracer: Arc::clone(&job_tracer) as Arc<dyn Tracer>,
-        // Like the tracer and deadline, the mining cache is excluded
-        // from `image_cache_key`: it never changes the report's bytes,
-        // only how much of a re-submitted, lightly edited image is
-        // re-mined from scratch.
-        incremental: shared
-            .func_cache
-            .clone()
-            .map(|cache| cache as Arc<dyn gpa::MineCache>)
-            .or_else(|| base.incremental.clone()),
         ..base.clone()
     };
     // The key ignores tracer and deadline, so warm lookups hit across

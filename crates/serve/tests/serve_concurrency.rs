@@ -195,27 +195,35 @@ fn bad_knobs_error_keeps_the_connection_usable() {
         .to_bytes();
     let server = Server::start("127.0.0.1:0", fast_config()).unwrap();
     let mut conn = TcpStream::connect(server.local_addr()).unwrap();
-    let doc = submit(&mut conn, "{\"no_such_knob\":1}", &image).unwrap();
-    let parsed = Json::parse(&doc).unwrap();
-    assert_eq!(parsed.get("status").and_then(Json::as_str), Some("error"));
-    assert!(parsed
-        .get("error")
-        .and_then(Json::as_str)
-        .unwrap()
-        .contains("unknown knob"));
-    // Same connection, now a valid request.
-    let doc = submit(&mut conn, "{\"validate\":\"off\"}", &image).unwrap();
-    assert_eq!(
-        Json::parse(&doc)
+    // An unknown knob, and knobs nested far deeper than the JSON
+    // parser's cap (100 kB, well under the frame cap).
+    let nested = "[".repeat(100_000);
+    for (knobs, error) in [
+        ("{\"no_such_knob\":1}", "unknown knob"),
+        (nested.as_str(), "nesting deeper than"),
+    ] {
+        let doc = submit(&mut conn, knobs, &image).unwrap();
+        let parsed = Json::parse(&doc).unwrap();
+        assert_eq!(parsed.get("status").and_then(Json::as_str), Some("error"));
+        assert!(parsed
+            .get("error")
+            .and_then(Json::as_str)
             .unwrap()
-            .get("status")
-            .and_then(Json::as_str),
-        Some("ok")
-    );
+            .contains(error));
+        // Same connection, now a valid request.
+        let doc = submit(&mut conn, "{\"validate\":\"off\"}", &image).unwrap();
+        assert_eq!(
+            Json::parse(&doc)
+                .unwrap()
+                .get("status")
+                .and_then(Json::as_str),
+            Some("ok")
+        );
+    }
     server.drain();
     let summary = server.join();
-    assert_eq!(summary.counters.get("serve.accepted"), 2);
-    assert_eq!(summary.counters.get("serve.completed"), 2);
+    assert_eq!(summary.counters.get("serve.accepted"), 4);
+    assert_eq!(summary.counters.get("serve.completed"), 4);
 }
 
 /// A request's `max_patterns` may lower the daemon's per-round budget

@@ -109,9 +109,6 @@ pub const IDENTITIES: &[Identity] = &[
         counters: &["serve.completed", "serve.shed", "serve.deadline_exceeded"],
         gauges: &["in_flight", "queued"],
     },
-    // Every function of a replayed round is a hit (all its seeds
-    // cached) or a miss.
-    trace(6, "incr.funcs", &["incr.func_hit", "incr.func_miss"]),
 ];
 
 /// Why a record fails [`check`].
@@ -213,7 +210,7 @@ mod tests {
     #[test]
     fn every_row_accepts_a_balanced_record_and_rejects_a_one_off_imbalance() {
         let classes: Vec<u8> = IDENTITIES.iter().map(|i| i.exit_class).collect();
-        assert_eq!(classes, [4, 4, 4, 4, 5, 5, 6]);
+        assert_eq!(classes, [4, 4, 4, 4, 5, 5]);
         for identity in IDENTITIES {
             let record = balanced(identity);
             assert_eq!(run(identity.form, &record), Ok(()));
@@ -254,10 +251,13 @@ mod tests {
 
     #[test]
     fn imbalance_message_names_total_and_parts() {
-        let err = check(Form::Trace, |_, name| (name == "incr.funcs").then_some(4)).unwrap_err();
+        let err = check(Form::Trace, |_, name| {
+            (name == "front.regions").then_some(4)
+        })
+        .unwrap_err();
         assert_eq!(
             err.to_string(),
-            "incr.funcs is 4, but incr.func_hit + incr.func_miss is 0"
+            "front.regions is 4, but front.regions_built + front.regions_reused is 0"
         );
     }
 }

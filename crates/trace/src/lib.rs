@@ -33,8 +33,8 @@
 //! figures (patterns visited, branch-and-bound steps) are counted via
 //! [`Tracer::count`] without emitting per-increment events; they appear
 //! only in the final summary. The accounting equations those counters
-//! satisfy (visited patterns, canonicality cache, alias pairs, serve
-//! requests, incremental functions) are declared once in
+//! satisfy (visited patterns, canonicality cache, alias pairs, carried
+//! regions, serve requests) are declared once in
 //! [`identity::IDENTITIES`].
 //!
 //! Event ordering between threads follows lock acquisition, so two runs
@@ -491,7 +491,7 @@ mod tests {
     #[should_panic(expected = "broken counter identity")]
     fn jsonl_finish_asserts_the_identities_after_writing_the_summary() {
         let t = JsonlTracer::to_writer(Box::new(io::sink()));
-        t.count("incr.funcs", 1);
+        t.count("front.regions", 1);
         t.finish();
     }
 
