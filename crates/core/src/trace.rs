@@ -74,11 +74,10 @@ pub fn trace_equivalent(a: &[Item], b: &[Item]) -> bool {
     // Projection equality for every conflicting value pair (including a
     // value with itself — identical items trivially project equally, so
     // only distinct pairs need checking).
+    let effects: Vec<_> = values.iter().map(|v| v.effects()).collect();
     for x in 0..values.len() as u32 {
         for y in (x + 1)..values.len() as u32 {
-            let fx = values[x as usize].effects();
-            let fy = values[y as usize].effects();
-            if !conflicts(&fx, &fy) {
+            if !conflicts(&effects[x as usize], &effects[y as usize]) {
                 continue;
             }
             let proj = |seq: &[u32]| -> Vec<u32> {

@@ -271,14 +271,18 @@ pub fn mine_streaming(
     }
 }
 
-/// Grows one seed pattern to completion under the shared gates
-/// (canonicality, embedding cap, support); returns `false` when the
+/// Grows one seed pattern to completion; returns `false` when the
 /// pattern budget is exhausted.
 ///
-/// Public so callers that need per-seed control (the optimizer's
-/// detection tracks which seed produced each candidate, and its seed
-/// cache gives every dirty seed a budget of its own) can drive the
-/// lattice themselves from [`crate::embed::seed_buckets`].
+/// Every code the search takes up, this seed and each extension below
+/// it, meets the gates in order of cost: its embedding count, then its
+/// canonical form, then its support. A code with fewer than
+/// `min_support` embeddings is dropped before it is built or
+/// canonical-checked.
+///
+/// Public so the optimizer's detection, which tracks which seed produced
+/// each candidate, can drive the lattice itself from
+/// [`crate::embed::seed_buckets`].
 pub fn mine_seed(
     tuple: crate::dfs_code::DfsTuple,
     mut embeddings: Vec<Embedding>,
@@ -288,6 +292,9 @@ pub fn mine_seed(
     budget: &mut usize,
 ) -> bool {
     let tracer = &*config.tracer;
+    if !may_be_frequent(&embeddings, config) {
+        return true;
+    }
     let pattern = Pattern::root(tuple);
     if !pattern.is_min_cached(tracer) {
         tracer.count("mine.prune_non_canonical", 1);
@@ -322,6 +329,22 @@ pub fn mine_seed(
     )
 }
 
+/// The first gate every code the search takes up meets: counts the code
+/// (`mine.codes`) and drops it as infrequent when its raw embedding list,
+/// before truncation and node-set dedup, is shorter than `min_support`.
+/// Exact: support under either counting (graphs for DgSpan, disjoint
+/// embeddings for Edgar) never exceeds the number of embeddings, so every
+/// code dropped here would fail the canonical test or the support test.
+fn may_be_frequent(embeddings: &[Embedding], config: &Config) -> bool {
+    let tracer = &*config.tracer;
+    tracer.count("mine.codes", 1);
+    if embeddings.len() < config.min_support {
+        tracer.count("mine.prune_infrequent", 1);
+        return false;
+    }
+    true
+}
+
 /// Returns `false` when the pattern budget is exhausted (abort the run).
 #[allow(clippy::too_many_arguments)]
 fn grow(
@@ -334,11 +357,15 @@ fn grow(
     visit: &mut dyn FnMut(&Frequent) -> GrowDecision,
     budget: &mut usize,
 ) -> bool {
+    let tracer = &*config.tracer;
     if *budget == 0 {
+        // The one code a round that runs out of budget stops on. The
+        // callers' `mine.budget_exhausted` event marks the same stop, but
+        // identity rows read only count-only counters.
+        tracer.count("mine.prune_budget", 1);
         return false;
     }
     *budget -= 1;
-    let tracer = &*config.tracer;
     // Exactly one of {subtree_skipped, stopped_max_nodes, expanded} is
     // counted per visited pattern, so the identity
     //   patterns_visited == expanded + subtree_skipped + stopped_max_nodes
@@ -362,6 +389,9 @@ fn grow(
     tracer.count("mine.expanded", 1);
     for (tuple, mut child_embeddings) in extensions(&pattern, graphs, embeddings) {
         tracer.count("mine.extensions_generated", 1);
+        if !may_be_frequent(&child_embeddings, config) {
+            continue;
+        }
         let child = pattern.extend(tuple);
         if !child.is_min_cached(tracer) {
             tracer.count("mine.prune_non_canonical", 1);
@@ -524,6 +554,45 @@ mod tests {
     }
 
     #[test]
+    fn codes_with_fewer_embeddings_than_min_support_skip_the_canonical_test() {
+        use crate::embed::seed_buckets;
+        use gpa_trace::CounterTracer;
+        let run = |listing: &str, min_support: usize| {
+            let tracer = std::sync::Arc::new(CounterTracer::new());
+            let config = Config {
+                min_support,
+                tracer: tracer.clone(),
+                ..Config::default()
+            };
+            let found = mine(&graphs_of(&[listing]), &config);
+            let c = tracer.counters();
+            assert_eq!(c.check_identities(), Ok(()), "{c:?}");
+            assert_eq!(found.len() as u64, c.get("mine.patterns_visited"));
+            c
+        };
+        // Every seed of this block has one embedding.
+        let unique = "mov r0, #1\nadd r1, r0, #2\nmul r2, r1, r0";
+        let c = run(unique, 2);
+        assert!(c.get("mine.codes") > 0);
+        assert_eq!(c.get("mine.patterns_visited"), 0);
+        assert_eq!(c.get("mine.canon_checks"), 0);
+        assert_eq!(c.get("mine.prune_infrequent"), c.get("mine.codes"));
+        // ldr→sub has two embeddings: at min_support 2 it is tested and
+        // visited, at min_support 3 it is cut with the rest, untested.
+        let twice = "ldr r3, [r1]!\nsub r2, r2, r3\nldr r3, [r1]!\nsub r2, r2, r3";
+        let buckets = seed_buckets(&graphs_of(&[twice]));
+        assert_eq!(buckets.values().map(Vec::len).max(), Some(2));
+        let c = run(twice, 2);
+        assert!(c.get("mine.canon_checks") > 0);
+        assert!(c.get("mine.patterns_visited") > 0);
+        let c = run(twice, 3);
+        assert_eq!(c.get("mine.patterns_visited"), 0);
+        assert_eq!(c.get("mine.canon_checks"), 0);
+        assert_eq!(c.get("mine.prune_infrequent"), c.get("mine.codes"));
+        assert_eq!(c.get("mine.codes"), buckets.len() as u64);
+    }
+
+    #[test]
     fn max_nodes_caps_growth() {
         let graphs = graphs_of(&[RUNNING_EXAMPLE, RUNNING_EXAMPLE]);
         let found = mine(
@@ -593,7 +662,10 @@ mod tests {
             ..Config::default()
         };
         let _ = mine(&graphs, &config);
-        assert_eq!(tracer.counters().get("mine.budget_exhausted"), 1);
+        let c = tracer.counters();
+        assert_eq!(c.get("mine.budget_exhausted"), 1);
+        assert_eq!(c.get("mine.prune_budget"), 1);
+        assert_eq!(c.check_identities(), Ok(()), "{c:?}");
     }
 
     #[test]

@@ -10,6 +10,10 @@
 //! of a drain counter. `gpa trace-check` exits with a broken row's
 //! [`Identity::exit_class`]; the load generator, the serve tests and
 //! the tracers' debug assertions call the same checker.
+//!
+//! Rows read count-only counters ([`crate::Tracer::count`]), never the
+//! counter of an event: a `gpa serve` flight-recorder dump keeps a window
+//! of event lines and no counts, and must still balance every row.
 
 use std::fmt;
 
@@ -67,6 +71,19 @@ pub const IDENTITIES: &[Identity] = &[
             "mine.expanded",
             "mine.subtree_skipped",
             "mine.stopped_max_nodes",
+        ],
+    ),
+    // Every code the lattice search takes up (a seed or an extension) is
+    // pruned as infrequent, pruned as non-canonical, visited, or is the
+    // one code a round that ran out of budget stopped on.
+    trace(
+        4,
+        "mine.codes",
+        &[
+            "mine.prune_infrequent",
+            "mine.prune_non_canonical",
+            "mine.patterns_visited",
+            "mine.prune_budget",
         ],
     ),
     // Every canonicality check hits or misses the cache.
@@ -187,15 +204,45 @@ mod tests {
 
     type Record = Vec<((Source, &'static str), i64)>;
 
-    /// A record balancing `identity`: part `k` reads `k + 1`, the total
-    /// their sum, and every other row reads zeros, which balance too.
+    /// A record balancing `identity`: part `k` reads `k + 1` and the
+    /// total their sum. Every other row of its form that reads one of
+    /// these counters is balanced too: an absent total reads the sum of
+    /// its parts, or else the first absent part takes up the difference.
+    /// Rows the record does not touch read zeros, which balance.
     fn balanced(identity: &Identity) -> Record {
         let counters = identity.counters.iter().map(|&n| (Source::Counter, n));
         let gauges = identity.gauges.iter().map(|&n| (Source::Gauge, n));
         let mut record: Record = counters.chain(gauges).zip(1..).collect();
         let total = record.iter().map(|&(_, v)| v).sum();
         record.push(((Source::Counter, identity.total), total));
+        for row in IDENTITIES.iter().filter(|r| r.form == identity.form) {
+            if !record.iter().any(|&((_, name), _)| reads(row, name)) {
+                continue;
+            }
+            let value = |name| counter(&record, name);
+            let parts: i64 = row.counters.iter().filter_map(|&n| value(n)).sum();
+            let absent = row.counters.iter().find(|&&n| value(n).is_none());
+            match (value(row.total), absent) {
+                (None, _) => record.push(((Source::Counter, row.total), parts)),
+                (Some(total), Some(&part)) => {
+                    record.push(((Source::Counter, part), total - parts));
+                }
+                (Some(_), None) => {}
+            }
+        }
         record
+    }
+
+    fn counter(record: &Record, name: &str) -> Option<i64> {
+        record
+            .iter()
+            .find(|&&(key, _)| key == (Source::Counter, name))
+            .map(|&(_, v)| v)
+    }
+
+    /// Whether `row` reads `name`, as its total or as a part.
+    fn reads(row: &Identity, name: &str) -> bool {
+        row.total == name || row.counters.contains(&name) || row.gauges.contains(&name)
     }
 
     fn run(form: Form, record: &Record) -> Result<(), IdentityError> {
@@ -210,23 +257,27 @@ mod tests {
     #[test]
     fn every_row_accepts_a_balanced_record_and_rejects_a_one_off_imbalance() {
         let classes: Vec<u8> = IDENTITIES.iter().map(|i| i.exit_class).collect();
-        assert_eq!(classes, [4, 4, 4, 4, 5, 5]);
+        assert_eq!(classes, [4, 4, 4, 4, 4, 5, 5]);
         for identity in IDENTITIES {
             let record = balanced(identity);
             assert_eq!(run(identity.form, &record), Ok(()));
-            // Off by one in any part or in the total: the row breaks with
-            // its own exit class and names its total.
+            // Off by one in any part or in the total: the first row that
+            // reads the bumped counter breaks and names its total. That is
+            // `identity` itself unless an earlier row shares the counter
+            // (`mine.patterns_visited` is in two rows).
             for bumped in 0..record.len() {
                 let mut record = record.clone();
                 record[bumped].1 += 1;
+                let first = IDENTITIES
+                    .iter()
+                    .find(|r| r.form == identity.form && reads(r, record[bumped].0 .1))
+                    .unwrap();
                 let err = run(identity.form, &record).unwrap_err();
                 assert!(
-                    matches!(err, IdentityError::Imbalance { identity: row, .. } if row == identity),
+                    matches!(err, IdentityError::Imbalance { identity: row, .. } if row == first),
                     "{err:?}"
                 );
-                assert!(err
-                    .to_string()
-                    .starts_with(&format!("{} is ", identity.total)));
+                assert!(err.to_string().starts_with(&format!("{} is ", first.total)));
             }
         }
     }

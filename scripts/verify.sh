@@ -89,12 +89,15 @@ head -n1 "$WORK/opt_traced_full.txt" > "$WORK/opt_traced.txt"
     --alias stack --trace "$WORK/crc_stack.jsonl" > /dev/null
 "$GPA" trace-check "$WORK/crc_stack.jsonl"
 # Work-counter gate: the lattice search on crc does exactly this much
-# work. A faster check per pattern must visit the same patterns, test
-# the same codes and evaluate the same candidates. (The canonicality
-# cache's hit/miss split is left out: it depends on the code hash.) The
-# front end builds each region once and then only the regions of the
-# functions each round rewrites: 122 regions in round 1, 210 more over
-# the 14 rounds after it, out of 1830 reads.
+# work. A faster search must take up the same codes (`mine.codes`),
+# visit the same patterns and evaluate the same candidates. The
+# canonical test runs only on codes that can still be frequent: a code
+# with fewer embeddings than `min_support` is cut before it (counted in
+# `mine.prune_infrequent`). (The canonicality cache's hit/miss split is
+# left out: it depends on the code hash.) The front end builds each
+# region once and then only the regions of the functions each round
+# rewrites: 122 regions in round 1, 210 more over the 14 rounds after
+# it, out of 1830 reads.
 gate_counters() { # trace-file name=value...
     local trace=$1 counters expect name got
     shift
@@ -108,9 +111,9 @@ gate_counters() { # trace-file name=value...
         fi
     done
 }
-crc_work=(mine.patterns_visited=5146 mine.canon_checks=28184
+crc_work=(mine.codes=28184 mine.patterns_visited=5146 mine.canon_checks=9617
     mine.expanded=4636 mine.extensions_generated=14758
-    mine.prune_non_canonical=14340 mine.prune_infrequent=8698
+    mine.prune_non_canonical=4418 mine.prune_infrequent=18620
     detect.candidates_evaluated=3678 detect.embedding_unextractable=1012
     mis.bb_steps=3655
     front.regions=1830 front.regions_built=332 front.regions_reused=1498)
@@ -154,7 +157,7 @@ for k in crc qsort; do
         *) jobs="2" ;;
     esac
     "$GPA" optimize "$WORK/$k.img" -o "$WORK/${k}_j1.img" --validate off \
-        --jobs 1 > "$WORK/opt_${k}_j1_full.txt"
+        --jobs 1 --trace "$WORK/${k}_j1.jsonl" > "$WORK/opt_${k}_j1_full.txt"
     head -n1 "$WORK/opt_${k}_j1_full.txt" > "$WORK/opt_${k}_j1.txt"
     for j in $jobs; do
         "$GPA" optimize "$WORK/$k.img" -o "$WORK/${k}_j$j.img" --validate off \
@@ -174,6 +177,15 @@ for k in crc qsort; do
         fi
     done
 done
+# Budget-bound work gate: three of qsort's rounds run out of the
+# 60,000-pattern budget. Each stops on the same code as long as the
+# search takes up the same codes in the same order, which is what keeps
+# a budget-bound image byte-identical when the search gets faster.
+"$GPA" trace-check "$WORK/crc_j1.jsonl" "$WORK/qsort_j1.jsonl"
+gate_counters "$WORK/qsort_j1.jsonl" mine.codes=2745152 \
+    mine.patterns_visited=340107 mine.extensions_generated=2707724 \
+    mine.budget_exhausted=3 mine.canon_checks=742828 \
+    detect.candidates_evaluated=333894
 echo "verify: --jobs smoke OK (crc jobs 1/2/8, qsort jobs 1/2 byte-identical)"
 
 # Lint gate: every bundled kernel must pass the V010–V014 stack lints
