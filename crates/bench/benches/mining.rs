@@ -79,11 +79,12 @@ fn bench_fragment_cap(c: &mut Criterion) {
 }
 
 fn bench_dense_bucket(c: &mut Criterion) {
-    // Regression guard for the `push_bucket` dedup rewrite: a star graph
-    // funnels every seed embedding into one extension bucket, which the
-    // old `Vec::contains` scan made quadratic in bucket size. With the
-    // hash-set dedup, doubling the leaf count should roughly double the
-    // per-bucket work, not quadruple it.
+    // A star graph funnels every seed embedding into one list, and the
+    // extensions of each list into large groups of records. Grouping is
+    // a sort, and repeats are looked for only among one parent's records
+    // of a tuple, so the work per record should stay about flat as the
+    // leaf count doubles (up to the sort's log factor), where a scan of
+    // the whole group per record would double it.
     let star = |leaves: u32| {
         let labels: Vec<u32> = std::iter::once(1)
             .chain(std::iter::repeat_n(2, leaves as usize))

@@ -70,8 +70,9 @@ fn is_mov_lr_pc(insn: &Instruction) -> bool {
 ///
 /// Returns a [`DecodeImageError`] when code is not covered by function
 /// symbols, a non-data word fails to disassemble, a branch leaves its
-/// function without targeting another function's entry, or a literal
-/// points into the middle of a function.
+/// function without targeting another function's entry, a pc-relative
+/// load targets anything but an aligned code word, or a literal points
+/// into the middle of a function.
 pub fn decode_image(image: &Image) -> Result<Program, DecodeImageError> {
     // Function extents from the symbol table, sorted by address.
     let mut fn_syms: Vec<_> = image
@@ -126,6 +127,11 @@ pub fn decode_image(image: &Image) -> Result<Program, DecodeImageError> {
                         if !image.contains_code(target) {
                             return Err(err(format!(
                                 "pc-relative load at {addr:#x} targets {target:#x} outside code"
+                            )));
+                        }
+                        if !target.is_multiple_of(4) {
+                            return Err(err(format!(
+                                "pc-relative load at {addr:#x} targets unaligned {target:#x}"
                             )));
                         }
                         data_words.insert(target);
@@ -390,6 +396,23 @@ mod tests {
         image.add_symbol(gpa_image::Symbol::function("g", 0x8004, 4));
         let error = decode_image(&image).unwrap_err();
         assert!(format!("{error}").contains("`f`"), "{error}");
+    }
+
+    #[test]
+    fn rejects_an_unaligned_literal_target() {
+        // `ldr r0, [pc, #2]` at 0x8000 reads 0x800a, inside the code
+        // section but not a word of it.
+        let mut image = gpa_image::Image::new(0x8000, 0x2_0000);
+        image.push_code_word(0xe59f_0002);
+        for _ in 0..3 {
+            image.push_code_word(0xe1a0_0000); // mov r0, r0
+        }
+        image.add_symbol(gpa_image::Symbol::function("f", 0x8000, 16));
+        let error = decode_image(&image).unwrap_err();
+        assert_eq!(
+            error.to_string(),
+            "cannot lift image: pc-relative load at 0x8000 targets unaligned 0x800a"
+        );
     }
 
     #[test]

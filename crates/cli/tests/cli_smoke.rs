@@ -477,6 +477,125 @@ fn lint_json_round_trips() {
     let _ = std::fs::remove_file(&img);
 }
 
+/// Builds crc into `good` and writes to `bad` a copy whose first
+/// pc-relative literal load has one immediate bit flipped, so that it
+/// reads an unaligned address inside the code section. Returns the
+/// load's address.
+fn crc_with_unaligned_literal(good: &std::path::Path, bad: &std::path::Path) -> u32 {
+    let out = gpa()
+        .args(["build-bench", "crc", "-o", good.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut image = gpa_image::Image::from_bytes(&std::fs::read(good).unwrap()).unwrap();
+    let mut code = image.code_words().to_vec();
+    // `ldr rd, [pc, #±imm]`: the immediate is a multiple of 4.
+    let at = code
+        .iter()
+        .position(|&w| w & 0xff7f_0000 == 0xe51f_0000)
+        .expect("crc loads a literal");
+    code[at] ^= 2;
+    image.set_code(code);
+    std::fs::write(bad, image.to_bytes()).unwrap();
+    image.code_base() + 4 * at as u32
+}
+
+#[test]
+fn unaligned_literal_load_is_a_decode_error_not_a_panic() {
+    let good = tmp("literal_good.img");
+    let bad = tmp("literal_bad.img");
+    let addr = crc_with_unaligned_literal(&good, &bad);
+    let out = gpa()
+        .args([
+            "optimize",
+            bad.to_str().unwrap(),
+            "-o",
+            tmp("literal_out.img").to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("pc-relative load at {addr:#x} targets unaligned")),
+        "{stderr}"
+    );
+    for command in ["stats", "lint", "absint", "dis"] {
+        let out = gpa()
+            .args([command, bad.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{command}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    for p in [good, bad] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
+fn batch_reports_good_images_beside_an_undecodable_one() {
+    let good = tmp("batch_literal_good.img");
+    let bad = tmp("batch_literal_bad.img");
+    let other = tmp("batch_literal_bitcnts.img");
+    let report = tmp("batch_literal_report.json");
+    let addr = crc_with_unaligned_literal(&good, &bad);
+    let out = gpa()
+        .args(["build-bench", "bitcnts", "-o", other.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = gpa()
+        .args([
+            "batch",
+            bad.to_str().unwrap(),
+            good.to_str().unwrap(),
+            other.to_str().unwrap(),
+            "--jobs",
+            "2",
+            "--report",
+            report.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let doc = gpa::json::Json::parse(&std::fs::read_to_string(&report).unwrap())
+        .expect("batch report must be valid JSON");
+    assert_eq!(doc.get("errors").and_then(gpa::json::Json::as_int), Some(1));
+    let gpa::json::Json::Arr(images) = doc.get("images").expect("images") else {
+        panic!("images is an array")
+    };
+    assert_eq!(images.len(), 3);
+    let error = images[0].get("error").and_then(gpa::json::Json::as_str);
+    assert!(
+        error.is_some_and(|e| e.contains(&format!("{addr:#x} targets unaligned"))),
+        "{error:?}"
+    );
+    for image in &images[1..] {
+        let saved = image
+            .get("report")
+            .and_then(|r| r.get("saved_words"))
+            .and_then(gpa::json::Json::as_int);
+        assert!(saved.is_some_and(|s| s > 0), "{image:?}");
+    }
+    for p in [good, bad, other, report] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
 #[test]
 fn lint_rejects_unreadable_container() {
     let bad = tmp("not_an_image.img");

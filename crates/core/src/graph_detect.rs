@@ -702,7 +702,7 @@ pub(crate) fn best_candidate_instrumented(
     let mine_span = gpa_trace::span(&*config.tracer, "mine");
     let mut best = RunningBest::default();
     let mut budget = mine_config.max_patterns;
-    let seeds: Vec<_> = seed_buckets(graphs).into_iter().collect();
+    let seeds = seed_buckets(graphs, mine_config.min_support, &*config.tracer);
     for (si, (tuple, embeddings)) in seeds.into_iter().enumerate() {
         let keep_going = mine_seed(
             tuple,

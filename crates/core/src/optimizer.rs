@@ -690,6 +690,7 @@ mod tests {
     #[test]
     fn carried_detection_inputs_equal_a_fresh_build_every_round() {
         use gpa_mining::embed::seed_buckets;
+        use gpa_trace::NoopTracer;
         let names = |state: &RoundState| -> Vec<String> {
             (0..state.interner.len() as u32)
                 .map(|id| state.interner.name(id).to_owned())
@@ -722,7 +723,8 @@ mod tests {
                     assert!(carried.graphs == built.graphs, "{at}: mining graphs");
                     assert_eq!(names(carried), names(built), "{at}: label ids");
                     assert!(
-                        seed_buckets(&carried.graphs) == seed_buckets(&built.graphs),
+                        seed_buckets(&carried.graphs, 1, &NoopTracer)
+                            == seed_buckets(&built.graphs, 1, &NoopTracer),
                         "{at}: seed buckets"
                     );
                     assert_eq!(winner, expected, "{at}: winner");

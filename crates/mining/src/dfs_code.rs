@@ -455,6 +455,7 @@ mod tests {
     use super::*;
     use crate::embed::{extensions, seed_buckets, Embedding};
     use crate::graph::{GEdge, InputGraph};
+    use gpa_trace::NoopTracer;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -485,11 +486,9 @@ mod tests {
     fn is_min_reference(pattern: &Pattern) -> bool {
         let graph = to_input_graph(pattern);
         let graphs = std::slice::from_ref(&graph);
-        let seeds = seed_buckets(graphs);
-        let (min_tuple, embeds) = seeds
-            .iter()
+        let (min_tuple, embeds) = seed_buckets(graphs, 1, &NoopTracer)
+            .into_iter()
             .next()
-            .map(|(t, e)| (*t, e.clone()))
             .expect("patterns have at least one edge");
         if tuple_cmp(&min_tuple, &pattern.tuples[0]) == Ordering::Less {
             return false;
@@ -501,14 +500,14 @@ mod tests {
         let mut current = Pattern::root(min_tuple);
         let mut embeddings: Vec<Embedding> = embeds;
         for k in 1..pattern.tuples.len() {
-            let exts = extensions(&current, graphs, &embeddings);
-            let (&min_tuple, _) = exts.iter().next().expect("prefix is extensible");
+            let exts = extensions(&current, graphs, &embeddings, 1, &NoopTracer);
+            let (min_tuple, next) = exts.into_iter().next().expect("prefix is extensible");
             match tuple_cmp(&min_tuple, &pattern.tuples[k]) {
                 Ordering::Less => return false,
                 Ordering::Equal => {}
                 Ordering::Greater => panic!("stored code must be realizable in its own graph"),
             }
-            embeddings = exts.into_iter().next().map(|(_, e)| e).expect("checked");
+            embeddings = next;
             current = current.extend(min_tuple);
         }
         true
@@ -720,7 +719,7 @@ mod tests {
             }
             let graph = InputGraph::new(labels, edges);
             let graphs = std::slice::from_ref(&graph);
-            let mut stack: Vec<(Pattern, Vec<Embedding>)> = seed_buckets(graphs)
+            let mut stack: Vec<(Pattern, Vec<Embedding>)> = seed_buckets(graphs, 1, &NoopTracer)
                 .into_iter()
                 .map(|(t, e)| (Pattern::root(t), e))
                 .collect();
@@ -740,7 +739,7 @@ mod tests {
                     break;
                 }
                 if pattern.node_count() < 6 {
-                    for (t, e) in extensions(&pattern, graphs, &embeddings) {
+                    for (t, e) in extensions(&pattern, graphs, &embeddings, 1, &NoopTracer) {
                         stack.push((pattern.extend(t), e));
                     }
                 }

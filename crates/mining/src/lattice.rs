@@ -62,7 +62,7 @@ pub fn render_lattice(
 ) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "*  (empty pattern)");
-    for (tuple, embeddings) in seed_buckets(graphs) {
+    for (tuple, embeddings) in seed_buckets(graphs, 1, &NoopTracer) {
         let pattern = Pattern::root(tuple);
         if !pattern.is_min_cached(&NoopTracer) {
             continue;
@@ -112,7 +112,7 @@ fn render_node(
         return;
     }
     let mut shown = 0usize;
-    for (tuple, child_embeddings) in extensions(pattern, graphs, embeddings) {
+    for (tuple, child_embeddings) in extensions(pattern, graphs, embeddings, 1, &NoopTracer) {
         let child = pattern.extend(tuple);
         if !child.is_min_cached(&NoopTracer) {
             continue;

@@ -259,7 +259,8 @@ pub fn mine_streaming(
     visit: &mut dyn FnMut(&Frequent) -> GrowDecision,
 ) {
     let mut budget = config.max_patterns;
-    for (si, (tuple, embeddings)) in seed_buckets(graphs).into_iter().enumerate() {
+    let seeds = seed_buckets(graphs, config.min_support, &*config.tracer);
+    for (si, (tuple, embeddings)) in seeds.into_iter().enumerate() {
         if !mine_seed(tuple, embeddings, graphs, config, visit, &mut budget) {
             // The pattern budget ran dry mid-seed: the rest of the
             // lattice is silently unexplored — trace it.
@@ -274,31 +275,50 @@ pub fn mine_streaming(
 /// Grows one seed pattern to completion; returns `false` when the
 /// pattern budget is exhausted.
 ///
-/// Every code the search takes up, this seed and each extension below
-/// it, meets the gates in order of cost: its embedding count, then its
-/// canonical form, then its support. A code with fewer than
-/// `min_support` embeddings is dropped before it is built or
-/// canonical-checked.
-///
 /// Public so the optimizer's detection, which tracks which seed produced
 /// each candidate, can drive the lattice itself from
 /// [`crate::embed::seed_buckets`].
 pub fn mine_seed(
     tuple: crate::dfs_code::DfsTuple,
-    mut embeddings: Vec<Embedding>,
+    embeddings: Vec<Embedding>,
     graphs: &[InputGraph],
     config: &Config,
     visit: &mut dyn FnMut(&Frequent) -> GrowDecision,
     budget: &mut usize,
 ) -> bool {
-    let tracer = &*config.tracer;
-    if !may_be_frequent(&embeddings, config) {
-        return true;
+    match take_up(|| Pattern::root(tuple), embeddings, config) {
+        Some((frequent, embeddings)) => grow(frequent, &embeddings, graphs, config, visit, budget),
+        None => true,
     }
-    let pattern = Pattern::root(tuple);
+}
+
+/// The gates every code the search takes up (a seed, or an extension of
+/// a visited pattern) meets, in order of cost: its embedding count, its
+/// canonical form, its support. Counts the code (`mine.codes`) and, when
+/// a gate cuts it, the cut. A code with fewer than `min_support`
+/// embeddings is cut before `pattern` builds it or the canonical test
+/// runs. That cut is exact: support under either counting (graphs for
+/// DgSpan, disjoint embeddings for Edgar) never exceeds the number of
+/// embeddings, and the enumerations leave the list of such a code empty.
+///
+/// Returns the code as a frequent fragment together with the embedding
+/// list its extensions are enumerated from: the raw list, truncated to
+/// `max_embeddings` but not deduplicated by node set.
+fn take_up(
+    pattern: impl FnOnce() -> Pattern,
+    mut embeddings: Vec<Embedding>,
+    config: &Config,
+) -> Option<(Frequent, Vec<Embedding>)> {
+    let tracer = &*config.tracer;
+    tracer.count("mine.codes", 1);
+    if embeddings.len() < config.min_support {
+        tracer.count("mine.prune_infrequent", 1);
+        return None;
+    }
+    let pattern = pattern();
     if !pattern.is_min_cached(tracer) {
         tracer.count("mine.prune_non_canonical", 1);
-        return true;
+        return None;
     }
     if embeddings.len() > config.max_embeddings {
         tracer.event(
@@ -314,44 +334,22 @@ pub fn mine_seed(
     let deduped = dedup_by_node_set(&embeddings);
     if !support_at_least_traced(&deduped, config.support, config.min_support, tracer) {
         tracer.count("mine.prune_infrequent", 1);
-        return true;
+        return None;
     }
     let support = count_support_traced(&deduped, config.support, tracer);
-    grow(
+    let frequent = Frequent {
         pattern,
-        &embeddings,
-        deduped,
+        embeddings: deduped,
         support,
-        graphs,
-        config,
-        visit,
-        budget,
-    )
+    };
+    Some((frequent, embeddings))
 }
 
-/// The first gate every code the search takes up meets: counts the code
-/// (`mine.codes`) and drops it as infrequent when its raw embedding list,
-/// before truncation and node-set dedup, is shorter than `min_support`.
-/// Exact: support under either counting (graphs for DgSpan, disjoint
-/// embeddings for Edgar) never exceeds the number of embeddings, so every
-/// code dropped here would fail the canonical test or the support test.
-fn may_be_frequent(embeddings: &[Embedding], config: &Config) -> bool {
-    let tracer = &*config.tracer;
-    tracer.count("mine.codes", 1);
-    if embeddings.len() < config.min_support {
-        tracer.count("mine.prune_infrequent", 1);
-        return false;
-    }
-    true
-}
-
-/// Returns `false` when the pattern budget is exhausted (abort the run).
-#[allow(clippy::too_many_arguments)]
+/// Visits a pattern the gates let through and grows its children;
+/// returns `false` when the pattern budget is exhausted (abort the run).
 fn grow(
-    pattern: Pattern,
+    frequent: Frequent,
     embeddings: &[Embedding],
-    deduped: Vec<Embedding>,
-    support: usize,
     graphs: &[InputGraph],
     config: &Config,
     visit: &mut dyn FnMut(&Frequent) -> GrowDecision,
@@ -371,11 +369,6 @@ fn grow(
     //   patterns_visited == expanded + subtree_skipped + stopped_max_nodes
     // holds by construction (`gpa trace-check` asserts it).
     tracer.count("mine.patterns_visited", 1);
-    let frequent = Frequent {
-        pattern,
-        embeddings: deduped,
-        support,
-    };
     let decision = visit(&frequent);
     let pattern = frequent.pattern;
     if decision == GrowDecision::SkipChildren {
@@ -387,43 +380,15 @@ fn grow(
         return true;
     }
     tracer.count("mine.expanded", 1);
-    for (tuple, mut child_embeddings) in extensions(&pattern, graphs, embeddings) {
+    let children = extensions(&pattern, graphs, embeddings, config.min_support, tracer);
+    for (tuple, child_embeddings) in children {
         tracer.count("mine.extensions_generated", 1);
-        if !may_be_frequent(&child_embeddings, config) {
+        let Some((child, child_embeddings)) =
+            take_up(|| pattern.extend(tuple), child_embeddings, config)
+        else {
             continue;
-        }
-        let child = pattern.extend(tuple);
-        if !child.is_min_cached(tracer) {
-            tracer.count("mine.prune_non_canonical", 1);
-            continue;
-        }
-        if child_embeddings.len() > config.max_embeddings {
-            tracer.event(
-                "mine.embeddings_truncated",
-                &[
-                    ("pattern_nodes", Value::from(child.node_count())),
-                    ("before", Value::from(child_embeddings.len())),
-                    ("after", Value::from(config.max_embeddings)),
-                ],
-            );
-            child_embeddings.truncate(config.max_embeddings);
-        }
-        let child_deduped = dedup_by_node_set(&child_embeddings);
-        if !support_at_least_traced(&child_deduped, config.support, config.min_support, tracer) {
-            tracer.count("mine.prune_infrequent", 1);
-            continue;
-        }
-        let child_support = count_support_traced(&child_deduped, config.support, tracer);
-        if !grow(
-            child,
-            &child_embeddings,
-            child_deduped,
-            child_support,
-            graphs,
-            config,
-            visit,
-            budget,
-        ) {
+        };
+        if !grow(child, &child_embeddings, graphs, config, visit, budget) {
             return false;
         }
     }
@@ -577,17 +542,19 @@ mod tests {
         assert_eq!(c.get("mine.patterns_visited"), 0);
         assert_eq!(c.get("mine.canon_checks"), 0);
         assert_eq!(c.get("mine.prune_infrequent"), c.get("mine.codes"));
+        assert_eq!(c.get("mine.embeddings_built"), 0);
         // ldr→sub has two embeddings: at min_support 2 it is tested and
         // visited, at min_support 3 it is cut with the rest, untested.
         let twice = "ldr r3, [r1]!\nsub r2, r2, r3\nldr r3, [r1]!\nsub r2, r2, r3";
-        let buckets = seed_buckets(&graphs_of(&[twice]));
-        assert_eq!(buckets.values().map(Vec::len).max(), Some(2));
+        let buckets = seed_buckets(&graphs_of(&[twice]), 1, &gpa_trace::NoopTracer);
+        assert_eq!(buckets.iter().map(|(_, e)| e.len()).max(), Some(2));
         let c = run(twice, 2);
         assert!(c.get("mine.canon_checks") > 0);
         assert!(c.get("mine.patterns_visited") > 0);
         let c = run(twice, 3);
         assert_eq!(c.get("mine.patterns_visited"), 0);
         assert_eq!(c.get("mine.canon_checks"), 0);
+        assert_eq!(c.get("mine.embeddings_built"), 0);
         assert_eq!(c.get("mine.prune_infrequent"), c.get("mine.codes"));
         assert_eq!(c.get("mine.codes"), buckets.len() as u64);
     }

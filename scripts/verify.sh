@@ -22,7 +22,11 @@ cargo bench -q -p gpa-bench --bench mining -- --test
 # deterministic report sections must agree byte-for-byte.
 GPA=target/release/gpa
 WORK=$(mktemp -d)
-trap 'rm -rf "$WORK"' EXIT
+# Whatever step fails, stop the serve smoke's daemon and load generator
+# (below) if they are running, and remove the work directory.
+SERVE_PID=
+LOADGEN_PID=
+trap 'kill $SERVE_PID $LOADGEN_PID 2>/dev/null || true; rm -rf "$WORK"' EXIT
 "$GPA" build-bench crc -o "$WORK/crc.img" >/dev/null
 "$GPA" build-bench sha -o "$WORK/sha.img" >/dev/null
 "$GPA" batch "$WORK/crc.img" "$WORK/sha.img" --jobs 2 \
@@ -93,7 +97,9 @@ head -n1 "$WORK/opt_traced_full.txt" > "$WORK/opt_traced.txt"
 # visit the same patterns and evaluate the same candidates. The
 # canonical test runs only on codes that can still be frequent: a code
 # with fewer embeddings than `min_support` is cut before it (counted in
-# `mine.prune_infrequent`). (The canonicality cache's hit/miss split is
+# `mine.prune_infrequent`), and the enumerations build the embeddings
+# only of codes with at least `min_support` records
+# (`mine.embeddings_built`). (The canonicality cache's hit/miss split is
 # left out: it depends on the code hash.) The front end builds each
 # region once and then only the regions of the functions each round
 # rewrites: 122 regions in round 1, 210 more over the 14 rounds after
@@ -115,7 +121,7 @@ crc_work=(mine.codes=28184 mine.patterns_visited=5146 mine.canon_checks=9617
     mine.expanded=4636 mine.extensions_generated=14758
     mine.prune_non_canonical=4418 mine.prune_infrequent=18620
     detect.candidates_evaluated=3678 detect.embedding_unextractable=1012
-    mis.bb_steps=3655
+    mis.bb_steps=3655 mine.embeddings_built=22269
     front.regions=1830 front.regions_built=332 front.regions_reused=1498)
 gate_counters "$WORK/crc.jsonl" "${crc_work[@]}"
 # Under --alias stack the same search runs on crc, and every round's
@@ -185,7 +191,7 @@ done
 gate_counters "$WORK/qsort_j1.jsonl" mine.codes=2745152 \
     mine.patterns_visited=340107 mine.extensions_generated=2707724 \
     mine.budget_exhausted=3 mine.canon_checks=742828 \
-    detect.candidates_evaluated=333894
+    detect.candidates_evaluated=333894 mine.embeddings_built=1500849
 echo "verify: --jobs smoke OK (crc jobs 1/2/8, qsort jobs 1/2 byte-identical)"
 
 # Lint gate: every bundled kernel must pass the V010–V014 stack lints
@@ -267,7 +273,6 @@ for _ in $(seq 1 100); do
 done
 if [ -z "$serve_addr" ]; then
     echo "verify: gpa serve never reported its address" >&2
-    kill "$SERVE_PID" 2>/dev/null || true
     exit 1
 fi
 # One-shot equivalence: the served report is the optimizer's, bytewise.
@@ -277,7 +282,6 @@ fi
     --knobs '{"validate":"off"}' --report-only > "$WORK/crc_report_served.json"
 if ! cmp -s "$WORK/crc_report_oneshot.json" "$WORK/crc_report_served.json"; then
     echo "verify: served report differs from one-shot gpa optimize" >&2
-    kill "$SERVE_PID" 2>/dev/null || true
     exit 1
 fi
 # Mixed hot/cold soak + shed-provoking burst, run in the background so
@@ -312,26 +316,25 @@ while kill -0 "$LOADGEN_PID" 2>/dev/null; do
     fi
     sleep 0.05
 done
-if ! wait "$LOADGEN_PID"; then
+loadgen_status=0
+wait "$LOADGEN_PID" || loadgen_status=$?
+LOADGEN_PID=
+if [ "$loadgen_status" -ne 0 ]; then
     echo "verify: serve loadgen failed (identity/baseline/transport):" >&2
     cat "$WORK/loadgen.err" >&2
-    kill "$SERVE_PID" 2>/dev/null || true
     exit 1
 fi
 if [ "$stats_polls" -lt 1 ]; then
     echo "verify: no mid-soak stats snapshot succeeded" >&2
-    kill "$SERVE_PID" 2>/dev/null || true
     exit 1
 fi
 if [ "$saw_outstanding" -ne 1 ]; then
     echo "verify: no snapshot caught in-flight + queued > 0 under load" >&2
-    kill "$SERVE_PID" 2>/dev/null || true
     exit 1
 fi
 loadgen_polls=$(extract_metric BENCH_serve.json polls)
 if [ "${loadgen_polls:-0}" -lt 1 ]; then
     echo "verify: loadgen --stats-every-ms took no snapshots" >&2
-    kill "$SERVE_PID" 2>/dev/null || true
     exit 1
 fi
 # Flight-recorder smoke: force a queue-expired deadline (an anomaly),
@@ -341,7 +344,6 @@ fi
     > "$WORK/zero_deadline.out" 2>/dev/null || true
 if ! grep -q '"status":"deadline_exceeded"' "$WORK/zero_deadline.out"; then
     echo "verify: zero-deadline request did not answer deadline_exceeded" >&2
-    kill "$SERVE_PID" 2>/dev/null || true
     exit 1
 fi
 "$GPA" stats --addr "$serve_addr" --dump "$WORK/flight.jsonl" \
@@ -349,7 +351,6 @@ fi
 "$GPA" trace-check "$WORK/final_snap.json" "$WORK/flight.jsonl"
 if ! grep -q '"reason":"deadline_exceeded"' "$WORK/flight.jsonl"; then
     echo "verify: flight recorder did not capture the deadline anomaly" >&2
-    kill "$SERVE_PID" 2>/dev/null || true
     exit 1
 fi
 # `gpa top` renders against the live daemon (two piped frames).
@@ -359,14 +360,16 @@ if ! grep -q '^gpa-serve ' "$WORK/top.out" || \
    ! grep -q 'latency window' "$WORK/top.out"; then
     echo "verify: gpa top did not render a dashboard:" >&2
     cat "$WORK/top.out" >&2
-    kill "$SERVE_PID" 2>/dev/null || true
     exit 1
 fi
 # Drain via a Shutdown frame (a zero-request loadgen run still probes
 # the per-image reports, then shuts the daemon down).
 "$LOADGEN" --addr "$serve_addr" --requests 0 --clients 1 --shutdown \
     > /dev/null
-if ! wait "$SERVE_PID"; then
+serve_status=0
+wait "$SERVE_PID" || serve_status=$?
+SERVE_PID=
+if [ "$serve_status" -ne 0 ]; then
     echo "verify: gpa serve exited non-zero after drain" >&2
     exit 1
 fi
