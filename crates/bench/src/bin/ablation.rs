@@ -1,20 +1,18 @@
-//! Ablation studies for the design choices called out in DESIGN.md:
+//! Ablation study for the canonical (fuzzy) instruction labels of
+//! DESIGN.md — the paper's Fig. 13 future-work extension. Mining with
+//! registers/immediates abstracted finds more frequent fragments; this
+//! reports how many more (an upper-bound indicator — extraction with
+//! register reconciliation is future work here too, exactly as in the
+//! paper).
 //!
-//! * **canonical (fuzzy) instruction labels** — the paper's Fig. 13
-//!   future-work extension. Mining with registers/immediates abstracted
-//!   finds more frequent fragments; this reports how many more (an
-//!   upper-bound indicator — extraction with register reconciliation is
-//!   future work here too, exactly as in the paper).
-//! * **scheduler on/off** — how much of graph PA's edge over SFX comes
-//!   from instruction reordering (`table1 --no-sched` gives the full
-//!   table; this prints the one-line summary).
+//! The scheduler ablation is a `gpa perf` run over the kernels compiled
+//! without the scheduling pass: `gpa perf --no-sched --methods sfx`.
 //!
 //! ```text
 //! cargo run --release -p gpa-bench --bin ablation
 //! ```
 
-use gpa::{Method, Optimizer};
-use gpa_bench::{compile, BENCHMARKS};
+use gpa_bench::compile;
 use gpa_dfg::{build_all, LabelMode};
 use gpa_mining::graph::InputGraph;
 use gpa_mining::miner::{mine_streaming, Config, GrowDecision, Support};
@@ -34,7 +32,7 @@ fn frequent_count(name: &str, mode: LabelMode) -> usize {
             max_patterns: 50_000,
             ..Config::default()
         },
-        &mut |_| {
+        &mut |_, _| {
             count += 1;
             GrowDecision::Continue
         },
@@ -43,7 +41,7 @@ fn frequent_count(name: &str, mode: LabelMode) -> usize {
 }
 
 fn main() {
-    println!("Ablation 1: canonical (fuzzy) instruction labels — Fig. 13 extension");
+    println!("Ablation: canonical (fuzzy) instruction labels — Fig. 13 extension");
     println!(
         "{:<10} {:>14} {:>14} {:>8}",
         "Program", "exact labels", "canonical", "ratio"
@@ -60,29 +58,5 @@ fn main() {
         );
     }
     println!("\n(Canonical labels merge register variants, exposing more frequent");
-    println!("fragments — the headroom the paper attributes to fuzzy matching.)\n");
-
-    println!("Ablation 2: scheduler on/off — where the SFX gap comes from");
-    println!(
-        "{:<10} {:>12} {:>12} {:>12}",
-        "Program", "SFX(sched)", "SFX(plain)", "Edgar(sched)"
-    );
-    for name in BENCHMARKS.iter().take(4) {
-        let saved = |schedule: bool, method: Method| {
-            let image = compile(name, schedule);
-            let mut opt = Optimizer::from_image(&image).expect("lifts");
-            opt.run(method)
-                .expect("optimization validates")
-                .saved_words()
-        };
-        println!(
-            "{:<10} {:>12} {:>12} {:>12}",
-            name,
-            saved(true, Method::Sfx),
-            saved(false, Method::Sfx),
-            saved(true, Method::Edgar),
-        );
-    }
-    println!("\n(Without reordering, the suffix view recovers much of the loss —");
-    println!("the paper's explanation for rijndael's extreme numbers.)");
+    println!("fragments — the headroom the paper attributes to fuzzy matching.)");
 }

@@ -1,32 +1,25 @@
-//! The evaluation harness: regenerates every table and figure of the
-//! paper's §4 over the bundled MiBench kernels.
+//! Paper-evaluation helpers and harness binaries over the bundled
+//! MiBench kernels.
 //!
-//! Binaries:
+//! Table 1, Fig. 11 and Fig. 12 come from one optimizing run, `gpa perf`
+//! (`gpa-metrics`), which also re-runs every optimized image in the
+//! emulator. The binaries here print what needs no optimizer run:
 //!
-//! * `table1` — saved instructions per program for SFX / DgSpan / Edgar
-//!   (plus timings and the semantic-preservation check);
 //! * `table2` — instructions with (in ∨ out) degree > 1 vs ≤ 1;
 //! * `table3` — in/out-degree histograms (0, 1, 2, 3, ≥ 4);
-//! * `fig11` — relative increase of savings vs SFX;
-//! * `fig12` — extraction mechanisms used (procedure call vs cross-jump);
-//! * `sizes` — compiled image statistics.
+//! * `ablation` — frequent fragments under exact vs canonical labels;
+//! * `sizes` — compiled image statistics;
+//! * `gpa-bench` — the serve-mode load generator.
 //!
 //! Criterion benches live under `benches/`.
 
 #![warn(missing_docs)]
 
-use std::time::{Duration, Instant};
-
-use gpa::{Method, Optimizer, Report};
-use gpa_emu::Machine;
 use gpa_image::Image;
 use gpa_minicc::{compile_benchmark, Options};
 
 /// The benchmark names, in the paper's Table 1 order.
 pub const BENCHMARKS: [&str; 8] = gpa_minicc::programs::BENCHMARKS;
-
-/// Emulator step budget for the largest kernels.
-pub const STEP_BUDGET: u64 = 600_000_000;
 
 /// Compiles one benchmark (with or without the scheduling pass).
 ///
@@ -42,75 +35,4 @@ pub fn compile(name: &str, schedule: bool) -> Image {
         },
     )
     .unwrap_or_else(|e| panic!("bundled benchmark {name}: {e}"))
-}
-
-/// One optimization outcome.
-pub struct MethodOutcome {
-    /// The per-round report.
-    pub report: Report,
-    /// Wall-clock optimization time.
-    pub elapsed: Duration,
-    /// The optimized image.
-    pub image: Image,
-}
-
-/// Runs one method over one image, verifying semantic preservation in the
-/// emulator.
-///
-/// # Panics
-///
-/// Panics when the optimized binary misbehaves — the reproduction's
-/// correctness gate.
-pub fn optimize(image: &Image, method: Method) -> MethodOutcome {
-    let start = Instant::now();
-    let mut optimizer = Optimizer::from_image(image).expect("benchmark images lift");
-    let report = optimizer.run(method).expect("optimization validates");
-    let elapsed = start.elapsed();
-    let optimized = optimizer.encode().expect("optimized programs encode");
-    let before = Machine::new(image).run(STEP_BUDGET).expect("baseline runs");
-    let after = Machine::new(&optimized)
-        .run(STEP_BUDGET)
-        .expect("optimized binary runs");
-    assert_eq!(
-        before.exit_code, after.exit_code,
-        "{method}: exit code changed"
-    );
-    assert_eq!(before.output, after.output, "{method}: output changed");
-    MethodOutcome {
-        report,
-        elapsed,
-        image: optimized,
-    }
-}
-
-/// A full Table 1 row.
-pub struct Row {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Instruction count before PA.
-    pub instructions: usize,
-    /// Outcomes per method, in [SFX, DgSpan, Edgar] order.
-    pub outcomes: [MethodOutcome; 3],
-}
-
-/// Evaluates every method on one benchmark.
-pub fn evaluate(name: &'static str, schedule: bool) -> Row {
-    let image = compile(name, schedule);
-    let program = gpa_cfg::decode_image(&image).expect("benchmark images lift");
-    let instructions = program.instruction_count();
-    let outcomes = [
-        optimize(&image, Method::Sfx),
-        optimize(&image, Method::DgSpan),
-        optimize(&image, Method::Edgar),
-    ];
-    Row {
-        name,
-        instructions,
-        outcomes,
-    }
-}
-
-/// Formats a duration as seconds with two decimals.
-pub fn secs(d: Duration) -> String {
-    format!("{:.2}s", d.as_secs_f64())
 }

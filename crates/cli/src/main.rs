@@ -1083,7 +1083,9 @@ fn submit(args: &[String]) -> Result<ExitCode, String> {
 /// `gpa perf`: the benchmark harness over the bundled kernel corpus.
 ///
 /// Writes the `gpa-bench/1` document to `-o` (default `BENCH_gpa.json`)
-/// and the markdown tables to stdout. `--baseline <file>` turns the run
+/// and the markdown views (Table 1, Fig. 11, Fig. 12, latency, cache) to
+/// stdout. Every optimized image runs in the emulator; one that exits or
+/// prints otherwise than its input fails the run (exit `1`). `--baseline <file>` turns the run
 /// into a gate: exit `2` on a hard compression regression, `3` when only
 /// latency drifted beyond `--tolerance-pct` (default 25). `--compare
 /// <file>` skips the run and gates an existing document instead.

@@ -678,7 +678,7 @@ fn perf_writes_bench_document_deterministically() {
                 "--kernels",
                 "crc",
                 "--methods",
-                "sfx",
+                "sfx,edgar",
                 "--jobs",
                 jobs,
                 "--validate",
@@ -706,7 +706,40 @@ fn perf_writes_bench_document_deterministically() {
         doc.get("schema").and_then(gpa::json::Json::as_str),
         Some("gpa-bench/1")
     );
-    assert!(doc.get("measured").is_some());
+    // Fig. 11: Edgar saves 73 words on crc against SFX's 47.
+    assert!(markdown.contains("## Fig. 11"), "{markdown}");
+    assert!(markdown.contains("| crc | +55.3% |"), "{markdown}");
+    // Fig. 12 shows the document's procedure and cross-jump counts.
+    let int = |v: &gpa::json::Json, key| v.get(key).and_then(gpa::json::Json::as_int).unwrap();
+    let kernels = doc
+        .get("kernels")
+        .and_then(gpa::json::Json::as_arr)
+        .unwrap();
+    let results = kernels[0]
+        .get("results")
+        .and_then(gpa::json::Json::as_arr)
+        .unwrap();
+    let counts: Vec<String> = results
+        .iter()
+        .flat_map(|r| [int(r, "procedures"), int(r, "cross_jumps")])
+        .map(|n| n.to_string())
+        .collect();
+    assert!(markdown.contains("## Fig. 12"), "{markdown}");
+    let fig12_row = format!("| crc | {} |", counts.join(" | "));
+    assert!(markdown.contains(&fig12_row), "{fig12_row} in {markdown}");
+    // One optimize time per kernel × method, in the measured section.
+    let images = doc
+        .get("measured")
+        .and_then(|m| m.get("images"))
+        .and_then(gpa::json::Json::as_arr)
+        .expect("per-image times");
+    let methods: Vec<&str> = images
+        .iter()
+        .filter(|i| i.get("kernel").and_then(gpa::json::Json::as_str) == Some("crc"))
+        .filter(|i| int(i, "optimize_ns") > 0)
+        .filter_map(|i| i.get("method").and_then(gpa::json::Json::as_str))
+        .collect();
+    assert_eq!(methods, ["sfx", "edgar"]);
     // The deterministic section must not depend on --jobs.
     assert_eq!(deterministic_prefix(&a), deterministic_prefix(&b));
     for p in [out_a, out_b] {

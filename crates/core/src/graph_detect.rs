@@ -5,10 +5,10 @@ use std::sync::Arc;
 
 use gpa_cfg::{FunctionCode, Item, Program};
 use gpa_dfg::{AliasOracle, Dfg, LabelMode};
-use gpa_mining::embed::{seed_buckets, Embedding};
+use gpa_mining::embed::Embedding;
 use gpa_mining::graph::InputGraph;
 use gpa_mining::miner::{
-    mine_seed, non_overlapping_count_traced, Config, Frequent, GrowDecision, Support,
+    mine_streaming, non_overlapping_count_traced, Config, Frequent, GrowDecision, Support,
 };
 use gpa_trace::{NoopTracer, Tracer, Value};
 
@@ -648,9 +648,9 @@ pub fn best_candidate(program: &Program, config: &GraphConfig) -> Option<Candida
 /// the rebuilt regions' conservative artifacts), then the lattice
 /// search, MIS overlap resolution included, runs inside a `mine` span.
 ///
-/// The plain search grows the seeds of the DFS-code lattice in seed
-/// order under one `max_patterns` budget for the whole round, carrying
-/// one incumbent from seed to seed.
+/// The search ([`mine_streaming`]) grows the seeds of the DFS-code
+/// lattice in seed order under one `max_patterns` budget for the whole
+/// round, carrying one incumbent from seed to seed.
 pub(crate) fn best_candidate_instrumented(
     program: &Program,
     config: &GraphConfig,
@@ -701,25 +701,9 @@ pub(crate) fn best_candidate_instrumented(
     };
     let mine_span = gpa_trace::span(&*config.tracer, "mine");
     let mut best = RunningBest::default();
-    let mut budget = mine_config.max_patterns;
-    let seeds = seed_buckets(graphs, mine_config.min_support, &*config.tracer);
-    for (si, (tuple, embeddings)) in seeds.into_iter().enumerate() {
-        let keep_going = mine_seed(
-            tuple,
-            embeddings,
-            graphs,
-            &mine_config,
-            &mut |f| ctx.visit(f, si, &mut best),
-            &mut budget,
-        );
-        if !keep_going {
-            // The rest of the round's seeds go unexplored.
-            config
-                .tracer
-                .event("mine.budget_exhausted", &[("seed", Value::from(si))]);
-            break;
-        }
-    }
+    mine_streaming(graphs, &mine_config, &mut |f, seed| {
+        ctx.visit(f, seed, &mut best)
+    });
     drop(mine_span);
     let RunningBest {
         candidate: winner,

@@ -11,9 +11,15 @@
 //!   detection methods via the batch pipeline and produces a
 //!   [`PerfReport`]: paper-shape compression metrics per image × method
 //!   (original size, words saved, % savings in basis points, fragments,
-//!   rounds, per-method deltas) plus per-stage latency distributions as
+//!   procedure calls and cross jumps, rounds, per-method deltas), each
+//!   image's optimize time, plus per-stage latency distributions as
 //!   log-bucketed [`gpa_trace::LogHistogram`]s with p50/p90/p99, read
-//!   from the spans of each image's trace ([`perf::STAGES`]).
+//!   from the spans of each image's trace ([`perf::STAGES`]). Every
+//!   optimized image runs in the emulator and must exit and print
+//!   exactly as its input does, or the run fails.
+//! * [`PerfReport::markdown`] renders the paper's Table 1 (with time
+//!   columns and improvement factors), Fig. 11 and Fig. 12 from the
+//!   report, beside the stage-latency and cache tables.
 //! * [`PerfReport::to_json`] serializes the `gpa-bench/1` document: a
 //!   *deterministic* section (depends only on inputs and method — byte
 //!   identical across runs, machines and `--jobs` settings) followed by

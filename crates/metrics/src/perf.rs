@@ -1,11 +1,14 @@
-//! The `gpa perf` harness: corpus runs, the `gpa-bench/1` document and
-//! the human markdown tables.
+//! The `gpa perf` harness: corpus runs, the emulator check, the
+//! `gpa-bench/1` document and the human markdown views (Table 1,
+//! Fig. 11, Fig. 12, stage latency and cache counters).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use gpa::json::Json;
 use gpa::{AliasLevel, Method, Report, RunConfig, ValidateLevel};
+use gpa_emu::{Machine, Outcome};
+use gpa_image::Image;
 use gpa_minicc::Options;
 use gpa_pipeline::{run_batch, BatchConfig, BatchInput};
 use gpa_trace::{LogHistogram, SpanNode, SpanTree};
@@ -26,6 +29,10 @@ pub const STAGES: [(&str, &[&str]); 5] = [
     ("extraction", &["optimize", "round", "apply"]),
     ("validation", &["optimize", "validate"]),
 ];
+
+/// Emulator step budget for one run of a kernel, before or after
+/// optimization.
+const STEP_BUDGET: u64 = 600_000_000;
 
 /// What `gpa perf` runs.
 #[derive(Clone, Debug)]
@@ -68,7 +75,8 @@ impl Default for PerfConfig {
     }
 }
 
-/// One kernel's deterministic compression metrics.
+/// One kernel's deterministic compression metrics, with the measured
+/// time of each of its optimizations.
 #[derive(Clone, Debug)]
 pub struct KernelResult {
     /// Kernel name.
@@ -82,6 +90,9 @@ pub struct KernelResult {
     /// One report per configured method, in [`PerfConfig::methods`]
     /// order.
     pub results: Vec<(Method, Report)>,
+    /// Optimize time per configured method, in the same order: the
+    /// image's root `front` and `optimize` spans (measured section).
+    pub optimize_ns: Vec<u64>,
 }
 
 /// One method's cache-layer counters (measured section only).
@@ -121,6 +132,9 @@ pub struct PerfReport {
     pub jobs: usize,
     /// End-to-end wall time of the whole harness run.
     pub wall_ns: u64,
+    /// Wall time of the emulator check: every input and every
+    /// optimized image run to its exit.
+    pub emulator_ns: u64,
     /// Per-method per-stage latency distributions.
     pub latency: Vec<MethodLatency>,
     /// Per-method cache hit/miss counters (report and DFG caches).
@@ -137,19 +151,27 @@ pub struct PerfReport {
 /// pipeline's worker pool and deterministic merge are reused wholesale),
 /// so the deterministic section of the result is byte-identical for any
 /// `jobs` setting. Every image is traced into a temporary directory;
-/// its spans give the per-stage samples ([`STAGES`]) and, with
-/// [`PerfConfig::profile`], the span profile.
+/// its spans give the per-stage samples ([`STAGES`]), its optimize time
+/// and, with [`PerfConfig::profile`], the span profile. Every optimized
+/// image then runs in the emulator and must exit and print exactly as
+/// its input does.
 ///
 /// # Errors
 ///
-/// A message when a kernel fails to compile, a batch aborts, or any
-/// image fails to optimize — the harness has no partial results.
+/// A message when a kernel is named twice or fails to compile, a batch
+/// aborts, any image fails to optimize, or an optimized image does not
+/// behave as its input — the harness has no partial results.
 pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
     if config.methods.is_empty() {
         return Err("no methods selected".to_owned());
     }
     if config.kernels.is_empty() {
         return Err("no kernels selected".to_owned());
+    }
+    for (i, name) in config.kernels.iter().enumerate() {
+        if config.kernels[..i].contains(name) {
+            return Err(format!("kernel {name} named twice"));
+        }
     }
     let opts = Options {
         schedule: config.schedule,
@@ -162,7 +184,13 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
         images.push((name.clone(), image));
     }
     let start = Instant::now();
-    let mut per_method: Vec<Vec<Report>> = Vec::new();
+    // Each input runs once; every method's output is held to it.
+    let behaviour = images
+        .iter()
+        .map(|(name, image)| emulate(image).map_err(|e| format!("kernel {name}: {e}")))
+        .collect::<Result<Vec<Outcome>, String>>()?;
+    let mut emulator_ns = gpa_trace::saturating_ns(start.elapsed());
+    let mut per_method: Vec<Vec<(Report, u64)>> = Vec::new();
     let mut latency = Vec::new();
     let mut cache = Vec::new();
     let mut profile = config.profile.then(SpanTree::default);
@@ -195,15 +223,22 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
             .map(|(name, image)| BatchInput::loaded(name.clone(), image.clone()))
             .collect();
         let corpus = run_batch(&inputs, &batch);
-        let traces = crate::profile::spans_per_stream(&trace_dir);
+        let traces = crate::profile::spans_per_slot(&trace_dir, inputs.len());
         let _ = std::fs::remove_dir_all(&trace_dir);
         let (corpus, traces) = (corpus?, traces?);
-        for entry in &corpus.images {
-            if let Err(message) = &entry.outcome {
-                return Err(format!("{} [{}]: {message}", entry.name, method.as_str()));
-            }
-        }
         jobs_used = corpus.jobs;
+        let mut runs = Vec::new();
+        for ((entry, trace), input) in corpus.images.iter().zip(&traces).zip(&behaviour) {
+            let at = format!("{} [{}]", entry.name, method.as_str());
+            let report = entry.outcome.as_ref().map_err(|e| format!("{at}: {e}"))?;
+            let missing = || format!("{at}: no optimized image to check");
+            let image = entry.image.as_ref().ok_or_else(missing)?;
+            let check_start = Instant::now();
+            check_behaviour(&entry.name, method, input, image)?;
+            emulator_ns += gpa_trace::saturating_ns(check_start.elapsed());
+            let optimize_ns = trace.total_ns_at(&["front"]) + trace.total_ns_at(&["optimize"]);
+            runs.push((report.clone(), optimize_ns));
+        }
         let mut stages: Vec<(&'static str, LogHistogram)> = STAGES
             .iter()
             .map(|&(name, _)| (name, LogHistogram::new()))
@@ -223,12 +258,7 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
             dfg_hits: corpus.dfg_cache_hits,
             dfg_misses: corpus.dfg_cache_misses,
         });
-        per_method.push(
-            corpus
-                .successful()
-                .map(|(_, report)| report.clone())
-                .collect(),
-        );
+        per_method.push(runs);
         if let Some(tree) = &mut profile {
             tree.merge(&under_method_root(method, spans));
         }
@@ -241,7 +271,7 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
                 .methods
                 .iter()
                 .zip(&per_method)
-                .map(|(&method, reports)| (method, reports[i].clone()))
+                .map(|(&method, runs)| (method, runs[i].0.clone()))
                 .collect();
             KernelResult {
                 name: name.clone(),
@@ -249,6 +279,7 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
                 code_words: image.code_len(),
                 data_bytes: image.data_bytes().len(),
                 results,
+                optimize_ns: per_method.iter().map(|runs| runs[i].1).collect(),
             }
         })
         .collect();
@@ -257,10 +288,46 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
         kernels,
         jobs: jobs_used,
         wall_ns: gpa_trace::saturating_ns(start.elapsed()),
+        emulator_ns,
         latency,
         cache,
         profile,
     })
+}
+
+/// Runs an image in the emulator to its exit.
+fn emulate(image: &Image) -> Result<Outcome, String> {
+    Machine::new(image)
+        .run(STEP_BUDGET)
+        .map_err(|e| format!("emulation failed: {e}"))
+}
+
+/// The emulator check of one optimized image: `image`, `kernel`
+/// optimized by `method`, must exit and print exactly as the input did
+/// (`input`).
+///
+/// # Errors
+///
+/// A message naming the kernel and the method when the image does not
+/// run to its exit, or its exit code or output differs.
+fn check_behaviour(
+    kernel: &str,
+    method: Method,
+    input: &Outcome,
+    image: &Image,
+) -> Result<(), String> {
+    let at = format!("{kernel} [{}]: the optimized image", method.as_str());
+    let output = emulate(image).map_err(|e| format!("{at}: {e}"))?;
+    if output.exit_code != input.exit_code {
+        return Err(format!(
+            "{at} exits with {} where its input exits with {}",
+            output.exit_code, input.exit_code
+        ));
+    }
+    if output.output != input.output {
+        return Err(format!("{at} prints other output than its input"));
+    }
+    Ok(())
 }
 
 /// Grafts one method's merged per-image profile under a single
@@ -319,8 +386,9 @@ impl PerfReport {
     /// section only* — per-kernel, per-method compression metrics plus
     /// totals, a pure function of the kernel sources, the compiler and
     /// the optimizer. `include_measured = true` appends the trailing
-    /// `"measured"` object (jobs, wall time, per-stage latency
-    /// histograms/percentiles), which varies run to run.
+    /// `"measured"` object (jobs, wall time, the emulator check's time,
+    /// per-stage latency histograms/percentiles, cache counters and each
+    /// image's optimize time), which varies run to run.
     pub fn to_json(&self, include_measured: bool) -> Json {
         let kernels: Vec<Json> = self
             .kernels
@@ -437,110 +505,202 @@ impl PerfReport {
                     ])
                 })
                 .collect();
+            let mut images = Vec::new();
+            for k in &self.kernels {
+                for (method, &ns) in self.methods.iter().zip(&k.optimize_ns) {
+                    let (kernel, method) = (k.name.as_str(), method.as_str());
+                    images.push(Json::obj([
+                        ("kernel", Json::from(kernel)),
+                        ("method", Json::from(method)),
+                        ("optimize_ns", Json::from(ns)),
+                    ]));
+                }
+            }
             doc.push((
                 "measured".to_owned(),
                 Json::obj([
                     ("jobs", Json::from(self.jobs)),
                     ("wall_ns", Json::from(self.wall_ns)),
+                    ("emulator_ns", Json::from(self.emulator_ns)),
                     ("latency", Json::Arr(latency)),
                     ("cache", Json::Arr(cache)),
+                    ("images", Json::Arr(images)),
                 ]),
             ));
         }
         Json::Obj(doc)
     }
 
-    /// Renders the human-facing markdown: the Table 1-shape compression
-    /// table plus a per-stage latency table.
+    /// Renders the human-facing markdown: Table 1 (saved words and
+    /// optimize times, with each method's factor over the first), the
+    /// emulator check's line, Fig. 11 (each method's relative increase
+    /// over the first, when there is more than one), Fig. 12 (procedure
+    /// calls and cross jumps), then the measured stage latencies and
+    /// cache counters.
     pub fn markdown(&self) -> String {
-        let mut out = String::from("## Compression (Table 1 shape)\n\n");
-        out.push_str("| program | insns |");
-        for m in &self.methods {
-            out.push_str(&format!(" {m} saved | {m} % | {m} frags |"));
+        let (methods, base) = (&self.methods, self.methods[0]);
+        let mut header = vec!["program".to_owned(), "insns".to_owned()];
+        for m in methods {
+            header.extend([format!("{m} saved"), format!("{m} %"), format!("{m} frags")]);
         }
-        out.push('\n');
-        out.push_str("|---|---:|");
-        for _ in &self.methods {
-            out.push_str("---:|---:|---:|");
-        }
-        out.push('\n');
+        header.extend(methods.iter().map(|m| format!("t({m})")));
+        // Per method: saved words, fragments, optimize time.
+        let mut totals = vec![(0i64, 0usize, 0u64); methods.len()];
+        let mut rows = Vec::new();
         for k in &self.kernels {
-            out.push_str(&format!("| {} | {} |", k.name, k.instructions));
-            for (_, report) in &k.results {
-                out.push_str(&format!(
-                    " {} | {} | {} |",
-                    report.saved_words(),
-                    fmt_bp(savings_bp(report.saved_words(), report.initial_words)),
-                    report.rounds.len()
-                ));
+            let mut row = vec![k.name.clone(), k.instructions.to_string()];
+            for (((_, report), &ns), total) in k.results.iter().zip(&k.optimize_ns).zip(&mut totals)
+            {
+                let (saved, fragments) = (report.saved_words(), report.rounds.len());
+                let bp = savings_bp(saved, report.initial_words);
+                row.extend([saved.to_string(), fmt_bp(bp), fragments.to_string()]);
+                *total = (total.0 + saved, total.1 + fragments, total.2 + ns);
             }
-            out.push('\n');
+            row.extend(k.optimize_ns.iter().map(|&ns| fmt_secs(ns)));
+            rows.push(row);
         }
-        // Totals row.
         let initial: usize = self.kernels.iter().map(|k| k.instructions).sum();
-        out.push_str(&format!("| **total** | {initial} |"));
-        for mi in 0..self.methods.len() {
-            let saved: i64 = self
-                .kernels
-                .iter()
-                .map(|k| k.results[mi].1.saved_words())
-                .sum();
-            let fragments: usize = self
-                .kernels
-                .iter()
-                .map(|k| k.results[mi].1.rounds.len())
-                .sum();
-            out.push_str(&format!(
-                " **{saved}** | {} | {fragments} |",
-                fmt_bp(savings_bp(saved, initial))
-            ));
+        let mut row = vec!["**total**".to_owned(), initial.to_string()];
+        for &(saved, fragments, _) in &totals {
+            let bp = savings_bp(saved, initial);
+            row.extend([format!("**{saved}**"), fmt_bp(bp), fragments.to_string()]);
         }
+        row.extend(totals.iter().map(|total| fmt_secs(total.2)));
+        rows.push(row);
+        let mut out = String::from("## Table 1: saved instructions\n\n");
+        push_table(&mut out, 1, &header, &rows);
         out.push('\n');
-        out.push_str("\n## Latency (measured)\n\n");
-        out.push_str("| method | stage | samples | p50 | p90 | p99 | max | total |\n");
-        out.push_str("|---|---|---:|---:|---:|---:|---:|---:|\n");
-        for m in &self.latency {
-            for (stage, hist) in &m.stages {
-                if hist.count() == 0 {
-                    continue;
-                }
-                out.push_str(&format!(
-                    "| {} | {stage} | {} | {} | {} | {} | {} | {} |\n",
-                    m.method.as_str(),
-                    hist.count(),
-                    fmt_us(hist.percentile(50)),
-                    fmt_us(hist.percentile(90)),
-                    fmt_us(hist.percentile(99)),
-                    fmt_us(hist.max_ns()),
-                    fmt_us(hist.sum_ns()),
-                ));
+        for (m, total) in methods.iter().zip(&totals).skip(1) {
+            if totals[0].0 > 0 {
+                let factor = total.0 as f64 / totals[0].0 as f64;
+                out.push_str(&format!("- {m}/{base}: {factor:.2}x saved words\n"));
             }
         }
+        out.push_str(&format!(
+            "- All {} optimized images exit and print as their inputs do \
+             (emulator check: {}).\n",
+            self.kernels.len() * methods.len(),
+            fmt_secs(self.emulator_ns)
+        ));
+        if methods.len() > 1 {
+            let mut header = vec!["program".to_owned()];
+            header.extend(methods[1..].iter().map(ToString::to_string));
+            let mut sums = vec![0.0; methods.len() - 1];
+            let mut rows = Vec::new();
+            for k in &self.kernels {
+                let mut row = vec![k.name.clone()];
+                for ((_, report), sum) in k.results[1..].iter().zip(&mut sums) {
+                    let increase = report.relative_increase_vs(&k.results[0].1);
+                    *sum += increase;
+                    row.push(fmt_pct(increase));
+                }
+                rows.push(row);
+            }
+            let mut row = vec!["**average**".to_owned()];
+            row.extend(
+                sums.iter()
+                    .map(|sum| fmt_pct(sum / self.kernels.len() as f64)),
+            );
+            rows.push(row);
+            out.push_str(&format!(
+                "\n## Fig. 11: relative increase of saved words vs {base}\n\n"
+            ));
+            push_table(&mut out, 1, &header, &rows);
+        }
+        let mut header = vec!["program".to_owned()];
+        for m in methods {
+            header.extend([format!("{m} procedures"), format!("{m} cross jumps")]);
+        }
+        let mut totals = vec![(0, 0); methods.len()];
+        let mut rows = Vec::new();
+        for k in &self.kernels {
+            let mut row = vec![k.name.clone()];
+            for ((_, report), total) in k.results.iter().zip(&mut totals) {
+                let counts = (report.procedure_count(), report.cross_jump_count());
+                *total = (total.0 + counts.0, total.1 + counts.1);
+                row.extend([counts.0.to_string(), counts.1.to_string()]);
+            }
+            rows.push(row);
+        }
+        let mut row = vec!["**total**".to_owned()];
+        for (procedures, cross_jumps) in totals {
+            row.extend([format!("**{procedures}**"), format!("**{cross_jumps}**")]);
+        }
+        rows.push(row);
+        out.push_str("\n## Fig. 12: extraction mechanisms\n\n");
+        push_table(&mut out, 1, &header, &rows);
+        let header = [
+            "method", "stage", "samples", "p50", "p90", "p99", "max", "total",
+        ];
+        let mut rows = Vec::new();
+        for m in &self.latency {
+            for (stage, hist) in m.stages.iter().filter(|(_, hist)| hist.count() > 0) {
+                let mut row = vec![m.method.as_str().to_owned(), (*stage).to_owned()];
+                row.push(hist.count().to_string());
+                for p in [50, 90, 99] {
+                    row.push(fmt_us(hist.percentile(p)));
+                }
+                row.extend([fmt_us(hist.max_ns()), fmt_us(hist.sum_ns())]);
+                rows.push(row);
+            }
+        }
+        out.push_str("\n## Latency (measured)\n\n");
+        push_table(&mut out, 2, &header.map(str::to_owned), &rows);
         if !self.cache.is_empty() {
-            out.push_str("\n## Cache (measured)\n\n");
-            out.push_str("| method | layer | hits | misses | hit rate |\n");
-            out.push_str("|---|---|---:|---:|---:|\n");
+            let mut rows = Vec::new();
             for c in &self.cache {
                 let layers = [
                     ("report", c.report_hits, c.report_misses),
                     ("dfg", c.dfg_hits, c.dfg_misses),
                 ];
                 for (layer, hits, misses) in layers {
-                    out.push_str(&format!(
-                        "| {} | {layer} | {hits} | {misses} | {}% |\n",
+                    let rate = format!("{}%", hit_pct(hits, misses));
+                    let row = [
                         c.method.as_str(),
-                        hit_pct(hits, misses)
-                    ));
+                        layer,
+                        &hits.to_string(),
+                        &misses.to_string(),
+                        &rate,
+                    ];
+                    rows.push(row.map(str::to_owned).to_vec());
                 }
             }
+            let header = ["method", "layer", "hits", "misses", "hit rate"];
+            out.push_str("\n## Cache (measured)\n\n");
+            push_table(&mut out, 2, &header.map(str::to_owned), &rows);
         }
         out
+    }
+}
+
+/// Appends a markdown table whose first `left` columns are left-aligned
+/// and the rest right-aligned.
+fn push_table(out: &mut String, left: usize, header: &[String], rows: &[Vec<String>]) {
+    let align = "---|".repeat(left) + &"---:|".repeat(header.len() - left);
+    out.push_str(&format!("| {} |\n|{align}\n", header.join(" | ")));
+    for row in rows {
+        out.push_str(&format!("| {} |\n", row.join(" | ")));
     }
 }
 
 /// Microsecond rendering with one decimal, for the latency table.
 fn fmt_us(ns: u64) -> String {
     format!("{}.{}us", ns / 1_000, (ns % 1_000) / 100)
+}
+
+/// Seconds with two decimals, for Table 1's time columns.
+fn fmt_secs(ns: u64) -> String {
+    format!("{:.2}s", ns as f64 / 1e9)
+}
+
+/// Signed percent with one decimal, for Fig. 11 (`n/a` where the
+/// baseline saved nothing).
+fn fmt_pct(pct: f64) -> String {
+    if pct.is_finite() {
+        format!("{pct:+.1}%")
+    } else {
+        "n/a".to_owned()
+    }
 }
 
 #[cfg(test)]
@@ -589,5 +749,33 @@ mod tests {
             ..PerfConfig::default()
         };
         assert!(run_perf(&bad_kernel).is_err());
+        let twice = PerfConfig {
+            kernels: vec!["crc".into(), "crc".into()],
+            ..PerfConfig::default()
+        };
+        let err = run_perf(&twice).unwrap_err();
+        assert!(err.contains("crc"), "{err}");
+    }
+
+    #[test]
+    fn emulator_check_names_the_kernel_and_the_method() {
+        let compile = |name| gpa_minicc::compile_benchmark(name, &Options::default()).unwrap();
+        let (crc, search) = (compile("crc"), compile("search"));
+        let crc_input = emulate(&crc).unwrap();
+        assert_eq!(
+            check_behaviour("crc", Method::Edgar, &crc_input, &crc),
+            Ok(())
+        );
+        let err = check_behaviour("crc", Method::DgSpan, &crc_input, &search).unwrap_err();
+        assert!(err.starts_with("crc [dgspan]: "), "{err}");
+        let other_exit = Outcome {
+            exit_code: crc_input.exit_code + 1,
+            ..crc_input
+        };
+        let err = check_behaviour("crc", Method::Sfx, &other_exit, &crc).unwrap_err();
+        assert!(
+            err.starts_with("crc [sfx]: ") && err.contains("exits"),
+            "{err}"
+        );
     }
 }

@@ -68,23 +68,33 @@ pub fn spans_from_files(paths: &[PathBuf]) -> Result<SpanTree, String> {
     Ok(tree)
 }
 
-/// One profile per `*.jsonl` file of a batch trace directory, in
-/// byte-wise name order (matching how `gpa batch` numbers them, so
-/// stream `i` is input `i`).
+/// One profile per input slot of a batch trace directory: stream
+/// `NNNN-<name>.jsonl` is input `NNNN`, the way `gpa batch` names them.
 ///
 /// # Errors
 ///
-/// A message when the directory or any stream cannot be read.
-pub fn spans_per_stream(dir: &Path) -> Result<Vec<SpanTree>, String> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("{}: {e}", dir.display()))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "jsonl"))
-        .collect();
-    paths.sort();
-    paths
-        .iter()
-        .map(|path| spans_from_files(std::slice::from_ref(path)))
+/// A message when the directory or any stream cannot be read, a stream's
+/// name carries no slot number below `slots`, or a slot has no stream.
+pub fn spans_per_slot(dir: &Path, slots: usize) -> Result<Vec<SpanTree>, String> {
+    let mut trees: Vec<Option<SpanTree>> = vec![None; slots];
+    for entry in std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))? {
+        let path = entry.map_err(|e| format!("{}: {e}", dir.display()))?.path();
+        if path.extension().is_none_or(|ext| ext != "jsonl") {
+            continue;
+        }
+        let slot = path
+            .file_name()
+            .and_then(|name| name.to_str()?.split_once('-')?.0.parse::<usize>().ok())
+            .filter(|&slot| slot < slots)
+            .ok_or_else(|| format!("{}: not a stream of input 0..{slots}", path.display()))?;
+        trees[slot] = Some(spans_from_files(std::slice::from_ref(&path))?);
+    }
+    trees
+        .into_iter()
+        .enumerate()
+        .map(|(slot, tree)| {
+            tree.ok_or_else(|| format!("{}: no stream of input {slot}", dir.display()))
+        })
         .collect()
 }
 
@@ -120,6 +130,31 @@ mod tests {
         let err =
             spans_from_jsonl("{\"ev\":\"span.exit\",\"at_ns\":1,\"name\":\"x\"}\n").unwrap_err();
         assert!(err.contains("dur_ns"), "{err}");
+    }
+
+    #[test]
+    fn streams_are_matched_to_slots_by_number() {
+        let dir = std::env::temp_dir().join(format!("gpa-slots-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for slot in 0..11 {
+            let text = format!(
+                "{{\"ev\":\"span.enter\",\"at_ns\":1,\"name\":\"front\"}}\n\
+                 {{\"ev\":\"span.exit\",\"at_ns\":2,\"name\":\"front\",\"dur_ns\":{slot}}}\n"
+            );
+            // Unpadded, so byte-wise name order is not slot order.
+            std::fs::write(dir.join(format!("{slot}-k.jsonl")), text).unwrap();
+        }
+        let trees = spans_per_slot(&dir, 11).unwrap();
+        for (slot, tree) in trees.iter().enumerate() {
+            assert_eq!(tree.total_ns_at(&["front"]), slot as u64);
+        }
+        let err = spans_per_slot(&dir, 10).unwrap_err();
+        assert!(err.contains("10-k.jsonl"), "{err}");
+        std::fs::remove_file(dir.join("3-k.jsonl")).unwrap();
+        let err = spans_per_slot(&dir, 11).unwrap_err();
+        assert!(err.contains("no stream of input 3"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

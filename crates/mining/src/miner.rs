@@ -235,7 +235,7 @@ pub enum GrowDecision {
 /// the (possibly huge) result set and lets the consumer prune subtrees.
 pub fn mine(graphs: &[InputGraph], config: &Config) -> Vec<Frequent> {
     let mut results = Vec::new();
-    mine_streaming(graphs, config, &mut |f| {
+    mine_streaming(graphs, config, &mut |f, _| {
         results.push(f.clone());
         GrowDecision::Continue
     });
@@ -243,7 +243,8 @@ pub fn mine(graphs: &[InputGraph], config: &Config) -> Vec<Frequent> {
 }
 
 /// Mines frequent fragments, invoking `visit` on each one as it is
-/// discovered (parents strictly before children).
+/// discovered (parents strictly before children), together with the
+/// index of the seed whose subtree it grew from.
 ///
 /// The search is a depth-first traversal of the DFS-code lattice with the
 /// two prunings of the paper: canonical-form (minimality) pruning and
@@ -253,15 +254,27 @@ pub fn mine(graphs: &[InputGraph], config: &Config) -> Vec<Frequent> {
 /// visitor's [`GrowDecision`] adds consumer-driven pruning on top (the PA
 /// driver cuts subtrees whose best possible benefit cannot beat the
 /// current best candidate — the paper's §3.5 "PA-specific pruning").
+///
+/// The seeds are grown in seed order under one `max_patterns` budget for
+/// the whole search; when it runs dry, `mine.budget_exhausted` names the
+/// seed the search stopped in and the remaining seeds go unexplored.
 pub fn mine_streaming(
     graphs: &[InputGraph],
     config: &Config,
-    visit: &mut dyn FnMut(&Frequent) -> GrowDecision,
+    visit: &mut dyn FnMut(&Frequent, usize) -> GrowDecision,
 ) {
     let mut budget = config.max_patterns;
     let seeds = seed_buckets(graphs, config.min_support, &*config.tracer);
     for (si, (tuple, embeddings)) in seeds.into_iter().enumerate() {
-        if !mine_seed(tuple, embeddings, graphs, config, visit, &mut budget) {
+        let mut visit_seed = |f: &Frequent| visit(f, si);
+        if !mine_seed(
+            tuple,
+            embeddings,
+            graphs,
+            config,
+            &mut visit_seed,
+            &mut budget,
+        ) {
             // The pattern budget ran dry mid-seed: the rest of the
             // lattice is silently unexplored — trace it.
             config
@@ -274,11 +287,7 @@ pub fn mine_streaming(
 
 /// Grows one seed pattern to completion; returns `false` when the
 /// pattern budget is exhausted.
-///
-/// Public so the optimizer's detection, which tracks which seed produced
-/// each candidate, can drive the lattice itself from
-/// [`crate::embed::seed_buckets`].
-pub fn mine_seed(
+fn mine_seed(
     tuple: crate::dfs_code::DfsTuple,
     embeddings: Vec<Embedding>,
     graphs: &[InputGraph],

@@ -193,6 +193,7 @@ pub fn run_batch(inputs: &[BatchInput], config: &BatchConfig) -> Result<CorpusRe
                         name: input.name(),
                         key: None,
                         outcome: Err("interrupted".into()),
+                        image: None,
                         cached: false,
                         counters: gpa_trace::Counters::default(),
                     }
@@ -250,37 +251,40 @@ fn process_one(
         },
         None => Arc::new(NoopTracer),
     };
-    let (key, outcome, cached) = optimize_input(input, config, report_cache, dfg_cache, &tracer);
+    let (key, outcome, image, cached) =
+        optimize_input(input, config, report_cache, dfg_cache, &tracer);
     tracer.finish();
     ImageEntry {
         name,
         key,
         outcome,
+        image,
         cached,
         counters: tracer.counters(),
     }
 }
 
 /// The optimize-or-fetch body of [`process_one`]: returns the cache key
-/// (once the image decoded far enough to have one), the outcome, and
-/// whether the report came from the cache.
+/// (once the image decoded far enough to have one), the outcome, the
+/// optimized image (only from a fresh successful run), and whether the
+/// report came from the cache.
 fn optimize_input(
     input: &BatchInput,
     config: &BatchConfig,
     report_cache: &ReportCache,
     dfg_cache: &DfgCache,
     tracer: &Arc<dyn Tracer>,
-) -> (Option<u128>, Result<Report, String>, bool) {
+) -> (Option<u128>, Result<Report, String>, Option<Image>, bool) {
     let image = match input {
         BatchInput::Loaded(_, image) => image.clone(),
         BatchInput::Path(path) => {
             let bytes = match std::fs::read(path) {
                 Ok(bytes) => bytes,
-                Err(e) => return (None, Err(e.to_string()), false),
+                Err(e) => return (None, Err(e.to_string()), None, false),
             };
             match Image::from_bytes(&bytes) {
                 Ok(image) => image,
-                Err(e) => return (None, Err(e.to_string()), false),
+                Err(e) => return (None, Err(e.to_string()), None, false),
             }
         }
     };
@@ -290,18 +294,21 @@ fn optimize_input(
     };
     let key = image_cache_key(&image, config.method, &run);
     if let Some(report) = report_cache.get_traced(key, tracer.as_ref()) {
-        return (Some(key), Ok(report), true);
+        return (Some(key), Ok(report), None, true);
     }
     let mut optimizer = match Optimizer::from_image_configured(&image, &run) {
         Ok(optimizer) => optimizer,
-        Err(e) => return (Some(key), Err(e.to_string()), false),
+        Err(e) => return (Some(key), Err(e.to_string()), None, false),
     };
-    match optimizer.run_instrumented(config.method, &run, Some(dfg_cache)) {
-        Ok(report) => {
+    let optimized = optimizer
+        .run_instrumented(config.method, &run, Some(dfg_cache))
+        .and_then(|report| Ok((report, optimizer.encode()?)));
+    match optimized {
+        Ok((report, optimized)) => {
             report_cache.put_traced(key, &report, tracer.as_ref());
-            (Some(key), Ok(report), false)
+            (Some(key), Ok(report), Some(optimized), false)
         }
-        Err(e) => (Some(key), Err(e.to_string()), false),
+        Err(e) => (Some(key), Err(e.to_string()), None, false),
     }
 }
 

@@ -2,6 +2,7 @@
 
 use gpa::json::Json;
 use gpa::{Method, Report};
+use gpa_image::Image;
 use gpa_trace::Counters;
 
 /// Version tag of the corpus-report JSON schema.
@@ -17,6 +18,9 @@ pub struct ImageEntry {
     pub key: Option<u128>,
     /// The optimization report, or the failure message.
     pub outcome: Result<Report, String>,
+    /// The optimized image; `None` when the report came from the cache
+    /// or the input failed. Not part of the corpus report.
+    pub image: Option<Image>,
     /// Whether the report came out of the artifact cache.
     pub cached: bool,
     /// Aggregated trace counters for this entry (empty when the batch
@@ -57,14 +61,6 @@ impl CorpusReport {
     /// Number of inputs that failed (load, decode, optimize or validate).
     pub fn error_count(&self) -> usize {
         self.images.iter().filter(|e| e.outcome.is_err()).count()
-    }
-
-    /// The successful entries with their reports, in input order — the
-    /// iteration surface the metrics harness (`gpa perf`) consumes.
-    pub fn successful(&self) -> impl Iterator<Item = (&ImageEntry, &Report)> {
-        self.images
-            .iter()
-            .filter_map(|e| e.outcome.as_ref().ok().map(|r| (e, r)))
     }
 
     /// Corpus-wide words saved, over the successful inputs.
@@ -204,6 +200,7 @@ mod tests {
                         final_words: 8,
                         rounds: vec![],
                     }),
+                    image: None,
                     cached: true,
                     counters: Counters(
                         [("mine.patterns_visited".to_owned(), 7u64)]
@@ -215,6 +212,7 @@ mod tests {
                     name: "b.img".into(),
                     key: None,
                     outcome: Err("boom".into()),
+                    image: None,
                     cached: false,
                     counters: Counters::default(),
                 },

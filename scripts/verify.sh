@@ -215,6 +215,9 @@ cargo test -q -p gpa --test proptest_absint_relax
 # Perf gate: run the benchmark harness over the full kernel corpus —
 # with the alias-driven MEM-edge relaxation on, so its wins are part of
 # the tracked numbers — and refresh BENCH_gpa.json at the repo root.
+# The run is also the emulator gate: all 24 kernel × method outputs,
+# optimized under --alias stack, must exit and print exactly as their
+# inputs do, or `gpa perf` fails naming the kernel and the method.
 # When a committed baseline exists, gate the fresh run against it first:
 # a compression regression (exit 2) fails verification — saved words
 # must never decrease — while latency drift beyond the tolerance
@@ -230,6 +233,13 @@ if ! grep -Eq ' front$' "$WORK/perf.md"; then
     echo "verify: perf --profile shows no front-end span" >&2
     exit 1
 fi
+# Table 1, Fig. 11 and Fig. 12 are views of that one run.
+for view in '## Table 1' '## Fig. 11' '## Fig. 12'; do
+    if ! grep -q "^$view" "$WORK/perf.md"; then
+        echo "verify: perf shows no '$view' view" >&2
+        exit 1
+    fi
+done
 if [ -f "$WORK/bench_baseline.json" ]; then
     perf_status=0
     "$GPA" perf --compare BENCH_gpa.json \

@@ -99,9 +99,10 @@ fn patricia_edgar_preserves_semantics() {
 }
 
 // rijndael is the paper's long-running outlier (hours in the original);
-// the harness binaries cover it, and this gate keeps `cargo test` fast.
+// `gpa perf` emulates its optimized images under every method, and this
+// gate keeps `cargo test` fast.
 #[test]
-#[ignore = "long-running; covered by `cargo run -p gpa-bench --bin table1`"]
+#[ignore = "long-running; covered by gpa-bench's hotpath_golden bench document test and by `gpa perf` in scripts/verify.sh"]
 fn rijndael_all_methods_preserve_semantics() {
     check("rijndael", Method::Sfx);
     check("rijndael", Method::DgSpan);
