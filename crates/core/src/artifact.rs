@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use gpa_arm::reg::RegSet;
 use gpa_cfg::{Item, Program};
 use gpa_dfg::hash::Fnv128;
-use gpa_dfg::{block_content_hash, AliasOracle, Dfg, LabelMode};
+use gpa_dfg::{block_content_hash, AliasOracle, Dfg, LabelMode, RelaxStats};
 use gpa_image::Image;
 use gpa_mining::graph::{InputGraph, LabelInterner};
 use gpa_trace::Tracer;
@@ -50,41 +50,21 @@ use crate::validate::ValidateLevel;
 pub(crate) struct BlockArtifact {
     pub(crate) dfg: Dfg,
     pub(crate) reach: Reach,
-    /// MEM edges the alias oracle dropped while building `dfg`, as
-    /// region-local `(earlier, later)` node pairs. Empty for
-    /// conservative builds.
-    pub(crate) relaxed: Vec<(usize, usize)>,
-    /// Pair counts behind `relaxed` (for the `absint.*` trace counters).
-    pub(crate) relax_stats: gpa_dfg::RelaxStats,
 }
 
 impl BlockArtifact {
     pub(crate) fn build(items: &[Item], mode: LabelMode) -> BlockArtifact {
-        Self::build_with(items, mode, None)
+        BlockArtifact::of(gpa_dfg::build_dfg_from_items("", 0, items, mode))
     }
 
-    /// [`BlockArtifact::build`] with an optional alias oracle refining
-    /// the DFG's MEM edges. Oracle-built artifacts depend on the whole
-    /// function's abstract state, not just the block's items, so they
-    /// must never go through the content-addressed [`DfgCache`].
-    pub(crate) fn build_with(
-        items: &[Item],
-        mode: LabelMode,
-        oracle: Option<&gpa_dfg::AliasOracle>,
-    ) -> BlockArtifact {
-        let relaxed_dfg = gpa_dfg::build_dfg_from_items_with("", 0, items, mode, oracle);
-        let reach = Reach::new(&relaxed_dfg.dfg);
-        BlockArtifact {
-            dfg: relaxed_dfg.dfg,
-            reach,
-            relaxed: relaxed_dfg.relaxed,
-            relax_stats: relaxed_dfg.stats,
-        }
+    fn of(dfg: Dfg) -> BlockArtifact {
+        let reach = Reach::new(&dfg);
+        BlockArtifact { dfg, reach }
     }
 }
 
 /// One region as detection sees it, with everything built from it.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub(crate) struct RegionState {
     pub(crate) info: RegionInfo,
     /// The conservative DFG and closure: mining counts on these.
@@ -92,11 +72,9 @@ pub(crate) struct RegionState {
     /// Under [`AliasLevel::Stack`], the region's alias oracle and the
     /// relaxed artifact built against it.
     pub(crate) overlay: Option<Overlay>,
-    /// The mining graph's node labels as region-local indices, and per
-    /// index the node where that label first occurs (see
-    /// [`InputGraph::from_dfg_local`]).
-    local: Vec<u32>,
-    first: Vec<u32>,
+    /// Per node, the key of its label in [`RoundState`]'s run-lifetime
+    /// label table.
+    keys: Vec<u32>,
 }
 
 impl RegionState {
@@ -108,13 +86,49 @@ impl RegionState {
             .as_ref()
             .map_or(&self.artifact, |o| &o.artifact)
     }
+
+    /// Whether two regions hold the same detection inputs: everything
+    /// but the label keys, which number labels per run.
+    #[cfg(test)]
+    pub(crate) fn same_inputs(&self, other: &RegionState) -> bool {
+        self.info == other.info && self.artifact == other.artifact && self.overlay == other.overlay
+    }
 }
 
 /// A region's alias oracle and the artifact built against it.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Overlay {
     pub(crate) oracle: AliasOracle,
+    /// The relaxed artifact; the conservative one itself, shared, when
+    /// the oracle relaxes no pair.
     pub(crate) artifact: Arc<BlockArtifact>,
+    /// MEM edges the oracle dropped, as region-local `(earlier, later)`
+    /// node pairs.
+    pub(crate) relaxed: Vec<(usize, usize)>,
+    /// Pair counts behind `relaxed` (for the `absint.*` trace counters).
+    pub(crate) stats: RelaxStats,
+}
+
+impl Overlay {
+    /// The overlay of a region whose conservative artifact is
+    /// `conservative`: its memory pairs are scanned against `oracle`
+    /// first, and only a region with a disjoint pair gets a relaxed
+    /// graph of its own, built on the conservative graph's labels and
+    /// items. Equal to a full build against `oracle` either way.
+    pub(crate) fn build(conservative: &Arc<BlockArtifact>, oracle: AliasOracle) -> Overlay {
+        let (relaxed, stats) = conservative.dfg.disjoint_mem_pairs(&oracle);
+        let artifact = if relaxed.is_empty() {
+            Arc::clone(conservative)
+        } else {
+            Arc::new(BlockArtifact::of(conservative.dfg.without_mem(&relaxed)))
+        };
+        Overlay {
+            oracle,
+            artifact,
+            relaxed,
+            stats,
+        }
+    }
 }
 
 /// Where one function's regions sit in the flat lists, and what its
@@ -136,7 +150,7 @@ struct FuncState {
 /// [`RoundState::refresh`] rebuilds exactly the functions marked dirty
 /// since the last refresh, plus any it has not seen; round 1 is the case
 /// where that is every function. The whole-program views the search
-/// reads (`regions`, `graphs`, `interner`) are then reassembled in the
+/// reads (`regions`, `graphs`, label ids) are then reassembled in the
 /// order a fresh build produces them, so the search sees the same
 /// inputs either way. Superseded entries are dropped as they are
 /// replaced: the state holds one generation.
@@ -150,10 +164,18 @@ pub(crate) struct RoundState {
     funcs: Vec<FuncState>,
     /// Every region of the program, in function and item order.
     pub(crate) regions: Vec<RegionState>,
-    /// The mining graph of each region, labelled by `interner`.
+    /// The mining graph of each region, labelled with this round's ids.
     pub(crate) graphs: Vec<InputGraph>,
-    /// Label ids in first-seen order over `regions`.
-    pub(crate) interner: LabelInterner,
+    /// Every label a region of this run was built with, under its key
+    /// (a [`LabelInterner`] id, assigned once and never renumbered).
+    labels: LabelInterner,
+    /// The key of every item a region of this run was built with: a
+    /// label is a function of its item, so it is formatted and interned
+    /// only the first time the run sees the item.
+    item_keys: HashMap<Item, u32>,
+    /// This round's label ids: id `i` is key `ids[i]`, numbered in
+    /// first-seen order over `regions`.
+    ids: Vec<u32>,
     /// Under [`AliasLevel::Stack`], the call graph and sp-balance facts
     /// of the last refresh, which the next one updates.
     call_graph: Option<gpa_verify::CallGraph>,
@@ -165,6 +187,38 @@ impl RoundState {
     /// refresh rebuilds it.
     pub(crate) fn mark_dirty(&mut self, function: usize) {
         self.dirty.insert(function);
+    }
+
+    /// The key of `item`'s label under `mode`.
+    fn key_of(&mut self, item: &Item, mode: LabelMode) -> u32 {
+        if let Some(&key) = self.item_keys.get(item) {
+            return key;
+        }
+        let key = self.labels.intern(&mode.label(item));
+        self.item_keys.insert(item.clone(), key);
+        key
+    }
+
+    /// The text of this round's label `id`.
+    #[cfg(test)]
+    pub(crate) fn label_name(&self, id: u32) -> &str {
+        self.labels.name(self.ids[id as usize])
+    }
+
+    /// The number of distinct labels this round.
+    #[cfg(test)]
+    pub(crate) fn label_count(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The label text region `g`'s keys stand for, node by node.
+    #[cfg(test)]
+    pub(crate) fn keyed_labels(&self, g: usize) -> Vec<&str> {
+        self.regions[g]
+            .keys
+            .iter()
+            .map(|&k| self.labels.name(k))
+            .collect()
     }
 
     /// Brings the state up to date with `program`: rebuilds the dirty
@@ -182,7 +236,7 @@ impl RoundState {
         cache: Option<&DfgCache>,
     ) {
         let tracer = &*config.tracer;
-        let front_span = gpa_trace::span(tracer, "front");
+        let _front_span = gpa_trace::span(tracer, "front");
         let settings = (config.label_mode, config.alias);
         if self.built_for != Some(settings) || program.functions.len() < self.funcs.len() {
             *self = RoundState {
@@ -212,19 +266,30 @@ impl RoundState {
                     old_graphs.by_ref().take(carried).for_each(drop);
                     rebuilt[fi] = true;
                     for info in function_region_infos(fi, f) {
+                        let keys: Vec<u32> = info
+                            .items
+                            .iter()
+                            .map(|item| self.key_of(item, config.label_mode))
+                            .collect();
                         let artifact = match cache {
                             Some(cache) => cache.get_or_build(&info.items, config.label_mode),
-                            None => Arc::new(BlockArtifact::build(&info.items, config.label_mode)),
+                            None => {
+                                let labels = keys
+                                    .iter()
+                                    .map(|&k| self.labels.name(k).to_owned())
+                                    .collect();
+                                let dfg = gpa_dfg::build_dfg_labelled("", 0, &info.items, labels);
+                                Arc::new(BlockArtifact::of(dfg))
+                            }
                         };
-                        let (graph, first) = InputGraph::from_dfg_local(&artifact.dfg);
+                        self.graphs
+                            .push(InputGraph::from_dfg(&artifact.dfg, keys.clone()));
                         self.regions.push(RegionState {
                             info,
                             artifact,
                             overlay: None,
-                            local: graph.labels.clone(),
-                            first,
+                            keys,
                         });
-                        self.graphs.push(graph);
                     }
                     self.funcs.push(FuncState {
                         regions: start..self.regions.len(),
@@ -246,21 +311,22 @@ impl RoundState {
         tracer.count("front.regions_built", built as u64);
         tracer.count("front.regions_reused", (self.regions.len() - built) as u64);
         if config.alias == AliasLevel::Stack {
-            self.refresh_overlays(program, config.label_mode, &rebuilt, tracer);
+            self.refresh_overlays(program, &rebuilt, tracer);
         }
-        drop(front_span);
         // Label ids depend on the order of first sight across the whole
         // program (minimal DFS codes compare them), so a label new in
-        // one rewritten function can shift every later id: re-intern
-        // every round, from the per-region lists.
-        self.interner = LabelInterner::new();
+        // one rewritten function can shift every later id: renumber the
+        // keys every round, in region and node order.
+        let mut id_of = vec![u32::MAX; self.labels.len()];
+        self.ids.clear();
         for (region, graph) in self.regions.iter().zip(&mut self.graphs) {
-            let dfg = &region.artifact.dfg;
-            let ids = self
-                .interner
-                .intern_all(region.first.iter().map(|&n| dfg.label(n as usize)));
-            for (label, &local) in graph.labels.iter_mut().zip(&region.local) {
-                *label = ids[local as usize];
+            for (label, &key) in graph.labels.iter_mut().zip(&region.keys) {
+                let id = &mut id_of[key as usize];
+                if *id == u32::MAX {
+                    *id = self.ids.len() as u32;
+                    self.ids.push(key);
+                }
+                *label = *id;
             }
         }
     }
@@ -271,15 +337,15 @@ impl RoundState {
     /// every other function keeps exactly the oracles a fresh analysis
     /// would give it. The two whole-program fixpoints behind the facts
     /// (call-graph summaries, sp balance) start from the last refresh's
-    /// and recompute only the rebuilt functions and those that reach
-    /// one.
-    fn refresh_overlays(
-        &mut self,
-        program: &Program,
-        mode: LabelMode,
-        rebuilt: &[bool],
-        tracer: &dyn Tracer,
-    ) {
+    /// and recompute only the call-graph components that hold a rebuilt
+    /// function or depend on a function whose facts changed.
+    ///
+    /// Emits `absint.points`, the `absint.mem_pairs_*` audit, the
+    /// overlays refreshed (`absint.overlays`, split into
+    /// `absint.overlays_built` and `absint.overlays_shared`), and the
+    /// analyses the fixpoints ran (`absint.summary_analyses`,
+    /// `absint.balance_analyses`).
+    fn refresh_overlays(&mut self, program: &Program, rebuilt: &[bool], tracer: &dyn Tracer) {
         let previous = self.call_graph.take();
         let graph =
             gpa_verify::CallGraph::rebuild(program, previous.as_ref().map(|g| (g, rebuilt)));
@@ -287,38 +353,51 @@ impl RoundState {
             program,
             &graph,
             previous.is_some().then_some(self.balanced.as_slice()),
-            rebuilt,
         );
         let mut points = 0u64;
+        let (mut built, mut shared) = (0u64, 0u64);
+        // A function's callee facts read only the summaries and balance
+        // of its dependencies, so only a changed function (its code or
+        // its dependencies) or one with a moved dependency can need new
+        // oracles.
+        let moved = |d: usize| graph.moved[d] || self.balanced.get(d) != Some(&env.balanced()[d]);
         for (fi, f) in program.functions.iter().enumerate() {
-            let facts = env.call_facts(f);
             let func = &mut self.funcs[fi];
-            if rebuilt[fi] || facts != func.facts {
-                let analysis = states[fi]
-                    .take()
-                    .unwrap_or_else(|| gpa_verify::AbsInt::analyze(f, Some(&env)));
-                func.facts = facts;
-                func.points = analysis.points;
-                for region in &mut self.regions[func.regions.clone()] {
-                    let oracle = region_oracle(&region.info, &analysis, &env);
-                    let artifact = Arc::new(BlockArtifact::build_with(
-                        &region.info.items,
-                        mode,
-                        Some(&oracle),
-                    ));
-                    region.overlay = Some(Overlay { oracle, artifact });
+            if graph.changed[fi] || graph.deps[fi].iter().any(|&d| moved(d)) {
+                let facts = env.call_facts(f);
+                if rebuilt[fi] || facts != func.facts {
+                    let analysis = states[fi]
+                        .take()
+                        .unwrap_or_else(|| gpa_verify::AbsInt::analyze(f, Some(&env)));
+                    func.facts = facts;
+                    func.points = analysis.points;
+                    for region in &mut self.regions[func.regions.clone()] {
+                        let oracle = region_oracle(&region.info, &analysis, &env);
+                        let overlay = Overlay::build(&region.artifact, oracle);
+                        if Arc::ptr_eq(&overlay.artifact, &region.artifact) {
+                            shared += 1;
+                        } else {
+                            built += 1;
+                        }
+                        region.overlay = Some(overlay);
+                    }
                 }
             }
             points += func.points;
         }
         self.balanced = env.balanced().to_vec();
+        tracer.count("absint.summary_analyses", graph.analyses);
+        tracer.count("absint.balance_analyses", env.analyses());
         self.call_graph = Some(graph);
         tracer.count("absint.points", points);
+        tracer.count("absint.overlays", built + shared);
+        tracer.count("absint.overlays_built", built);
+        tracer.count("absint.overlays_shared", shared);
         let mut examined = 0u64;
         let mut disjoint = 0u64;
         for overlay in self.regions.iter().filter_map(|r| r.overlay.as_ref()) {
-            examined += overlay.artifact.relax_stats.mem_pairs_examined;
-            disjoint += overlay.artifact.relax_stats.mem_pairs_disjoint;
+            examined += overlay.stats.mem_pairs_examined;
+            disjoint += overlay.stats.mem_pairs_disjoint;
         }
         tracer.count("absint.mem_pairs_examined", examined);
         tracer.count("absint.mem_pairs_disjoint", disjoint);

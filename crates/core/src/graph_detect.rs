@@ -477,7 +477,7 @@ fn candidate_from_frequent(
         let Some(overlay) = &region.overlay else {
             continue;
         };
-        for &(u, v) in &overlay.artifact.relaxed {
+        for &(u, v) in &overlay.relaxed {
             claims.insert(RelaxedPair {
                 function: region.info.function,
                 earlier: region.info.start + u,
@@ -888,12 +888,17 @@ mod tests {
     /// over a family of disjoint node sets, holding the closure probe to
     /// the rewrite it stands in for: a set is convex iff contracting it
     /// alone succeeds, and a convex set is kept iff contracting it with
-    /// the sets kept before it succeeds. Returns how many sets were
-    /// dropped for a cycle.
-    fn probe_family(items: &[Item], artifact: &BlockArtifact, family: &[Vec<usize>]) -> usize {
+    /// the sets kept before it succeeds. `relaxed` are the MEM pairs
+    /// `artifact` dropped. Returns how many sets were dropped for a
+    /// cycle.
+    fn probe_family(
+        items: &[Item],
+        artifact: &BlockArtifact,
+        relaxed: &[(usize, usize)],
+        family: &[Vec<usize>],
+    ) -> usize {
         use crate::extract::contract_region_with;
-        let exempt: std::collections::HashSet<(usize, usize)> =
-            artifact.relaxed.iter().copied().collect();
+        let exempt: std::collections::HashSet<(usize, usize)> = relaxed.iter().copied().collect();
         let reach = &artifact.reach;
         let mut probe = KeptInRegion::default();
         let mut kept: Vec<Vec<usize>> = Vec::new();
@@ -941,11 +946,11 @@ mod tests {
         .collect();
         let artifact = BlockArtifact::build(&items, LabelMode::Exact);
         assert_eq!(
-            probe_family(&items, &artifact, &[vec![0, 2], vec![1, 3]]),
+            probe_family(&items, &artifact, &[], &[vec![0, 2], vec![1, 3]]),
             1
         );
         assert_eq!(
-            probe_family(&items, &artifact, &[vec![0, 3], vec![1, 2]]),
+            probe_family(&items, &artifact, &[], &[vec![0, 3], vec![1, 2]]),
             0
         );
         // 0 → 3, 1 → 4 and 2 → 5: {0, 5} feeds {1, 3} feeds {2, 4} feeds
@@ -964,7 +969,43 @@ mod tests {
         .collect();
         let artifact = BlockArtifact::build(&items, LabelMode::Exact);
         let ring = [vec![0, 5], vec![1, 3], vec![2, 4]];
-        assert_eq!(probe_family(&items, &artifact, &ring), 1);
+        assert_eq!(probe_family(&items, &artifact, &[], &ring), 1);
+    }
+
+    /// A random region of 6–18 loads, stores and ALU ops over a few
+    /// registers, and an alias oracle that resolves its stack accesses.
+    fn random_region(rng: &mut rand::rngs::StdRng) -> (Vec<Item>, AliasOracle) {
+        use gpa_dfg::{AliasBase, AliasInterval};
+        use rand::Rng;
+        let n = rng.gen_range(6..19usize);
+        let mut items = Vec::with_capacity(n);
+        let mut slots = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (a, b, c) = (
+                rng.gen_range(0..3u32),
+                rng.gen_range(0..3u32),
+                rng.gen_range(0..3u32),
+            );
+            let off = 4 * rng.gen_range(0..4i64);
+            let stack = Some(vec![AliasInterval {
+                base: AliasBase::Sp,
+                lo: off,
+                hi: off + 4,
+            }]);
+            let (text, slot) = match rng.gen_range(0..8u32) {
+                0 => (format!("ldr r{a}, [sp, #{off}]"), stack),
+                1 => (format!("str r{a}, [sp, #{off}]"), stack),
+                2 => (format!("ldr r{a}, [r{b}]"), None),
+                3 => (format!("str r{a}, [r{b}]"), None),
+                4 => (format!("add r{a}, r{b}, r{c}"), None),
+                5 => (format!("sub r{a}, r{b}, #1"), None),
+                6 => (format!("cmp r{a}, r{b}"), None),
+                _ => (format!("moveq r{a}, #{off}"), None),
+            };
+            items.push(insn(&text));
+            slots.push(slot);
+        }
+        (items, AliasOracle { slots })
     }
 
     /// Random regions of loads, stores and ALU ops over a few registers,
@@ -972,45 +1013,18 @@ mod tests {
     /// agrees with `contract_region_with` on every family.
     #[test]
     fn closure_probe_matches_contraction_on_random_regions() {
-        use gpa_dfg::{AliasBase, AliasInterval, AliasOracle};
+        use crate::artifact::Overlay;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0x70726f6265);
         let mut dropped = 0;
         let mut relaxed_pairs = 0;
         for _ in 0..300 {
-            let n = rng.gen_range(6..19usize);
-            let mut items = Vec::with_capacity(n);
-            let mut slots = Vec::with_capacity(n);
-            for _ in 0..n {
-                let (a, b, c) = (
-                    rng.gen_range(0..3u32),
-                    rng.gen_range(0..3u32),
-                    rng.gen_range(0..3u32),
-                );
-                let off = 4 * rng.gen_range(0..4i64);
-                let stack = Some(vec![AliasInterval {
-                    base: AliasBase::Sp,
-                    lo: off,
-                    hi: off + 4,
-                }]);
-                let (text, slot) = match rng.gen_range(0..8u32) {
-                    0 => (format!("ldr r{a}, [sp, #{off}]"), stack),
-                    1 => (format!("str r{a}, [sp, #{off}]"), stack),
-                    2 => (format!("ldr r{a}, [r{b}]"), None),
-                    3 => (format!("str r{a}, [r{b}]"), None),
-                    4 => (format!("add r{a}, r{b}, r{c}"), None),
-                    5 => (format!("sub r{a}, r{b}, #1"), None),
-                    6 => (format!("cmp r{a}, r{b}"), None),
-                    _ => (format!("moveq r{a}, #{off}"), None),
-                };
-                items.push(insn(&text));
-                slots.push(slot);
-            }
-            let conservative = BlockArtifact::build(&items, LabelMode::Exact);
-            let relaxed =
-                BlockArtifact::build_with(&items, LabelMode::Exact, Some(&AliasOracle { slots }));
-            relaxed_pairs += relaxed.relaxed.len();
+            let (items, oracle) = random_region(&mut rng);
+            let n = items.len();
+            let conservative = Arc::new(BlockArtifact::build(&items, LabelMode::Exact));
+            let overlay = Overlay::build(&conservative, oracle);
+            relaxed_pairs += overlay.relaxed.len();
             for _ in 0..4 {
                 let mut free: Vec<usize> = (0..n).collect();
                 let mut family = Vec::new();
@@ -1026,11 +1040,45 @@ mod tests {
                         family.push(set);
                     }
                 }
-                dropped += probe_family(&items, &conservative, &family);
-                dropped += probe_family(&items, &relaxed, &family);
+                dropped += probe_family(&items, &conservative, &[], &family);
+                dropped += probe_family(&items, &overlay.artifact, &overlay.relaxed, &family);
             }
         }
         assert!(relaxed_pairs > 0, "the oracle must relax some pairs");
         assert!(dropped > 0, "some families must need a drop");
+    }
+
+    /// On the same random regions and oracles, an overlay — the shared
+    /// conservative artifact when the pre-scan finds no disjoint pair, a
+    /// relaxed graph on the conservative labels otherwise — equals a
+    /// full build against the oracle: DFG edges and labels, closure
+    /// rows, relaxed pairs, and the pre-scan's examined and disjoint
+    /// counts.
+    #[test]
+    fn shared_or_built_overlay_equals_a_full_oracle_build() {
+        use crate::artifact::Overlay;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(0x70726f6265);
+        let (mut shared, mut built) = (0, 0);
+        for _ in 0..300 {
+            let (items, oracle) = random_region(&mut rng);
+            let full =
+                gpa_dfg::build_dfg_from_items_with("", 0, &items, LabelMode::Exact, Some(&oracle));
+            let conservative = Arc::new(BlockArtifact::build(&items, LabelMode::Exact));
+            let overlay = Overlay::build(&conservative, oracle);
+            assert_eq!(overlay.artifact.dfg, full.dfg, "{items:?}");
+            assert_eq!(overlay.artifact.reach, Reach::new(&full.dfg), "{items:?}");
+            assert_eq!(overlay.relaxed, full.relaxed, "{items:?}");
+            assert_eq!(overlay.stats, full.stats, "{items:?}");
+            if Arc::ptr_eq(&overlay.artifact, &conservative) {
+                assert!(full.relaxed.is_empty(), "{items:?}");
+                shared += 1;
+            } else {
+                assert!(!full.relaxed.is_empty(), "{items:?}");
+                built += 1;
+            }
+        }
+        assert!(shared > 0 && built > 0, "{shared} shared, {built} built");
     }
 }

@@ -692,8 +692,8 @@ mod tests {
         use gpa_mining::embed::seed_buckets;
         use gpa_trace::NoopTracer;
         let names = |state: &RoundState| -> Vec<String> {
-            (0..state.interner.len() as u32)
-                .map(|id| state.interner.name(id).to_owned())
+            (0..state.label_count() as u32)
+                .map(|id| state.label_name(id).to_owned())
                 .collect()
         };
         for kernel in ["bitcnts", "crc", "dijkstra", "patricia", "search"] {
@@ -714,11 +714,15 @@ mod tests {
                     assert_eq!(carried.regions.len(), built.regions.len(), "{at}");
                     for (g, (a, b)) in carried.regions.iter().zip(&built.regions).enumerate() {
                         assert!(
-                            a == b,
+                            a.same_inputs(b),
                             "{at}: region {g} (function {}, item {}) differs",
                             b.info.function,
                             b.info.start
                         );
+                        let dfg = &b.artifact.dfg;
+                        let labels: Vec<&str> =
+                            (0..dfg.node_count()).map(|n| dfg.label(n)).collect();
+                        assert_eq!(carried.keyed_labels(g), labels, "{at}: region {g} keys");
                     }
                     assert!(carried.graphs == built.graphs, "{at}: mining graphs");
                     assert_eq!(names(carried), names(built), "{at}: label ids");

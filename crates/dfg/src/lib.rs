@@ -49,7 +49,7 @@ pub mod stats;
 
 pub use hash::{block_content_hash, Fnv128};
 
-use gpa_arm::defuse::conflicts;
+use gpa_arm::defuse::{conflicts, mem_conflict, Effects};
 use gpa_cfg::{Item, Region};
 
 /// Which node-label scheme to use for mining equality.
@@ -60,6 +60,17 @@ pub enum LabelMode {
     Exact,
     /// Mnemonic + operand shapes; the paper's fuzzy-matching extension.
     Canonical,
+}
+
+impl LabelMode {
+    /// The mining label of `item` in this mode (a function of the item
+    /// alone).
+    pub fn label(self, item: &Item) -> String {
+        match self {
+            LabelMode::Exact => item.mining_label(),
+            LabelMode::Canonical => canon::canonical_label(item),
+        }
+    }
 }
 
 /// The kind bits of a dependence edge.
@@ -212,8 +223,11 @@ pub struct RelaxedDfg {
 
 /// Computes the dependence kinds between an earlier and a later item.
 pub fn dep_between(earlier: &Item, later: &Item) -> DepMask {
-    let a = earlier.effects();
-    let b = later.effects();
+    dep_mask(&earlier.effects(), &later.effects())
+}
+
+/// [`dep_between`] on the items' footprints.
+fn dep_mask(a: &Effects, b: &Effects) -> DepMask {
     let mut mask = DepMask::default();
     if a.defs.intersects(b.uses) {
         mask = mask.union(DepMask::DATA);
@@ -227,11 +241,86 @@ pub fn dep_between(earlier: &Item, later: &Item) -> DepMask {
     if (a.writes_flags && (b.reads_flags || b.writes_flags)) || (a.reads_flags && b.writes_flags) {
         mask = mask.union(DepMask::FLAG);
     }
-    if (a.writes_mem && (b.reads_mem || b.writes_mem)) || (a.reads_mem && b.writes_mem) {
+    if mem_conflict(a, b) {
         mask = mask.union(DepMask::MEM);
     }
-    debug_assert_eq!(mask.is_empty(), !conflicts(&a, &b));
+    debug_assert_eq!(mask.is_empty(), !conflicts(a, b));
     mask
+}
+
+/// The MEM-carrying item pairs an alias oracle proves disjoint, found
+/// without building a graph: every `(earlier, later)` pair whose
+/// footprints conflict in memory ([`mem_conflict`]) and which
+/// [`AliasOracle::disjoint`] proves apart, in the order
+/// [`build_dfg_from_items_with`] examines pairs (later index, then
+/// earlier), plus the examination counts. This is the test that builder
+/// runs.
+fn disjoint_mem_pairs(fx: &[Effects], oracle: &AliasOracle) -> (Vec<(usize, usize)>, RelaxStats) {
+    let touches_mem: Vec<usize> = (0..fx.len())
+        .filter(|&i| fx[i].reads_mem || fx[i].writes_mem)
+        .collect();
+    let mut pairs = Vec::new();
+    let mut stats = RelaxStats::default();
+    for (k, &j) in touches_mem.iter().enumerate() {
+        for &i in &touches_mem[..k] {
+            if mem_conflict(&fx[i], &fx[j]) {
+                stats.mem_pairs_examined += 1;
+                if oracle.disjoint(i, j) {
+                    stats.mem_pairs_disjoint += 1;
+                    pairs.push((i, j));
+                }
+            }
+        }
+    }
+    (pairs, stats)
+}
+
+/// The transitively reduced dependence edges of items with footprints
+/// `fx`, sorted by `(from, to)`, with the MEM bit dropped from each pair
+/// in `relaxed`.
+fn reduced_edges(fx: &[Effects], relaxed: &[(usize, usize)]) -> Vec<Edge> {
+    let n = fx.len();
+    let mut relaxed = relaxed.to_vec();
+    relaxed.sort_unstable();
+    // `reach[i]`: the nodes reachable from node `i`, one bitset row of
+    // `words` words per node. Edges only go forward, so a backward sweep
+    // sees every successor's row complete. Walking `i`'s direct
+    // successors in ascending order, a successor already reached through
+    // an earlier one is implied by it, so its edge is redundant (a later
+    // successor never reaches an earlier one).
+    let words = n.div_ceil(64);
+    let mut reach = vec![0u64; n * words];
+    let mut edges: Vec<Edge> = Vec::new();
+    for i in (0..n).rev() {
+        let (head, tail) = reach.split_at_mut((i + 1) * words);
+        let row = &mut head[i * words..];
+        let group = edges.len();
+        for j in i + 1..n {
+            let mut kinds = dep_mask(&fx[i], &fx[j]);
+            if kinds.contains(DepMask::MEM) && relaxed.binary_search(&(i, j)).is_ok() {
+                kinds = kinds.without(DepMask::MEM);
+            }
+            if kinds.is_empty() {
+                continue;
+            }
+            if row[j / 64] & (1 << (j % 64)) == 0 {
+                edges.push(Edge {
+                    from: i,
+                    to: j,
+                    kinds,
+                });
+            }
+            row[j / 64] |= 1 << (j % 64);
+            let succ = &tail[(j - i - 1) * words..(j - i) * words];
+            for (r, s) in row.iter_mut().zip(succ) {
+                *r |= s;
+            }
+        }
+        // Groups are appended in descending `from`; reversed below.
+        edges[group..].reverse();
+    }
+    edges.reverse();
+    edges
 }
 
 /// A directed dependence edge.
@@ -398,6 +487,30 @@ impl Dfg {
         false
     }
 
+    /// The MEM-carrying pairs of this graph's items that `oracle` proves
+    /// disjoint, with the examination counts: exactly the `relaxed`
+    /// pairs and `stats` of [`build_dfg_from_items_with`] on these items
+    /// and `oracle`, found without building a graph.
+    pub fn disjoint_mem_pairs(&self, oracle: &AliasOracle) -> (Vec<(usize, usize)>, RelaxStats) {
+        let fx: Vec<Effects> = self.items.iter().map(Item::effects).collect();
+        disjoint_mem_pairs(&fx, oracle)
+    }
+
+    /// This graph with the MEM dependence of each of `pairs` dropped,
+    /// reusing its labels and items: the graph [`build_dfg_from_items_with`]
+    /// builds when its oracle proves exactly `pairs` disjoint. `pairs`
+    /// must come from [`Dfg::disjoint_mem_pairs`].
+    pub fn without_mem(&self, pairs: &[(usize, usize)]) -> Dfg {
+        let fx: Vec<Effects> = self.items.iter().map(Item::effects).collect();
+        Dfg::from_sorted_parts(
+            self.function.clone(),
+            self.region_start,
+            self.labels.clone(),
+            self.items.clone(),
+            reduced_edges(&fx, pairs),
+        )
+    }
+
     /// Renders the graph in Graphviz dot format (used by examples to show
     /// the paper's Fig. 2).
     pub fn to_dot(&self) -> String {
@@ -469,71 +582,13 @@ pub fn build_dfg_from_items_with(
         items.iter().all(|i| !matches!(i, Item::Label(_))),
         "regions never contain labels"
     );
-    let n = items.len();
-    let labels = items
-        .iter()
-        .map(|i| match mode {
-            LabelMode::Exact => i.mining_label(),
-            LabelMode::Canonical => canon::canonical_label(i),
-        })
-        .collect();
-    // Direct conflicts, MEM bits relaxed where the oracle proves the
-    // footprints disjoint.
-    let mut relaxed: Vec<(usize, usize)> = Vec::new();
-    let mut stats = RelaxStats::default();
-    let mut direct: Vec<(usize, usize, DepMask)> = Vec::new();
-    for j in 1..n {
-        for i in 0..j {
-            let mut mask = dep_between(&items[i], &items[j]);
-            if mask.contains(DepMask::MEM) {
-                if let Some(oracle) = oracle {
-                    stats.mem_pairs_examined += 1;
-                    if oracle.disjoint(i, j) {
-                        stats.mem_pairs_disjoint += 1;
-                        relaxed.push((i, j));
-                        mask = mask.without(DepMask::MEM);
-                    }
-                }
-            }
-            if !mask.is_empty() {
-                direct.push((i, j, mask));
-            }
-        }
-    }
-    // Reachability closure over direct edges (bitset per node).
-    let words = n.div_ceil(64);
-    let mut reach: Vec<Vec<u64>> = vec![vec![0u64; words]; n];
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(i, j, _) in &direct {
-        adj[i].push(j);
-    }
-    for i in (0..n).rev() {
-        // Successors are all > i, whose reach sets are final.
-        let mut row = vec![0u64; words];
-        for &j in &adj[i] {
-            row[j / 64] |= 1 << (j % 64);
-            for w in 0..words {
-                row[w] |= reach[j][w];
-            }
-        }
-        reach[i] = row;
-    }
-    // Keep edge (i, j) unless some intermediate k (i < k < j) has i→k and
-    // k→j in the closure.
-    let mut edges: Vec<Edge> = Vec::with_capacity(direct.len());
-    for &(i, j, kinds) in &direct {
-        let redundant = adj[i]
-            .iter()
-            .any(|&k| k != j && reach[k][j / 64] & (1 << (j % 64)) != 0);
-        if !redundant {
-            edges.push(Edge {
-                from: i,
-                to: j,
-                kinds,
-            });
-        }
-    }
-    edges.sort_by_key(|e| (e.from, e.to));
+    let labels = items.iter().map(|i| mode.label(i)).collect();
+    let fx: Vec<Effects> = items.iter().map(Item::effects).collect();
+    let (relaxed, stats) = match oracle {
+        Some(oracle) => disjoint_mem_pairs(&fx, oracle),
+        None => (Vec::new(), RelaxStats::default()),
+    };
+    let edges = reduced_edges(&fx, &relaxed);
     RelaxedDfg {
         dfg: Dfg::from_sorted_parts(
             function.to_owned(),
@@ -545,6 +600,34 @@ pub fn build_dfg_from_items_with(
         relaxed,
         stats,
     }
+}
+
+/// [`build_dfg_from_items`] with the node labels given, one per item:
+/// for a caller that already holds each item's [`LabelMode::label`].
+///
+/// # Panics
+///
+/// Panics if `items` contains a label, or `labels` is not one per item.
+pub fn build_dfg_labelled(
+    function: &str,
+    region_start: usize,
+    items: &[Item],
+    labels: Vec<String>,
+) -> Dfg {
+    assert!(
+        items.iter().all(|i| !matches!(i, Item::Label(_))),
+        "regions never contain labels"
+    );
+    assert_eq!(labels.len(), items.len(), "one label per item");
+    let fx: Vec<Effects> = items.iter().map(Item::effects).collect();
+    let edges = reduced_edges(&fx, &[]);
+    Dfg::from_sorted_parts(
+        function.to_owned(),
+        region_start,
+        labels,
+        items.to_vec(),
+        edges,
+    )
 }
 
 /// Builds DFGs for every region of a program.

@@ -3,6 +3,7 @@
 //! Fig. 11, Fig. 12, stage latency and cache counters).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use gpa::json::Json;
@@ -133,7 +134,7 @@ pub struct PerfReport {
     /// End-to-end wall time of the whole harness run.
     pub wall_ns: u64,
     /// Wall time of the emulator check: every input and every
-    /// optimized image run to its exit.
+    /// optimized image run to its exit, on `jobs` threads.
     pub emulator_ns: u64,
     /// Per-method per-stage latency distributions.
     pub latency: Vec<MethodLatency>,
@@ -144,6 +145,10 @@ pub struct PerfReport {
     pub profile: Option<SpanTree>,
 }
 
+/// One kernel optimized by one method: its report, optimize time and
+/// optimized image, or why there is none.
+type KernelRun = Result<(Report, u64, Image), String>;
+
 /// Runs the corpus across every configured method and aggregates the
 /// benchmark report.
 ///
@@ -152,15 +157,18 @@ pub struct PerfReport {
 /// so the deterministic section of the result is byte-identical for any
 /// `jobs` setting. Every image is traced into a temporary directory;
 /// its spans give the per-stage samples ([`STAGES`]), its optimize time
-/// and, with [`PerfConfig::profile`], the span profile. Every optimized
-/// image then runs in the emulator and must exit and print exactly as
-/// its input does.
+/// and, with [`PerfConfig::profile`], the span profile. After the
+/// batches, every input and every optimized image runs in the emulator
+/// on the batches' worker count, and each optimized image must exit and
+/// print exactly as its input does.
 ///
 /// # Errors
 ///
 /// A message when a kernel is named twice or fails to compile, a batch
 /// aborts, any image fails to optimize, or an optimized image does not
-/// behave as its input — the harness has no partial results.
+/// behave as its input — the harness has no partial results. Of several
+/// failing images the first is named, inputs first and then method by
+/// method in kernel order.
 pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
     if config.methods.is_empty() {
         return Err("no methods selected".to_owned());
@@ -184,13 +192,7 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
         images.push((name.clone(), image));
     }
     let start = Instant::now();
-    // Each input runs once; every method's output is held to it.
-    let behaviour = images
-        .iter()
-        .map(|(name, image)| emulate(image).map_err(|e| format!("kernel {name}: {e}")))
-        .collect::<Result<Vec<Outcome>, String>>()?;
-    let mut emulator_ns = gpa_trace::saturating_ns(start.elapsed());
-    let mut per_method: Vec<Vec<(Report, u64)>> = Vec::new();
+    let mut per_method: Vec<Vec<KernelRun>> = Vec::new();
     let mut latency = Vec::new();
     let mut cache = Vec::new();
     let mut profile = config.profile.then(SpanTree::default);
@@ -227,18 +229,20 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
         let _ = std::fs::remove_dir_all(&trace_dir);
         let (corpus, traces) = (corpus?, traces?);
         jobs_used = corpus.jobs;
-        let mut runs = Vec::new();
-        for ((entry, trace), input) in corpus.images.iter().zip(&traces).zip(&behaviour) {
-            let at = format!("{} [{}]", entry.name, method.as_str());
-            let report = entry.outcome.as_ref().map_err(|e| format!("{at}: {e}"))?;
-            let missing = || format!("{at}: no optimized image to check");
-            let image = entry.image.as_ref().ok_or_else(missing)?;
-            let check_start = Instant::now();
-            check_behaviour(&entry.name, method, input, image)?;
-            emulator_ns += gpa_trace::saturating_ns(check_start.elapsed());
-            let optimize_ns = trace.total_ns_at(&["front"]) + trace.total_ns_at(&["optimize"]);
-            runs.push((report.clone(), optimize_ns));
-        }
+        let runs = corpus
+            .images
+            .into_iter()
+            .zip(&traces)
+            .map(|(entry, trace)| {
+                let at = format!("{} [{}]", entry.name, method.as_str());
+                let report = entry.outcome.map_err(|e| format!("{at}: {e}"))?;
+                let image = entry
+                    .image
+                    .ok_or_else(|| format!("{at}: no optimized image to check"))?;
+                let optimize_ns = trace.total_ns_at(&["front"]) + trace.total_ns_at(&["optimize"]);
+                Ok((report, optimize_ns, image))
+            })
+            .collect();
         let mut stages: Vec<(&'static str, LogHistogram)> = STAGES
             .iter()
             .map(|&(name, _)| (name, LogHistogram::new()))
@@ -263,6 +267,35 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
             tree.merge(&under_method_root(method, spans));
         }
     }
+    // The emulator check: each input runs once, and every method's
+    // output is held to it.
+    let check_start = Instant::now();
+    let mut to_run: Vec<&Image> = images.iter().map(|(_, image)| image).collect();
+    to_run.extend(
+        per_method
+            .iter()
+            .flatten()
+            .flatten()
+            .map(|(_, _, image)| image),
+    );
+    let mut outcomes = emulate_all(&to_run, jobs_used).into_iter();
+    let emulator_ns = gpa_trace::saturating_ns(check_start.elapsed());
+    let behaviour = images
+        .iter()
+        .zip(outcomes.by_ref())
+        .map(|((name, _), outcome)| outcome.map_err(|e| format!("kernel {name}: {e}")))
+        .collect::<Result<Vec<Outcome>, String>>()?;
+    let mut reports: Vec<Vec<(Report, u64)>> = Vec::new();
+    for (&method, runs) in config.methods.iter().zip(per_method) {
+        let mut checked = Vec::new();
+        for ((name, _), (run, input)) in images.iter().zip(runs.into_iter().zip(&behaviour)) {
+            let (report, optimize_ns, _) = run?;
+            let output = outcomes.next().expect("one outcome per optimized image");
+            check_behaviour(name, method, input, output)?;
+            checked.push((report, optimize_ns));
+        }
+        reports.push(checked);
+    }
     let kernels = images
         .iter()
         .enumerate()
@@ -270,7 +303,7 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
             let results: Vec<(Method, Report)> = config
                 .methods
                 .iter()
-                .zip(&per_method)
+                .zip(&reports)
                 .map(|(&method, runs)| (method, runs[i].0.clone()))
                 .collect();
             KernelResult {
@@ -279,7 +312,7 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
                 code_words: image.code_len(),
                 data_bytes: image.data_bytes().len(),
                 results,
-                optimize_ns: per_method.iter().map(|runs| runs[i].1).collect(),
+                optimize_ns: reports.iter().map(|runs| runs[i].1).collect(),
             }
         })
         .collect();
@@ -302,9 +335,43 @@ fn emulate(image: &Image) -> Result<Outcome, String> {
         .map_err(|e| format!("emulation failed: {e}"))
 }
 
-/// The emulator check of one optimized image: `image`, `kernel`
-/// optimized by `method`, must exit and print exactly as the input did
-/// (`input`).
+/// [`emulate`]s every image on up to `jobs` scoped threads, which claim
+/// images in order off a shared counter; the outcomes come back in image
+/// order.
+fn emulate_all(images: &[&Image], jobs: usize) -> Vec<Result<Outcome, String>> {
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<Result<Outcome, String>>>> =
+        images.iter().map(|_| Mutex::new(None)).collect();
+    let worker = || loop {
+        let index = next.fetch_add(1, Ordering::Relaxed);
+        let Some(image) = images.get(index) else {
+            return;
+        };
+        let outcome = emulate(image);
+        *slots[index].lock().expect("emulator slot poisoned") = Some(outcome);
+    };
+    if jobs.min(images.len()) <= 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..jobs.min(images.len()) {
+                scope.spawn(worker);
+            }
+        });
+    }
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("emulator slot poisoned")
+                .expect("every image is claimed")
+        })
+        .collect()
+}
+
+/// The emulator check of one optimized image: `output`, the emulation
+/// of `kernel` optimized by `method`, must exit and print exactly as the
+/// input did (`input`).
 ///
 /// # Errors
 ///
@@ -314,10 +381,10 @@ fn check_behaviour(
     kernel: &str,
     method: Method,
     input: &Outcome,
-    image: &Image,
+    output: Result<Outcome, String>,
 ) -> Result<(), String> {
     let at = format!("{kernel} [{}]: the optimized image", method.as_str());
-    let output = emulate(image).map_err(|e| format!("{at}: {e}"))?;
+    let output = output.map_err(|e| format!("{at}: {e}"))?;
     if output.exit_code != input.exit_code {
         return Err(format!(
             "{at} exits with {} where its input exits with {}",
@@ -763,16 +830,16 @@ mod tests {
         let (crc, search) = (compile("crc"), compile("search"));
         let crc_input = emulate(&crc).unwrap();
         assert_eq!(
-            check_behaviour("crc", Method::Edgar, &crc_input, &crc),
+            check_behaviour("crc", Method::Edgar, &crc_input, emulate(&crc)),
             Ok(())
         );
-        let err = check_behaviour("crc", Method::DgSpan, &crc_input, &search).unwrap_err();
+        let err = check_behaviour("crc", Method::DgSpan, &crc_input, emulate(&search)).unwrap_err();
         assert!(err.starts_with("crc [dgspan]: "), "{err}");
         let other_exit = Outcome {
             exit_code: crc_input.exit_code + 1,
             ..crc_input
         };
-        let err = check_behaviour("crc", Method::Sfx, &other_exit, &crc).unwrap_err();
+        let err = check_behaviour("crc", Method::Sfx, &other_exit, emulate(&crc)).unwrap_err();
         assert!(
             err.starts_with("crc [sfx]: ") && err.contains("exits"),
             "{err}"

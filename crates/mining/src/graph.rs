@@ -28,13 +28,6 @@ impl LabelInterner {
         id
     }
 
-    /// Interns `labels` in order and returns their ids: given a graph's
-    /// distinct labels (see [`InputGraph::from_dfg_local`]), the map from
-    /// its region-local labels to this interner's ids.
-    pub fn intern_all<'a>(&mut self, labels: impl IntoIterator<Item = &'a str>) -> Vec<u32> {
-        labels.into_iter().map(|label| self.intern(label)).collect()
-    }
-
     /// The label text for an id.
     pub fn name(&self, id: u32) -> &str {
         &self.names[id as usize]
@@ -116,38 +109,19 @@ impl InputGraph {
         let graphs = dfgs
             .into_iter()
             .map(|dfg| {
-                let (mut graph, first) = InputGraph::from_dfg_local(dfg);
-                let ids = interner.intern_all(first.iter().map(|&n| dfg.label(n as usize)));
-                for label in &mut graph.labels {
-                    *label = ids[*label as usize];
-                }
-                graph
+                let labels = (0..dfg.node_count())
+                    .map(|i| interner.intern(dfg.label(i)))
+                    .collect();
+                InputGraph::from_dfg(dfg, labels)
             })
             .collect();
         (graphs, interner)
     }
 
-    /// Converts one DFG with region-local labels: node `i`'s label is an
-    /// index into the returned list, which holds, for each distinct label
-    /// of the DFG in first-seen order, the node where it first occurs.
-    ///
-    /// Interning those labels graph by graph, in graph order, with
-    /// [`LabelInterner::intern_all`] numbers every label exactly as
-    /// [`InputGraph::from_dfgs`] does: a label's first occurrence in the
-    /// whole database is its first occurrence in the first graph that
-    /// holds it. A caller that keeps the local graphs can therefore
-    /// re-intern a changed database without hashing every node's label.
-    pub fn from_dfg_local(dfg: &Dfg) -> (InputGraph, Vec<u32>) {
-        let mut local: HashMap<&str, u32> = HashMap::new();
-        let mut first = Vec::new();
-        let labels = (0..dfg.node_count())
-            .map(|i| {
-                *local.entry(dfg.label(i)).or_insert_with(|| {
-                    first.push(i as u32);
-                    first.len() as u32 - 1
-                })
-            })
-            .collect();
+    /// Converts one DFG whose node `i` carries the interned label
+    /// `labels[i]`.
+    pub fn from_dfg(dfg: &Dfg, labels: Vec<u32>) -> InputGraph {
+        debug_assert_eq!(labels.len(), dfg.node_count());
         let edges = dfg
             .edges()
             .iter()
@@ -157,7 +131,7 @@ impl InputGraph {
                 label: e.kinds.0,
             })
             .collect();
-        (InputGraph::new(labels, edges), first)
+        InputGraph::new(labels, edges)
     }
 }
 

@@ -271,21 +271,20 @@ fn set_def(state: &mut RegState, idx: usize, rd: Reg, v: AbsValue) {
     state.set(rd, v);
 }
 
-/// The post-state of an instruction assuming it executes (its condition
-/// holds). `idx` is the item index of the instruction, the identity of
-/// every symbolic base it mints.
-fn apply_insn(state: &RegState, insn: &Instruction, idx: usize) -> RegState {
-    let mut next = *state;
+/// Updates `next` to the post-state of an instruction assuming it
+/// executes (its condition holds). `idx` is the item index of the
+/// instruction, the identity of every symbolic base it mints.
+fn apply_insn(next: &mut RegState, insn: &Instruction, idx: usize) {
     match *insn {
         Instruction::DataProc {
             op, rd, rn, op2, ..
         } => {
-            if let Some(v) = dp_value(op, next.get(rn), eval_op2(&next, op2)) {
-                set_def(&mut next, idx, rd, v);
+            if let Some(v) = dp_value(op, next.get(rn), eval_op2(next, op2)) {
+                set_def(next, idx, rd, v);
             }
         }
         Instruction::Mul { rd, .. } | Instruction::Mla { rd, .. } => {
-            set_def(&mut next, idx, rd, AbsValue::Top);
+            set_def(next, idx, rd, AbsValue::Top);
         }
         Instruction::Mem { op, rd, .. } | Instruction::Block { op, rn: rd, .. } => {
             if let Some((rn, delta)) = insn.mem_fx().writeback {
@@ -299,7 +298,7 @@ fn apply_insn(state: &RegState, insn: &Instruction, idx: usize) -> RegState {
                         _ => AbsValue::Top,
                     },
                 };
-                set_def(&mut next, idx, rn, v);
+                set_def(next, idx, rn, v);
             }
             // Loaded registers take fresh symbolic values — after the
             // writeback, so `ldr rn, [rn], #4` and `ldm` lists that
@@ -307,10 +306,10 @@ fn apply_insn(state: &RegState, insn: &Instruction, idx: usize) -> RegState {
             // base + delta.
             if op == gpa_arm::MemOp::Ldr {
                 match *insn {
-                    Instruction::Mem { .. } => set_def(&mut next, idx, rd, AbsValue::Top),
+                    Instruction::Mem { .. } => set_def(next, idx, rd, AbsValue::Top),
                     Instruction::Block { regs, .. } => {
                         for r in regs.iter() {
-                            set_def(&mut next, idx, r, AbsValue::Top);
+                            set_def(next, idx, r, AbsValue::Top);
                         }
                     }
                     _ => unreachable!("matched above"),
@@ -319,26 +318,26 @@ fn apply_insn(state: &RegState, insn: &Instruction, idx: usize) -> RegState {
         }
         Instruction::Branch { link, .. } => {
             if link {
-                set_def(&mut next, idx, Reg::LR, AbsValue::Top);
+                set_def(next, idx, Reg::LR, AbsValue::Top);
             }
         }
         Instruction::Bx { .. } => {}
         Instruction::Swi { .. } => {
-            set_def(&mut next, idx, Reg::r(0), AbsValue::Top);
+            set_def(next, idx, Reg::r(0), AbsValue::Top);
         }
     }
-    next
 }
 
 fn transfer_insn(state: &mut RegState, insn: &Instruction, idx: usize) {
     // Join the post-state with the pre-state when the instruction may be
     // skipped (conditional execution).
-    let next = apply_insn(state, insn, idx);
-    *state = if insn.cond().is_always() {
-        next
+    if insn.cond().is_always() {
+        apply_insn(state, insn, idx);
     } else {
-        state.join(&next)
-    };
+        let mut next = *state;
+        apply_insn(&mut next, insn, idx);
+        *state = state.join(&next);
+    }
 }
 
 /// Interprocedural context for the abstract interpreter: the call-graph
@@ -365,6 +364,8 @@ pub struct AbsEnv<'a> {
     /// Data-object extents `[addr, addr + size)`, sorted by address:
     /// the bound for register-indexed accesses off an object pointer.
     objects: Vec<(i64, i64)>,
+    /// Function analyses the balance fixpoint ran.
+    analyses: u64,
 }
 
 impl<'a> AbsEnv<'a> {
@@ -372,28 +373,43 @@ impl<'a> AbsEnv<'a> {
     /// optimistic (`balanced`) and only ever flip to `false`, so the
     /// loop terminates.
     pub fn build(program: &Program, graph: &'a CallGraph) -> AbsEnv<'a> {
-        AbsEnv::build_with_states(program, graph, None, &[]).0
+        AbsEnv::fixpoint(program, graph, None, false).0
     }
 
     /// [`AbsEnv::build`] reusing `previous`, the [`AbsEnv::balanced`]
     /// facts of an earlier version of `program` when `graph` is its
-    /// [`CallGraph::rebuild`] from that version's call graph: functions
-    /// outside [`CallGraph::affected`] keep their previous facts, and the
-    /// fixpoint runs over the rest (the facts of those outside depend
-    /// only on each other, so this is the fixpoint a fresh build reaches).
+    /// [`CallGraph::rebuild`] from that version's call graph.
     ///
-    /// Also returns the states the last pass computed for the functions
-    /// marked in `keep`: entry `i` is [`AbsInt::analyze`] of function `i`
-    /// under the returned environment when `keep[i]` holds and the pass
-    /// analyzed it, and `None` otherwise (the pass skips unbalanced and
-    /// unaffected functions). That pass flips no fact, so the
-    /// environment it analyzed under is the final one.
+    /// The fixpoint walks `graph`'s components dependencies first. A
+    /// component that holds no [`CallGraph::changed`] function, and
+    /// depends on none whose summary ([`CallGraph::moved`]) or balance
+    /// moved, keeps its previous facts: they read only facts that did
+    /// not move. Every other component starts from `true` and iterates
+    /// over its own members only (once for a single function that does
+    /// not depend on itself), so it lands on the facts a fresh build
+    /// reaches.
+    ///
+    /// Also returns, per function, its [`AbsInt::analyze`] under the
+    /// returned environment when the walk computed it, and `None`
+    /// otherwise (unrecomputed components, and unbalanced members of
+    /// cyclic ones): a component's last pass flips no fact and every
+    /// component it depends on is final, so what that pass analyzed
+    /// under is the final environment.
     pub fn build_with_states(
         program: &Program,
         graph: &'a CallGraph,
         previous: Option<&[bool]>,
-        keep: &[bool],
     ) -> (AbsEnv<'a>, Vec<Option<AbsInt>>) {
+        AbsEnv::fixpoint(program, graph, previous, true)
+    }
+
+    fn fixpoint(
+        program: &Program,
+        graph: &'a CallGraph,
+        previous: Option<&[bool]>,
+        keep: bool,
+    ) -> (AbsEnv<'a>, Vec<Option<AbsInt>>) {
+        let n = program.functions.len();
         let address_taken: Vec<usize> = program
             .functions
             .iter()
@@ -408,41 +424,64 @@ impl<'a> AbsEnv<'a> {
             .map(|s| (i64::from(s.addr), i64::from(s.addr) + i64::from(s.size)))
             .collect();
         objects.sort_unstable();
-        let fixed = |i: usize| previous.is_some() && !graph.affected[i];
         let mut env = AbsEnv {
             graph,
-            balanced: (0..program.functions.len())
-                .map(|i| match previous {
-                    Some(previous) if fixed(i) => previous[i],
-                    _ => true,
-                })
-                .collect(),
+            balanced: vec![true; n],
             address_taken,
             objects,
+            analyses: 0,
         };
-        let mut states: Vec<Option<AbsInt>> = vec![None; program.functions.len()];
-        loop {
-            let mut changed = false;
-            for (i, f) in program.functions.iter().enumerate() {
-                if fixed(i) || !env.balanced[i] {
+        let mut states: Vec<Option<AbsInt>> = vec![None; n];
+        // Per function, whether its balance differs from `previous`.
+        let mut moved = vec![false; n];
+        for component in &graph.components {
+            let stale = |f: &usize| {
+                graph.changed[*f] || graph.deps[*f].iter().any(|&d| graph.moved[d] || moved[d])
+            };
+            match previous {
+                Some(previous) if !component.iter().any(|f| stale(f) || *f >= previous.len()) => {
+                    for &f in component {
+                        env.balanced[f] = previous[f];
+                    }
                     continue;
                 }
-                // Each function sees the facts flipped earlier in the
-                // same pass.
-                let a = AbsInt::analyze(f, Some(&env));
-                if env.returns_balanced(f, &a) {
-                    states[i] = keep.get(i).is_some_and(|&k| k).then_some(a);
-                } else {
-                    env.balanced[i] = false;
-                    states[i] = None;
-                    changed = true;
+                _ => {}
+            }
+            let cyclic = component.len() > 1 || graph.deps[component[0]].contains(&component[0]);
+            loop {
+                let mut flipped = false;
+                for &f in component {
+                    if !env.balanced[f] {
+                        continue;
+                    }
+                    // Each function sees the facts flipped earlier in the
+                    // same pass.
+                    let func = &program.functions[f];
+                    let a = AbsInt::analyze(func, Some(&env));
+                    env.analyses += 1;
+                    let balanced = env.returns_balanced(func, &a);
+                    if !balanced {
+                        env.balanced[f] = false;
+                        flipped = true;
+                    }
+                    states[f] = (keep && (balanced || !cyclic)).then_some(a);
+                }
+                if !cyclic || !flipped {
+                    break;
                 }
             }
-            if !changed {
-                break;
+            if let Some(previous) = previous {
+                for &f in component {
+                    moved[f] = previous.get(f) != Some(&env.balanced[f]);
+                }
             }
         }
         (env, states)
+    }
+
+    /// Function analyses the balance fixpoint ran.
+    pub fn analyses(&self) -> u64 {
+        self.analyses
     }
 
     /// The callee facts [`AbsInt::analyze`] consults on `f`, in item
@@ -474,14 +513,15 @@ impl<'a> AbsEnv<'a> {
     /// analysis.
     fn returns_balanced(&self, f: &FunctionCode, a: &AbsInt) -> bool {
         for (i, item) in f.items.iter().enumerate() {
-            let Some(before) = a.before[i] else { continue };
+            let Some(before) = &a.before[i] else { continue };
             match item {
                 Item::TailCall { .. } => return false,
-                Item::Insn(insn)
-                    if item.is_return()
-                        && apply_insn(&before, insn, i).get(Reg::SP) != AbsValue::SpRel(0) =>
-                {
-                    return false;
+                Item::Insn(insn) if item.is_return() => {
+                    let mut after = *before;
+                    apply_insn(&mut after, insn, i);
+                    if after.get(Reg::SP) != AbsValue::SpRel(0) {
+                        return false;
+                    }
                 }
                 _ => {}
             }

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use gpa_arm::reg::RegSet;
 use gpa_arm::Reg;
-use gpa_cfg::{Item, Literal, Program};
+use gpa_cfg::{FunctionCode, Item, Literal, Program};
 
 use crate::dataflow::{EffectsTransfer, FnCfg, GenKill, ItemTransfer, LiveState, Liveness};
 
@@ -51,15 +51,26 @@ pub struct CallGraph {
     /// Per function, the callee indices (calls, tail calls and
     /// address-taken references through code literals).
     pub callees: Vec<Vec<usize>>,
-    /// Per function, whether it makes an indirect call (unknowable
-    /// callee).
-    pub has_indirect: Vec<bool>,
     /// The fixpoint summaries, aligned with `Program::functions`.
     pub summaries: Vec<FnSummary>,
-    /// Per function, whether this build computed its facts afresh: every
-    /// function for [`CallGraph::build`]; for [`CallGraph::rebuild`], the
-    /// changed functions and every function that reaches one.
-    pub affected: Vec<bool>,
+    /// Per function, the functions its facts — its summary here, its sp
+    /// balance in [`crate::AbsEnv`] — may read: its callees, and for an
+    /// indirect call every address-taken function.
+    pub deps: Vec<Vec<usize>>,
+    /// The strongly connected components of `deps`, each in ascending
+    /// index order, dependencies first: a component comes after every
+    /// component it reaches.
+    pub components: Vec<Vec<usize>>,
+    /// Per function, whether what its facts are computed from changed
+    /// since the previous build: its code, or its `deps` (a callee name
+    /// that now resolves, an address-taken flag that flipped). Every
+    /// function for [`CallGraph::build`].
+    pub changed: Vec<bool>,
+    /// Per function, whether its summary differs from the previous
+    /// build's: every function for [`CallGraph::build`].
+    pub moved: Vec<bool>,
+    /// Liveness analyses the summary fixpoint ran.
+    pub analyses: u64,
 }
 
 /// Call-item targets of one function body.
@@ -82,6 +93,64 @@ fn callee_names(items: &[Item]) -> (Vec<&str>, bool) {
     (names, indirect)
 }
 
+/// The strongly connected components of the graph `deps`, in the order
+/// Tarjan's algorithm completes them: a component after every component
+/// it reaches. Members are sorted ascending.
+fn components(deps: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    const UNSEEN: usize = usize::MAX;
+    let n = deps.len();
+    let mut order = vec![UNSEEN; n];
+    let mut low = vec![0; n];
+    let mut on_stack = vec![false; n];
+    let mut stack = Vec::new();
+    let mut out = Vec::new();
+    let mut seen = 0;
+    // (node, position of its next dependency to explore)
+    let mut walk: Vec<(usize, usize)> = Vec::new();
+    for root in 0..n {
+        if order[root] != UNSEEN {
+            continue;
+        }
+        walk.push((root, 0));
+        while let Some(top) = walk.last_mut() {
+            let v = top.0;
+            if top.1 == 0 && order[v] == UNSEEN {
+                order[v] = seen;
+                low[v] = seen;
+                seen += 1;
+                stack.push(v);
+                on_stack[v] = true;
+            }
+            if let Some(&w) = deps[v].get(top.1) {
+                top.1 += 1;
+                if order[w] == UNSEEN {
+                    walk.push((w, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(order[w]);
+                }
+                continue;
+            }
+            walk.pop();
+            if let Some(&(u, _)) = walk.last() {
+                low[u] = low[u].min(low[v]);
+            }
+            if low[v] == order[v] {
+                let mut component = Vec::new();
+                while let Some(w) = stack.pop() {
+                    on_stack[w] = false;
+                    component.push(w);
+                    if w == v {
+                        break;
+                    }
+                }
+                component.sort_unstable();
+                out.push(component);
+            }
+        }
+    }
+    out
+}
+
 impl CallGraph {
     /// Builds the call graph and runs the summary fixpoint.
     pub fn build(program: &Program) -> CallGraph {
@@ -94,22 +163,27 @@ impl CallGraph {
     /// changed).
     ///
     /// A function's facts — its summary here, its sp balance in
-    /// [`crate::AbsEnv`] — depend only on the functions it reaches
-    /// through calls, tail calls and code addresses, and through an
-    /// indirect call on every address-taken function. A function that
-    /// reaches no changed function keeps its previous summary; the
-    /// fixpoint runs over the rest ([`CallGraph::affected`]) from bottom.
-    /// Summaries grow monotonically in their callees', so it reaches the
-    /// least fixpoint a fresh build reaches.
+    /// [`crate::AbsEnv`] — depend only on its own items and the facts of
+    /// its [`CallGraph::deps`]. The components of that graph are walked
+    /// dependencies first, and a component is recomputed only when it
+    /// holds a changed function or depends on a function whose summary
+    /// moved ([`CallGraph::moved`]); every other component keeps its
+    /// previous summaries. A
+    /// recomputed component iterates from bottom over its own members
+    /// only, once when it is a single function that does not depend on
+    /// itself. Summaries grow monotonically in their callees', so each
+    /// component lands on the least fixpoint a fresh build reaches.
     pub fn rebuild(program: &Program, previous: Option<(&CallGraph, &[bool])>) -> CallGraph {
+        let n = program.functions.len();
+        let previous = previous.filter(|(g, _)| g.summaries.len() <= n);
         let index: HashMap<String, usize> = program
             .functions
             .iter()
             .enumerate()
             .map(|(i, f)| (f.name.clone(), i))
             .collect();
-        let mut callees = Vec::with_capacity(program.functions.len());
-        let mut has_indirect = Vec::with_capacity(program.functions.len());
+        let mut callees = Vec::with_capacity(n);
+        let mut has_indirect = Vec::with_capacity(n);
         for f in &program.functions {
             let (names, indirect) = callee_names(&f.items);
             let mut ids: Vec<usize> = names
@@ -121,6 +195,28 @@ impl CallGraph {
             callees.push(ids);
             has_indirect.push(indirect);
         }
+        let address_taken: Vec<usize> = (0..n)
+            .filter(|&i| program.functions[i].address_taken)
+            .collect();
+        let deps: Vec<Vec<usize>> = (0..n)
+            .map(|f| {
+                let mut d = callees[f].clone();
+                if has_indirect[f] {
+                    d.extend(&address_taken);
+                    d.sort_unstable();
+                    d.dedup();
+                }
+                d
+            })
+            .collect();
+        let components = components(&deps);
+        let changed: Vec<bool> = (0..n)
+            .map(|i| match previous {
+                Some((g, c)) => c.get(i).is_none_or(|&c| c) || g.deps.get(i) != Some(&deps[i]),
+                None => true,
+            })
+            .collect();
+        let mut moved = vec![previous.is_none(); n];
 
         // Least-fixpoint summaries: start from bottom (reads nothing,
         // clobbers nothing) and iterate; facts only grow, so this
@@ -130,120 +226,117 @@ impl CallGraph {
             defs: RegSet::EMPTY,
             writes_flags: false,
         };
-        let n = program.functions.len();
-        let mut affected = vec![true; n];
         let mut summaries = vec![bottom; n];
-        if let Some((previous, changed)) = previous {
-            let address_taken: Vec<usize> = (0..n)
-                .filter(|&i| program.functions[i].address_taken)
-                .collect();
-            let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-            for (f, deps) in callees.iter().enumerate() {
-                let indirect: &[usize] = if has_indirect[f] { &address_taken } else { &[] };
-                for &d in deps.iter().chain(indirect) {
-                    dependents[d].push(f);
-                }
-            }
-            for (i, a) in affected.iter_mut().enumerate() {
-                *a = i >= previous.summaries.len() || changed.get(i).is_none_or(|&c| c);
-            }
-            let mut work: Vec<usize> = (0..n).filter(|&i| affected[i]).collect();
-            while let Some(d) = work.pop() {
-                for &f in &dependents[d] {
-                    if !affected[f] {
-                        affected[f] = true;
-                        work.push(f);
+        let mut analyses = 0;
+        for component in &components {
+            // A dependency outside the component is final; one inside it
+            // has not moved yet.
+            let stale = |f: &usize| changed[*f] || deps[*f].iter().any(|&d| moved[d]);
+            match previous {
+                Some((previous, _)) if !component.iter().any(stale) => {
+                    for &f in component {
+                        summaries[f] = previous.summaries[f];
                     }
-                }
-            }
-            for (i, summary) in summaries.iter_mut().enumerate() {
-                if !affected[i] {
-                    *summary = previous.summaries[i];
-                }
-            }
-        }
-        let cfgs: Vec<Option<FnCfg>> = program
-            .functions
-            .iter()
-            .zip(&affected)
-            .map(|(f, &a)| a.then(|| FnCfg::build(f)))
-            .collect();
-        loop {
-            let mut changed = false;
-            for (i, f) in program.functions.iter().enumerate() {
-                let Some(cfg) = &cfgs[i] else {
                     continue;
-                };
-                let transfer = SummaryTransfer {
-                    index: &index,
-                    summaries: &summaries,
-                };
-                let live = Liveness::analyze(f, cfg, &transfer, LiveState::EMPTY);
-                let live_in = live.live_in.first().copied().unwrap_or(LiveState::EMPTY);
-                let mut defs = RegSet::EMPTY;
-                let mut writes_flags = false;
-                for item in &f.items {
-                    match item {
-                        Item::Call { target, .. } => {
-                            defs.insert(Reg::LR);
-                            match index.get(target) {
-                                Some(&t) => {
-                                    defs = defs.union(summaries[t].defs);
-                                    writes_flags |= summaries[t].writes_flags;
-                                }
-                                None => {
-                                    defs = defs.union(FnSummary::conservative().defs);
-                                    writes_flags = true;
-                                }
-                            }
-                        }
-                        Item::TailCall { target, .. } => {
-                            if let Some(&t) = index.get(target) {
-                                defs = defs.union(summaries[t].defs);
-                                writes_flags |= summaries[t].writes_flags;
-                            } else {
-                                defs = defs.union(FnSummary::conservative().defs);
-                                writes_flags = true;
-                            }
-                        }
-                        Item::IndirectCall { .. } => {
-                            defs = defs.union(FnSummary::conservative().defs);
-                            writes_flags = true;
-                        }
-                        other => {
-                            let fx = other.effects();
-                            defs = defs.union(fx.defs);
-                            writes_flags |= fx.writes_flags;
-                        }
+                }
+                _ => {}
+            }
+            let cfgs: Vec<FnCfg> = component
+                .iter()
+                .map(|&f| FnCfg::build(&program.functions[f]))
+                .collect();
+            let cyclic = component.len() > 1 || deps[component[0]].contains(&component[0]);
+            loop {
+                let mut grew = false;
+                for (&f, cfg) in component.iter().zip(&cfgs) {
+                    let next = summarize(&program.functions[f], cfg, &index, &summaries);
+                    analyses += 1;
+                    if next != summaries[f] {
+                        summaries[f] = next;
+                        grew = true;
                     }
                 }
-                defs.remove(Reg::PC);
-                let next = FnSummary {
-                    live_in,
-                    defs,
-                    writes_flags,
-                };
-                if next != summaries[i] {
-                    summaries[i] = next;
-                    changed = true;
+                if !cyclic || !grew {
+                    break;
                 }
             }
-            if !changed {
-                break;
+            if let Some((previous, _)) = previous {
+                for &f in component {
+                    moved[f] = previous.summaries.get(f) != Some(&summaries[f]);
+                }
             }
         }
         CallGraph {
             index,
             callees,
-            has_indirect,
             summaries,
-            affected,
+            deps,
+            components,
+            changed,
+            moved,
+            analyses,
         }
     }
 
     /// The summary of a function by name, if it exists.
     pub fn summary(&self, name: &str) -> Option<&FnSummary> {
         self.index.get(name).map(|&i| &self.summaries[i])
+    }
+}
+
+/// One step of the summary fixpoint: `f`'s summary given the current
+/// `summaries` of its callees.
+fn summarize(
+    f: &FunctionCode,
+    cfg: &FnCfg,
+    index: &HashMap<String, usize>,
+    summaries: &[FnSummary],
+) -> FnSummary {
+    let transfer = SummaryTransfer { index, summaries };
+    let live = Liveness::analyze(f, cfg, &transfer, LiveState::EMPTY);
+    let live_in = live.live_in.first().copied().unwrap_or(LiveState::EMPTY);
+    let mut defs = RegSet::EMPTY;
+    let mut writes_flags = false;
+    for item in &f.items {
+        match item {
+            Item::Call { target, .. } => {
+                defs.insert(Reg::LR);
+                match index.get(target) {
+                    Some(&t) => {
+                        defs = defs.union(summaries[t].defs);
+                        writes_flags |= summaries[t].writes_flags;
+                    }
+                    None => {
+                        defs = defs.union(FnSummary::conservative().defs);
+                        writes_flags = true;
+                    }
+                }
+            }
+            Item::TailCall { target, .. } => {
+                if let Some(&t) = index.get(target) {
+                    defs = defs.union(summaries[t].defs);
+                    writes_flags |= summaries[t].writes_flags;
+                } else {
+                    defs = defs.union(FnSummary::conservative().defs);
+                    writes_flags = true;
+                }
+            }
+            Item::IndirectCall { .. } => {
+                defs = defs.union(FnSummary::conservative().defs);
+                writes_flags = true;
+            }
+            other => {
+                let fx = other.effects();
+                defs = defs.union(fx.defs);
+                writes_flags |= fx.writes_flags;
+            }
+        }
+    }
+    defs.remove(Reg::PC);
+    FnSummary {
+        live_in,
+        defs,
+        writes_flags,
     }
 }
 
@@ -318,7 +411,6 @@ impl ItemTransfer for SummaryTransfer<'_> {
 mod tests {
     use super::*;
     use gpa_arm::Cond;
-    use gpa_cfg::FunctionCode;
 
     fn insn(text: &str) -> Item {
         Item::Insn(text.parse().unwrap())
@@ -436,14 +528,162 @@ mod tests {
             .splice(0..0, [insn("mov r5, #1"), insn("sub sp, sp, #8")]);
         let rebuilt = CallGraph::rebuild(&after, Some((&old, &[false, false, true, false])));
         let fresh = CallGraph::build(&after);
-        assert_eq!(rebuilt.affected, [true, true, true, false]);
+        assert_eq!(rebuilt.changed, [false, false, true, false]);
+        assert_eq!(rebuilt.moved, [true, true, true, false]);
         assert_eq!(rebuilt.summaries, fresh.summaries);
         assert!(rebuilt.summaries[0].defs.contains(Reg::r(5)));
-        let (env, _) =
-            crate::AbsEnv::build_with_states(&after, &rebuilt, Some(old_env.balanced()), &[]);
+        // `other` reaches nothing that changed: only the chain above the
+        // leaf is analyzed again, once each.
+        assert_eq!(rebuilt.analyses, 3);
+        let (env, _) = crate::AbsEnv::build_with_states(&after, &rebuilt, Some(old_env.balanced()));
         let fresh_env = crate::AbsEnv::build(&after, &fresh);
         assert_eq!(env.balanced(), fresh_env.balanced());
         assert_eq!(env.balanced(), [false, false, false, true]);
+    }
+
+    /// A small deterministic generator (64-bit LCG, high bits out).
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((self.0 >> 33) % n as u64) as usize
+        }
+    }
+
+    /// A random function `f{index}` over callees `f0..f{n-1}`: framed or
+    /// leaf, maybe a loop, with recursion, conditional calls, indirect
+    /// calls, code-address loads, frame adjustments that may leave `sp`
+    /// unbalanced, and a return or a tail call at the end.
+    fn random_function(rng: &mut Lcg, index: usize, n: usize) -> FunctionCode {
+        let name = |rng: &mut Lcg| format!("f{}", rng.below(n));
+        let framed = rng.below(2) == 0;
+        let looped = rng.below(3) == 0;
+        let mut items = Vec::new();
+        if framed {
+            items.push(insn("push {r4, lr}"));
+        }
+        if looped {
+            items.push(Item::Label(gpa_cfg::LabelId(0)));
+        }
+        for _ in 0..1 + rng.below(5) {
+            let (a, b) = (rng.below(5), rng.below(5));
+            items.push(match rng.below(9) {
+                0 => insn(&format!("add r{a}, r{b}, r4")),
+                1 => insn(&format!("mov r{a}, #{b}")),
+                2 => insn(&format!("cmp r{a}, #0")),
+                3 => insn("sub sp, sp, #8"),
+                4 => insn("add sp, sp, #8"),
+                5 => Item::Call {
+                    cond: if rng.below(2) == 0 {
+                        Cond::Al
+                    } else {
+                        Cond::Ne
+                    },
+                    target: name(rng),
+                },
+                6 => Item::Call {
+                    cond: Cond::Al,
+                    target: name(rng),
+                },
+                7 => Item::IndirectCall {
+                    target: Reg::r(a as u8),
+                },
+                _ => Item::LitLoad {
+                    rd: Reg::r(a as u8),
+                    lit: Literal::Code(name(rng)),
+                },
+            });
+        }
+        if looped {
+            items.push(Item::Branch {
+                cond: Cond::Ne,
+                target: gpa_cfg::LabelId(0),
+            });
+        }
+        if framed {
+            items.push(insn("pop {r4, pc}"));
+        } else if rng.below(4) == 0 {
+            items.push(Item::TailCall {
+                cond: Cond::Al,
+                target: name(rng),
+            });
+        } else {
+            items.push(insn("bx lr"));
+        }
+        FunctionCode {
+            name: format!("f{index}"),
+            address_taken: rng.below(3) == 0,
+            items,
+            label_count: u32::from(looped),
+        }
+    }
+
+    /// Random call graphs under random one-function edits (some of
+    /// which append a new function, as an extraction appends its
+    /// fragment): a rebuild from the previous call graph and balance
+    /// facts lands on a fresh build's summaries, balance facts and
+    /// callee facts, and every abstract state it hands back is the one a
+    /// fresh environment gives.
+    #[test]
+    fn rebuild_from_the_previous_state_matches_a_fresh_build_on_random_edits() {
+        let mut rng = Lcg(0x6670_6978);
+        let (mut carried_runs, mut fresh_runs, mut cyclic, mut kept) = (0u64, 0u64, 0, 0);
+        for _ in 0..300 {
+            let n = 2 + rng.below(6);
+            let mut p = program((0..n).map(|i| random_function(&mut rng, i, n)).collect());
+            let mut graph = CallGraph::build(&p);
+            let mut balanced = crate::AbsEnv::build(&p, &graph).balanced().to_vec();
+            for _ in 0..5 {
+                let mut changed = vec![false; p.functions.len()];
+                let appended = rng.below(4) == 0;
+                let total = p.functions.len() + usize::from(appended);
+                let f = rng.below(p.functions.len());
+                p.functions[f] = random_function(&mut rng, f, total);
+                changed[f] = true;
+                if appended {
+                    let function = random_function(&mut rng, total - 1, total);
+                    p.functions.push(function);
+                }
+                let rebuilt = CallGraph::rebuild(&p, Some((&graph, &changed)));
+                let fresh = CallGraph::build(&p);
+                assert_eq!(rebuilt.summaries, fresh.summaries, "{p:#?}");
+                let (env, states) = crate::AbsEnv::build_with_states(&p, &rebuilt, Some(&balanced));
+                let fresh_env = crate::AbsEnv::build(&p, &fresh);
+                assert_eq!(env.balanced(), fresh_env.balanced(), "{p:#?}");
+                for (function, state) in p.functions.iter().zip(&states) {
+                    assert_eq!(env.call_facts(function), fresh_env.call_facts(function));
+                    if let Some(state) = state {
+                        let expected = crate::AbsInt::analyze(function, Some(&fresh_env));
+                        assert_eq!(state.before, expected.before, "{}", function.name);
+                    }
+                }
+                carried_runs += rebuilt.analyses + env.analyses();
+                fresh_runs += fresh.analyses + fresh_env.analyses();
+                cyclic += rebuilt
+                    .components
+                    .iter()
+                    .filter(|c| c.len() > 1 && c.iter().any(|&f| rebuilt.changed[f]))
+                    .count();
+                kept += rebuilt.components.len()
+                    - rebuilt
+                        .components
+                        .iter()
+                        .filter(|c| c.iter().any(|&f| rebuilt.changed[f]))
+                        .count();
+                balanced = env.balanced().to_vec();
+                drop(env);
+                graph = rebuilt;
+            }
+        }
+        // The cases exercise edits inside recursive components and
+        // components left alone, and the rebuild does less work.
+        assert!(cyclic > 100, "{cyclic} edited recursive components");
+        assert!(kept > 100, "{kept} components kept");
+        assert!(carried_runs < fresh_runs, "{carried_runs} >= {fresh_runs}");
     }
 
     #[test]

@@ -130,6 +130,14 @@ gate_counters "$WORK/crc.jsonl" "${crc_work[@]}"
 gate_counters "$WORK/crc_stack.jsonl" "${crc_work[@]}" \
     absint.points=12071 absint.mem_pairs_examined=9534 \
     absint.mem_pairs_disjoint=2264
+# The work the front end saves under --alias stack: of the 361 overlays
+# the rounds refresh, only the 83 whose oracle relaxes a pair get a graph
+# of their own (the rest share the conservative artifact), and the two
+# fixpoints analyze only the call-graph components that hold a rebuilt
+# function or depend on one whose summary or sp balance moved.
+gate_counters "$WORK/crc_stack.jsonl" absint.overlays=361 \
+    absint.overlays_built=83 absint.overlays_shared=278 \
+    absint.summary_analyses=65 absint.balance_analyses=68
 if ! cmp -s "$WORK/opt_plain.txt" "$WORK/opt_traced.txt"; then
     echo "verify: tracing changed the optimize report" >&2
     exit 1
