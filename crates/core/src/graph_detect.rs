@@ -8,7 +8,7 @@ use gpa_dfg::{AliasOracle, Dfg, LabelMode};
 use gpa_mining::embed::Embedding;
 use gpa_mining::graph::InputGraph;
 use gpa_mining::miner::{
-    mine_streaming, non_overlapping_count_traced, Config, Frequent, GrowDecision, Support,
+    mine_streaming, non_overlapping_count_traced, Config, Fragment, GrowDecision, Support,
 };
 use gpa_trace::{NoopTracer, Tracer, Value};
 
@@ -328,13 +328,14 @@ impl KeptInRegion {
 const MAX_VALIDATED_EMBEDDINGS: usize = 512;
 
 /// Builds the best extractable candidate from one frequent fragment, or
-/// `None`.
+/// `None`. The candidate comes without its relaxed-MEM claims, together
+/// with the regions that host its occurrences ([`relaxed_claims`]).
 fn candidate_from_frequent(
-    freq: &Frequent,
+    freq: &Fragment,
     regions: &[RegionState],
     lr_free: &[bool],
     tracer: &dyn Tracer,
-) -> Option<Candidate> {
+) -> Option<(Candidate, Vec<u32>)> {
     if freq.embeddings.len() < 2 {
         return None;
     }
@@ -468,12 +469,24 @@ fn candidate_from_frequent(
             }
         })
         .collect();
-    // Every MEM edge the alias oracle dropped in a region that hosts a
-    // kept occurrence becomes an explicit claim for the validator to
-    // re-derive (regions can host several occurrences; dedup).
-    let mut claims: std::collections::BTreeSet<RelaxedPair> = std::collections::BTreeSet::new();
-    for e in &kept {
-        let region = &regions[e.graph as usize];
+    let candidate = Candidate {
+        body,
+        occurrences,
+        kind,
+        saved,
+        relaxed: Vec::new(),
+    };
+    Some((candidate, kept.iter().map(|e| e.graph).collect()))
+}
+
+/// The claims a candidate whose kept occurrences lie in the regions
+/// `hosts` carries: every MEM edge the alias oracle dropped in one of
+/// them, for the validator to re-derive (regions can host several
+/// occurrences; dedup). Only the round's winner needs them.
+fn relaxed_claims(regions: &[RegionState], hosts: &[u32]) -> Vec<RelaxedPair> {
+    let mut claims = std::collections::BTreeSet::new();
+    for &g in hosts {
+        let region = &regions[g as usize];
         let Some(overlay) = &region.overlay else {
             continue;
         };
@@ -485,13 +498,7 @@ fn candidate_from_frequent(
             });
         }
     }
-    Some(Candidate {
-        body,
-        occurrences,
-        kind,
-        saved,
-        relaxed: claims.into_iter().collect(),
-    })
+    claims.into_iter().collect()
 }
 
 /// The strict total preference order on candidates: more savings, then
@@ -551,11 +558,13 @@ impl CandidateSummary {
 /// How many candidate-table lines each round's trace carries.
 const CANDIDATE_TABLE_LEN: usize = 5;
 
-/// A search's running result: its best candidate and — when tracing —
-/// its slice of the candidate table.
+/// A search's running result: its best candidate with the regions that
+/// host its occurrences, and — when tracing — its slice of the
+/// candidate table.
 #[derive(Default)]
 struct RunningBest {
     candidate: Option<Candidate>,
+    hosts: Vec<u32>,
     top: Vec<CandidateSummary>,
 }
 
@@ -572,7 +581,7 @@ impl SearchCtx<'_> {
     /// Upper bound on disjoint occurrences of ANY pattern with ≥ `m`
     /// nodes embedded in the given graphs: disjoint embeddings of size m
     /// tile a graph, so at most ⌊|V|/m⌋ fit per graph.
-    fn tiling_bound(&self, f: &Frequent, m: usize) -> i64 {
+    fn tiling_bound(&self, f: &Fragment, m: usize) -> i64 {
         let mut seen = std::collections::BTreeSet::new();
         let mut total = 0i64;
         for e in &f.embeddings {
@@ -587,7 +596,7 @@ impl SearchCtx<'_> {
     /// subtree is being grown. Bounds are compared against
     /// `max(best, 1)` *inclusively*, so candidates tying the incumbent
     /// are still evaluated — this keeps the tie-break total.
-    fn visit(&self, f: &Frequent, seed: usize, best: &mut RunningBest) -> GrowDecision {
+    fn visit(&self, f: &Fragment, seed: usize, best: &mut RunningBest) -> GrowDecision {
         let m = f.pattern.node_count();
         // Any real candidate saves at least one word.
         let target = best.candidate.as_ref().map(|b| b.saved).unwrap_or(0).max(1);
@@ -615,7 +624,9 @@ impl SearchCtx<'_> {
         // validation but keep growing.
         if Self::benefit_bound(k_ub, 2 * m as i64) >= target {
             self.tracer.count("detect.candidates_evaluated", 1);
-            if let Some(c) = candidate_from_frequent(f, self.regions, self.lr_free, self.tracer) {
+            if let Some((c, hosts)) =
+                candidate_from_frequent(f, self.regions, self.lr_free, self.tracer)
+            {
                 if self.tracer.enabled() {
                     best.top.push(CandidateSummary::of(&c, seed));
                     best.top.sort_by_key(|s| (-s.saved, s.body_words, s.seed));
@@ -627,6 +638,7 @@ impl SearchCtx<'_> {
                 };
                 if wins {
                     best.candidate = Some(c);
+                    best.hosts = hosts;
                 }
             }
         } else {
@@ -706,9 +718,13 @@ pub(crate) fn best_candidate_instrumented(
     });
     drop(mine_span);
     let RunningBest {
-        candidate: winner,
+        candidate: mut winner,
+        hosts,
         top: table,
     } = best;
+    if let Some(winner) = &mut winner {
+        winner.relaxed = relaxed_claims(regions, &hosts);
+    }
     if config.tracer.enabled() {
         // `visit` keeps the table sorted and truncated.
         for (rank, s) in table.iter().enumerate() {

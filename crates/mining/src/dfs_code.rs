@@ -694,14 +694,16 @@ mod tests {
         assert!(c.get("mine.canon_cache_hit") >= 4);
     }
 
-    /// Every code rightmost-path extension reaches from the seeds of
-    /// random directed labelled graphs — canonical or not — gets the same
-    /// verdict from the projection walk as from the reference engine.
+    /// Every code rightmost-path extension reaches from both orientations
+    /// of every arc of random directed labelled graphs — canonical or not
+    /// — gets the same verdict from the projection walk as from the
+    /// reference engine.
     #[test]
     fn is_min_matches_reference_on_random_graphs() {
         let mut rng = StdRng::seed_from_u64(0x6d696e);
         let mut checked = 0usize;
         let mut canonical = 0usize;
+        let mut non_minimal_roots = 0usize;
         for _ in 0..60 {
             let n = rng.gen_range(2..7u32);
             let labels: Vec<u32> = (0..n).map(|_| rng.gen_range(0..3u32)).collect();
@@ -719,13 +721,28 @@ mod tests {
             }
             let graph = InputGraph::new(labels, edges);
             let graphs = std::slice::from_ref(&graph);
-            let mut stack: Vec<(Pattern, Vec<Embedding>)> = seed_buckets(graphs, 1, &NoopTracer)
-                .into_iter()
-                .map(|(t, e)| (Pattern::root(t), e))
-                .collect();
+            // The seeds list each arc in its minimal orientation; the
+            // reversed roots, never minimal, are built here.
+            let mut stack: Vec<(Pattern, Vec<Embedding>)> = Vec::new();
+            for (t, e) in seed_buckets(graphs, 1, &NoopTracer) {
+                let reversed = DfsTuple {
+                    from_label: t.to_label,
+                    to_label: t.from_label,
+                    outgoing: !t.outgoing,
+                    ..t
+                };
+                let flipped = e
+                    .iter()
+                    .map(|e| Embedding::new(e.graph, vec![e.map[1], e.map[0]]))
+                    .collect();
+                stack.push((Pattern::root(t), e));
+                stack.push((Pattern::root(reversed), flipped));
+            }
+            stack.sort_by_key(|(p, _)| p.tuples[0]);
             let mut budget = 3000;
             while let Some((pattern, embeddings)) = stack.pop() {
                 let fast = pattern.is_min();
+                non_minimal_roots += usize::from(pattern.edge_count() == 1 && !fast);
                 assert_eq!(
                     fast,
                     is_min_reference(&pattern),
@@ -747,5 +764,6 @@ mod tests {
         }
         assert!(checked > 10_000, "only {checked} codes checked");
         assert!(canonical > 0 && canonical < checked);
+        assert!(non_minimal_roots > 0);
     }
 }

@@ -62,13 +62,10 @@ pub fn render_lattice(
 ) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "*  (empty pattern)");
+    // The seeds are the minimal one-edge codes: no test needed.
     for (tuple, embeddings) in seed_buckets(graphs, 1, &NoopTracer) {
-        let pattern = Pattern::root(tuple);
-        if !pattern.is_min_cached(&NoopTracer) {
-            continue;
-        }
         render_node(
-            &pattern,
+            &Pattern::root(tuple),
             &embeddings,
             graphs,
             interner,

@@ -8,9 +8,7 @@ use gpa_trace::{NoopTracer, Tracer, Value};
 use crate::dfs_code::Pattern;
 use crate::embed::{extensions, seed_buckets, Embedding};
 use crate::graph::InputGraph;
-use crate::mis::{
-    collision_graph, disjoint_count_traced, has_k_disjoint, max_independent_set_traced,
-};
+use crate::mis::{collision_graph, disjoint_count_traced, max_independent_set_traced};
 use crate::nodeset::NodeSet;
 
 /// How a fragment's support is counted.
@@ -68,7 +66,18 @@ impl Default for Config {
     }
 }
 
-/// A frequent fragment: its canonical pattern and its occurrences.
+/// A frequent fragment as the search visits it: its canonical pattern
+/// and its occurrences.
+#[derive(Clone, Debug)]
+pub struct Fragment {
+    /// The canonical pattern (minimal DFS code).
+    pub pattern: Pattern,
+    /// All embeddings, deduplicated by node set (one map kept per set).
+    pub embeddings: Vec<Embedding>,
+}
+
+/// A frequent fragment as [`mine`] returns it: a visited [`Fragment`]
+/// with its support.
 #[derive(Clone, Debug)]
 pub struct Frequent {
     /// The canonical pattern (minimal DFS code).
@@ -79,17 +88,21 @@ pub struct Frequent {
     pub support: usize,
 }
 
-/// Deduplicates embeddings by (graph, node-set), keeping the first map
-/// seen for each set.
-fn dedup_by_node_set(embeddings: &[Embedding]) -> Vec<Embedding> {
-    let mut seen: HashSet<(u32, NodeSet)> = HashSet::new();
-    let mut out = Vec::new();
-    for e in embeddings {
-        if seen.insert((e.graph, e.node_set().clone())) {
-            out.push(e.clone());
-        }
-    }
-    out
+/// The embeddings without those whose (graph, node set) an earlier one
+/// already has, or `None` when there are none such. The keys borrow the
+/// node sets, so only a list that loses maps is copied.
+fn dedup_by_node_set(embeddings: &[Embedding]) -> Option<Vec<Embedding>> {
+    let mut seen = HashSet::with_capacity(embeddings.len());
+    let first = embeddings
+        .iter()
+        .position(|e| !seen.insert((e.graph, e.node_set())))?;
+    let mut deduped = embeddings[..first].to_vec();
+    let rest = embeddings[first + 1..].iter();
+    deduped.extend(
+        rest.filter(|e| seen.insert((e.graph, e.node_set())))
+            .cloned(),
+    );
+    Some(deduped)
 }
 
 /// Counts support of a set of node-set-deduplicated embeddings.
@@ -98,27 +111,15 @@ fn dedup_by_node_set(embeddings: &[Embedding]) -> Vec<Embedding> {
 /// (summed per graph) — exact up to the per-graph set limit of the
 /// bounded MIS solver, the greedy lower bound beyond it.
 pub fn count_support(embeddings: &[Embedding], support: Support) -> usize {
-    count_support_traced(embeddings, support, &NoopTracer)
-}
-
-/// [`count_support`] with telemetry on which gate path answered.
-pub fn count_support_traced(
-    embeddings: &[Embedding],
-    support: Support,
-    tracer: &dyn Tracer,
-) -> usize {
     match support {
         Support::Graphs => {
             let graphs: HashSet<u32> = embeddings.iter().map(|e| e.graph).collect();
             graphs.len()
         }
-        Support::Embeddings => {
-            let mut total = 0;
-            for sets in node_sets_by_graph(embeddings).values() {
-                total += disjoint_count_traced(sets, tracer);
-            }
-            total
-        }
+        Support::Embeddings => node_sets_by_graph(embeddings)
+            .values()
+            .map(|sets| disjoint_count_traced(sets, &NoopTracer))
+            .sum(),
     }
 }
 
@@ -148,13 +149,16 @@ pub fn support_at_least_traced(
             graphs.len() >= min
         }
         Support::Embeddings => {
-            if min <= 2 {
-                // Disjoint pairs across different graphs count too.
-                let by_graph = node_sets_by_graph(embeddings);
-                if by_graph.len() >= min.min(2) && by_graph.len() >= 2 {
-                    return true;
-                }
-                return by_graph.values().any(|sets| has_k_disjoint(sets, min));
+            if min <= 1 {
+                return !embeddings.is_empty();
+            }
+            if min == 2 {
+                // Two embeddings in different graphs never overlap.
+                return embeddings.iter().enumerate().any(|(i, a)| {
+                    embeddings[i + 1..]
+                        .iter()
+                        .any(|b| a.graph != b.graph || !a.node_set().intersects(b.node_set()))
+                });
             }
             // min > 2 must NOT be answered by the greedy count alone: a
             // greedy undershoot here prunes a whole lattice subtree, and
@@ -229,14 +233,20 @@ pub enum GrowDecision {
 }
 
 /// Mines all frequent connected fragments (two or more nodes) of the
-/// database, collecting them into a vector.
+/// database, collecting them into a vector with their support. The
+/// search itself only asks whether a fragment is frequent; this is the
+/// one place that counts its support ([`count_support`]).
 ///
 /// For large inputs prefer [`mine_streaming`], which does not materialize
 /// the (possibly huge) result set and lets the consumer prune subtrees.
 pub fn mine(graphs: &[InputGraph], config: &Config) -> Vec<Frequent> {
     let mut results = Vec::new();
     mine_streaming(graphs, config, &mut |f, _| {
-        results.push(f.clone());
+        results.push(Frequent {
+            pattern: f.pattern.clone(),
+            embeddings: f.embeddings.clone(),
+            support: count_support(&f.embeddings, config.support),
+        });
         GrowDecision::Continue
     });
     results
@@ -255,18 +265,19 @@ pub fn mine(graphs: &[InputGraph], config: &Config) -> Vec<Frequent> {
 /// driver cuts subtrees whose best possible benefit cannot beat the
 /// current best candidate — the paper's §3.5 "PA-specific pruning").
 ///
-/// The seeds are grown in seed order under one `max_patterns` budget for
-/// the whole search; when it runs dry, `mine.budget_exhausted` names the
-/// seed the search stopped in and the remaining seeds go unexplored.
+/// The seeds are the minimal one-edge codes ([`seed_buckets`]), grown in
+/// seed order under one `max_patterns` budget for the whole search; when
+/// it runs dry, `mine.budget_exhausted` names the seed the search
+/// stopped in and the remaining seeds go unexplored.
 pub fn mine_streaming(
     graphs: &[InputGraph],
     config: &Config,
-    visit: &mut dyn FnMut(&Frequent, usize) -> GrowDecision,
+    visit: &mut dyn FnMut(&Fragment, usize) -> GrowDecision,
 ) {
     let mut budget = config.max_patterns;
     let seeds = seed_buckets(graphs, config.min_support, &*config.tracer);
     for (si, (tuple, embeddings)) in seeds.into_iter().enumerate() {
-        let mut visit_seed = |f: &Frequent| visit(f, si);
+        let mut visit_seed = |f: &Fragment| visit(f, si);
         if !mine_seed(
             tuple,
             embeddings,
@@ -292,11 +303,11 @@ fn mine_seed(
     embeddings: Vec<Embedding>,
     graphs: &[InputGraph],
     config: &Config,
-    visit: &mut dyn FnMut(&Frequent) -> GrowDecision,
+    visit: &mut dyn FnMut(&Fragment) -> GrowDecision,
     budget: &mut usize,
 ) -> bool {
     match take_up(|| Pattern::root(tuple), embeddings, config) {
-        Some((frequent, embeddings)) => grow(frequent, &embeddings, graphs, config, visit, budget),
+        Some((fragment, raw)) => grow(fragment, raw, graphs, config, visit, budget),
         None => true,
     }
 }
@@ -310,14 +321,15 @@ fn mine_seed(
 /// DgSpan, disjoint embeddings for Edgar) never exceeds the number of
 /// embeddings, and the enumerations leave the list of such a code empty.
 ///
-/// Returns the code as a frequent fragment together with the embedding
-/// list its extensions are enumerated from: the raw list, truncated to
-/// `max_embeddings` but not deduplicated by node set.
+/// Returns the code as a fragment, whose list is the raw list truncated
+/// to `max_embeddings` and deduplicated by node set. Its extensions are
+/// enumerated from the raw list: that is the fragment's own list when
+/// dedup dropped nothing, and is returned beside it otherwise.
 fn take_up(
     pattern: impl FnOnce() -> Pattern,
     mut embeddings: Vec<Embedding>,
     config: &Config,
-) -> Option<(Frequent, Vec<Embedding>)> {
+) -> Option<(Fragment, Option<Vec<Embedding>>)> {
     let tracer = &*config.tracer;
     tracer.count("mine.codes", 1);
     if embeddings.len() < config.min_support {
@@ -340,28 +352,31 @@ fn take_up(
         );
         embeddings.truncate(config.max_embeddings);
     }
-    let deduped = dedup_by_node_set(&embeddings);
+    let (deduped, raw) = match dedup_by_node_set(&embeddings) {
+        None => (embeddings, None),
+        Some(deduped) => (deduped, Some(embeddings)),
+    };
     if !support_at_least_traced(&deduped, config.support, config.min_support, tracer) {
         tracer.count("mine.prune_infrequent", 1);
         return None;
     }
-    let support = count_support_traced(&deduped, config.support, tracer);
-    let frequent = Frequent {
+    let fragment = Fragment {
         pattern,
         embeddings: deduped,
-        support,
     };
-    Some((frequent, embeddings))
+    Some((fragment, raw))
 }
 
-/// Visits a pattern the gates let through and grows its children;
-/// returns `false` when the pattern budget is exhausted (abort the run).
+/// Visits a pattern the gates let through and grows its children from
+/// `raw`, or from the fragment's own list when that is `None` (see
+/// [`take_up`]); returns `false` when the pattern budget is exhausted
+/// (abort the run).
 fn grow(
-    frequent: Frequent,
-    embeddings: &[Embedding],
+    fragment: Fragment,
+    raw: Option<Vec<Embedding>>,
     graphs: &[InputGraph],
     config: &Config,
-    visit: &mut dyn FnMut(&Frequent) -> GrowDecision,
+    visit: &mut dyn FnMut(&Fragment) -> GrowDecision,
     budget: &mut usize,
 ) -> bool {
     let tracer = &*config.tracer;
@@ -378,26 +393,28 @@ fn grow(
     //   patterns_visited == expanded + subtree_skipped + stopped_max_nodes
     // holds by construction (`gpa trace-check` asserts it).
     tracer.count("mine.patterns_visited", 1);
-    let decision = visit(&frequent);
-    let pattern = frequent.pattern;
+    let decision = visit(&fragment);
     if decision == GrowDecision::SkipChildren {
         tracer.count("mine.subtree_skipped", 1);
         return true;
     }
+    let pattern = fragment.pattern;
     if pattern.node_count() >= config.max_nodes {
         tracer.count("mine.stopped_max_nodes", 1);
         return true;
     }
     tracer.count("mine.expanded", 1);
-    let children = extensions(&pattern, graphs, embeddings, config.min_support, tracer);
+    let parents = raw.unwrap_or(fragment.embeddings);
+    let children = extensions(&pattern, graphs, &parents, config.min_support, tracer);
+    // The children's lists are built: the parent's are not read again.
+    drop(parents);
     for (tuple, child_embeddings) in children {
         tracer.count("mine.extensions_generated", 1);
-        let Some((child, child_embeddings)) =
-            take_up(|| pattern.extend(tuple), child_embeddings, config)
+        let Some((child, child_raw)) = take_up(|| pattern.extend(tuple), child_embeddings, config)
         else {
             continue;
         };
-        if !grow(child, &child_embeddings, graphs, config, visit, budget) {
+        if !grow(child, child_raw, graphs, config, visit, budget) {
             return false;
         }
     }
@@ -716,6 +733,216 @@ mod tests {
             .max()
             .expect("the ldr→sub fragment must be frequent");
         assert_eq!(best, 70, "all 70 disjoint occurrences count");
+    }
+
+    /// The search as it was before its gates paid only for what
+    /// detection reads: seeds in both orientations, each one
+    /// canonical-tested; every code that passes cloned into a node-set
+    /// dedup, gated on per-graph node-set maps and its support counted;
+    /// extensions enumerated from the raw list.
+    mod reference {
+        use super::*;
+        use crate::dfs_code::DfsTuple;
+        use crate::mis::has_k_disjoint;
+
+        /// One visit: the seed index (over minimal seed codes), the code,
+        /// the embeddings and the support.
+        pub type Visit = (usize, Vec<DfsTuple>, Vec<Embedding>, usize);
+
+        /// The visits in order, and how many visited codes the dedup
+        /// dropped a map from.
+        pub fn mine(graphs: &[InputGraph], config: &Config) -> (Vec<Visit>, usize) {
+            let mut visits = Vec::new();
+            let mut dropped = 0;
+            let mut budget = config.max_patterns;
+            let mut minimal = 0;
+            for (tuple, embeddings) in crate::embed::tests::reference::seed_buckets(graphs) {
+                let root = Pattern::root(tuple);
+                let seed = minimal;
+                minimal += usize::from(root.is_min());
+                let Some((f, raw)) = take_up(root, embeddings, config) else {
+                    continue;
+                };
+                let mut search = Search {
+                    graphs,
+                    config,
+                    seed,
+                    budget: &mut budget,
+                    visits: &mut visits,
+                    dropped: &mut dropped,
+                };
+                if !search.grow(&f, &raw) {
+                    break;
+                }
+            }
+            (visits, dropped)
+        }
+
+        fn take_up(
+            pattern: Pattern,
+            mut embeddings: Vec<Embedding>,
+            config: &Config,
+        ) -> Option<(Frequent, Vec<Embedding>)> {
+            if embeddings.len() < config.min_support || !pattern.is_min() {
+                return None;
+            }
+            embeddings.truncate(config.max_embeddings);
+            let mut seen = HashSet::new();
+            let deduped: Vec<Embedding> = embeddings
+                .iter()
+                .filter(|e| seen.insert((e.graph, e.node_set().clone())))
+                .cloned()
+                .collect();
+            if !support_at_least(&deduped, config.support, config.min_support) {
+                return None;
+            }
+            let support = count_support(&deduped, config.support);
+            let frequent = Frequent {
+                pattern,
+                embeddings: deduped,
+                support,
+            };
+            Some((frequent, embeddings))
+        }
+
+        fn support_at_least(embeddings: &[Embedding], support: Support, min: usize) -> bool {
+            if support == Support::Graphs {
+                let graphs: HashSet<u32> = embeddings.iter().map(|e| e.graph).collect();
+                return graphs.len() >= min;
+            }
+            let by_graph = node_sets_by_graph(embeddings);
+            if min <= 2 {
+                return by_graph.len() >= 2
+                    || by_graph.values().any(|sets| has_k_disjoint(sets, min));
+            }
+            let total: usize = by_graph
+                .values()
+                .map(|sets| disjoint_count_traced(sets, &NoopTracer))
+                .sum();
+            total >= min
+        }
+
+        struct Search<'a> {
+            graphs: &'a [InputGraph],
+            config: &'a Config,
+            seed: usize,
+            budget: &'a mut usize,
+            visits: &'a mut Vec<Visit>,
+            dropped: &'a mut usize,
+        }
+
+        impl Search<'_> {
+            fn grow(&mut self, f: &Frequent, raw: &[Embedding]) -> bool {
+                if *self.budget == 0 {
+                    return false;
+                }
+                *self.budget -= 1;
+                *self.dropped += usize::from(f.embeddings.len() < raw.len());
+                let tuples = f.pattern.tuples().to_vec();
+                self.visits
+                    .push((self.seed, tuples, f.embeddings.clone(), f.support));
+                if f.pattern.node_count() >= self.config.max_nodes {
+                    return true;
+                }
+                let children = extensions(
+                    &f.pattern,
+                    self.graphs,
+                    raw,
+                    self.config.min_support,
+                    &NoopTracer,
+                );
+                for (tuple, embeddings) in children {
+                    let Some((child, child_raw)) =
+                        take_up(f.pattern.extend(tuple), embeddings, self.config)
+                    else {
+                        continue;
+                    };
+                    if !self.grow(&child, &child_raw) {
+                        return false;
+                    }
+                }
+                true
+            }
+        }
+    }
+
+    /// Graphs side by side as one graph, node ids shifted.
+    fn disjoint_union(parts: &[InputGraph]) -> InputGraph {
+        let mut labels = Vec::new();
+        let mut edges = Vec::new();
+        for g in parts {
+            let base = labels.len() as u32;
+            labels.extend_from_slice(&g.labels);
+            edges.extend(g.edges.iter().map(|e| crate::graph::GEdge {
+                from: e.from + base,
+                to: e.to + base,
+                label: e.label,
+            }));
+        }
+        InputGraph::new(labels, edges)
+    }
+
+    /// `mine_streaming` visits the codes the reference search visits, in
+    /// the same order, from the same seed (numbered over the minimal
+    /// one-edge codes), with the same embedding lists, under both
+    /// countings at `min_support` 1–3, with and without a budget that
+    /// runs out; `mine` reports the support the reference counts. The
+    /// databases are seeded random multigraphs and stars, whose
+    /// symmetric patterns have many maps per node set, so the dedup
+    /// drops maps.
+    #[test]
+    fn streaming_search_visits_what_the_reference_search_visits() {
+        use crate::embed::tests::{random_graphs, star_graph};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(0x76697369);
+        let mut databases: Vec<Vec<InputGraph>> =
+            (0..60).map(|_| random_graphs(&mut rng)).collect();
+        databases.push(vec![star_graph(5)]);
+        databases.push(vec![star_graph(4), star_graph(4), star_graph(4)]);
+        databases.push(vec![disjoint_union(&[
+            star_graph(3),
+            star_graph(3),
+            star_graph(3),
+        ])]);
+        let (mut visits, mut dropped) = (0, 0);
+        for (d, graphs) in databases.iter().enumerate() {
+            for support in [Support::Graphs, Support::Embeddings] {
+                for min_support in 1..=3 {
+                    for max_patterns in [usize::MAX, 7] {
+                        let config = Config {
+                            min_support,
+                            support,
+                            max_nodes: 5,
+                            max_patterns,
+                            ..Config::default()
+                        };
+                        let at = format!("database {d}, {support:?}, min_support {min_support}, budget {max_patterns}");
+                        let (want, want_dropped) = reference::mine(graphs, &config);
+                        let mut have = Vec::new();
+                        mine_streaming(graphs, &config, &mut |f, seed| {
+                            have.push((seed, f.pattern.tuples().to_vec(), f.embeddings.clone()));
+                            GrowDecision::Continue
+                        });
+                        assert_eq!(have.len(), want.len(), "{at}");
+                        for (h, w) in have.iter().zip(&want) {
+                            assert_eq!((h.0, &h.1, &h.2), (w.0, &w.1, &w.2), "{at}");
+                        }
+                        let supports: Vec<usize> =
+                            mine(graphs, &config).iter().map(|f| f.support).collect();
+                        let want_supports: Vec<usize> = want.iter().map(|w| w.3).collect();
+                        assert_eq!(supports, want_supports, "{at}");
+                        visits += want.len();
+                        dropped += want_dropped;
+                    }
+                }
+            }
+        }
+        assert!(visits > 20_000, "only {visits} visits compared");
+        assert!(
+            dropped > 1_000,
+            "the dedup dropped maps of only {dropped} codes"
+        );
     }
 
     #[test]

@@ -71,26 +71,40 @@ pub struct CallGraph {
     pub moved: Vec<bool>,
     /// Liveness analyses the summary fixpoint ran.
     pub analyses: u64,
+    /// Per function, whether it makes an indirect call.
+    indirect: Vec<bool>,
+    /// Per function, whether one of its callee names names no function.
+    unresolved: Vec<bool>,
 }
 
-/// Call-item targets of one function body.
-fn callee_names(items: &[Item]) -> (Vec<&str>, bool) {
-    let mut names = Vec::new();
+/// Resolves the call-item targets of one function body through `index`:
+/// the callee indices, ascending, whether the body makes an indirect
+/// call, and whether a target names no function.
+fn resolve_callees(items: &[Item], index: &HashMap<String, usize>) -> (Vec<usize>, bool, bool) {
+    let mut ids = Vec::new();
     let mut indirect = false;
+    let mut unresolved = false;
     for item in items {
-        match item {
-            Item::Call { target, .. } | Item::TailCall { cond: _, target } => {
-                names.push(target.as_str());
-            }
+        let name = match item {
+            Item::Call { target, .. } | Item::TailCall { cond: _, target } => target,
             Item::LitLoad {
                 lit: Literal::Code(name),
                 ..
-            } => names.push(name.as_str()),
-            Item::IndirectCall { .. } => indirect = true,
-            _ => {}
+            } => name,
+            Item::IndirectCall { .. } => {
+                indirect = true;
+                continue;
+            }
+            _ => continue,
+        };
+        match index.get(name) {
+            Some(&id) => ids.push(id),
+            None => unresolved = true,
         }
     }
-    (names, indirect)
+    ids.sort_unstable();
+    ids.dedup();
+    (ids, indirect, unresolved)
 }
 
 /// The strongly connected components of the graph `deps`, in the order
@@ -173,27 +187,72 @@ impl CallGraph {
     /// only, once when it is a single function that does not depend on
     /// itself. Summaries grow monotonically in their callees', so each
     /// component lands on the least fixpoint a fresh build reaches.
+    ///
+    /// The name index and the callee lists carry over as well: only
+    /// changed and new functions, and kept functions that call a name a
+    /// new function now takes, resolve their targets again.
     pub fn rebuild(program: &Program, previous: Option<(&CallGraph, &[bool])>) -> CallGraph {
         let n = program.functions.len();
         let previous = previous.filter(|(g, _)| g.summaries.len() <= n);
-        let index: HashMap<String, usize> = program
-            .functions
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.name.clone(), i))
-            .collect();
-        let mut callees = Vec::with_capacity(n);
-        let mut has_indirect = Vec::with_capacity(n);
-        for f in &program.functions {
-            let (names, indirect) = callee_names(&f.items);
-            let mut ids: Vec<usize> = names
+        let kept = previous.map_or(0, |(g, _)| g.summaries.len());
+        let rewritten =
+            |i: usize| previous.is_none_or(|(_, c)| i >= kept || c.get(i).is_none_or(|&c| c));
+        // The previous name index still holds for the functions the
+        // previous build had when no rewritten one was renamed (its name
+        // still maps to it), and new functions only add names; a new
+        // name shadows an earlier function of that name, as in a fresh
+        // `collect`. Otherwise the index and every callee list are
+        // built afresh.
+        let carried = previous.map(|(g, _)| g).filter(|g| {
+            (0..kept)
+                .filter(|&i| rewritten(i))
+                .all(|i| g.index.get(&program.functions[i].name) == Some(&i))
+        });
+        let mut shadowed = Vec::new();
+        let mut named = false;
+        let index = match carried {
+            Some(g) => {
+                let mut index = g.index.clone();
+                for (i, f) in program.functions.iter().enumerate().skip(kept) {
+                    match index.insert(f.name.clone(), i) {
+                        Some(earlier) => shadowed.push(earlier),
+                        None => named = true,
+                    }
+                }
+                index
+            }
+            None => program
+                .functions
                 .iter()
-                .filter_map(|n| index.get(*n).copied())
-                .collect();
-            ids.sort_unstable();
-            ids.dedup();
-            callees.push(ids);
-            has_indirect.push(indirect);
+                .enumerate()
+                .map(|(i, f)| (f.name.clone(), i))
+                .collect(),
+        };
+        // A kept function's callees move only when a new name may
+        // resolve one of its unresolved targets, or a callee's name now
+        // resolves to a new function.
+        let mut callees = Vec::with_capacity(n);
+        let mut indirect = Vec::with_capacity(n);
+        let mut unresolved = Vec::with_capacity(n);
+        for (i, f) in program.functions.iter().enumerate() {
+            let unmoved = carried.filter(|g| {
+                !(rewritten(i)
+                    || (named && g.unresolved[i])
+                    || g.callees[i].iter().any(|c| shadowed.contains(c)))
+            });
+            match unmoved {
+                Some(g) => {
+                    callees.push(g.callees[i].clone());
+                    indirect.push(g.indirect[i]);
+                    unresolved.push(g.unresolved[i]);
+                }
+                None => {
+                    let (ids, calls_indirect, unnamed) = resolve_callees(&f.items, &index);
+                    callees.push(ids);
+                    indirect.push(calls_indirect);
+                    unresolved.push(unnamed);
+                }
+            }
         }
         let address_taken: Vec<usize> = (0..n)
             .filter(|&i| program.functions[i].address_taken)
@@ -201,7 +260,7 @@ impl CallGraph {
         let deps: Vec<Vec<usize>> = (0..n)
             .map(|f| {
                 let mut d = callees[f].clone();
-                if has_indirect[f] {
+                if indirect[f] {
                     d.extend(&address_taken);
                     d.sort_unstable();
                     d.dedup();
@@ -212,7 +271,7 @@ impl CallGraph {
         let components = components(&deps);
         let changed: Vec<bool> = (0..n)
             .map(|i| match previous {
-                Some((g, c)) => c.get(i).is_none_or(|&c| c) || g.deps.get(i) != Some(&deps[i]),
+                Some((g, _)) => rewritten(i) || g.deps.get(i) != Some(&deps[i]),
                 None => true,
             })
             .collect();
@@ -275,6 +334,8 @@ impl CallGraph {
             changed,
             moved,
             analyses,
+            indirect,
+            unresolved,
         }
     }
 
@@ -539,6 +600,49 @@ mod tests {
         let fresh_env = crate::AbsEnv::build(&after, &fresh);
         assert_eq!(env.balanced(), fresh_env.balanced());
         assert_eq!(env.balanced(), [false, false, false, true]);
+    }
+
+    /// A kept function's callees move when a new function takes one of
+    /// their names, whether the name resolved to nothing or to an
+    /// earlier function it now shadows; renaming a rewritten function
+    /// rebuilds the index. Each rebuild lands on a fresh build's index,
+    /// callees, dependencies and summaries.
+    #[test]
+    fn rebuild_resolves_the_names_new_and_renamed_functions_take() {
+        let call = |target: &str| Item::Call {
+            cond: Cond::Al,
+            target: target.into(),
+        };
+        let before = program(vec![
+            func("main", vec![call("later"), call("leaf"), insn("bx lr")]),
+            func("leaf", vec![insn("mov r0, r4"), insn("bx lr")]),
+            func("other", vec![insn("bx lr")]),
+        ]);
+        let old = CallGraph::build(&before);
+        assert_eq!(old.callees[0], [1], "`later` names no function yet");
+        let mut resolved = before.clone();
+        resolved
+            .functions
+            .push(func("later", vec![insn("mov r5, #1"), insn("bx lr")]));
+        let mut shadowed = before.clone();
+        shadowed
+            .functions
+            .push(func("leaf", vec![insn("mov r6, #1"), insn("bx lr")]));
+        let mut renamed = before.clone();
+        renamed.functions[2].name = "later".into();
+        for (after, changed, callees) in [
+            (&resolved, [false; 3], vec![1, 3]),
+            (&shadowed, [false; 3], vec![3]),
+            (&renamed, [false, false, true], vec![1, 2]),
+        ] {
+            let rebuilt = CallGraph::rebuild(after, Some((&old, &changed)));
+            let fresh = CallGraph::build(after);
+            assert_eq!(rebuilt.callees[0], callees);
+            assert_eq!(rebuilt.index, fresh.index);
+            assert_eq!(rebuilt.callees, fresh.callees);
+            assert_eq!(rebuilt.deps, fresh.deps);
+            assert_eq!(rebuilt.summaries, fresh.summaries);
+        }
     }
 
     /// A small deterministic generator (64-bit LCG, high bits out).
