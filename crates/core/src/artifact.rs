@@ -347,12 +347,12 @@ impl RoundState {
     /// `absint.balance_analyses`).
     fn refresh_overlays(&mut self, program: &Program, rebuilt: &[bool], tracer: &dyn Tracer) {
         let previous = self.call_graph.take();
-        let graph =
-            gpa_verify::CallGraph::rebuild(program, previous.as_ref().map(|g| (g, rebuilt)));
+        let carried = previous.is_some();
+        let graph = gpa_verify::CallGraph::rebuild(program, previous.map(|g| (g, rebuilt)));
         let (env, mut states) = gpa_verify::AbsEnv::build_with_states(
             program,
             &graph,
-            previous.is_some().then_some(self.balanced.as_slice()),
+            carried.then_some(self.balanced.as_slice()),
         );
         let mut points = 0u64;
         let (mut built, mut shared) = (0u64, 0u64);

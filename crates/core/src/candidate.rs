@@ -87,8 +87,8 @@ pub fn item_is_return(item: &Item) -> bool {
     item.is_return()
 }
 
-/// Classifies a prospective body: `None` if it cannot be extracted,
-/// otherwise the [`ExtractionKind`] it requires.
+/// Classifies a prospective body, given as borrowed items: `None` if it
+/// cannot be extracted, otherwise the [`ExtractionKind`] it requires.
 ///
 /// Rules (§2.1 step 8 of the paper, plus the link-register discipline of
 /// Debray et al.):
@@ -98,15 +98,15 @@ pub fn item_is_return(item: &Item) -> bool {
 ///   be outlined as procedures — the call would have clobbered `lr`;
 /// * bodies containing calls need the `lr` save/restore wrap, which uses
 ///   the stack — so such bodies must not otherwise touch `sp`.
-pub fn classify_body(body: &[Item]) -> Option<ExtractionKind> {
-    if body.len() < 2 || !body.iter().all(item_extractable) {
+pub fn classify_body(body: &[&Item]) -> Option<ExtractionKind> {
+    if body.len() < 2 || !body.iter().all(|i| item_extractable(i)) {
         return None;
     }
     let last = body.len() - 1;
-    if body[..last].iter().any(item_is_return) {
+    if body[..last].iter().any(|i| item_is_return(i)) {
         return None;
     }
-    if item_is_return(&body[last]) {
+    if item_is_return(body[last]) {
         // Cross-jump: the shared copy is branched to, not called, so lr
         // is untouched; the body may freely read it (e.g. `bx lr`).
         return Some(ExtractionKind::CrossJump);
@@ -116,7 +116,7 @@ pub fn classify_body(body: &[Item]) -> Option<ExtractionKind> {
         return None;
     }
     let is_call = |i: &Item| matches!(i, Item::Call { .. } | Item::IndirectCall { .. });
-    let has_call = body.iter().any(is_call);
+    let has_call = body.iter().any(|i| is_call(i));
     if has_call {
         // lr save/restore moves sp by 4 during the body; reject bodies
         // whose non-call items address or move the stack. (Calls
@@ -142,11 +142,15 @@ mod tests {
         Item::Insn(text.parse().unwrap())
     }
 
+    fn classify(body: &[Item]) -> Option<ExtractionKind> {
+        classify_body(&body.iter().collect::<Vec<_>>())
+    }
+
     #[test]
     fn plain_bodies_are_procedures() {
         let body = vec![insn("ldr r3, [r1], #4"), insn("sub r2, r2, r3")];
         assert_eq!(
-            classify_body(&body),
+            classify(&body),
             Some(ExtractionKind::Procedure { lr_save: false })
         );
     }
@@ -154,9 +158,9 @@ mod tests {
     #[test]
     fn returns_only_at_the_end() {
         let tail = vec![insn("add sp, sp, #8"), insn("pop {r4, pc}")];
-        assert_eq!(classify_body(&tail), Some(ExtractionKind::CrossJump));
+        assert_eq!(classify(&tail), Some(ExtractionKind::CrossJump));
         let mid = vec![insn("bx lr"), insn("mov r0, #1")];
-        assert_eq!(classify_body(&mid), None);
+        assert_eq!(classify(&mid), None);
     }
 
     #[test]
@@ -168,15 +172,15 @@ mod tests {
                 target: LabelId(0),
             },
         ];
-        assert_eq!(classify_body(&body), None);
+        assert_eq!(classify(&body), None);
         let body2 = vec![Item::Label(LabelId(0)), insn("mov r0, #1")];
-        assert_eq!(classify_body(&body2), None);
+        assert_eq!(classify(&body2), None);
     }
 
     #[test]
     fn lr_reading_bodies_rejected_for_procedures() {
         let body = vec![insn("push {r4, lr}"), insn("mov r4, r0")];
-        assert_eq!(classify_body(&body), None);
+        assert_eq!(classify(&body), None);
     }
 
     #[test]
@@ -189,7 +193,7 @@ mod tests {
             },
         ];
         assert_eq!(
-            classify_body(&body),
+            classify(&body),
             Some(ExtractionKind::Procedure { lr_save: true })
         );
     }
@@ -203,12 +207,12 @@ mod tests {
                 target: "f".into(),
             },
         ];
-        assert_eq!(classify_body(&body), None);
+        assert_eq!(classify(&body), None);
     }
 
     #[test]
     fn singleton_bodies_rejected() {
-        assert_eq!(classify_body(&[insn("mov r0, #1")]), None);
-        assert_eq!(classify_body(&[]), None);
+        assert_eq!(classify(&[insn("mov r0, #1")]), None);
+        assert_eq!(classify(&[]), None);
     }
 }

@@ -1,8 +1,8 @@
 //! Graph-based fragment detection: DgSpan and Edgar candidates.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use gpa_arm::defuse::conflicts;
 use gpa_cfg::{FunctionCode, Item, Program};
 use gpa_dfg::{AliasOracle, Dfg, LabelMode};
 use gpa_mining::embed::Embedding;
@@ -327,15 +327,157 @@ impl KeptInRegion {
 /// the benefit is enormous anyway, and validation cost must stay bounded.
 const MAX_VALIDATED_EMBEDDINGS: usize = 512;
 
-/// Builds the best extractable candidate from one frequent fragment, or
-/// `None`. The candidate comes without its relaxed-MEM claims, together
-/// with the regions that host its occurrences ([`relaxed_claims`]).
-fn candidate_from_frequent(
-    freq: &Fragment,
-    regions: &[RegionState],
+/// The check that a pattern's body stands in for each of its embeddings
+/// (§2.1 step 8: the two item sequences are trace-equivalent), set up
+/// once per pattern from its first embedding, which gives the item at
+/// each DFS index: the DFS-index pairs whose items conflict
+/// (`defuse::conflicts`).
+struct Roles<'a> {
+    first: &'a Embedding,
+    first_items: &'a [Item],
+    conflicting: Vec<(usize, usize)>,
+    /// The body as [`trace_equivalent`] takes it, cloned on first use.
+    body: Option<Vec<Item>>,
+    /// Embeddings [`Roles::same_order`] left to [`trace_equivalent`].
+    fallbacks: u64,
+}
+
+impl<'a> Roles<'a> {
+    /// `first` lies in a region whose items are `first_items`.
+    fn of(first: &'a Embedding, first_items: &'a [Item]) -> Roles<'a> {
+        let effects: Vec<_> = first
+            .map
+            .iter()
+            .map(|&n| first_items[n as usize].effects())
+            .collect();
+        let mut conflicting = Vec::new();
+        for (i, a) in effects.iter().enumerate() {
+            for (j, b) in effects.iter().enumerate().skip(i + 1) {
+                if conflicts(a, b) {
+                    conflicting.push((i, j));
+                }
+            }
+        }
+        Roles {
+            first,
+            first_items,
+            conflicting,
+            body: None,
+            fallbacks: 0,
+        }
+    }
+
+    /// Whether `emb`, in a region of `region_items`, orders its items as
+    /// the first embedding does: the same item at every DFS index, and
+    /// every conflicting pair in the same order. The two item sequences
+    /// are then linearizations of one dependence order, so they are
+    /// trace-equivalent; this proves it without building either.
+    fn same_order(&self, emb: &Embedding, region_items: &[Item]) -> bool {
+        let first = &self.first.map;
+        emb.map
+            .iter()
+            .zip(first)
+            .all(|(&n, &f)| region_items[n as usize] == self.first_items[f as usize])
+            && self
+                .conflicting
+                .iter()
+                .all(|&(i, j)| (emb.map[i] < emb.map[j]) == (first[i] < first[j]))
+    }
+
+    /// Whether the body (the first embedding's items in program order)
+    /// is trace-equivalent to `emb`'s: [`Roles::same_order`], and where
+    /// that does not decide, [`trace_equivalent`] on copies.
+    fn stands_in_for(&mut self, emb: &Embedding, region_items: &[Item]) -> bool {
+        if self.same_order(emb, region_items) {
+            return true;
+        }
+        self.fallbacks += 1;
+        let body = self
+            .body
+            .get_or_insert_with(|| program_order(self.first, self.first_items));
+        trace_equivalent(body, &program_order(emb, region_items))
+    }
+}
+
+/// An embedding's items in program order, cloned.
+fn program_order(emb: &Embedding, region_items: &[Item]) -> Vec<Item> {
+    emb.node_set()
+        .iter()
+        .map(|n| region_items[n as usize].clone())
+        .collect()
+}
+
+/// A candidate as the visitor scores it, on the fragment's and the
+/// regions' own data: its body items and kept embeddings are borrowed,
+/// and a [`Candidate`] is built only for one that wins.
+struct Scored<'a> {
+    body: Vec<&'a Item>,
+    kept: Vec<&'a Embedding>,
+    kind: ExtractionKind,
+    body_words: usize,
+    saved: i64,
+}
+
+impl Scored<'_> {
+    /// The strict total preference order on candidates: more savings,
+    /// then smaller body, then earliest first occurrence (function, then
+    /// item indices). A full tie means the two candidates rewrite the
+    /// same first site with the same-size body for the same benefit; the
+    /// incumbent `b` wins.
+    fn beats(&self, b: &Candidate, regions: &[RegionState]) -> bool {
+        let first = self.kept[0];
+        let info = &regions[first.graph as usize].info;
+        let site = first.node_set().iter().map(|n| info.start + n as usize);
+        let b_site = &b.occurrences[0];
+        let order = self
+            .saved
+            .cmp(&b.saved)
+            .then(b.body_words().cmp(&self.body_words))
+            .then_with(|| b_site.function.cmp(&info.function))
+            .then_with(|| b_site.item_indices.iter().copied().cmp(site));
+        order == std::cmp::Ordering::Greater
+    }
+
+    /// The candidate, without its relaxed-MEM claims, and the regions
+    /// that host its occurrences ([`relaxed_claims`]).
+    fn into_candidate(self, regions: &[RegionState]) -> (Candidate, Vec<u32>) {
+        let occurrences = self
+            .kept
+            .iter()
+            .map(|e| {
+                let info = &regions[e.graph as usize].info;
+                Occurrence {
+                    function: info.function,
+                    region_start: info.start,
+                    region_len: info.len,
+                    item_indices: e
+                        .node_set()
+                        .iter()
+                        .map(|n| info.start + n as usize)
+                        .collect(),
+                }
+            })
+            .collect();
+        let candidate = Candidate {
+            body: self.body.into_iter().cloned().collect(),
+            occurrences,
+            kind: self.kind,
+            saved: self.saved,
+            relaxed: Vec::new(),
+        };
+        (candidate, self.kept.iter().map(|e| e.graph).collect())
+    }
+}
+
+/// Scores the best extractable candidate of one frequent fragment, or
+/// `None`. Its embeddings are in graph order ([`Fragment::embeddings`]),
+/// so each region's occurrences form one contiguous run.
+fn candidate_from_frequent<'a>(
+    freq: &'a Fragment,
+    regions: &'a [RegionState],
     lr_free: &[bool],
     tracer: &dyn Tracer,
-) -> Option<(Candidate, Vec<u32>)> {
+) -> Option<Scored<'a>> {
     if freq.embeddings.len() < 2 {
         return None;
     }
@@ -351,34 +493,33 @@ fn candidate_from_frequent(
             ],
         );
     }
-    // Body: the first embedding's nodes in program order.
+    // Body: the first embedding's items in program order.
     let first = &freq.embeddings[0];
-    let first_info = &regions[first.graph as usize].info;
-    let first_nodes = first.sorted_nodes();
-    let body: Vec<Item> = first_nodes
+    let first_items = &regions[first.graph as usize].info.items;
+    let body: Vec<&Item> = first
+        .node_set()
         .iter()
-        .map(|&n| first_info.items[n as usize].clone())
+        .map(|n| &first_items[n as usize])
         .collect();
     let kind = classify_body(&body)?;
 
-    // Validate each embedding site (bounded; see the constant above).
-    // Extractability — convexity and exit-closedness — is checked on the
-    // alias-relaxed graph when one exists: fewer edges means weakly less
-    // reachability, so everything extractable conservatively stays
-    // extractable and provably-disjoint stack traffic stops blocking.
+    // Validate each embedding site (bounded; see the constant above): the
+    // body must stand in for it (counting the embeddings only
+    // `trace_equivalent` could decide as `detect.trace_fallback`), and it
+    // must be extractable. Extractability — convexity and
+    // exit-closedness — is checked on the alias-relaxed graph when one
+    // exists: fewer edges means weakly less reachability, so everything
+    // extractable conservatively stays extractable and provably-disjoint
+    // stack traffic stops blocking.
+    let mut roles = Roles::of(first, first_items);
     let check_of = |graph: u32| -> &BlockArtifact { regions[graph as usize].extractability() };
     let mut valid: Vec<&Embedding> = Vec::new();
     for emb in freq.embeddings.iter().take(MAX_VALIDATED_EMBEDDINGS) {
         let info = &regions[emb.graph as usize].info;
-        let check = check_of(emb.graph);
-        let seq: Vec<Item> = emb
-            .sorted_nodes()
-            .iter()
-            .map(|&n| info.items[n as usize].clone())
-            .collect();
-        if !trace_equivalent(&body, &seq) {
+        if !roles.stands_in_for(emb, &info.items) {
             continue;
         }
+        let check = check_of(emb.graph);
         let ok = match kind {
             ExtractionKind::Procedure { .. } if !lr_free[info.function] => false,
             ExtractionKind::Procedure { .. } => {
@@ -405,6 +546,7 @@ fn candidate_from_frequent(
             tracer.count("detect.embedding_unextractable", 1);
         }
     }
+    tracer.count("detect.trace_fallback", roles.fallbacks);
     if valid.len() < 2 {
         return None;
     }
@@ -415,32 +557,30 @@ fn candidate_from_frequent(
     // look infrequent to DgSpan); once a fragment is selected, the
     // extraction machinery takes every non-overlapping occurrence for
     // both methods.
-    let selected: Vec<&Embedding> = {
-        let owned: Vec<Embedding> = valid.iter().map(|e| (*e).clone()).collect();
-        let (_, chosen) = non_overlapping_count_traced(&owned, tracer);
-        chosen.into_iter().map(|i| valid[i]).collect()
-    };
+    let (_, chosen) = non_overlapping_count_traced(&valid, tracer);
+    let selected: Vec<&Embedding> = chosen.into_iter().map(|i| valid[i]).collect();
 
     // Per-region compatibility: simultaneous contractions must stay
-    // acyclic. Greedily keep occurrences in order, dropping incompatible
-    // ones. The probe reads the same graph convexity was checked on, so
-    // it ignores exactly the memory conflicts the oracle relaxed — the
-    // exemptions `extract::apply` will use, and which the validator
-    // re-derives from the candidate's claims.
+    // acyclic. Greedily keep occurrences in order, region by region,
+    // dropping incompatible ones. The probe reads the same graph
+    // convexity was checked on, so it ignores exactly the memory
+    // conflicts the oracle relaxed — the exemptions `extract::apply`
+    // will use, and which the validator re-derives from the candidate's
+    // claims.
     let kept: Vec<&Embedding> = if matches!(kind, ExtractionKind::Procedure { .. }) {
-        let mut by_region: BTreeMap<u32, KeptInRegion> = BTreeMap::new();
-        selected
-            .into_iter()
-            .filter(|e| {
-                let reach = &check_of(e.graph).reach;
-                let region = by_region.entry(e.graph).or_default();
-                let keep = region.try_keep(reach, reach.mask_of(e));
-                if !keep {
+        let mut kept = Vec::with_capacity(selected.len());
+        for run in selected.chunk_by(|a, b| a.graph == b.graph) {
+            let reach = &check_of(run[0].graph).reach;
+            let mut region = KeptInRegion::default();
+            for &e in run {
+                if region.try_keep(reach, reach.mask_of(e)) {
+                    kept.push(e);
+                } else {
                     tracer.count("detect.probe_dropped", 1);
                 }
-                keep
-            })
-            .collect()
+            }
+        }
+        kept
     } else {
         selected
     };
@@ -448,35 +588,18 @@ fn candidate_from_frequent(
         return None;
     }
 
-    let body_words: usize = body.iter().map(Item::encoded_words).sum();
+    let body_words: usize = body.iter().map(|i| i.encoded_words()).sum();
     let saved = saved_words(body_words, kept.len(), kind);
     if saved <= 0 {
         return None;
     }
-    let occurrences: Vec<Occurrence> = kept
-        .iter()
-        .map(|e| {
-            let info = &regions[e.graph as usize].info;
-            Occurrence {
-                function: info.function,
-                region_start: info.start,
-                region_len: info.len,
-                item_indices: e
-                    .sorted_nodes()
-                    .iter()
-                    .map(|&n| info.start + n as usize)
-                    .collect(),
-            }
-        })
-        .collect();
-    let candidate = Candidate {
+    Some(Scored {
         body,
-        occurrences,
+        kept,
         kind,
+        body_words,
         saved,
-        relaxed: Vec::new(),
-    };
-    Some((candidate, kept.iter().map(|e| e.graph).collect()))
+    })
 }
 
 /// The claims a candidate whose kept occurrences lie in the regions
@@ -499,19 +622,6 @@ fn relaxed_claims(regions: &[RegionState], hosts: &[u32]) -> Vec<RelaxedPair> {
         }
     }
     claims.into_iter().collect()
-}
-
-/// The strict total preference order on candidates: more savings, then
-/// smaller body, then earliest first occurrence. A full tie means the two
-/// candidates rewrite the same first site with the same-size body for the
-/// same benefit; the incumbent wins.
-fn better(c: &Candidate, b: &Candidate) -> bool {
-    c.saved > b.saved
-        || (c.saved == b.saved && c.body_words() < b.body_words())
-        || (c.saved == b.saved
-            && c.body_words() == b.body_words()
-            && (&c.occurrences[0].function, &c.occurrences[0].item_indices)
-                < (&b.occurrences[0].function, &b.occurrences[0].item_indices))
 }
 
 /// Shared, read-only state of one detection round's lattice search.
@@ -544,11 +654,11 @@ struct CandidateSummary {
 }
 
 impl CandidateSummary {
-    fn of(c: &Candidate, seed: usize) -> CandidateSummary {
+    fn of(c: &Scored, seed: usize) -> CandidateSummary {
         CandidateSummary {
             saved: c.saved,
-            body_words: c.body_words(),
-            occurrences: c.occurrences.len(),
+            body_words: c.body_words,
+            occurrences: c.kept.len(),
             kind: kind_name(c.kind),
             seed,
         }
@@ -580,15 +690,14 @@ impl SearchCtx<'_> {
 
     /// Upper bound on disjoint occurrences of ANY pattern with ≥ `m`
     /// nodes embedded in the given graphs: disjoint embeddings of size m
-    /// tile a graph, so at most ⌊|V|/m⌋ fit per graph.
+    /// tile a graph, so at most ⌊|V|/m⌋ fit per graph. The embeddings
+    /// are in graph order, so each graph is one run of them.
     fn tiling_bound(&self, f: &Fragment, m: usize) -> i64 {
-        let mut seen = std::collections::BTreeSet::new();
-        let mut total = 0i64;
-        for e in &f.embeddings {
-            if seen.insert(e.graph) {
-                total += (self.graphs[e.graph as usize].node_count() / m) as i64;
-            }
-        }
+        let total: i64 = f
+            .embeddings
+            .chunk_by(|a, b| a.graph == b.graph)
+            .map(|run| (self.graphs[run[0].graph as usize].node_count() / m) as i64)
+            .sum();
         total.min(f.embeddings.len() as i64)
     }
 
@@ -624,20 +733,19 @@ impl SearchCtx<'_> {
         // validation but keep growing.
         if Self::benefit_bound(k_ub, 2 * m as i64) >= target {
             self.tracer.count("detect.candidates_evaluated", 1);
-            if let Some((c, hosts)) =
-                candidate_from_frequent(f, self.regions, self.lr_free, self.tracer)
-            {
+            if let Some(c) = candidate_from_frequent(f, self.regions, self.lr_free, self.tracer) {
                 if self.tracer.enabled() {
                     best.top.push(CandidateSummary::of(&c, seed));
                     best.top.sort_by_key(|s| (-s.saved, s.body_words, s.seed));
                     best.top.truncate(CANDIDATE_TABLE_LEN);
                 }
-                let wins = match &best.candidate {
-                    None => true,
-                    Some(b) => better(&c, b),
-                };
-                if wins {
-                    best.candidate = Some(c);
+                if best
+                    .candidate
+                    .as_ref()
+                    .is_none_or(|b| c.beats(b, self.regions))
+                {
+                    let (candidate, hosts) = c.into_candidate(self.regions);
+                    best.candidate = Some(candidate);
                     best.hosts = hosts;
                 }
             }
@@ -742,8 +850,8 @@ pub(crate) fn best_candidate_instrumented(
         }
         if let Some(winner) = &winner {
             // Explain the win against the strongest runner-up in the
-            // table (the table order mirrors `better`, so the winner is
-            // line 1 and the runner-up line 2).
+            // table (the table order mirrors `Scored::beats`, so the
+            // winner is line 1 and the runner-up line 2).
             let runner_up = table.get(1);
             let why = match runner_up {
                 None => "only_candidate",
@@ -1022,6 +1130,172 @@ mod tests {
             slots.push(slot);
         }
         (items, AliasOracle { slots })
+    }
+
+    /// Four copies of one [`random_region`], each with up to three
+    /// random adjacent items swapped: the copies share most of their
+    /// patterns, some with dependent items in another order.
+    fn shuffled_copies(rng: &mut rand::rngs::StdRng) -> Vec<Vec<Item>> {
+        use rand::Rng;
+        let template = random_region(rng).0;
+        (0..4)
+            .map(|_| {
+                let mut items = template.clone();
+                for _ in 0..rng.gen_range(0..4) {
+                    let i = rng.gen_range(0..items.len() - 1);
+                    items.swap(i, i + 1);
+                }
+                items
+            })
+            .collect()
+    }
+
+    /// Holds `Roles` to `trace_equivalent` on every embedding of one
+    /// pattern, whose graph `g` has the items `items[g]`: an order-check
+    /// accept implies trace equivalence, and the combined verdict is
+    /// trace equivalence. Returns the embeddings the order check left to
+    /// the fallback and how many of them it rejected.
+    fn hold_to_trace_equivalent(embeddings: &[Embedding], items: &[&[Item]]) -> (u64, u64) {
+        let first = &embeddings[0];
+        let mut roles = Roles::of(first, items[first.graph as usize]);
+        let body = program_order(first, items[first.graph as usize]);
+        let mut rejected = 0;
+        for emb in embeddings {
+            let region = items[emb.graph as usize];
+            let seq = program_order(emb, region);
+            let want = trace_equivalent(&body, &seq);
+            let at = format!("{first:?} / {emb:?}: {body:?} / {seq:?}");
+            assert!(!roles.same_order(emb, region) || want, "{at}");
+            assert_eq!(roles.stands_in_for(emb, region), want, "{at}");
+            rejected += u64::from(!want);
+        }
+        (roles.fallbacks, rejected)
+    }
+
+    /// Every pattern the lattice search visits on databases of
+    /// [`shuffled_copies`], under both countings and both label modes:
+    /// `Roles` agrees with `trace_equivalent` on every embedding. Some
+    /// embeddings keep the first one's items but not its dependence
+    /// order, and under canonical labels some hold other items in a
+    /// role, so the fallback both accepts and rejects.
+    #[test]
+    fn order_check_agrees_with_trace_equivalence_on_random_regions() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(0x74_7261_6365);
+        let (mut checked, mut fallbacks, mut rejected) = (0u64, 0u64, 0u64);
+        for _ in 0..150 {
+            let regions = shuffled_copies(&mut rng);
+            let items: Vec<&[Item]> = regions.iter().map(Vec::as_slice).collect();
+            for mode in [LabelMode::Exact, LabelMode::Canonical] {
+                let dfgs: Vec<Dfg> = regions
+                    .iter()
+                    .map(|items| gpa_dfg::build_dfg_from_items("f", 0, items, mode))
+                    .collect();
+                let (graphs, _) = InputGraph::from_dfgs(&dfgs);
+                for support in [Support::Embeddings, Support::Graphs] {
+                    let config = Config {
+                        support,
+                        max_nodes: 5,
+                        max_patterns: 2_000,
+                        ..Config::default()
+                    };
+                    mine_streaming(&graphs, &config, &mut |f, _| {
+                        let (fell_back, wrong) = hold_to_trace_equivalent(&f.embeddings, &items);
+                        checked += f.embeddings.len() as u64;
+                        fallbacks += fell_back;
+                        rejected += wrong;
+                        GrowDecision::Continue
+                    });
+                }
+            }
+        }
+        assert!(checked > 200_000, "only {checked} embeddings checked");
+        assert!(
+            fallbacks > rejected && rejected > 0,
+            "{fallbacks} fallbacks, {rejected} rejected"
+        );
+    }
+
+    /// The same on the patterns of the first detection round of five
+    /// bundled kernels, at both alias levels and under both countings.
+    #[test]
+    fn order_check_agrees_with_trace_equivalence_on_kernels() {
+        let mut checked = 0u64;
+        for kernel in ["bitcnts", "crc", "dijkstra", "patricia", "search"] {
+            let image =
+                gpa_minicc::compile_benchmark(kernel, &gpa_minicc::Options::default()).unwrap();
+            let program = gpa_cfg::decode_image(&image).unwrap();
+            for alias in [AliasLevel::Off, AliasLevel::Stack] {
+                for support in [Support::Embeddings, Support::Graphs] {
+                    let config = GraphConfig {
+                        support,
+                        alias,
+                        ..GraphConfig::default()
+                    };
+                    let mut state = RoundState::default();
+                    state.refresh(&program, &config, None);
+                    let items: Vec<&[Item]> = state
+                        .regions
+                        .iter()
+                        .map(|r| r.info.items.as_slice())
+                        .collect();
+                    let mine_config = Config {
+                        support,
+                        max_nodes: config.max_nodes,
+                        max_patterns: 20_000,
+                        ..Config::default()
+                    };
+                    mine_streaming(&state.graphs, &mine_config, &mut |f, _| {
+                        hold_to_trace_equivalent(&f.embeddings, &items);
+                        checked += f.embeddings.len() as u64;
+                        GrowDecision::Continue
+                    });
+                }
+            }
+        }
+        assert!(checked > 40_000, "only {checked} embeddings checked");
+    }
+
+    /// Where the order check declines, `trace_equivalent` decides: it
+    /// accepts two roles with identical, self-conflicting items in
+    /// swapped order, and rejects a conflicting pair reversed and
+    /// another item in a role. An independent pair reversed needs no
+    /// fallback.
+    #[test]
+    fn trace_fallback_decides_what_the_order_check_declines() {
+        let items = |texts: &[&str]| -> Vec<Item> { texts.iter().map(|s| insn(s)).collect() };
+        let (x, y) = ("add r0, r0, #1", "mov r1, r0");
+        let xxy = items(&[x, x, y]);
+        let first = Embedding::new(0, vec![0, 1, 2]);
+        let swapped = Embedding::new(1, vec![1, 0, 2]);
+        let mut roles = Roles::of(&first, &xxy);
+        assert!(roles.stands_in_for(&first, &xxy));
+        assert_eq!(roles.fallbacks, 0);
+        assert!(!roles.same_order(&swapped, &xxy));
+        assert!(roles.stands_in_for(&swapped, &xxy));
+        assert_eq!(roles.fallbacks, 1);
+
+        let xy = items(&["mov r0, #1", "add r1, r0, #2"]);
+        let yx = items(&["add r1, r0, #2", "mov r0, #1"]);
+        let first = Embedding::new(0, vec![0, 1]);
+        let reversed = Embedding::new(1, vec![1, 0]);
+        let mut roles = Roles::of(&first, &xy);
+        assert!(!roles.same_order(&reversed, &yx));
+        assert!(!roles.stands_in_for(&reversed, &yx));
+        assert!(!trace_equivalent(&xy, &yx));
+        assert_eq!(roles.fallbacks, 1);
+
+        let ab = items(&["mov r0, #1", "mov r1, #2"]);
+        let ba = items(&["mov r1, #2", "mov r0, #1"]);
+        let mut roles = Roles::of(&first, &ab);
+        assert!(roles.stands_in_for(&reversed, &ba));
+        assert_eq!(roles.fallbacks, 0);
+
+        // Another item in a role, as canonical labels allow.
+        let other = items(&["mov r0, #1", "mov r1, #3"]);
+        assert!(!roles.stands_in_for(&Embedding::new(1, vec![0, 1]), &other));
+        assert_eq!(roles.fallbacks, 1);
     }
 
     /// Random regions of loads, stores and ALU ops over a few registers,

@@ -17,7 +17,7 @@ fn candidate_from_repeat(
     lr_free: &[bool],
 ) -> Option<Candidate> {
     let (seq0, off0) = repeat.occurrences[0];
-    let full: Vec<Item> = infos[seq0].items[off0..off0 + repeat.len].to_vec();
+    let full: Vec<&Item> = infos[seq0].items[off0..off0 + repeat.len].iter().collect();
     // Benefit is monotone in length for a fixed occurrence set, so try the
     // longest classifiable prefix first.
     let mut best: Option<Candidate> = None;
@@ -43,13 +43,13 @@ fn candidate_from_repeat(
         if occurrences.len() < 2 {
             continue;
         }
-        let body_words: usize = body.iter().map(Item::encoded_words).sum();
+        let body_words: usize = body.iter().map(|i| i.encoded_words()).sum();
         let saved = saved_words(body_words, occurrences.len(), kind);
         if saved <= 0 {
             continue;
         }
         let candidate = Candidate {
-            body: body.to_vec(),
+            body: body.iter().map(|&i| i.clone()).collect(),
             occurrences: occurrences
                 .into_iter()
                 .map(|(seq, off)| {

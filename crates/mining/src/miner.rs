@@ -8,7 +8,9 @@ use gpa_trace::{NoopTracer, Tracer, Value};
 use crate::dfs_code::Pattern;
 use crate::embed::{extensions, seed_buckets, Embedding};
 use crate::graph::InputGraph;
-use crate::mis::{collision_graph, disjoint_count_traced, max_independent_set_traced};
+use crate::mis::{
+    count_isolated, disjoint_count_traced, max_independent_set_traced, CollisionGraph,
+};
 use crate::nodeset::NodeSet;
 
 /// How a fragment's support is counted.
@@ -72,7 +74,10 @@ impl Default for Config {
 pub struct Fragment {
     /// The canonical pattern (minimal DFS code).
     pub pattern: Pattern,
-    /// All embeddings, deduplicated by node set (one map kept per set).
+    /// All embeddings, deduplicated by node set (one map kept per set),
+    /// in graph order: the enumerations list them graph by graph and
+    /// keep that order through their stable grouping, and the gates only
+    /// truncate and filter.
     pub embeddings: Vec<Embedding>,
 }
 
@@ -189,36 +194,48 @@ fn node_sets_by_graph(embeddings: &[Embedding]) -> std::collections::BTreeMap<u3
 }
 
 /// Computes the maximum number of pairwise node-disjoint embeddings and
-/// returns `(count, chosen indices)`.
+/// returns `(count, chosen indices)`, ascending, with MIS telemetry
+/// (component sizes, exact-vs-greedy path, budget exhaustions).
 ///
-/// Embeddings are grouped per graph; within each graph a maximum
-/// independent set of the collision graph is computed.
-pub fn non_overlapping_count(embeddings: &[Embedding]) -> (usize, Vec<usize>) {
-    non_overlapping_count_traced(embeddings, &NoopTracer)
-}
-
-/// [`non_overlapping_count`] with MIS telemetry (component sizes,
-/// exact-vs-greedy path, budget exhaustions).
+/// The embeddings must be in graph order, as every fragment's list is
+/// (see [`Fragment::embeddings`]), so each graph's embeddings form one
+/// contiguous run. Within a run a maximum independent set of the
+/// collision graph is computed; a run in which no two embeddings
+/// collide is counted as that many isolated vertices without building
+/// the graph.
 pub fn non_overlapping_count_traced(
-    embeddings: &[Embedding],
+    embeddings: &[&Embedding],
     tracer: &dyn Tracer,
 ) -> (usize, Vec<usize>) {
+    debug_assert!(
+        embeddings.is_sorted_by_key(|e| e.graph),
+        "embeddings out of graph order"
+    );
     let mut chosen = Vec::new();
-    let mut by_graph: std::collections::BTreeMap<u32, Vec<usize>> = Default::default();
-    for (i, e) in embeddings.iter().enumerate() {
-        by_graph.entry(e.graph).or_default().push(i);
-    }
-    for indices in by_graph.values() {
-        let sets: Vec<NodeSet> = indices
-            .iter()
-            .map(|&i| embeddings[i].node_set().clone())
-            .collect();
-        let adj = collision_graph(&sets);
-        for local in max_independent_set_traced(&adj, tracer) {
-            chosen.push(indices[local]);
+    let mut start = 0;
+    for run in embeddings.chunk_by(|a, b| a.graph == b.graph) {
+        let mut adj: Option<CollisionGraph> = None;
+        for (i, a) in run.iter().enumerate() {
+            for (j, b) in run.iter().enumerate().skip(i + 1) {
+                if a.node_set().intersects(b.node_set()) {
+                    adj.get_or_insert_with(|| CollisionGraph::new(run.len()))
+                        .add_edge(i, j);
+                }
+            }
         }
+        match adj {
+            None => {
+                count_isolated(run.len(), tracer);
+                chosen.extend(start..start + run.len());
+            }
+            Some(adj) => chosen.extend(
+                max_independent_set_traced(&adj, tracer)
+                    .into_iter()
+                    .map(|local| start + local),
+            ),
+        }
+        start += run.len();
     }
-    chosen.sort_unstable();
     (chosen.len(), chosen)
 }
 
@@ -884,7 +901,9 @@ mod tests {
 
     /// `mine_streaming` visits the codes the reference search visits, in
     /// the same order, from the same seed (numbered over the minimal
-    /// one-edge codes), with the same embedding lists, under both
+    /// one-edge codes), with the same embedding lists, each in graph
+    /// order (occurrence selection and detection's bounds walk a list
+    /// graph run by graph run), under both
     /// countings at `min_support` 1–3, with and without a budget that
     /// runs out; `mine` reports the support the reference counts. The
     /// databases are seeded random multigraphs and stars, whose
@@ -921,6 +940,7 @@ mod tests {
                         let (want, want_dropped) = reference::mine(graphs, &config);
                         let mut have = Vec::new();
                         mine_streaming(graphs, &config, &mut |f, seed| {
+                            assert!(f.embeddings.is_sorted_by_key(|e| e.graph), "{at}");
                             have.push((seed, f.pattern.tuples().to_vec(), f.embeddings.clone()));
                             GrowDecision::Continue
                         });
@@ -942,6 +962,90 @@ mod tests {
         assert!(
             dropped > 1_000,
             "the dedup dropped maps of only {dropped} codes"
+        );
+    }
+
+    /// Occurrence selection as it was before it walked graph runs: node
+    /// sets cloned into a per-graph `BTreeMap`, each graph's collision
+    /// graph built and solved, the chosen indices sorted at the end.
+    fn non_overlapping_count_reference(
+        embeddings: &[Embedding],
+        tracer: &dyn Tracer,
+    ) -> (usize, Vec<usize>) {
+        let mut chosen = Vec::new();
+        let mut by_graph: std::collections::BTreeMap<u32, Vec<usize>> = Default::default();
+        for (i, e) in embeddings.iter().enumerate() {
+            by_graph.entry(e.graph).or_default().push(i);
+        }
+        for indices in by_graph.values() {
+            let sets: Vec<NodeSet> = indices
+                .iter()
+                .map(|&i| embeddings[i].node_set().clone())
+                .collect();
+            let adj = crate::mis::collision_graph(&sets);
+            for local in max_independent_set_traced(&adj, tracer) {
+                chosen.push(indices[local]);
+            }
+        }
+        chosen.sort_unstable();
+        (chosen.len(), chosen)
+    }
+
+    /// On seeded random embedding lists in graph order over up to five
+    /// graphs, with nodes drawn from a small universe (so embeddings in
+    /// one graph often collide) or without replacement per graph (so
+    /// none do), occurrence selection chooses what the reference chooses
+    /// and counts the same `mis.*` work.
+    #[test]
+    fn occurrence_selection_matches_the_reference_on_random_lists() {
+        use gpa_trace::CounterTracer;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x6d6973);
+        let (mut collided, mut clear) = (0, 0);
+        for case in 0..2_000 {
+            let disjoint = case % 2 == 0;
+            let mut embeddings = Vec::new();
+            for graph in 0..rng.gen_range(1..6u32) {
+                let mut free: Vec<u32> = (0..24).collect();
+                for _ in 0..rng.gen_range(0..7) {
+                    let size = rng.gen_range(1..4);
+                    let map: Vec<u32> = if disjoint {
+                        (0..size)
+                            .map(|_| free.swap_remove(rng.gen_range(0..free.len())))
+                            .collect()
+                    } else {
+                        let mut map: Vec<u32> = Vec::new();
+                        while map.len() < size {
+                            let node = rng.gen_range(0..8);
+                            if !map.contains(&node) {
+                                map.push(node);
+                            }
+                        }
+                        map
+                    };
+                    embeddings.push(Embedding::new(graph, map));
+                }
+            }
+            let (want_tracer, have_tracer) = (CounterTracer::new(), CounterTracer::new());
+            let want = non_overlapping_count_reference(&embeddings, &want_tracer);
+            let borrowed: Vec<&Embedding> = embeddings.iter().collect();
+            let have = non_overlapping_count_traced(&borrowed, &have_tracer);
+            assert_eq!(have, want, "{embeddings:?}");
+            assert_eq!(
+                have_tracer.counters(),
+                want_tracer.counters(),
+                "{embeddings:?}"
+            );
+            if have.0 < embeddings.len() {
+                collided += 1;
+            } else if !embeddings.is_empty() {
+                clear += 1;
+            }
+        }
+        assert!(
+            collided > 500 && clear > 500,
+            "{collided} with a collision, {clear} without"
         );
     }
 

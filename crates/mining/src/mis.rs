@@ -181,6 +181,12 @@ pub fn max_independent_set_traced(adj: &CollisionGraph, tracer: &dyn Tracer) -> 
         if seen[start] {
             continue;
         }
+        if adj.row(start).iter().all(|&w| w == 0) {
+            seen[start] = true;
+            count_isolated(1, tracer);
+            chosen.push(start);
+            continue;
+        }
         let mut component = Vec::new();
         let mut stack = vec![start];
         seen[start] = true;
@@ -211,60 +217,38 @@ pub fn max_independent_set_traced(adj: &CollisionGraph, tracer: &dyn Tracer) -> 
     chosen
 }
 
-/// Whether at least `k` pairwise-disjoint node sets exist.
-///
-/// This is the frequency gate of the miner. Exact for `k <= 2` (all
-/// pairs are tested — with the paper's minimum support of 2, "frequent"
-/// means exactly "two disjoint embeddings exist") and for up to
-/// [`EXACT_SUPPORT_SETS`] node sets (via the bounded exact MIS on the
-/// collision graph); only beyond both is the answer the greedy lower
-/// bound, and that genuinely-greedy remainder is traced.
-///
-/// Exactness matters beyond `k = 2`: the greedy count can undershoot
-/// the true maximum, and a pattern wrongly reported infrequent has its
-/// whole lattice subtree pruned (the antimonotone gate must never
-/// under-approximate).
-pub fn has_k_disjoint(node_sets: &[NodeSet], k: usize) -> bool {
-    has_k_disjoint_traced(node_sets, k, &NoopTracer)
+/// Counts `n` isolated vertices as the exact search counts them: each is
+/// a component of its own, solved exactly in one branch-and-bound step
+/// (the greedy seed already meets the clique-cover bound).
+pub(crate) fn count_isolated(n: usize, tracer: &dyn Tracer) {
+    let n = n as u64;
+    tracer.count("mis.components", n);
+    tracer.count("mis.component_exact", n);
+    tracer.count("mis.bb_steps", n);
 }
 
-/// [`has_k_disjoint`] with telemetry on which gate path answered.
-pub fn has_k_disjoint_traced(node_sets: &[NodeSet], k: usize, tracer: &dyn Tracer) -> bool {
-    if k == 0 {
-        return true;
-    }
-    if k == 1 {
-        return !node_sets.is_empty();
-    }
-    if k == 2 {
-        tracer.count("mis.support_exact_pairs", 1);
-        for i in 0..node_sets.len() {
-            for j in (i + 1)..node_sets.len() {
-                if !node_sets[i].intersects(&node_sets[j]) {
-                    return true;
-                }
-            }
+/// Whether at least `k` pairwise-disjoint node sets exist: exact for
+/// `k <= 2` (all pairs are tested) and for up to [`EXACT_SUPPORT_SETS`]
+/// node sets (via the bounded exact MIS on the collision graph), the
+/// greedy lower bound beyond both. The miner's tests hold the search's
+/// support gate to it.
+#[cfg(test)]
+pub(crate) fn has_k_disjoint(node_sets: &[NodeSet], k: usize) -> bool {
+    match k {
+        0 => true,
+        1 => !node_sets.is_empty(),
+        2 => node_sets
+            .iter()
+            .enumerate()
+            .any(|(i, a)| node_sets[i + 1..].iter().any(|b| !a.intersects(b))),
+        // The greedy count is a sound lower bound: reaching `k` proves
+        // the disjoint sets exist. Failing to reach `k` proves nothing.
+        _ => {
+            greedy_disjoint_count(node_sets) >= k
+                || (node_sets.len() <= EXACT_SUPPORT_SETS
+                    && max_independent_set(&collision_graph(node_sets)).len() >= k)
         }
-        return false;
     }
-    // The greedy count is a sound lower bound: reaching `k` proves the
-    // disjoint sets exist. Failing to reach `k` proves nothing.
-    if greedy_disjoint_count(node_sets) >= k {
-        return true;
-    }
-    if node_sets.len() <= EXACT_SUPPORT_SETS {
-        tracer.count("mis.support_exact", 1);
-        let adj = collision_graph(node_sets);
-        return max_independent_set_traced(&adj, tracer).len() >= k;
-    }
-    tracer.event(
-        "mis.support_greedy",
-        &[
-            ("sets", Value::from(node_sets.len())),
-            ("k", Value::from(k)),
-        ],
-    );
-    false
 }
 
 /// Best-effort maximum number of pairwise-disjoint node sets: exact for
@@ -644,17 +628,19 @@ mod tests {
             greedy_disjoint_count(&sets) < 57,
             "greedy must undershoot so the exact path is what answers"
         );
+        assert!(has_k_disjoint(&sets, 57));
+        assert!(!has_k_disjoint(&sets, 58));
         let tracer = CounterTracer::new();
-        assert!(has_k_disjoint_traced(&sets, 57, &tracer));
+        assert_eq!(disjoint_count_traced(&sets, &tracer), 57);
         assert_eq!(tracer.counters().get("mis.support_exact"), 1);
         assert_eq!(tracer.counters().get("mis.support_greedy"), 0);
-        assert!(!has_k_disjoint(&sets, 58));
-        assert_eq!(disjoint_count_traced(&sets, &NoopTracer), 57);
         // Past 128 sets the gate is genuinely greedy again (and traced).
         let big: Vec<NodeSet> = (0..26).flat_map(|rep| gadget(rep * 10)).collect();
         assert_eq!(big.len(), 130);
+        assert!(!has_k_disjoint(&big, 3 * 26));
         let tracer = CounterTracer::new();
-        assert!(!has_k_disjoint_traced(&big, 3 * 26, &tracer));
+        assert!(disjoint_count_traced(&big, &tracer) < 3 * 26);
+        assert_eq!(tracer.counters().get("mis.support_exact"), 0);
         assert_eq!(tracer.counters().get("mis.support_greedy"), 1);
     }
 
@@ -740,6 +726,28 @@ mod tests {
         assert_eq!(c.get("mis.greedy_fallback"), 1);
         assert_eq!(c.get("mis.components"), 1);
         assert_eq!(c.get("mis.component_exact"), 0);
+    }
+
+    /// An isolated vertex skips the branch-and-bound but counts what the
+    /// search on its one-vertex component counts: one exact component,
+    /// one step.
+    #[test]
+    fn isolated_vertices_count_what_the_exact_search_counts() {
+        use gpa_trace::CounterTracer;
+        let adj = graph_from_edges(6, &[(1, 3), (3, 4)]);
+        let fast = CounterTracer::new();
+        let chosen = max_independent_set_traced(&adj, &fast);
+        let searched = CounterTracer::new();
+        let mut want = Vec::new();
+        for component in [vec![0], vec![1, 3, 4], vec![2], vec![5]] {
+            searched.count("mis.components", 1);
+            searched.count("mis.component_exact", 1);
+            want.extend(exact_mis_component(&component, &adj, &searched));
+        }
+        want.sort_unstable();
+        assert_eq!(chosen, want);
+        assert_eq!(chosen, [0, 1, 2, 4, 5]);
+        assert_eq!(fast.counters(), searched.counters());
     }
 
     #[test]

@@ -188,31 +188,34 @@ impl CallGraph {
     /// itself. Summaries grow monotonically in their callees', so each
     /// component lands on the least fixpoint a fresh build reaches.
     ///
-    /// The name index and the callee lists carry over as well: only
-    /// changed and new functions, and kept functions that call a name a
-    /// new function now takes, resolve their targets again.
-    pub fn rebuild(program: &Program, previous: Option<(&CallGraph, &[bool])>) -> CallGraph {
+    /// The name index and the callee and dependency lists carry over as
+    /// well, moved out of `previous`: only changed and new functions, and
+    /// kept functions that call a name a new function now takes, resolve
+    /// their targets again.
+    pub fn rebuild(program: &Program, previous: Option<(CallGraph, &[bool])>) -> CallGraph {
         let n = program.functions.len();
-        let previous = previous.filter(|(g, _)| g.summaries.len() <= n);
-        let kept = previous.map_or(0, |(g, _)| g.summaries.len());
-        let rewritten =
-            |i: usize| previous.is_none_or(|(_, c)| i >= kept || c.get(i).is_none_or(|&c| c));
+        let (mut previous, edits) = match previous.filter(|(g, _)| g.summaries.len() <= n) {
+            Some((g, edits)) => (Some(g), Some(edits)),
+            None => (None, None),
+        };
+        let kept = previous.as_ref().map_or(0, |g| g.summaries.len());
+        let rewritten = |i: usize| edits.is_none_or(|c| i >= kept || c.get(i).is_none_or(|&c| c));
         // The previous name index still holds for the functions the
         // previous build had when no rewritten one was renamed (its name
         // still maps to it), and new functions only add names; a new
         // name shadows an earlier function of that name, as in a fresh
         // `collect`. Otherwise the index and every callee list are
         // built afresh.
-        let carried = previous.map(|(g, _)| g).filter(|g| {
+        let carried = previous.as_ref().is_some_and(|g| {
             (0..kept)
                 .filter(|&i| rewritten(i))
                 .all(|i| g.index.get(&program.functions[i].name) == Some(&i))
         });
         let mut shadowed = Vec::new();
         let mut named = false;
-        let index = match carried {
+        let index = match previous.as_mut().filter(|_| carried) {
             Some(g) => {
-                let mut index = g.index.clone();
+                let mut index = std::mem::take(&mut g.index);
                 for (i, f) in program.functions.iter().enumerate().skip(kept) {
                     match index.insert(f.name.clone(), i) {
                         Some(earlier) => shadowed.push(earlier),
@@ -230,21 +233,34 @@ impl CallGraph {
         };
         // A kept function's callees move only when a new name may
         // resolve one of its unresolved targets, or a callee's name now
-        // resolves to a new function.
+        // resolves to a new function. A function that makes no indirect
+        // call depends on exactly its callees, so unmoved, it keeps its
+        // dependency list too, and nothing it reads changed.
+        let address_taken: Vec<usize> = (0..n)
+            .filter(|&i| program.functions[i].address_taken)
+            .collect();
         let mut callees = Vec::with_capacity(n);
         let mut indirect = Vec::with_capacity(n);
         let mut unresolved = Vec::with_capacity(n);
+        let mut deps = Vec::with_capacity(n);
+        let mut changed = Vec::with_capacity(n);
         for (i, f) in program.functions.iter().enumerate() {
-            let unmoved = carried.filter(|g| {
-                !(rewritten(i)
-                    || (named && g.unresolved[i])
-                    || g.callees[i].iter().any(|c| shadowed.contains(c)))
+            let unmoved = previous.as_mut().filter(|g| {
+                carried
+                    && !(rewritten(i)
+                        || (named && g.unresolved[i])
+                        || g.callees[i].iter().any(|c| shadowed.contains(c)))
             });
             match unmoved {
                 Some(g) => {
-                    callees.push(g.callees[i].clone());
+                    callees.push(std::mem::take(&mut g.callees[i]));
                     indirect.push(g.indirect[i]);
                     unresolved.push(g.unresolved[i]);
+                    if !g.indirect[i] {
+                        deps.push(std::mem::take(&mut g.deps[i]));
+                        changed.push(false);
+                        continue;
+                    }
                 }
                 None => {
                     let (ids, calls_indirect, unnamed) = resolve_callees(&f.items, &index);
@@ -253,28 +269,19 @@ impl CallGraph {
                     unresolved.push(unnamed);
                 }
             }
-        }
-        let address_taken: Vec<usize> = (0..n)
-            .filter(|&i| program.functions[i].address_taken)
-            .collect();
-        let deps: Vec<Vec<usize>> = (0..n)
-            .map(|f| {
-                let mut d = callees[f].clone();
-                if indirect[f] {
-                    d.extend(&address_taken);
-                    d.sort_unstable();
-                    d.dedup();
-                }
-                d
-            })
-            .collect();
-        let components = components(&deps);
-        let changed: Vec<bool> = (0..n)
-            .map(|i| match previous {
-                Some((g, _)) => rewritten(i) || g.deps.get(i) != Some(&deps[i]),
+            let mut d = callees[i].clone();
+            if indirect[i] {
+                d.extend(&address_taken);
+                d.sort_unstable();
+                d.dedup();
+            }
+            changed.push(match &previous {
+                Some(g) => rewritten(i) || g.deps.get(i) != Some(&d),
                 None => true,
-            })
-            .collect();
+            });
+            deps.push(d);
+        }
+        let components = components(&deps);
         let mut moved = vec![previous.is_none(); n];
 
         // Least-fixpoint summaries: start from bottom (reads nothing,
@@ -291,8 +298,8 @@ impl CallGraph {
             // A dependency outside the component is final; one inside it
             // has not moved yet.
             let stale = |f: &usize| changed[*f] || deps[*f].iter().any(|&d| moved[d]);
-            match previous {
-                Some((previous, _)) if !component.iter().any(stale) => {
+            match &previous {
+                Some(previous) if !component.iter().any(stale) => {
                     for &f in component {
                         summaries[f] = previous.summaries[f];
                     }
@@ -319,7 +326,7 @@ impl CallGraph {
                     break;
                 }
             }
-            if let Some((previous, _)) = previous {
+            if let Some(previous) = &previous {
                 for &f in component {
                     moved[f] = previous.summaries.get(f) != Some(&summaries[f]);
                 }
@@ -587,7 +594,7 @@ mod tests {
         after.functions[2]
             .items
             .splice(0..0, [insn("mov r5, #1"), insn("sub sp, sp, #8")]);
-        let rebuilt = CallGraph::rebuild(&after, Some((&old, &[false, false, true, false])));
+        let rebuilt = CallGraph::rebuild(&after, Some((old.clone(), &[false, false, true, false])));
         let fresh = CallGraph::build(&after);
         assert_eq!(rebuilt.changed, [false, false, true, false]);
         assert_eq!(rebuilt.moved, [true, true, true, false]);
@@ -635,7 +642,7 @@ mod tests {
             (&shadowed, [false; 3], vec![3]),
             (&renamed, [false, false, true], vec![1, 2]),
         ] {
-            let rebuilt = CallGraph::rebuild(after, Some((&old, &changed)));
+            let rebuilt = CallGraph::rebuild(after, Some((old.clone(), &changed)));
             let fresh = CallGraph::build(after);
             assert_eq!(rebuilt.callees[0], callees);
             assert_eq!(rebuilt.index, fresh.index);
@@ -752,7 +759,7 @@ mod tests {
                     let function = random_function(&mut rng, total - 1, total);
                     p.functions.push(function);
                 }
-                let rebuilt = CallGraph::rebuild(&p, Some((&graph, &changed)));
+                let rebuilt = CallGraph::rebuild(&p, Some((graph, &changed)));
                 let fresh = CallGraph::build(&p);
                 assert_eq!(rebuilt.summaries, fresh.summaries, "{p:#?}");
                 let (env, states) = crate::AbsEnv::build_with_states(&p, &rebuilt, Some(&balanced));

@@ -104,7 +104,9 @@ head -n1 "$WORK/opt_traced_full.txt" > "$WORK/opt_traced.txt"
 # left out: it depends on the code hash.) The front end builds each
 # region once and then only the regions of the functions each round
 # rewrites: 122 regions in round 1, 210 more over the 14 rounds after
-# it, out of 1830 reads.
+# it, out of 1830 reads. Every embedding a candidate evaluation checks
+# keeps the first one's items and dependence order, so none needs
+# `trace_equivalent` (`detect.trace_fallback`).
 gate_counters() { # trace-file name=value...
     local trace=$1 counters expect name got
     shift
@@ -122,7 +124,7 @@ crc_work=(mine.codes=21471 mine.patterns_visited=5146 mine.canon_checks=8003
     mine.expanded=4636 mine.extensions_generated=14758
     mine.prune_non_canonical=2804 mine.prune_infrequent=13521
     detect.candidates_evaluated=3678 detect.embedding_unextractable=1012
-    mis.bb_steps=3655 mine.embeddings_built=18131
+    detect.trace_fallback=0 mis.bb_steps=3655 mine.embeddings_built=18131
     front.regions=1830 front.regions_built=332 front.regions_reused=1498)
 gate_counters "$WORK/crc.jsonl" "${crc_work[@]}"
 # Under --alias stack the same search runs on crc, and every round's
@@ -200,7 +202,8 @@ done
 gate_counters "$WORK/qsort_j1.jsonl" mine.codes=2726570 \
     mine.patterns_visited=340107 mine.extensions_generated=2707724 \
     mine.budget_exhausted=3 mine.canon_checks=738363 \
-    detect.candidates_evaluated=333894 mine.embeddings_built=1487269
+    detect.candidates_evaluated=333894 mine.embeddings_built=1487269 \
+    detect.trace_fallback=0
 echo "verify: --jobs smoke OK (crc jobs 1/2/8, qsort jobs 1/2 byte-identical)"
 
 # Lint gate: every bundled kernel must pass the V010–V014 stack lints
