@@ -554,7 +554,10 @@ impl DfgCache {
 /// serve`, `gpa perf`), however many images those run side by side.
 pub fn image_cache_key(image: &Image, method: Method, config: &RunConfig) -> u128 {
     let mut h = Fnv128::new();
-    h.write(b"gpa-image-key/1");
+    // The salt names the optimizer's output function: a change that moves
+    // any output byte for some input must bump it, or a `--cache-dir`
+    // written by an older build keeps serving the older result.
+    h.write(b"gpa-image-key/2");
     h.write(crate::report::REPORT_SCHEMA.as_bytes());
     h.write(match method {
         Method::Sfx => b"sfx",
@@ -568,19 +571,19 @@ pub fn image_cache_key(image: &Image, method: Method, config: &RunConfig) -> u12
         ValidateLevel::Final => 1,
         ValidateLevel::EveryRound => 2,
     }]);
-    // `Off` hashes to the pre-alias key on purpose: disabled alias
-    // analysis is bit-for-bit the historical pipeline, so existing
-    // cached reports (and committed goldens) stay addressable.
+    // `Off` adds nothing: disabled alias analysis is the pipeline as it
+    // was before the knob existed, so its key kept that shape (every key
+    // still moves with the salt).
     match config.alias {
         crate::optimizer::AliasLevel::Off => {}
         crate::optimizer::AliasLevel::Stack => h.write(b"alias/stack"),
     }
-    // Same backwards-compatibility shape for the per-round pattern
-    // budget: the default hashes to the historical key, a request-tuned
-    // budget (a `gpa serve` knob) gets its own key space because an
-    // exhausted budget changes which candidates a round can see. The
-    // `deadline` knob is deliberately *not* hashed — it is wall-clock
-    // dependent, and deadline-stopped runs are never cached.
+    // The same shape for the per-round pattern budget: the default adds
+    // nothing, a request-tuned budget (a `gpa serve` knob) gets its own
+    // key space because an exhausted budget changes which candidates a
+    // round can see. The `deadline` knob is deliberately *not* hashed —
+    // it is wall-clock dependent, and deadline-stopped runs are never
+    // cached.
     if config.max_patterns != crate::optimizer::DEFAULT_MAX_PATTERNS {
         h.write(b"max_patterns");
         h.write_u64(config.max_patterns as u64);

@@ -13,7 +13,9 @@ use gpa_mining::miner::{
 use gpa_trace::{NoopTracer, Tracer, Value};
 
 use crate::artifact::{BlockArtifact, DfgCache, RegionState, RoundState};
-use crate::candidate::{classify_body, Candidate, ExtractionKind, Occurrence, RelaxedPair};
+use crate::candidate::{
+    classify_body, item_extractable, Candidate, ExtractionKind, Occurrence, RelaxedPair,
+};
 use crate::cost::saved_words;
 use crate::optimizer::AliasLevel;
 use crate::trace::trace_equivalent;
@@ -469,18 +471,32 @@ impl Scored<'_> {
     }
 }
 
+/// A fragment's body: its first embedding's items in program order. The
+/// body of every candidate scored from the fragment is this one.
+fn first_body<'a>(f: &Fragment, regions: &'a [RegionState]) -> Vec<&'a Item> {
+    let first = &f.embeddings[0];
+    let items = &regions[first.graph as usize].info.items;
+    first
+        .node_set()
+        .iter()
+        .map(|n| &items[n as usize])
+        .collect()
+}
+
 /// Scores the best extractable candidate of one frequent fragment, or
-/// `None`. Its embeddings are in graph order ([`Fragment::embeddings`]),
-/// so each region's occurrences form one contiguous run.
+/// `None`. `body` is its [`first_body`], `kind` the body's
+/// [`classify_body`] verdict and `body_words` the body's size. The
+/// embeddings are in graph order ([`Fragment::embeddings`]), so each
+/// region's occurrences form one contiguous run.
 fn candidate_from_frequent<'a>(
     freq: &'a Fragment,
     regions: &'a [RegionState],
+    body: Vec<&'a Item>,
+    kind: ExtractionKind,
+    body_words: usize,
     lr_free: &[bool],
     tracer: &dyn Tracer,
 ) -> Option<Scored<'a>> {
-    if freq.embeddings.len() < 2 {
-        return None;
-    }
     if freq.embeddings.len() > MAX_VALIDATED_EMBEDDINGS {
         // Occurrences beyond the cap are silently never extracted;
         // record how many a consumer of this pattern loses sight of.
@@ -493,15 +509,8 @@ fn candidate_from_frequent<'a>(
             ],
         );
     }
-    // Body: the first embedding's items in program order.
     let first = &freq.embeddings[0];
     let first_items = &regions[first.graph as usize].info.items;
-    let body: Vec<&Item> = first
-        .node_set()
-        .iter()
-        .map(|n| &first_items[n as usize])
-        .collect();
-    let kind = classify_body(&body)?;
 
     // Validate each embedding site (bounded; see the constant above): the
     // body must stand in for it (counting the embeddings only
@@ -588,7 +597,6 @@ fn candidate_from_frequent<'a>(
         return None;
     }
 
-    let body_words: usize = body.iter().map(|i| i.encoded_words()).sum();
     let saved = saved_words(body_words, kept.len(), kind);
     if saved <= 0 {
         return None;
@@ -627,10 +635,17 @@ fn relaxed_claims(regions: &[RegionState], hosts: &[u32]) -> Vec<RelaxedPair> {
 /// Shared, read-only state of one detection round's lattice search.
 struct SearchCtx<'a> {
     regions: &'a [RegionState],
-    lr_free: &'a [bool],
-    region_live: &'a [bool],
     graphs: &'a [InputGraph],
+    lr_free: Vec<bool>,
+    /// Per region: it ends in a return with a dependence edge, so it can
+    /// host a cross-jump, each of whose occurrences holds that return.
+    closing_return: Vec<bool>,
+    /// Per region: it can host some extraction, a procedure (its
+    /// function's `lr` is free) or a cross-jump (`closing_return`).
+    region_live: Vec<bool>,
     max_body_words: i64,
+    /// Mining labels are exact, so equal labels mean equal items.
+    exact_labels: bool,
     tracer: &'a dyn Tracer,
 }
 
@@ -678,12 +693,44 @@ struct RunningBest {
     top: Vec<CandidateSummary>,
 }
 
-impl SearchCtx<'_> {
+impl<'a> SearchCtx<'a> {
+    /// The search over `state`, refreshed for `program`.
+    fn new(program: &Program, state: &'a RoundState, config: &'a GraphConfig) -> SearchCtx<'a> {
+        let regions = &state.regions;
+        let lr_free = lr_free_functions(program);
+        // A region's return can join a connected fragment only through a
+        // dependence edge.
+        let closing_return: Vec<bool> = regions
+            .iter()
+            .map(|region| {
+                let dfg = &region.artifact.dfg;
+                let n = dfg.node_count();
+                n > 0
+                    && region.info.items[n - 1].is_return()
+                    && (dfg.in_degree(n - 1) > 0 || dfg.out_degree(n - 1) > 0)
+            })
+            .collect();
+        let region_live = regions
+            .iter()
+            .zip(&closing_return)
+            .map(|(region, &closes)| closes || lr_free[region.info.function])
+            .collect();
+        SearchCtx {
+            regions,
+            graphs: &state.graphs,
+            lr_free,
+            closing_return,
+            region_live,
+            max_body_words: 2 * config.max_nodes as i64, // fused calls = 2 words
+            exact_labels: config.label_mode == LabelMode::Exact,
+            tracer: &*config.tracer,
+        }
+    }
+
     // The cross-jump benefit k·m − k − m is the most generous extraction
     // kind and is increasing in both k (occurrences) and m (body words),
     // so evaluating it at upper bounds of k and m bounds every candidate
-    // derivable from a pattern (and, for the subtree bound, from any of
-    // its descendants).
+    // derivable from a pattern's descendants.
     fn benefit_bound(k: i64, m: i64) -> i64 {
         k * m - k - m
     }
@@ -705,19 +752,31 @@ impl SearchCtx<'_> {
     /// subtree is being grown. Bounds are compared against
     /// `max(best, 1)` *inclusively*, so candidates tying the incumbent
     /// are still evaluated — this keeps the tie-break total.
+    ///
+    /// Every visit meets exactly one outcome, each with a count-only
+    /// counter: a cut (`detect.prune_*`), a skipped evaluation
+    /// (`detect.skip_eval_*`) or an evaluation
+    /// (`detect.candidates_evaluated`); `detect.visits` is their total.
     fn visit(&self, f: &Fragment, seed: usize, best: &mut RunningBest) -> GrowDecision {
+        self.tracer.count("detect.visits", 1);
         let m = f.pattern.node_count();
         // Any real candidate saves at least one word.
         let target = best.candidate.as_ref().map(|b| b.saved).unwrap_or(0).max(1);
+        // One pass over the graph-ordered runs counts the embeddings in
+        // live regions and the distinct regions that close with a return.
+        // A descendant's embeddings extend this pattern's, so they lie in
+        // these regions too.
+        let (mut k_live, mut closing) = (0, 0);
+        for run in f.embeddings.chunk_by(|a, b| a.graph == b.graph) {
+            let g = run[0].graph as usize;
+            if self.region_live[g] {
+                k_live += run.len();
+            }
+            closing += usize::from(self.closing_return[g]);
+        }
         // §3.5 PA-specific lattice pruning: an embedding can only ever be
-        // extracted if its region admits *some* mechanism (see
-        // region_live in best_candidate_instrumented); branches of the
-        // lattice supported only by dead regions are pruned.
-        let k_live = f
-            .embeddings
-            .iter()
-            .filter(|e| self.region_live[e.graph as usize])
-            .count();
+        // extracted if its region admits *some* mechanism; branches of
+        // the lattice supported only by dead regions are pruned.
         if k_live < 2 {
             self.tracer.count("detect.prune_dead_region", 1);
             return GrowDecision::SkipChildren;
@@ -729,28 +788,64 @@ impl SearchCtx<'_> {
             self.tracer.count("detect.prune_tiling_bound", 1);
             return GrowDecision::SkipChildren;
         }
-        // This very pattern cannot reach the target: skip the expensive
-        // validation but keep growing.
-        if Self::benefit_bound(k_ub, 2 * m as i64) >= target {
-            self.tracer.count("detect.candidates_evaluated", 1);
-            if let Some(c) = candidate_from_frequent(f, self.regions, self.lr_free, self.tracer) {
-                if self.tracer.enabled() {
-                    best.top.push(CandidateSummary::of(&c, seed));
-                    best.top.sort_by_key(|s| (-s.saved, s.body_words, s.seed));
-                    best.top.truncate(CANDIDATE_TABLE_LEN);
+        // Every candidate scored from this pattern has its first body and
+        // at most `k_ub` occurrences, and its savings grow with them: a
+        // pattern whose body admits no kind, or whose exact bound falls
+        // short of the target, is not evaluated, but its subtree grows.
+        let body = first_body(f, self.regions);
+        let Some(kind) = classify_body(&body) else {
+            // §3.5's cut of "branches of the lattice that only contain
+            // unextractable fragments". Under exact labels, every
+            // descendant's body holds each item of this one. An item no
+            // fragment may contain stays in all of them. Otherwise the
+            // body fails the procedure rules (it reads `lr`, or combines a
+            // call with `sp`; a return, which ends its region, could only
+            // be its last item), so a descendant can only be a cross-jump,
+            // and each of its disjoint occurrences holds the closing
+            // return of a region of its own.
+            if self.exact_labels {
+                if !body.iter().all(|i| item_extractable(i)) {
+                    self.tracer.count("detect.prune_unextractable_item", 1);
+                    return GrowDecision::SkipChildren;
                 }
-                if best
-                    .candidate
-                    .as_ref()
-                    .is_none_or(|b| c.beats(b, self.regions))
-                {
-                    let (candidate, hosts) = c.into_candidate(self.regions);
-                    best.candidate = Some(candidate);
-                    best.hosts = hosts;
+                if closing < 2 {
+                    self.tracer.count("detect.prune_procedure_only", 1);
+                    return GrowDecision::SkipChildren;
                 }
             }
-        } else {
+            self.tracer.count("detect.skip_eval_kind", 1);
+            return GrowDecision::Continue;
+        };
+        let body_words: usize = body.iter().map(|i| i.encoded_words()).sum();
+        if saved_words(body_words, k_ub as usize, kind) < target {
             self.tracer.count("detect.skip_eval_benefit", 1);
+            return GrowDecision::Continue;
+        }
+        self.tracer.count("detect.candidates_evaluated", 1);
+        let scored = candidate_from_frequent(
+            f,
+            self.regions,
+            body,
+            kind,
+            body_words,
+            &self.lr_free,
+            self.tracer,
+        );
+        if let Some(c) = scored {
+            if self.tracer.enabled() {
+                best.top.push(CandidateSummary::of(&c, seed));
+                best.top.sort_by_key(|s| (-s.saved, s.body_words, s.seed));
+                best.top.truncate(CANDIDATE_TABLE_LEN);
+            }
+            if best
+                .candidate
+                .as_ref()
+                .is_none_or(|b| c.beats(b, self.regions))
+            {
+                let (candidate, hosts) = c.into_candidate(self.regions);
+                best.candidate = Some(candidate);
+                best.hosts = hosts;
+            }
         }
         GrowDecision::Continue
     }
@@ -784,33 +879,7 @@ pub(crate) fn best_candidate_instrumented(
     // relaxed overlay decides extractability instead (convexity,
     // exit-closedness, contraction).
     state.refresh(program, config, cache);
-    let regions = &state.regions;
-    let graphs = &state.graphs;
-    let lr_free = lr_free_functions(program);
-    // A region is "live" when it could ever host an extraction: its
-    // function's lr is clobberable (procedures), or its return
-    // participates in a connected fragment (cross-jumps).
-    let region_live: Vec<bool> = regions
-        .iter()
-        .map(|region| {
-            if lr_free[region.info.function] {
-                return true;
-            }
-            let dfg = &region.artifact.dfg;
-            let n = dfg.node_count();
-            n > 0
-                && region.info.items[n - 1].is_return()
-                && (dfg.in_degree(n - 1) > 0 || dfg.out_degree(n - 1) > 0)
-        })
-        .collect();
-    let ctx = SearchCtx {
-        regions,
-        lr_free: &lr_free,
-        region_live: &region_live,
-        graphs,
-        max_body_words: 2 * config.max_nodes as i64, // fused calls = 2 words
-        tracer: &*config.tracer,
-    };
+    let ctx = SearchCtx::new(program, state, config);
     let mine_config = Config {
         min_support: 2,
         support: config.support,
@@ -821,7 +890,7 @@ pub(crate) fn best_candidate_instrumented(
     };
     let mine_span = gpa_trace::span(&*config.tracer, "mine");
     let mut best = RunningBest::default();
-    mine_streaming(graphs, &mine_config, &mut |f, seed| {
+    mine_streaming(ctx.graphs, &mine_config, &mut |f, seed| {
         ctx.visit(f, seed, &mut best)
     });
     drop(mine_span);
@@ -831,7 +900,7 @@ pub(crate) fn best_candidate_instrumented(
         top: table,
     } = best;
     if let Some(winner) = &mut winner {
-        winner.relaxed = relaxed_claims(regions, &hosts);
+        winner.relaxed = relaxed_claims(ctx.regions, &hosts);
     }
     if config.tracer.enabled() {
         // `visit` keeps the table sorted and truncated.
@@ -881,6 +950,7 @@ pub(crate) fn best_candidate_instrumented(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpa_arm::Cond;
     use gpa_cfg::{FunctionCode, LabelId};
 
     fn insn(text: &str) -> Item {
@@ -1296,6 +1366,294 @@ mod tests {
         let other = items(&["mov r0, #1", "mov r1, #3"]);
         assert!(!roles.stands_in_for(&Embedding::new(1, vec![0, 1]), &other));
         assert_eq!(roles.fallbacks, 1);
+    }
+
+    fn program_of(functions: Vec<FunctionCode>) -> Program {
+        Program {
+            entry: functions[0].name.clone(),
+            functions,
+            data: Vec::new(),
+            data_symbols: Vec::new(),
+            code_base: 0x8000,
+            data_base: 0x2_0000,
+        }
+    }
+
+    fn function(name: &str, items: Vec<Item>) -> FunctionCode {
+        FunctionCode {
+            name: name.into(),
+            address_taken: false,
+            items,
+            label_count: 1,
+        }
+    }
+
+    /// The winner of a search on `state`'s round that evaluates every
+    /// visited pattern whose body classifies and cuts nothing, with no
+    /// pattern budget: what the bounded and cut search must pick.
+    fn reference_winner(
+        program: &Program,
+        state: &RoundState,
+        config: &GraphConfig,
+    ) -> Option<Candidate> {
+        let lr_free = lr_free_functions(program);
+        let regions = &state.regions;
+        let mine_config = Config {
+            support: config.support,
+            max_nodes: config.max_nodes,
+            max_patterns: usize::MAX,
+            ..Config::default()
+        };
+        let mut best: Option<(Candidate, Vec<u32>)> = None;
+        mine_streaming(&state.graphs, &mine_config, &mut |f, _| {
+            let body = first_body(f, regions);
+            if let Some(kind) = classify_body(&body) {
+                let words = body.iter().map(|i| i.encoded_words()).sum();
+                let scored =
+                    candidate_from_frequent(f, regions, body, kind, words, &lr_free, &NoopTracer);
+                if let Some(c) = scored {
+                    if best.as_ref().is_none_or(|(b, _)| c.beats(b, regions)) {
+                        best = Some(c.into_candidate(regions));
+                    }
+                }
+            }
+            GrowDecision::Continue
+        });
+        best.map(|(mut c, hosts)| {
+            c.relaxed = relaxed_claims(regions, &hosts);
+            c
+        })
+    }
+
+    /// Holds the first detection round of `program` under `config`, with
+    /// no pattern budget, to [`reference_winner`]. Every visit meets one
+    /// counted outcome. Returns the round's counters.
+    fn assert_reference_winner(program: &Program, config: &GraphConfig) -> gpa_trace::Counters {
+        let tracer = Arc::new(gpa_trace::CounterTracer::new());
+        let config = GraphConfig {
+            max_patterns: usize::MAX,
+            tracer: tracer.clone(),
+            ..config.clone()
+        };
+        let mut state = RoundState::default();
+        let winner = best_candidate_instrumented(program, &config, None, &mut state);
+        assert_eq!(
+            winner,
+            reference_winner(program, &state, &config),
+            "{:?} {:?} {:?}",
+            config.support,
+            config.label_mode,
+            config.alias
+        );
+        let c = tracer.counters();
+        assert_eq!(c.get("detect.visits"), c.get("mine.patterns_visited"));
+        assert_eq!(c.check_identities(), Ok(()));
+        if config.label_mode == LabelMode::Canonical {
+            assert_eq!(c.get("detect.prune_unextractable_item"), 0);
+            assert_eq!(c.get("detect.prune_procedure_only"), 0);
+        }
+        c
+    }
+
+    /// Four functions, each a [`shuffled_copies`] copy of one random
+    /// region: in some programs every copy starts with an `lr`-reading
+    /// save or holds a call (a call with the region's `sp` accesses fails
+    /// the procedure rules), and each copy ends in a return, a `bx lr` or
+    /// a conditional tail call to the first (which reads the flags, and
+    /// which no fragment may contain).
+    fn random_program(rng: &mut rand::rngs::StdRng) -> Program {
+        use rand::Rng;
+        let copies = shuffled_copies(rng);
+        let save = rng.gen_bool(0.5);
+        let call_at = rng.gen_bool(0.5).then(|| rng.gen_range(0..copies[0].len()));
+        let call = Item::Call {
+            cond: Cond::Al,
+            target: "g".into(),
+        };
+        let functions = copies
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut items)| {
+                if let Some(at) = call_at {
+                    items.insert(at, call.clone());
+                }
+                if save {
+                    items.insert(0, insn("push {r4, lr}"));
+                }
+                items.push(match rng.gen_range(0..3u32) {
+                    0 => Item::TailCall {
+                        cond: Cond::Eq,
+                        target: "f0".into(),
+                    },
+                    1 => insn("bx lr"),
+                    _ => insn("pop {r4, pc}"),
+                });
+                function(&format!("f{i}"), items)
+            })
+            .collect();
+        program_of(functions)
+    }
+
+    /// With no pattern budget, the exact evaluation bound and the two
+    /// cuts leave the winner as a search that evaluates every pattern
+    /// picks it, on random programs under both countings and both label
+    /// modes. Neither cut fires under canonical labels.
+    #[test]
+    fn bounded_and_cut_search_picks_the_reference_winner_on_random_programs() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(0x63_7574);
+        let (mut unextractable, mut procedure_only, mut won) = (0, 0, 0);
+        for _ in 0..120 {
+            let program = random_program(&mut rng);
+            for label_mode in [LabelMode::Exact, LabelMode::Canonical] {
+                for support in [Support::Embeddings, Support::Graphs] {
+                    let config = GraphConfig {
+                        support,
+                        label_mode,
+                        max_nodes: 6,
+                        ..GraphConfig::default()
+                    };
+                    let c = assert_reference_winner(&program, &config);
+                    unextractable += c.get("detect.prune_unextractable_item");
+                    procedure_only += c.get("detect.prune_procedure_only");
+                    won += c.get("detect.candidates_evaluated").min(1);
+                }
+            }
+        }
+        assert!(
+            unextractable > 0 && procedure_only > 0 && won > 300,
+            "{unextractable} unextractable-item cuts, {procedure_only} procedure-only cuts, \
+             {won} searches that evaluated"
+        );
+    }
+
+    /// The same on the first detection round of five bundled kernels, at
+    /// both alias levels and under both countings.
+    #[test]
+    fn bounded_and_cut_search_picks_the_reference_winner_on_kernels() {
+        for kernel in ["bitcnts", "crc", "dijkstra", "patricia", "search"] {
+            let image =
+                gpa_minicc::compile_benchmark(kernel, &gpa_minicc::Options::default()).unwrap();
+            let program = gpa_cfg::decode_image(&image).unwrap();
+            for alias in [AliasLevel::Off, AliasLevel::Stack] {
+                for support in [Support::Embeddings, Support::Graphs] {
+                    let config = GraphConfig {
+                        support,
+                        alias,
+                        ..GraphConfig::default()
+                    };
+                    let c = assert_reference_winner(&program, &config);
+                    assert!(c.get("detect.prune_procedure_only") > 0, "{kernel}");
+                }
+            }
+        }
+    }
+
+    /// The visitor's decision on the first visited pattern whose body is
+    /// `body` (mining labels), in the first detection round of `program`,
+    /// and the round's count of `counter`.
+    fn decision_on(
+        program: &Program,
+        label_mode: LabelMode,
+        body: &[impl AsRef<str>],
+        counter: &str,
+    ) -> (Option<GrowDecision>, u64) {
+        let tracer = Arc::new(gpa_trace::CounterTracer::new());
+        let config = GraphConfig {
+            label_mode,
+            tracer: tracer.clone(),
+            ..GraphConfig::default()
+        };
+        let mut state = RoundState::default();
+        state.refresh(program, &config, None);
+        let ctx = SearchCtx::new(program, &state, &config);
+        let mine_config = Config {
+            max_nodes: config.max_nodes,
+            ..Config::default()
+        };
+        let mut best = RunningBest::default();
+        let mut decision = None;
+        mine_streaming(ctx.graphs, &mine_config, &mut |f, seed| {
+            let visited = ctx.visit(f, seed, &mut best);
+            let labels: Vec<String> = first_body(f, ctx.regions)
+                .iter()
+                .map(|i| i.mining_label())
+                .collect();
+            if decision.is_none() && labels.iter().eq(body.iter().map(AsRef::as_ref)) {
+                decision = Some(visited);
+            }
+            visited
+        });
+        (decision, tracer.counters().get(counter))
+    }
+
+    /// A compare and the branch it feeds: no fragment may hold the
+    /// branch, so under exact labels the pattern's subtree is cut.
+    #[test]
+    fn a_body_holding_a_branch_is_cut_under_exact_labels_only() {
+        let test_and_branch = |name: &str| {
+            let items = vec![
+                Item::Label(LabelId(0)),
+                insn("cmp r0, r1"),
+                Item::Branch {
+                    cond: Cond::Ne,
+                    target: LabelId(0),
+                },
+                insn("pop {r4, pc}"),
+            ];
+            function(name, items)
+        };
+        let program = program_of(vec![test_and_branch("a"), test_and_branch("b")]);
+        let items = &program.functions[0].items;
+        let body = [items[1].mining_label(), items[2].mining_label()];
+        let cut = "detect.prune_unextractable_item";
+        assert_eq!(
+            decision_on(&program, LabelMode::Exact, &body, cut),
+            (Some(GrowDecision::SkipChildren), 1)
+        );
+        assert_eq!(
+            decision_on(&program, LabelMode::Canonical, &body, cut),
+            (Some(GrowDecision::Continue), 0)
+        );
+    }
+
+    /// A body that reads `lr` can only grow into a cross-jump, so it is
+    /// kept while its embeddings lie in two regions that close with a
+    /// connected return, and cut when they lie in one, however many of
+    /// its embeddings that region holds.
+    #[test]
+    fn an_lr_reading_body_is_cut_unless_two_regions_close_with_a_return() {
+        let pair = || [insn("mov r4, lr"), insn("add r1, r4, #1")];
+        let twice: Vec<Item> = pair()
+            .into_iter()
+            .chain(pair())
+            .chain([insn("pop {r4, pc}")])
+            .collect();
+        let once = |end: Item| pair().into_iter().chain([end]).collect();
+        let tail_call = Item::TailCall {
+            cond: Cond::Al,
+            target: "g".into(),
+        };
+        let two_regions = program_of(vec![
+            function("a", twice.clone()),
+            function("b", once(insn("pop {r4, pc}"))),
+        ]);
+        let one_region = program_of(vec![function("a", twice), function("b", once(tail_call))]);
+        let body = ["mov r4, lr", "add r1, r4, #1"];
+        let cut = "detect.prune_procedure_only";
+        assert_eq!(
+            decision_on(&two_regions, LabelMode::Exact, &body, cut),
+            (Some(GrowDecision::Continue), 0)
+        );
+        assert_eq!(
+            decision_on(&one_region, LabelMode::Exact, &body, cut),
+            (Some(GrowDecision::SkipChildren), 1)
+        );
+        assert_eq!(
+            decision_on(&one_region, LabelMode::Canonical, &body, cut),
+            (Some(GrowDecision::Continue), 0)
+        );
     }
 
     /// Random regions of loads, stores and ALU ops over a few registers,

@@ -92,6 +92,21 @@ pub const IDENTITIES: &[Identity] = &[
         "mine.canon_checks",
         &["mine.canon_cache_hit", "mine.canon_cache_miss"],
     ),
+    // Every pattern detection's visitor sees is cut, skipped without an
+    // evaluation, or evaluated — exactly one of them.
+    trace(
+        4,
+        "detect.visits",
+        &[
+            "detect.prune_dead_region",
+            "detect.prune_tiling_bound",
+            "detect.prune_unextractable_item",
+            "detect.prune_procedure_only",
+            "detect.skip_eval_kind",
+            "detect.skip_eval_benefit",
+            "detect.candidates_evaluated",
+        ],
+    ),
     // Every memory pair the alias oracle examined is disjoint or kept.
     trace(
         4,
@@ -264,7 +279,7 @@ mod tests {
     #[test]
     fn every_row_accepts_a_balanced_record_and_rejects_a_one_off_imbalance() {
         let classes: Vec<u8> = IDENTITIES.iter().map(|i| i.exit_class).collect();
-        assert_eq!(classes, [4, 4, 4, 4, 4, 4, 5, 5]);
+        assert_eq!(classes, [4, 4, 4, 4, 4, 4, 4, 5, 5]);
         for identity in IDENTITIES {
             let record = balanced(identity);
             assert_eq!(run(identity.form, &record), Ok(()));

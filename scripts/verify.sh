@@ -95,7 +95,11 @@ head -n1 "$WORK/opt_traced_full.txt" > "$WORK/opt_traced.txt"
 # Work-counter gate: the lattice search on crc does exactly this much
 # work. A faster search must take up the same codes (`mine.codes`: each
 # arc once as a seed, in its minimal orientation, plus the extension
-# tuples), visit the same patterns and evaluate the same candidates. The
+# tuples), visit the same patterns and evaluate the same candidates:
+# only those whose exact savings bound reaches the incumbent. The
+# visitor cuts the subtree of a body that holds an item no fragment may
+# contain, and of one that fails only the procedure rules while fewer
+# than two of its regions close with a return (DESIGN.md §8). The
 # canonical test runs only on codes that can still be frequent: a code
 # with fewer embeddings than `min_support` is cut before it (counted in
 # `mine.prune_infrequent`), and the enumerations build the embeddings
@@ -120,11 +124,12 @@ gate_counters() { # trace-file name=value...
         fi
     done
 }
-crc_work=(mine.codes=21471 mine.patterns_visited=5146 mine.canon_checks=8003
-    mine.expanded=4636 mine.extensions_generated=14758
-    mine.prune_non_canonical=2804 mine.prune_infrequent=13521
-    detect.candidates_evaluated=3678 detect.embedding_unextractable=1012
-    detect.trace_fallback=0 mis.bb_steps=3655 mine.embeddings_built=18131
+crc_work=(mine.codes=17290 mine.patterns_visited=3571 mine.canon_checks=5277
+    mine.expanded=2522 mine.extensions_generated=10577
+    mine.prune_non_canonical=1653 mine.prune_infrequent=12066
+    detect.candidates_evaluated=170 detect.embedding_unextractable=103
+    detect.prune_unextractable_item=215 detect.prune_procedure_only=324
+    detect.trace_fallback=0 mis.bb_steps=487 mine.embeddings_built=12627
     front.regions=1830 front.regions_built=332 front.regions_reused=1498)
 gate_counters "$WORK/crc.jsonl" "${crc_work[@]}"
 # Under --alias stack the same search runs on crc, and every round's
@@ -199,10 +204,10 @@ done
 # search takes up the same codes in the same order, which is what keeps
 # a budget-bound image byte-identical when the search gets faster.
 "$GPA" trace-check "$WORK/crc_j1.jsonl" "$WORK/qsort_j1.jsonl"
-gate_counters "$WORK/qsort_j1.jsonl" mine.codes=2726570 \
-    mine.patterns_visited=340107 mine.extensions_generated=2707724 \
-    mine.budget_exhausted=3 mine.canon_checks=738363 \
-    detect.candidates_evaluated=333894 mine.embeddings_built=1487269 \
+gate_counters "$WORK/qsort_j1.jsonl" mine.codes=2574049 \
+    mine.patterns_visited=337047 mine.extensions_generated=2555203 \
+    mine.budget_exhausted=3 mine.canon_checks=734005 \
+    detect.candidates_evaluated=67821 mine.embeddings_built=1478496 \
     detect.trace_fallback=0
 echo "verify: --jobs smoke OK (crc jobs 1/2/8, qsort jobs 1/2 byte-identical)"
 
