@@ -9,7 +9,6 @@ use gpa_bench::compile;
 use gpa_dfg::{build_all, LabelMode};
 use gpa_mining::graph::{GEdge, InputGraph};
 use gpa_mining::miner::{mine, Config, Support};
-use gpa_trace::Tracer;
 
 fn graphs_for(name: &str) -> Vec<InputGraph> {
     let image = compile(name, true);
@@ -120,46 +119,10 @@ fn bench_dense_bucket(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_canonical_cache(c: &mut Criterion) {
-    // The canonicality cache memoizes `Pattern::is_min` by content hash;
-    // repeated mining rounds over the same corpus (the optimizer's normal
-    // shape) re-check mostly-identical patterns. Report the observed
-    // hit rate once, then measure the re-mining time the cache serves.
-    let graphs = graphs_for("crc");
-    let config = Config {
-        min_support: 2,
-        support: Support::Embeddings,
-        max_nodes: 8,
-        max_patterns: 30_000,
-        ..Config::default()
-    };
-    let tracer = std::sync::Arc::new(gpa_trace::CounterTracer::new());
-    let traced = Config {
-        tracer: tracer.clone(),
-        ..config.clone()
-    };
-    // Two rounds: the second runs against a warm cache, like round 2 of
-    // the optimizer does.
-    let _ = mine(&graphs, &traced);
-    let _ = mine(&graphs, &traced);
-    let counters = tracer.counters();
-    let checks = counters.get("mine.canon_checks");
-    let hits = counters.get("mine.canon_cache_hit");
-    eprintln!(
-        "canonical cache: {hits}/{checks} hits ({:.1}%)",
-        100.0 * hits as f64 / checks.max(1) as f64
-    );
-    let mut group = c.benchmark_group("mining_canonical_cache");
-    group.sample_size(10);
-    group.bench_function("warm_rerun", |b| b.iter(|| mine(&graphs, &config)));
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_support_modes,
     bench_fragment_cap,
-    bench_dense_bucket,
-    bench_canonical_cache
+    bench_dense_bucket
 );
 criterion_main!(benches);

@@ -1,14 +1,11 @@
 //! Paper-evaluation helpers and harness binaries over the bundled
 //! MiBench kernels.
 //!
-//! Table 1, Fig. 11 and Fig. 12 come from one optimizing run, `gpa perf`
-//! (`gpa-metrics`), which also re-runs every optimized image in the
-//! emulator. The binaries here print what needs no optimizer run:
+//! Tables 1–3, Fig. 11 and Fig. 12 come from one optimizing run, `gpa
+//! perf` (`gpa-metrics`), which also re-runs every optimized image in
+//! the emulator. The binaries here are:
 //!
-//! * `table2` — instructions with (in ∨ out) degree > 1 vs ≤ 1;
-//! * `table3` — in/out-degree histograms (0, 1, 2, 3, ≥ 4);
 //! * `ablation` — frequent fragments under exact vs canonical labels;
-//! * `sizes` — compiled image statistics;
 //! * `gpa-bench` — the serve-mode load generator.
 //!
 //! Criterion benches live under `benches/`.

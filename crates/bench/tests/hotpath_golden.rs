@@ -1,9 +1,9 @@
 //! Behavior goldens for the mining hot path.
 //!
 //! The bitset rewrite of the Edgar mining core (`NodeSet` embeddings,
-//! word-parallel collision graphs, the widened exact MIS, the
-//! canonicality cache) must be invisible in every deterministic output:
-//! same fragments, same MIS choices, same savings. These tests pin the
+//! word-parallel collision graphs, the widened exact MIS) must be
+//! invisible in every deterministic output: same fragments, same MIS
+//! choices, same savings. These tests pin the
 //! deterministic sections of the `gpa-report/1`, `gpa-corpus/1` and
 //! `gpa-bench/1` documents — and a raw fingerprint of `mine` results —
 //! to golden files captured from the pre-rewrite implementation.

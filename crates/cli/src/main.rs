@@ -1083,7 +1083,7 @@ fn submit(args: &[String]) -> Result<ExitCode, String> {
 /// `gpa perf`: the benchmark harness over the bundled kernel corpus.
 ///
 /// Writes the `gpa-bench/1` document to `-o` (default `BENCH_gpa.json`)
-/// and the markdown views (Table 1, Fig. 11, Fig. 12, latency, cache) to
+/// and the markdown views (Tables 1–3, Figs. 11–12, latency, cache) to
 /// stdout. Every optimized image runs in the emulator; one that exits or
 /// prints otherwise than its input fails the run (exit `1`). `--baseline <file>` turns the run
 /// into a gate: exit `2` on a hard compression regression, `3` when only
@@ -1261,7 +1261,7 @@ impl TraceIssue {
 /// the schema header, the last the counter summary; every event name's
 /// line count must equal its recorded counter; and the summary must
 /// balance every finished-trace row of [`gpa_trace::identity::IDENTITIES`]
-/// (miner, canonicality cache, alias pairs and carried regions exit
+/// (miner, detection visits, alias pairs and carried regions exit
 /// `4`, serve requests `5`). A `gpa-stats/1` snapshot is checked
 /// against the live row instead. Diagnostics name the first offending
 /// line; the exit code is the most severe class seen across all files

@@ -897,34 +897,7 @@ fn trace_check_distinguishes_failure_classes() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    // The canonicality-cache identity (canon_checks == hit + miss) is
-    // enforced the same way.
-    assert!(
-        text.contains("\"mine.canon_checks\":"),
-        "optimize traces must carry the canonicality-cache counters"
-    );
-    let canon_tampered_path = tmp("tc_codes_canon_tampered.jsonl");
-    std::fs::write(
-        &canon_tampered_path,
-        text.replacen("\"mine.canon_checks\":", "\"mine.canon_checks\":9", 1),
-    )
-    .unwrap();
-    let out = gpa()
-        .args(["trace-check", canon_tampered_path.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(
-        out.status.code(),
-        Some(4),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("canon_cache_hit"),
-        "diagnostic must name the canonicality identity: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    for p in [bad, img, opt, trace, tampered_path, canon_tampered_path] {
+    for p in [bad, img, opt, trace, tampered_path] {
         let _ = std::fs::remove_file(p);
     }
 }

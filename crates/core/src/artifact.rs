@@ -4,12 +4,11 @@
 //!
 //! * [`RoundState`] — one optimization's detection inputs: per function,
 //!   its regions with their DFGs, reachability closures and mining
-//!   graphs, and under `--alias stack` their alias oracles and relaxed
-//!   overlays. An extraction rewrites only the functions hosting the
-//!   winner's occurrences and appends the fragment function, so after
-//!   each round only those are rebuilt; every other function's entries
-//!   carry over. This is where round-to-round reuse within one run
-//!   comes from.
+//!   graphs, and under `--alias stack` their relaxed overlays. An
+//!   extraction rewrites only the functions hosting the winner's
+//!   occurrences and appends the fragment function, so after each round
+//!   only those are rebuilt; every other function's entries carry over.
+//!   This is where round-to-round reuse within one run comes from.
 //! * [`DfgCache`] — an in-memory map from a block's content address
 //!   ([`gpa_dfg::block_content_hash`]) to its built artifact: the DFG and
 //!   the forward-reachability closure detection needs for convexity
@@ -53,8 +52,9 @@ pub(crate) struct BlockArtifact {
 }
 
 impl BlockArtifact {
-    pub(crate) fn build(items: &[Item], mode: LabelMode) -> BlockArtifact {
-        BlockArtifact::of(gpa_dfg::build_dfg_from_items("", 0, items, mode))
+    pub(crate) fn build(items: &[Item]) -> BlockArtifact {
+        let dfg = gpa_dfg::build_dfg_from_items("", 0, items, LabelMode::Exact);
+        BlockArtifact::of(dfg)
     }
 
     fn of(dfg: Dfg) -> BlockArtifact {
@@ -69,8 +69,8 @@ pub(crate) struct RegionState {
     pub(crate) info: RegionInfo,
     /// The conservative DFG and closure: mining counts on these.
     pub(crate) artifact: Arc<BlockArtifact>,
-    /// Under [`AliasLevel::Stack`], the region's alias oracle and the
-    /// relaxed artifact built against it.
+    /// Under [`AliasLevel::Stack`], the relaxed artifact built against
+    /// the region's alias oracle.
     pub(crate) overlay: Option<Overlay>,
     /// Per node, the key of its label in [`RoundState`]'s run-lifetime
     /// label table.
@@ -95,10 +95,10 @@ impl RegionState {
     }
 }
 
-/// A region's alias oracle and the artifact built against it.
+/// The artifact built against a region's alias oracle, with what the
+/// oracle decided.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Overlay {
-    pub(crate) oracle: AliasOracle,
     /// The relaxed artifact; the conservative one itself, shared, when
     /// the oracle relaxes no pair.
     pub(crate) artifact: Arc<BlockArtifact>,
@@ -115,15 +115,14 @@ impl Overlay {
     /// first, and only a region with a disjoint pair gets a relaxed
     /// graph of its own, built on the conservative graph's labels and
     /// items. Equal to a full build against `oracle` either way.
-    pub(crate) fn build(conservative: &Arc<BlockArtifact>, oracle: AliasOracle) -> Overlay {
-        let (relaxed, stats) = conservative.dfg.disjoint_mem_pairs(&oracle);
+    pub(crate) fn build(conservative: &Arc<BlockArtifact>, oracle: &AliasOracle) -> Overlay {
+        let (relaxed, stats) = conservative.dfg.disjoint_mem_pairs(oracle);
         let artifact = if relaxed.is_empty() {
             Arc::clone(conservative)
         } else {
             Arc::new(BlockArtifact::of(conservative.dfg.without_mem(&relaxed)))
         };
         Overlay {
-            oracle,
             artifact,
             relaxed,
             stats,
@@ -156,8 +155,8 @@ struct FuncState {
 /// replaced: the state holds one generation.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RoundState {
-    /// The label mode and alias level the entries were built under.
-    built_for: Option<(LabelMode, AliasLevel)>,
+    /// The alias level the entries were built under.
+    built_for: Option<AliasLevel>,
     /// Functions rewritten since the last refresh.
     dirty: BTreeSet<usize>,
     /// Per function, aligned with `Program::functions`.
@@ -189,12 +188,12 @@ impl RoundState {
         self.dirty.insert(function);
     }
 
-    /// The key of `item`'s label under `mode`.
-    fn key_of(&mut self, item: &Item, mode: LabelMode) -> u32 {
+    /// The key of `item`'s label.
+    fn key_of(&mut self, item: &Item) -> u32 {
         if let Some(&key) = self.item_keys.get(item) {
             return key;
         }
-        let key = self.labels.intern(&mode.label(item));
+        let key = self.labels.intern(&item.mining_label());
         self.item_keys.insert(item.clone(), key);
         key
     }
@@ -237,10 +236,9 @@ impl RoundState {
     ) {
         let tracer = &*config.tracer;
         let _front_span = gpa_trace::span(tracer, "front");
-        let settings = (config.label_mode, config.alias);
-        if self.built_for != Some(settings) || program.functions.len() < self.funcs.len() {
+        if self.built_for != Some(config.alias) || program.functions.len() < self.funcs.len() {
             *self = RoundState {
-                built_for: Some(settings),
+                built_for: Some(config.alias),
                 ..RoundState::default()
             };
         }
@@ -266,13 +264,10 @@ impl RoundState {
                     old_graphs.by_ref().take(carried).for_each(drop);
                     rebuilt[fi] = true;
                     for info in function_region_infos(fi, f) {
-                        let keys: Vec<u32> = info
-                            .items
-                            .iter()
-                            .map(|item| self.key_of(item, config.label_mode))
-                            .collect();
+                        let keys: Vec<u32> =
+                            info.items.iter().map(|item| self.key_of(item)).collect();
                         let artifact = match cache {
-                            Some(cache) => cache.get_or_build(&info.items, config.label_mode),
+                            Some(cache) => cache.get_or_build(&info.items),
                             None => {
                                 let labels = keys
                                     .iter()
@@ -373,7 +368,7 @@ impl RoundState {
                     func.points = analysis.points;
                     for region in &mut self.regions[func.regions.clone()] {
                         let oracle = region_oracle(&region.info, &analysis, &env);
-                        let overlay = Overlay::build(&region.artifact, oracle);
+                        let overlay = Overlay::build(&region.artifact, &oracle);
                         if Arc::ptr_eq(&overlay.artifact, &region.artifact) {
                             shared += 1;
                         } else {
@@ -499,8 +494,8 @@ impl DfgCache {
 
     /// Returns the artifact for a block, building and publishing it on
     /// first sight.
-    pub(crate) fn get_or_build(&self, items: &[Item], mode: LabelMode) -> Arc<BlockArtifact> {
-        let key = block_content_hash(items, mode);
+    pub(crate) fn get_or_build(&self, items: &[Item]) -> Arc<BlockArtifact> {
+        let key = block_content_hash(items, LabelMode::Exact);
         {
             let mut inner = self.inner.lock().expect("dfg cache poisoned");
             if let Some((found, _)) = inner.map.get(&key) {
@@ -512,7 +507,7 @@ impl DfgCache {
         }
         // Build outside the lock: duplicate work on a race is cheaper
         // than serializing every construction behind one mutex.
-        let built = Arc::new(BlockArtifact::build(items, mode));
+        let built = Arc::new(BlockArtifact::build(items));
         let mut inner = self.inner.lock().expect("dfg cache poisoned");
         if let Some((rival, _)) = inner.map.get(&key) {
             // A racing builder published first; adopt its artifact.
@@ -629,14 +624,14 @@ mod tests {
     fn dfg_cache_hits_on_equal_blocks() {
         let cache = DfgCache::new();
         let a = items("ldr r3, [r1]!\nsub r2, r2, r3");
-        let first = cache.get_or_build(&a, LabelMode::Exact);
-        let second = cache.get_or_build(&a, LabelMode::Exact);
+        let first = cache.get_or_build(&a);
+        let second = cache.get_or_build(&a);
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         // A different block misses.
         let b = items("mov r0, #7");
-        let _ = cache.get_or_build(&b, LabelMode::Exact);
+        let _ = cache.get_or_build(&b);
         assert_eq!(cache.misses(), 2);
     }
 
@@ -644,8 +639,8 @@ mod tests {
     fn cached_artifact_equals_direct_build() {
         let a = items("ldr r3, [r1]!\nsub r2, r2, r3\nadd r4, r2, #4");
         let cache = DfgCache::new();
-        let cached = cache.get_or_build(&a, LabelMode::Exact);
-        let direct = BlockArtifact::build(&a, LabelMode::Exact);
+        let cached = cache.get_or_build(&a);
+        let direct = BlockArtifact::build(&a);
         assert_eq!(cached.dfg.edges(), direct.dfg.edges());
         assert_eq!(cached.dfg.node_count(), direct.dfg.node_count());
     }
@@ -691,19 +686,19 @@ mod tests {
         let a = items("mov r0, #1");
         let b = items("mov r0, #2");
         let c = items("mov r0, #3");
-        let _ = cache.get_or_build(&a, LabelMode::Exact);
-        let _ = cache.get_or_build(&b, LabelMode::Exact);
+        let _ = cache.get_or_build(&a);
+        let _ = cache.get_or_build(&b);
         // Touch `a` so `b` becomes the LRU victim when `c` arrives.
-        let _ = cache.get_or_build(&a, LabelMode::Exact);
-        let _ = cache.get_or_build(&c, LabelMode::Exact);
+        let _ = cache.get_or_build(&a);
+        let _ = cache.get_or_build(&c);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evicted(), 1);
         // `a` survived (hit), `b` was evicted (miss rebuilds it).
         let hits_before = cache.hits();
-        let _ = cache.get_or_build(&a, LabelMode::Exact);
+        let _ = cache.get_or_build(&a);
         assert_eq!(cache.hits(), hits_before + 1);
         let misses_before = cache.misses();
-        let _ = cache.get_or_build(&b, LabelMode::Exact);
+        let _ = cache.get_or_build(&b);
         assert_eq!(cache.misses(), misses_before + 1);
     }
 

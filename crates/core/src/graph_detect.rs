@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use gpa_arm::defuse::conflicts;
 use gpa_cfg::{FunctionCode, Item, Program};
-use gpa_dfg::{AliasOracle, Dfg, LabelMode};
+use gpa_dfg::{AliasOracle, Dfg};
 use gpa_mining::embed::Embedding;
 use gpa_mining::graph::InputGraph;
 use gpa_mining::miner::{
@@ -25,8 +25,6 @@ use crate::trace::trace_equivalent;
 pub struct GraphConfig {
     /// Support counting: `Graphs` = DgSpan, `Embeddings` = Edgar.
     pub support: Support,
-    /// Node-label scheme (exact for extraction; canonical only estimates).
-    pub label_mode: LabelMode,
     /// Fragment size cap in nodes.
     pub max_nodes: usize,
     /// Pattern-visit budget per mining round (bounds the exponential
@@ -56,7 +54,6 @@ impl Default for GraphConfig {
     fn default() -> GraphConfig {
         GraphConfig {
             support: Support::Embeddings,
-            label_mode: LabelMode::Exact,
             max_nodes: 16,
             max_patterns: crate::optimizer::DEFAULT_MAX_PATTERNS,
             tracer: Arc::new(NoopTracer),
@@ -644,8 +641,6 @@ struct SearchCtx<'a> {
     /// function's `lr` is free) or a cross-jump (`closing_return`).
     region_live: Vec<bool>,
     max_body_words: i64,
-    /// Mining labels are exact, so equal labels mean equal items.
-    exact_labels: bool,
     tracer: &'a dyn Tracer,
 }
 
@@ -722,7 +717,6 @@ impl<'a> SearchCtx<'a> {
             closing_return,
             region_live,
             max_body_words: 2 * config.max_nodes as i64, // fused calls = 2 words
-            exact_labels: config.label_mode == LabelMode::Exact,
             tracer: &*config.tracer,
         }
     }
@@ -795,7 +789,7 @@ impl<'a> SearchCtx<'a> {
         let body = first_body(f, self.regions);
         let Some(kind) = classify_body(&body) else {
             // §3.5's cut of "branches of the lattice that only contain
-            // unextractable fragments". Under exact labels, every
+            // unextractable fragments". Mining labels are exact, so every
             // descendant's body holds each item of this one. An item no
             // fragment may contain stays in all of them. Otherwise the
             // body fails the procedure rules (it reads `lr`, or combines a
@@ -803,15 +797,13 @@ impl<'a> SearchCtx<'a> {
             // be its last item), so a descendant can only be a cross-jump,
             // and each of its disjoint occurrences holds the closing
             // return of a region of its own.
-            if self.exact_labels {
-                if !body.iter().all(|i| item_extractable(i)) {
-                    self.tracer.count("detect.prune_unextractable_item", 1);
-                    return GrowDecision::SkipChildren;
-                }
-                if closing < 2 {
-                    self.tracer.count("detect.prune_procedure_only", 1);
-                    return GrowDecision::SkipChildren;
-                }
+            if !body.iter().all(|i| item_extractable(i)) {
+                self.tracer.count("detect.prune_unextractable_item", 1);
+                return GrowDecision::SkipChildren;
+            }
+            if closing < 2 {
+                self.tracer.count("detect.prune_procedure_only", 1);
+                return GrowDecision::SkipChildren;
             }
             self.tracer.count("detect.skip_eval_kind", 1);
             return GrowDecision::Continue;
@@ -952,6 +944,7 @@ mod tests {
     use super::*;
     use gpa_arm::Cond;
     use gpa_cfg::{FunctionCode, LabelId};
+    use gpa_dfg::LabelMode;
 
     fn insn(text: &str) -> Item {
         Item::Insn(text.parse().unwrap())
@@ -1138,7 +1131,7 @@ mod tests {
         .iter()
         .map(|s| insn(s))
         .collect();
-        let artifact = BlockArtifact::build(&items, LabelMode::Exact);
+        let artifact = BlockArtifact::build(&items);
         assert_eq!(
             probe_family(&items, &artifact, &[], &[vec![0, 2], vec![1, 3]]),
             1
@@ -1161,7 +1154,7 @@ mod tests {
         .iter()
         .map(|s| insn(s))
         .collect();
-        let artifact = BlockArtifact::build(&items, LabelMode::Exact);
+        let artifact = BlockArtifact::build(&items);
         let ring = [vec![0, 5], vec![1, 3], vec![2, 4]];
         assert_eq!(probe_family(&items, &artifact, &[], &ring), 1);
     }
@@ -1440,18 +1433,13 @@ mod tests {
         assert_eq!(
             winner,
             reference_winner(program, &state, &config),
-            "{:?} {:?} {:?}",
+            "{:?} {:?}",
             config.support,
-            config.label_mode,
             config.alias
         );
         let c = tracer.counters();
         assert_eq!(c.get("detect.visits"), c.get("mine.patterns_visited"));
         assert_eq!(c.check_identities(), Ok(()));
-        if config.label_mode == LabelMode::Canonical {
-            assert_eq!(c.get("detect.prune_unextractable_item"), 0);
-            assert_eq!(c.get("detect.prune_procedure_only"), 0);
-        }
         c
     }
 
@@ -1496,29 +1484,25 @@ mod tests {
 
     /// With no pattern budget, the exact evaluation bound and the two
     /// cuts leave the winner as a search that evaluates every pattern
-    /// picks it, on random programs under both countings and both label
-    /// modes. Neither cut fires under canonical labels.
+    /// picks it, on random programs under both countings.
     #[test]
     fn bounded_and_cut_search_picks_the_reference_winner_on_random_programs() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(0x63_7574);
         let (mut unextractable, mut procedure_only, mut won) = (0, 0, 0);
-        for _ in 0..120 {
+        for _ in 0..240 {
             let program = random_program(&mut rng);
-            for label_mode in [LabelMode::Exact, LabelMode::Canonical] {
-                for support in [Support::Embeddings, Support::Graphs] {
-                    let config = GraphConfig {
-                        support,
-                        label_mode,
-                        max_nodes: 6,
-                        ..GraphConfig::default()
-                    };
-                    let c = assert_reference_winner(&program, &config);
-                    unextractable += c.get("detect.prune_unextractable_item");
-                    procedure_only += c.get("detect.prune_procedure_only");
-                    won += c.get("detect.candidates_evaluated").min(1);
-                }
+            for support in [Support::Embeddings, Support::Graphs] {
+                let config = GraphConfig {
+                    support,
+                    max_nodes: 6,
+                    ..GraphConfig::default()
+                };
+                let c = assert_reference_winner(&program, &config);
+                unextractable += c.get("detect.prune_unextractable_item");
+                procedure_only += c.get("detect.prune_procedure_only");
+                won += c.get("detect.candidates_evaluated").min(1);
             }
         }
         assert!(
@@ -1555,13 +1539,11 @@ mod tests {
     /// and the round's count of `counter`.
     fn decision_on(
         program: &Program,
-        label_mode: LabelMode,
         body: &[impl AsRef<str>],
         counter: &str,
     ) -> (Option<GrowDecision>, u64) {
         let tracer = Arc::new(gpa_trace::CounterTracer::new());
         let config = GraphConfig {
-            label_mode,
             tracer: tracer.clone(),
             ..GraphConfig::default()
         };
@@ -1589,9 +1571,9 @@ mod tests {
     }
 
     /// A compare and the branch it feeds: no fragment may hold the
-    /// branch, so under exact labels the pattern's subtree is cut.
+    /// branch, so the pattern's subtree is cut.
     #[test]
-    fn a_body_holding_a_branch_is_cut_under_exact_labels_only() {
+    fn a_body_holding_a_branch_is_cut() {
         let test_and_branch = |name: &str| {
             let items = vec![
                 Item::Label(LabelId(0)),
@@ -1609,12 +1591,8 @@ mod tests {
         let body = [items[1].mining_label(), items[2].mining_label()];
         let cut = "detect.prune_unextractable_item";
         assert_eq!(
-            decision_on(&program, LabelMode::Exact, &body, cut),
+            decision_on(&program, &body, cut),
             (Some(GrowDecision::SkipChildren), 1)
-        );
-        assert_eq!(
-            decision_on(&program, LabelMode::Canonical, &body, cut),
-            (Some(GrowDecision::Continue), 0)
         );
     }
 
@@ -1643,16 +1621,12 @@ mod tests {
         let body = ["mov r4, lr", "add r1, r4, #1"];
         let cut = "detect.prune_procedure_only";
         assert_eq!(
-            decision_on(&two_regions, LabelMode::Exact, &body, cut),
+            decision_on(&two_regions, &body, cut),
             (Some(GrowDecision::Continue), 0)
         );
         assert_eq!(
-            decision_on(&one_region, LabelMode::Exact, &body, cut),
+            decision_on(&one_region, &body, cut),
             (Some(GrowDecision::SkipChildren), 1)
-        );
-        assert_eq!(
-            decision_on(&one_region, LabelMode::Canonical, &body, cut),
-            (Some(GrowDecision::Continue), 0)
         );
     }
 
@@ -1670,8 +1644,8 @@ mod tests {
         for _ in 0..300 {
             let (items, oracle) = random_region(&mut rng);
             let n = items.len();
-            let conservative = Arc::new(BlockArtifact::build(&items, LabelMode::Exact));
-            let overlay = Overlay::build(&conservative, oracle);
+            let conservative = Arc::new(BlockArtifact::build(&items));
+            let overlay = Overlay::build(&conservative, &oracle);
             relaxed_pairs += overlay.relaxed.len();
             for _ in 0..4 {
                 let mut free: Vec<usize> = (0..n).collect();
@@ -1713,8 +1687,8 @@ mod tests {
             let (items, oracle) = random_region(&mut rng);
             let full =
                 gpa_dfg::build_dfg_from_items_with("", 0, &items, LabelMode::Exact, Some(&oracle));
-            let conservative = Arc::new(BlockArtifact::build(&items, LabelMode::Exact));
-            let overlay = Overlay::build(&conservative, oracle);
+            let conservative = Arc::new(BlockArtifact::build(&items));
+            let overlay = Overlay::build(&conservative, &oracle);
             assert_eq!(overlay.artifact.dfg, full.dfg, "{items:?}");
             assert_eq!(overlay.artifact.reach, Reach::new(&full.dfg), "{items:?}");
             assert_eq!(overlay.relaxed, full.relaxed, "{items:?}");

@@ -284,7 +284,6 @@ impl Optimizer {
                 max_patterns: config.max_patterns,
                 tracer: config.tracer.clone(),
                 alias: config.alias,
-                ..GraphConfig::default()
             },
             cache,
             &mut self.state,

@@ -1,5 +1,5 @@
 //! The `gpa perf` harness: corpus runs, the emulator check, the
-//! `gpa-bench/1` document and the human markdown views (Table 1,
+//! `gpa-bench/1` document and the human markdown views (Tables 1–3,
 //! Fig. 11, Fig. 12, stage latency and cache counters).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -8,6 +8,8 @@ use std::time::Instant;
 
 use gpa::json::Json;
 use gpa::{AliasLevel, Method, Report, RunConfig, ValidateLevel};
+use gpa_dfg::stats::{degree_stats, DegreeStats};
+use gpa_dfg::{build_all, LabelMode};
 use gpa_emu::{Machine, Outcome};
 use gpa_image::Image;
 use gpa_minicc::Options;
@@ -88,6 +90,9 @@ pub struct KernelResult {
     pub code_words: usize,
     /// Data-section size in bytes.
     pub data_bytes: usize,
+    /// Degree statistics of the input's conservative DFGs (Tables 2 and
+    /// 3), which neither the method nor the alias level changes.
+    pub degrees: DegreeStats,
     /// One report per configured method, in [`PerfConfig::methods`]
     /// order.
     pub results: Vec<(Method, Report)>,
@@ -152,10 +157,11 @@ type KernelRun = Result<(Report, u64, Image), String>;
 /// Runs the corpus across every configured method and aggregates the
 /// benchmark report.
 ///
-/// Each method gets one `gpa batch` run over the compiled kernels (the
-/// pipeline's worker pool and deterministic merge are reused wholesale),
-/// so the deterministic section of the result is byte-identical for any
-/// `jobs` setting. Every image is traced into a temporary directory;
+/// Each compiled kernel's degree statistics (Tables 2 and 3) are read
+/// off its conservative DFGs once. Each method then gets one `gpa
+/// batch` run over the compiled kernels (the pipeline's worker pool and
+/// deterministic merge are reused wholesale), so the deterministic
+/// section of the result is byte-identical for any `jobs` setting. Every image is traced into a temporary directory;
 /// its spans give the per-stage samples ([`STAGES`]), its optimize time
 /// and, with [`PerfConfig::profile`], the span profile. After the
 /// batches, every input and every optimized image runs in the emulator
@@ -186,9 +192,12 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
         ..Options::default()
     };
     let mut images = Vec::new();
+    let mut degrees = Vec::new();
     for name in &config.kernels {
         let image = gpa_minicc::compile_benchmark(name, &opts)
             .map_err(|e| format!("kernel {name}: {e}"))?;
+        let program = gpa_cfg::decode_image(&image).map_err(|e| format!("kernel {name}: {e}"))?;
+        degrees.push(degree_stats(&build_all(&program, LabelMode::Exact)));
         images.push((name.clone(), image));
     }
     let start = Instant::now();
@@ -298,8 +307,9 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
     }
     let kernels = images
         .iter()
+        .zip(degrees)
         .enumerate()
-        .map(|(i, (name, image))| {
+        .map(|(i, ((name, image), degrees))| {
             let results: Vec<(Method, Report)> = config
                 .methods
                 .iter()
@@ -311,6 +321,7 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
                 instructions: results[0].1.initial_words,
                 code_words: image.code_len(),
                 data_bytes: image.data_bytes().len(),
+                degrees,
                 results,
                 optimize_ns: reports.iter().map(|runs| runs[i].1).collect(),
             }
@@ -483,11 +494,15 @@ impl PerfReport {
                         ])
                     })
                     .collect();
+                let hist = |h: &[usize]| Json::Arr(h.iter().map(|&v| Json::from(v)).collect());
                 Json::obj([
                     ("name", Json::from(k.name.as_str())),
                     ("instructions", Json::from(k.instructions)),
                     ("code_words", Json::from(k.code_words)),
                     ("data_bytes", Json::from(k.data_bytes)),
+                    ("high_degree_nodes", Json::from(k.degrees.high_degree)),
+                    ("in_degree_hist", hist(&k.degrees.in_hist)),
+                    ("out_degree_hist", hist(&k.degrees.out_hist)),
                     ("results", Json::Arr(results)),
                 ])
             })
@@ -602,8 +617,8 @@ impl PerfReport {
     /// optimize times, with each method's factor over the first), the
     /// emulator check's line, Fig. 11 (each method's relative increase
     /// over the first, when there is more than one), Fig. 12 (procedure
-    /// calls and cross jumps), then the measured stage latencies and
-    /// cache counters.
+    /// calls and cross jumps), Tables 2 and 3 (the inputs' DFG degrees),
+    /// then the measured stage latencies and cache counters.
     pub fn markdown(&self) -> String {
         let (methods, base) = (&self.methods, self.methods[0]);
         let mut header = vec!["program".to_owned(), "insns".to_owned()];
@@ -696,6 +711,41 @@ impl PerfReport {
         rows.push(row);
         out.push_str("\n## Fig. 12: extraction mechanisms\n\n");
         push_table(&mut out, 1, &header, &rows);
+        // Tables 2 and 3: one row (Table 3: one per direction) per
+        // kernel, then the total.
+        let mut total = DegreeStats::default();
+        for d in self.kernels.iter().map(|k| &k.degrees) {
+            total.high_degree += d.high_degree;
+            total.low_degree += d.low_degree;
+            for (sum, n) in total.in_hist.iter_mut().zip(d.in_hist) {
+                *sum += n;
+            }
+            for (sum, n) in total.out_hist.iter_mut().zip(d.out_hist) {
+                *sum += n;
+            }
+        }
+        let (mut table2, mut table3) = (Vec::new(), Vec::new());
+        let named = self.kernels.iter().map(|k| (k.name.as_str(), &k.degrees));
+        for (name, d) in named.chain([("**total**", &total)]) {
+            let share = 100.0 * d.high_degree as f64 / d.total().max(1) as f64;
+            table2.push(vec![
+                name.to_owned(),
+                d.high_degree.to_string(),
+                d.low_degree.to_string(),
+                format!("{share:.1}%"),
+            ]);
+            for (direction, hist) in [("in", &d.in_hist), ("out", &d.out_hist)] {
+                let mut row = vec![name.to_owned(), direction.to_owned()];
+                row.extend(hist.iter().map(ToString::to_string));
+                table3.push(row);
+            }
+        }
+        let header = ["program", "degree > 1", "degree <= 1", "share"];
+        out.push_str("\n## Table 2: instructions with in- or out-degree > 1\n\n");
+        push_table(&mut out, 1, &header.map(str::to_owned), &table2);
+        let header = ["program", "degree", "0", "1", "2", "3", ">= 4"];
+        out.push_str("\n## Table 3: in- and out-degree histograms\n\n");
+        push_table(&mut out, 2, &header.map(str::to_owned), &table3);
         let header = [
             "method", "stage", "samples", "p50", "p90", "p99", "max", "total",
         ];

@@ -182,3 +182,47 @@ fn profile_mode_collects_a_span_tree() {
     let rendered = tree.render();
     assert!(rendered.contains("optimize"), "{rendered}");
 }
+
+/// Tables 2 and 3 are views of the run: the kernel entry carries the
+/// degree statistics of its input's DFGs under the keys `gpa stats
+/// --json` uses, and the markdown renders them.
+#[test]
+fn kernel_entries_carry_the_inputs_degree_statistics() {
+    use gpa_dfg::{build_all, stats::degree_stats, LabelMode};
+    let config = PerfConfig {
+        methods: vec![Method::Sfx],
+        kernels: vec!["crc".into()],
+        jobs: 1,
+        validate: ValidateLevel::Off,
+        ..PerfConfig::default()
+    };
+    let report = run_perf(&config).unwrap();
+    let options = gpa_minicc::Options {
+        schedule: config.schedule,
+        ..gpa_minicc::Options::default()
+    };
+    let image = gpa_minicc::compile_benchmark("crc", &options).unwrap();
+    let program = gpa_cfg::decode_image(&image).unwrap();
+    let stats = degree_stats(&build_all(&program, LabelMode::Exact));
+    let doc = report.to_json(false);
+    let kernel = &doc.get("kernels").and_then(Json::as_arr).unwrap()[0];
+    let hist = |key| -> Vec<usize> {
+        let values = kernel.get(key).and_then(Json::as_arr).unwrap();
+        values
+            .iter()
+            .map(|v| v.as_int().unwrap() as usize)
+            .collect()
+    };
+    assert_eq!(
+        kernel.get("high_degree_nodes").and_then(Json::as_int),
+        Some(stats.high_degree as i64)
+    );
+    assert_eq!(hist("in_degree_hist"), stats.in_hist);
+    assert_eq!(hist("out_degree_hist"), stats.out_hist);
+    let md = report.markdown();
+    let row = format!("| crc | {} | {} |", stats.high_degree, stats.low_degree);
+    assert!(md.contains("\n## Table 2") && md.contains(&row), "{md}");
+    let [d0, d1, d2, d3, d4] = stats.out_hist;
+    let row = format!("| crc | out | {d0} | {d1} | {d2} | {d3} | {d4} |");
+    assert!(md.contains("\n## Table 3") && md.contains(&row), "{md}");
+}

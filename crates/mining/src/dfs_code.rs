@@ -7,20 +7,8 @@
 //! [`is_min`](Pattern::is_min) tests minimality by replaying the code
 //! over the pattern's own graph and failing at the first realizable
 //! tuple smaller than the stored one.
-//!
-//! The miner goes through [`is_min_cached`](Pattern::is_min_cached): a
-//! per-thread direct-mapped cache keyed by the FNV-1a/128 content hash
-//! of the code, which every [`Pattern`] carries and extends tuple by
-//! tuple. Minimality is a pure function of the code, so a cache can
-//! never change what is mined. Each thread has its own cache, so the
-//! `gpa batch` and `gpa serve` workers, which optimize images side by
-//! side, never contend for one.
 
-use std::cell::RefCell;
 use std::cmp::Ordering;
-
-use gpa_dfg::hash::Fnv128;
-use gpa_trace::Tracer;
 
 /// One edge of a DFS code.
 ///
@@ -98,17 +86,6 @@ pub struct Pattern {
     tuples: Vec<DfsTuple>,
     node_labels: Vec<u32>,
     rightmost_path: Vec<u16>,
-    /// FNV-1a/128 state over the tuples so far (see
-    /// [`content_hash`](Pattern::content_hash)).
-    hash: Fnv128,
-}
-
-/// Absorbs one tuple into a code hash. Every tuple is 24 bytes, so the
-/// byte stream determines the tuple list without a length prefix.
-fn absorb(hash: &mut Fnv128, t: &DfsTuple) {
-    hash.write_u64((u64::from(t.from) << 32) | u64::from(t.to));
-    hash.write_u64((u64::from(t.from_label) << 32) | u64::from(t.to_label));
-    hash.write_u64((u64::from(t.outgoing) << 8) | u64::from(t.edge_label));
 }
 
 impl Pattern {
@@ -119,14 +96,10 @@ impl Pattern {
     /// Panics if the tuple is not `(0, 1)`.
     pub fn root(tuple: DfsTuple) -> Pattern {
         assert_eq!((tuple.from, tuple.to), (0, 1), "root tuple must be (0, 1)");
-        let mut hash = Fnv128::new();
-        hash.write(b"gpa-dfs-code/2");
-        absorb(&mut hash, &tuple);
         Pattern {
             tuples: vec![tuple],
             node_labels: vec![tuple.from_label, tuple.to_label],
             rightmost_path: vec![0, 1],
-            hash,
         }
     }
 
@@ -197,7 +170,6 @@ impl Pattern {
             );
         }
         child.tuples.push(tuple);
-        absorb(&mut child.hash, &tuple);
         child
     }
 
@@ -313,33 +285,6 @@ impl Pattern {
         }
         true
     }
-
-    /// FNV-1a/128 content hash of the DFS code. Two patterns share a hash
-    /// iff they share their tuple list (node labels are determined by the
-    /// tuples), up to the usual negligible 128-bit collision odds — the
-    /// same trade the pipeline's content-addressed caches already make.
-    pub fn content_hash(&self) -> u128 {
-        self.hash.finish()
-    }
-
-    /// [`is_min`](Pattern::is_min) through the calling thread's
-    /// canonicality cache, with `mine.canon_*` telemetry.
-    ///
-    /// One lattice walk visits each candidate code at most once, so hits
-    /// come from *across* walks: repeated optimizer rounds and identical
-    /// blocks re-check the same codes over and over.
-    pub fn is_min_cached(&self, tracer: &dyn Tracer) -> bool {
-        tracer.count("mine.canon_checks", 1);
-        let key = self.content_hash();
-        if let Some(cached) = canon_cache_probe(key) {
-            tracer.count("mine.canon_cache_hit", 1);
-            return cached;
-        }
-        tracer.count("mine.canon_cache_miss", 1);
-        let result = self.is_min();
-        canon_cache_store(key, result);
-        result
-    }
 }
 
 /// Whether the tuples hold an edge (either direction) between two DFS
@@ -419,35 +364,6 @@ impl PatternGraph {
     fn links(&self, node: u16) -> &[Link] {
         &self.links[self.start[node as usize]..self.start[node as usize + 1]]
     }
-}
-
-/// Slot count of the per-thread canonicality cache (direct-mapped; a
-/// slot conflict evicts, never corrupts — the full key is compared).
-const CANON_CACHE_SLOTS: usize = 1 << 14;
-
-thread_local! {
-    static CANON_CACHE: RefCell<Vec<Option<(u128, bool)>>> =
-        const { RefCell::new(Vec::new()) };
-}
-
-fn canon_cache_probe(key: u128) -> Option<bool> {
-    CANON_CACHE.with(|cache| {
-        let cache = cache.borrow();
-        match cache.get((key as usize) & (CANON_CACHE_SLOTS - 1)) {
-            Some(&Some((k, v))) if k == key => Some(v),
-            _ => None,
-        }
-    })
-}
-
-fn canon_cache_store(key: u128, value: bool) {
-    CANON_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if cache.is_empty() {
-            cache.resize(CANON_CACHE_SLOTS, None);
-        }
-        cache[(key as usize) & (CANON_CACHE_SLOTS - 1)] = Some((key, value));
-    });
 }
 
 #[cfg(test)]
@@ -653,45 +569,6 @@ mod tests {
             edge_label: 1,
         });
         assert!(!outgoing_first.is_min());
-    }
-
-    #[test]
-    fn content_hash_separates_codes() {
-        let a = Pattern::root(t(0, 1, 0, 1, true));
-        let b = Pattern::root(t(0, 1, 0, 1, false));
-        let c = a.extend(t(1, 2, 1, 2, true));
-        assert_ne!(a.content_hash(), b.content_hash());
-        assert_ne!(a.content_hash(), c.content_hash());
-        assert_eq!(
-            a.content_hash(),
-            Pattern::root(t(0, 1, 0, 1, true)).content_hash()
-        );
-    }
-
-    #[test]
-    fn cached_canonicality_agrees_and_counts_hits() {
-        use gpa_trace::CounterTracer;
-        let tracer = CounterTracer::new();
-        let good = Pattern::root(t(0, 1, 0, 1, true));
-        let bad = Pattern::root(DfsTuple {
-            from: 0,
-            to: 1,
-            from_label: 1,
-            to_label: 0,
-            outgoing: false,
-            edge_label: 1,
-        });
-        for _ in 0..3 {
-            assert_eq!(good.is_min_cached(&tracer), good.is_min());
-            assert_eq!(bad.is_min_cached(&tracer), bad.is_min());
-        }
-        let c = tracer.counters();
-        assert_eq!(c.get("mine.canon_checks"), 6);
-        // Both codes may have been probed before this test on the same
-        // thread (caches are thread-local and tests share threads), so
-        // only the identity is exact; hits are at least the re-checks.
-        assert_eq!(c.check_identities(), Ok(()));
-        assert!(c.get("mine.canon_cache_hit") >= 4);
     }
 
     /// Every code rightmost-path extension reaches from both orientations

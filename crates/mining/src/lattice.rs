@@ -111,7 +111,7 @@ fn render_node(
     let mut shown = 0usize;
     for (tuple, child_embeddings) in extensions(pattern, graphs, embeddings, 1, &NoopTracer) {
         let child = pattern.extend(tuple);
-        if !child.is_min_cached(&NoopTracer) {
+        if !child.is_min() {
             continue;
         }
         if shown >= options.max_children {

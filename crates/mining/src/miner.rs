@@ -354,7 +354,8 @@ fn take_up(
         return None;
     }
     let pattern = pattern();
-    if !pattern.is_min_cached(tracer) {
+    tracer.count("mine.canon_checks", 1);
+    if !pattern.is_min() {
         tracer.count("mine.prune_non_canonical", 1);
         return None;
     }

@@ -86,12 +86,6 @@ pub const IDENTITIES: &[Identity] = &[
             "mine.prune_budget",
         ],
     ),
-    // Every canonicality check hits or misses the cache.
-    trace(
-        4,
-        "mine.canon_checks",
-        &["mine.canon_cache_hit", "mine.canon_cache_miss"],
-    ),
     // Every pattern detection's visitor sees is cut, skipped without an
     // evaluation, or evaluated — exactly one of them.
     trace(
@@ -279,7 +273,7 @@ mod tests {
     #[test]
     fn every_row_accepts_a_balanced_record_and_rejects_a_one_off_imbalance() {
         let classes: Vec<u8> = IDENTITIES.iter().map(|i| i.exit_class).collect();
-        assert_eq!(classes, [4, 4, 4, 4, 4, 4, 4, 5, 5]);
+        assert_eq!(classes, [4, 4, 4, 4, 4, 4, 5, 5]);
         for identity in IDENTITIES {
             let record = balanced(identity);
             assert_eq!(run(identity.form, &record), Ok(()));

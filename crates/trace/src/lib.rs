@@ -33,8 +33,8 @@
 //! figures (patterns visited, branch-and-bound steps) are counted via
 //! [`Tracer::count`] without emitting per-increment events; they appear
 //! only in the final summary. The accounting equations those counters
-//! satisfy (visited patterns, canonicality cache, alias pairs, carried
-//! regions, serve requests) are declared once in
+//! satisfy (visited patterns and codes, detection visits, alias pairs,
+//! carried regions, serve requests) are declared once in
 //! [`identity::IDENTITIES`].
 //!
 //! Event ordering between threads follows lock acquisition, so two runs

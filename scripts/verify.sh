@@ -12,8 +12,8 @@ cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Criterion smoke: the bitset hot-path benches (collision graph + exact
-# MIS, mining with the canonicality cache) run once in --test mode, so
-# the kernels stay exercised without a full measurement run.
+# MIS, lattice mining) run once in --test mode, so the kernels stay
+# exercised without a full measurement run.
 cargo bench -q -p gpa-bench --bench mis -- --test
 cargo bench -q -p gpa-bench --bench mining -- --test
 
@@ -104,8 +104,7 @@ head -n1 "$WORK/opt_traced_full.txt" > "$WORK/opt_traced.txt"
 # with fewer embeddings than `min_support` is cut before it (counted in
 # `mine.prune_infrequent`), and the enumerations build the embeddings
 # only of codes with at least `min_support` records
-# (`mine.embeddings_built`). (The canonicality cache's hit/miss split is
-# left out: it depends on the code hash.) The front end builds each
+# (`mine.embeddings_built`). The front end builds each
 # region once and then only the regions of the functions each round
 # rewrites: 122 regions in round 1, 210 more over the 14 rounds after
 # it, out of 1830 reads. Every embedding a candidate evaluation checks
@@ -250,8 +249,8 @@ if ! grep -Eq ' front$' "$WORK/perf.md"; then
     echo "verify: perf --profile shows no front-end span" >&2
     exit 1
 fi
-# Table 1, Fig. 11 and Fig. 12 are views of that one run.
-for view in '## Table 1' '## Fig. 11' '## Fig. 12'; do
+# Tables 1–3, Fig. 11 and Fig. 12 are views of that one run.
+for view in '## Table 1' '## Fig. 11' '## Fig. 12' '## Table 2' '## Table 3'; do
     if ! grep -q "^$view" "$WORK/perf.md"; then
         echo "verify: perf shows no '$view' view" >&2
         exit 1
