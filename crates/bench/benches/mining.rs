@@ -13,8 +13,8 @@ use gpa_mining::miner::{mine, Config, Support};
 fn graphs_for(name: &str) -> Vec<InputGraph> {
     let image = compile(name, true);
     let program = gpa_cfg::decode_image(&image).expect("benchmark lifts");
-    let dfgs = build_all(&program, LabelMode::Exact);
-    InputGraph::from_dfgs(&dfgs).0
+    let dfgs = build_all(&program);
+    InputGraph::from_dfgs(&dfgs, LabelMode::Exact).0
 }
 
 fn bench_support_modes(c: &mut Criterion) {

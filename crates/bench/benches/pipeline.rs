@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use gpa_bench::compile;
-use gpa_dfg::{build_all, LabelMode};
+use gpa_dfg::build_all;
 use gpa_minicc::Options;
 
 fn bench_compile(c: &mut Criterion) {
@@ -28,7 +28,7 @@ fn bench_lift_and_encode(c: &mut Criterion) {
         b.iter(|| gpa_cfg::encode_program(&program).unwrap());
     });
     c.bench_function("build_dfgs_rijndael", |b| {
-        b.iter(|| build_all(&program, LabelMode::Exact));
+        b.iter(|| build_all(&program));
     });
 }
 

@@ -20,8 +20,8 @@ use gpa_mining::miner::{mine_streaming, Config, GrowDecision, Support};
 fn frequent_count(name: &str, mode: LabelMode) -> usize {
     let image = compile(name, true);
     let program = gpa_cfg::decode_image(&image).expect("benchmark lifts");
-    let dfgs = build_all(&program, mode);
-    let (graphs, _) = InputGraph::from_dfgs(&dfgs);
+    let dfgs = build_all(&program);
+    let (graphs, _) = InputGraph::from_dfgs(&dfgs, mode);
     let mut count = 0usize;
     mine_streaming(
         &graphs,

@@ -144,9 +144,9 @@ fn mine_results_match_pre_rewrite_fingerprint() {
     for &name in &gpa_minicc::programs::BENCHMARKS {
         let image = gpa_minicc::compile_benchmark(name, &gpa_minicc::Options::default()).unwrap();
         let program = gpa_cfg::decode_image(&image).expect("kernel lifts");
-        dfgs.extend(build_all(&program, LabelMode::Exact));
+        dfgs.extend(build_all(&program));
     }
-    let (graphs, _interner) = InputGraph::from_dfgs(&dfgs);
+    let (graphs, _interner) = InputGraph::from_dfgs(&dfgs, LabelMode::Exact);
     let config = Config {
         min_support: 2,
         support: Support::Embeddings,

@@ -284,7 +284,7 @@ fn stats(args: &[String]) -> Result<ExitCode, String> {
         .ok_or_else(|| "missing image path".to_owned())?;
     let image = load_image(path)?;
     let program = gpa_cfg::decode_image(&image).map_err(|e| e.to_string())?;
-    let dfgs = gpa_dfg::build_all(&program, gpa_dfg::LabelMode::Exact);
+    let dfgs = gpa_dfg::build_all(&program);
     let stats = gpa_dfg::stats::degree_stats(&dfgs);
     if json {
         let hist = |h: &[usize]| Json::Arr(h.iter().map(|&v| Json::from(v)).collect());
@@ -739,7 +739,7 @@ fn optimize(args: &[String]) -> Result<ExitCode, String> {
     let mut optimizer =
         Optimizer::from_image_configured(&image, &config).map_err(|e| e.to_string())?;
     let report = optimizer
-        .run_instrumented(method, &config, None)
+        .run_with(method, &config)
         .map_err(|e| e.to_string())?;
     config.tracer.finish();
     if let Some(path) = &report_json_path {

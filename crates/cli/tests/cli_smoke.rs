@@ -977,9 +977,7 @@ fn detection_budget_exhaustion_is_traced() {
             ..gpa::RunConfig::default()
         };
         let mut optimizer = gpa::Optimizer::from_image_configured(&image, &config).unwrap();
-        optimizer
-            .run_instrumented(gpa::Method::Edgar, &config, None)
-            .unwrap();
+        optimizer.run_with(gpa::Method::Edgar, &config).unwrap();
         tracer.finish();
     };
     let counters = Arc::new(gpa_trace::CounterTracer::new());

@@ -1,6 +1,6 @@
 //! Detection artifacts: the inputs one optimization carries from round
-//! to round, the content-addressed block cache shared across images,
-//! and the address of a whole optimization result.
+//! to round, the item-keyed block store they are built from, and the
+//! address of a whole optimization result.
 //!
 //! * [`RoundState`] — one optimization's detection inputs: per function,
 //!   its regions with their DFGs, reachability closures and mining
@@ -8,14 +8,15 @@
 //!   extraction rewrites only the functions hosting the winner's
 //!   occurrences and appends the fragment function, so after each round
 //!   only those are rebuilt; every other function's entries carry over.
-//!   This is where round-to-round reuse within one run comes from.
-//! * [`DfgCache`] — an in-memory map from a block's content address
-//!   ([`gpa_dfg::block_content_hash`]) to its built artifact: the DFG and
-//!   the forward-reachability closure detection needs for convexity
-//!   checks. Batch runs and `gpa serve` share one across images, where
-//!   the same runtime blocks recur; a [`RoundState`] consults it only
-//!   for the regions it rebuilds. Graph construction is deterministic,
-//!   so a hit returns exactly what a rebuild would.
+//! * [`DfgCache`] — the block store: an in-memory map from a block's
+//!   items to its built artifact, the DFG and the forward-reachability
+//!   closure detection needs for convexity checks. A block's artifact is
+//!   a function of its items alone, so every region a [`RoundState`]
+//!   rebuilds takes its artifact from the store, and a block the run
+//!   (or, when the store is shared, any run) has built before is not
+//!   built again. Every [`crate::Optimizer`] owns one: a private store,
+//!   or the one `gpa batch` and `gpa serve` share across images, where
+//!   the same runtime blocks recur.
 //! * [`image_cache_key`] — the address of a whole optimization *result*:
 //!   a stable hash of the image's normalized code (code words, layout
 //!   bases, entry, symbol table — everything lifting reads; the data
@@ -23,7 +24,10 @@
 //!   the [`Method`] and every [`RunConfig`] knob that changes the output.
 //!   Equal keys ⇒ byte-identical [`crate::Report`]s.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -31,7 +35,7 @@ use std::sync::{Arc, Mutex};
 use gpa_arm::reg::RegSet;
 use gpa_cfg::{Item, Program};
 use gpa_dfg::hash::Fnv128;
-use gpa_dfg::{block_content_hash, AliasOracle, Dfg, LabelMode, RelaxStats};
+use gpa_dfg::{AliasOracle, Dfg, RelaxStats};
 use gpa_image::Image;
 use gpa_mining::graph::{InputGraph, LabelInterner};
 use gpa_trace::Tracer;
@@ -40,11 +44,8 @@ use crate::graph_detect::{function_region_infos, region_oracle, GraphConfig, Rea
 use crate::optimizer::{AliasLevel, Method, RunConfig};
 use crate::validate::ValidateLevel;
 
-/// A per-block detection artifact: the DFG plus its reachability closure.
-///
-/// Cached entries are built with an empty function name and region start
-/// zero — detection reads only labels, edges and degrees, all of which
-/// are position-independent.
+/// A per-block detection artifact: the DFG plus its reachability closure,
+/// both functions of the block's items alone.
 #[derive(Debug, PartialEq)]
 pub(crate) struct BlockArtifact {
     pub(crate) dfg: Dfg,
@@ -53,8 +54,7 @@ pub(crate) struct BlockArtifact {
 
 impl BlockArtifact {
     pub(crate) fn build(items: &[Item]) -> BlockArtifact {
-        let dfg = gpa_dfg::build_dfg_from_items("", 0, items, LabelMode::Exact);
-        BlockArtifact::of(dfg)
+        BlockArtifact::of(gpa_dfg::build_dfg_from_items(items))
     }
 
     fn of(dfg: Dfg) -> BlockArtifact {
@@ -113,8 +113,8 @@ impl Overlay {
     /// The overlay of a region whose conservative artifact is
     /// `conservative`: its memory pairs are scanned against `oracle`
     /// first, and only a region with a disjoint pair gets a relaxed
-    /// graph of its own, built on the conservative graph's labels and
-    /// items. Equal to a full build against `oracle` either way.
+    /// graph of its own, built on the conservative graph's items. Equal
+    /// to a full build against `oracle` either way.
     pub(crate) fn build(conservative: &Arc<BlockArtifact>, oracle: &AliasOracle) -> Overlay {
         let (relaxed, stats) = conservative.dfg.disjoint_mem_pairs(oracle);
         let artifact = if relaxed.is_empty() {
@@ -221,19 +221,16 @@ impl RoundState {
     }
 
     /// Brings the state up to date with `program`: rebuilds the dirty
-    /// functions' entries (looking their conservative artifacts up in
-    /// `cache` when given), keeps the rest, and reassembles the
+    /// functions' entries, taking every rebuilt region's conservative
+    /// artifact from `store`, keeps the rest, and reassembles the
     /// whole-program views.
     ///
-    /// Emits `front.regions`, `front.regions_built` and
+    /// Emits `front.regions`, `front.regions_built` (split into
+    /// `front.blocks_built`, the artifacts the store had to build, and
+    /// `front.blocks_found`, the ones it already held) and
     /// `front.regions_reused`, and under [`AliasLevel::Stack`] the
     /// `absint.*` counters.
-    pub(crate) fn refresh(
-        &mut self,
-        program: &Program,
-        config: &GraphConfig,
-        cache: Option<&DfgCache>,
-    ) {
+    pub(crate) fn refresh(&mut self, program: &Program, config: &GraphConfig, store: &DfgCache) {
         let tracer = &*config.tracer;
         let _front_span = gpa_trace::span(tracer, "front");
         if self.built_for != Some(config.alias) || program.functions.len() < self.funcs.len() {
@@ -246,6 +243,7 @@ impl RoundState {
         let mut old_regions = std::mem::take(&mut self.regions).into_iter();
         let mut old_graphs = std::mem::take(&mut self.graphs).into_iter();
         let mut rebuilt = vec![false; program.functions.len()];
+        let (mut blocks_built, mut blocks_found) = (0u64, 0u64);
         for (fi, f) in program.functions.iter().enumerate() {
             let start = self.regions.len();
             let old = old_funcs.next();
@@ -266,17 +264,12 @@ impl RoundState {
                     for info in function_region_infos(fi, f) {
                         let keys: Vec<u32> =
                             info.items.iter().map(|item| self.key_of(item)).collect();
-                        let artifact = match cache {
-                            Some(cache) => cache.get_or_build(&info.items),
-                            None => {
-                                let labels = keys
-                                    .iter()
-                                    .map(|&k| self.labels.name(k).to_owned())
-                                    .collect();
-                                let dfg = gpa_dfg::build_dfg_labelled("", 0, &info.items, labels);
-                                Arc::new(BlockArtifact::of(dfg))
-                            }
-                        };
+                        let (artifact, found) = store.get_or_build(&info.items);
+                        if found {
+                            blocks_found += 1;
+                        } else {
+                            blocks_built += 1;
+                        }
                         self.graphs
                             .push(InputGraph::from_dfg(&artifact.dfg, keys.clone()));
                         self.regions.push(RegionState {
@@ -295,16 +288,13 @@ impl RoundState {
             }
         }
         self.dirty.clear();
-        let built: usize = self
-            .funcs
-            .iter()
-            .zip(&rebuilt)
-            .filter(|(_, &r)| r)
-            .map(|(f, _)| f.regions.len())
-            .sum();
-        tracer.count("front.regions", self.regions.len() as u64);
-        tracer.count("front.regions_built", built as u64);
-        tracer.count("front.regions_reused", (self.regions.len() - built) as u64);
+        let regions = self.regions.len() as u64;
+        let built = blocks_built + blocks_found;
+        tracer.count("front.regions", regions);
+        tracer.count("front.regions_built", built);
+        tracer.count("front.blocks_built", blocks_built);
+        tracer.count("front.blocks_found", blocks_found);
+        tracer.count("front.regions_reused", regions - built);
         if config.alias == AliasLevel::Stack {
             self.refresh_overlays(program, &rebuilt, tracer);
         }
@@ -400,38 +390,94 @@ impl RoundState {
     }
 }
 
-/// The keyed side of a [`DfgCache`]: the artifact map plus the
-/// recency index that makes bounded caches LRU.
+/// A block in the store, hashed and compared by the items its DFG was
+/// built from: the map finds an entry by `&[Item]` without keeping a
+/// second copy of the items.
+#[derive(Clone)]
+struct Block(Arc<BlockArtifact>);
+
+impl Block {
+    fn items(&self) -> &[Item] {
+        self.0.dfg.items()
+    }
+}
+
+impl Hash for Block {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.items().hash(state);
+    }
+}
+
+impl PartialEq for Block {
+    fn eq(&self, other: &Block) -> bool {
+        self.items() == other.items()
+    }
+}
+
+impl Eq for Block {}
+
+impl Borrow<[Item]> for Block {
+    fn borrow(&self) -> &[Item] {
+        self.items()
+    }
+}
+
+/// The keyed side of a [`DfgCache`]: the blocks plus the recency index
+/// that makes bounded stores LRU.
 #[derive(Default)]
 struct DfgInner {
-    /// key → (artifact, recency tick of the last touch).
-    map: HashMap<u128, (Arc<BlockArtifact>, u64)>,
-    /// tick → key, ascending: the front is the least recently used.
-    recency: BTreeMap<u64, u128>,
+    /// block → recency tick of its last touch.
+    map: HashMap<Block, u64>,
+    /// tick → block, ascending: the front is the least recently used.
+    recency: BTreeMap<u64, Block>,
     /// Monotone touch counter.
     tick: u64,
 }
 
 impl DfgInner {
-    /// Marks `key` as most recently used (must be present).
-    fn touch(&mut self, key: u128) {
+    /// The artifact built from exactly `items`, marked most recently
+    /// used, if the store holds it.
+    fn find(&mut self, items: &[Item]) -> Option<Arc<BlockArtifact>> {
+        let last = self.map.get_mut(items)?;
+        let block = self.recency.remove(last).expect("every block is indexed");
         self.tick += 1;
-        let tick = self.tick;
-        if let Some((_, old)) = self.map.get_mut(&key) {
-            self.recency.remove(old);
-            *old = tick;
-            self.recency.insert(tick, key);
+        *last = self.tick;
+        let found = Arc::clone(&block.0);
+        self.recency.insert(self.tick, block);
+        Some(found)
+    }
+
+    /// Publishes `artifact` as most recently used and evicts from the
+    /// least recently used end down to `max_entries`; returns how many
+    /// it evicted.
+    fn insert(&mut self, artifact: Arc<BlockArtifact>, max_entries: usize) -> u64 {
+        self.tick += 1;
+        self.map.insert(Block(Arc::clone(&artifact)), self.tick);
+        self.recency.insert(self.tick, Block(artifact));
+        let mut evicted = 0;
+        while self.map.len() > max_entries {
+            let Some((_, victim)) = self.recency.pop_first() else {
+                break;
+            };
+            self.map.remove(&victim);
+            evicted += 1;
         }
+        evicted
     }
 }
 
-/// A thread-safe, content-addressed cache of per-block [`Dfg`]s and
-/// reachability closures, keyed by [`gpa_dfg::block_content_hash`].
+/// The block store: a thread-safe map from a block's items to its
+/// [`Dfg`] and reachability closure.
 ///
-/// [`DfgCache::new`] is unbounded (one batch run's working set);
-/// [`DfgCache::bounded`] caps the entry count with least-recently-used
-/// eviction, which is what a long-lived `gpa serve` process needs to
-/// keep its resident size finite under arbitrary traffic.
+/// The key is the item sequence itself, so a lookup never returns an
+/// artifact built from other items (two blocks whose items differ only
+/// in a field no label prints get two artifacts) and formats no label.
+///
+/// [`DfgCache::new`] is unbounded (one optimization's, or one batch
+/// run's, working set); [`DfgCache::bounded`] caps the entry count with
+/// least-recently-used eviction, which is what a long-lived `gpa serve`
+/// process needs to keep its resident size finite under arbitrary
+/// traffic.
 ///
 /// Hit/miss/eviction counters feed the pipeline's metrics report.
 pub struct DfgCache {
@@ -448,13 +494,25 @@ impl Default for DfgCache {
     }
 }
 
+impl fmt::Debug for DfgCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DfgCache")
+            .field("entries", &self.len())
+            .field("max_entries", &self.max_entries)
+            .field("hits", &self.hits())
+            .field("misses", &self.misses())
+            .field("evicted", &self.evicted())
+            .finish()
+    }
+}
+
 impl DfgCache {
-    /// An empty, unbounded cache.
+    /// An empty, unbounded store.
     pub fn new() -> DfgCache {
         DfgCache::default()
     }
 
-    /// An empty cache holding at most `max_entries` artifacts, evicting
+    /// An empty store holding at most `max_entries` artifacts, evicting
     /// the least recently used beyond that (`max_entries` is clamped to
     /// at least 1 so the entry being inserted always fits).
     pub fn bounded(max_entries: usize) -> DfgCache {
@@ -467,7 +525,7 @@ impl DfgCache {
         }
     }
 
-    /// Number of lookups answered from the cache.
+    /// Number of lookups answered from the store.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -484,52 +542,38 @@ impl DfgCache {
 
     /// Number of artifacts currently resident.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("dfg cache poisoned").map.len()
+        self.lock().map.len()
     }
 
-    /// Whether the cache is empty.
+    /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Returns the artifact for a block, building and publishing it on
-    /// first sight.
-    pub(crate) fn get_or_build(&self, items: &[Item]) -> Arc<BlockArtifact> {
-        let key = block_content_hash(items, LabelMode::Exact);
-        {
-            let mut inner = self.inner.lock().expect("dfg cache poisoned");
-            if let Some((found, _)) = inner.map.get(&key) {
-                let found = Arc::clone(found);
-                inner.touch(key);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return found;
-            }
+    fn lock(&self) -> std::sync::MutexGuard<'_, DfgInner> {
+        self.inner.lock().expect("dfg cache poisoned")
+    }
+
+    /// Returns the artifact built from `items`, building and publishing
+    /// it on first sight, and whether the store already held it.
+    pub(crate) fn get_or_build(&self, items: &[Item]) -> (Arc<BlockArtifact>, bool) {
+        if let Some(found) = self.lock().find(items) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return (found, true);
         }
         // Build outside the lock: duplicate work on a race is cheaper
         // than serializing every construction behind one mutex.
         let built = Arc::new(BlockArtifact::build(items));
-        let mut inner = self.inner.lock().expect("dfg cache poisoned");
-        if let Some((rival, _)) = inner.map.get(&key) {
+        let mut inner = self.lock();
+        if let Some(rival) = inner.find(items) {
             // A racing builder published first; adopt its artifact.
-            let rival = Arc::clone(rival);
-            inner.touch(key);
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return rival;
+            return (rival, true);
         }
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.insert(key, (Arc::clone(&built), tick));
-        inner.recency.insert(tick, key);
-        while inner.map.len() > self.max_entries {
-            let Some((&oldest, &victim)) = inner.recency.iter().next() else {
-                break;
-            };
-            inner.recency.remove(&oldest);
-            inner.map.remove(&victim);
-            self.evicted.fetch_add(1, Ordering::Relaxed);
-        }
+        let evicted = inner.insert(Arc::clone(&built), self.max_entries);
+        self.evicted.fetch_add(evicted, Ordering::Relaxed);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        built
+        (built, false)
     }
 }
 
@@ -624,14 +668,16 @@ mod tests {
     fn dfg_cache_hits_on_equal_blocks() {
         let cache = DfgCache::new();
         let a = items("ldr r3, [r1]!\nsub r2, r2, r3");
-        let first = cache.get_or_build(&a);
-        let second = cache.get_or_build(&a);
+        let (first, found) = cache.get_or_build(&a);
+        assert!(!found);
+        let (second, found) = cache.get_or_build(&a);
+        assert!(found);
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         // A different block misses.
         let b = items("mov r0, #7");
-        let _ = cache.get_or_build(&b);
+        assert!(!cache.get_or_build(&b).1);
         assert_eq!(cache.misses(), 2);
     }
 
@@ -639,10 +685,45 @@ mod tests {
     fn cached_artifact_equals_direct_build() {
         let a = items("ldr r3, [r1]!\nsub r2, r2, r3\nadd r4, r2, #4");
         let cache = DfgCache::new();
-        let cached = cache.get_or_build(&a);
-        let direct = BlockArtifact::build(&a);
-        assert_eq!(cached.dfg.edges(), direct.dfg.edges());
-        assert_eq!(cached.dfg.node_count(), direct.dfg.node_count());
+        let (cached, _) = cache.get_or_build(&a);
+        assert_eq!(*cached, BlockArtifact::build(&a));
+    }
+
+    /// The store is keyed by the items themselves: two blocks whose items
+    /// differ only in a field no label prints (the `rd` a `cmp` ignores)
+    /// get two artifacts, each built from its own items, where a key
+    /// formed from their labels would take them for one block.
+    #[test]
+    fn blocks_that_differ_only_in_unprinted_fields_get_their_own_artifacts() {
+        use gpa_arm::{Cond, DpOp, Instruction, Operand2, Reg};
+        let cmp = |rd: u8| {
+            Item::Insn(Instruction::DataProc {
+                cond: Cond::Al,
+                op: DpOp::Cmp,
+                set_flags: true,
+                rd: Reg::r(rd),
+                rn: Reg::r(1),
+                op2: Operand2::Imm(0),
+            })
+        };
+        let tail = items("moveq r0, #1");
+        let a = [vec![cmp(0)], tail.clone()].concat();
+        let b = [vec![cmp(5)], tail].concat();
+        assert_ne!(a, b);
+        assert_eq!(
+            a.iter().map(Item::mining_label).collect::<Vec<_>>(),
+            b.iter().map(Item::mining_label).collect::<Vec<_>>(),
+        );
+        let cache = DfgCache::new();
+        let (from_a, _) = cache.get_or_build(&a);
+        let (from_b, found) = cache.get_or_build(&b);
+        assert!(!found, "a block with other items must not be found");
+        assert!(!Arc::ptr_eq(&from_a, &from_b));
+        assert_eq!(from_a.dfg.items(), a.as_slice());
+        assert_eq!(from_b.dfg.items(), b.as_slice());
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 2, 2));
+        assert!(Arc::ptr_eq(&cache.get_or_build(&a).0, &from_a));
+        assert!(Arc::ptr_eq(&cache.get_or_build(&b).0, &from_b));
     }
 
     #[test]

@@ -846,13 +846,18 @@ impl<'a> SearchCtx<'a> {
 /// Finds the best extractable candidate in the program under graph-based
 /// detection, or `None` when no extraction shrinks the program.
 pub fn best_candidate(program: &Program, config: &GraphConfig) -> Option<Candidate> {
-    best_candidate_instrumented(program, config, None, &mut RoundState::default())
+    best_candidate_instrumented(
+        program,
+        config,
+        &DfgCache::new(),
+        &mut RoundState::default(),
+    )
 }
 
 /// [`best_candidate`] on detection inputs carried in `state` from the
 /// previous round: the state first rebuilds what the program's rewrites
-/// since then invalidated (inside a `front` span, with `cache` serving
-/// the rebuilt regions' conservative artifacts), then the lattice
+/// since then invalidated (inside a `front` span, with the rebuilt
+/// regions' conservative artifacts from `store`), then the lattice
 /// search, MIS overlap resolution included, runs inside a `mine` span.
 ///
 /// The search ([`mine_streaming`]) grows the seeds of the DFS-code
@@ -861,7 +866,7 @@ pub fn best_candidate(program: &Program, config: &GraphConfig) -> Option<Candida
 pub(crate) fn best_candidate_instrumented(
     program: &Program,
     config: &GraphConfig,
-    cache: Option<&DfgCache>,
+    store: &DfgCache,
     state: &mut RoundState,
 ) -> Option<Candidate> {
     // Mining always counts on the conservative DFGs: alias verdicts are
@@ -870,7 +875,7 @@ pub(crate) fn best_candidate_instrumented(
     // universe instead of growing it). Under `Stack` each region's
     // relaxed overlay decides extractability instead (convexity,
     // exit-closedness, contraction).
-    state.refresh(program, config, cache);
+    state.refresh(program, config, store);
     let ctx = SearchCtx::new(program, state, config);
     let mine_config = Config {
         min_support: 2,
@@ -1016,32 +1021,31 @@ mod tests {
         }
     }
 
+    /// A search that takes its artifacts from a shared store another
+    /// search warmed picks what a search with a private store picks, and
+    /// builds nothing.
     #[test]
-    fn cached_search_matches_uncached_and_hits_on_reuse() {
+    fn warm_shared_store_matches_a_private_one() {
         let program = running_example_program();
         let config = GraphConfig {
             support: Support::Embeddings,
             ..GraphConfig::default()
         };
-        let uncached = best_candidate(&program, &config);
-        let cache = DfgCache::new();
-        let first = best_candidate_instrumented(
-            &program,
-            &config,
-            Some(&cache),
-            &mut RoundState::default(),
-        );
-        let second = best_candidate_instrumented(
-            &program,
-            &config,
-            Some(&cache),
-            &mut RoundState::default(),
-        );
-        assert_eq!(first, uncached);
-        assert_eq!(second, uncached);
-        // Both regions are identical blocks, so even the cold pass hits
-        // once; the warm pass hits on every region.
-        assert!(cache.hits() >= 2, "hits: {}", cache.hits());
+        let search = |store: &DfgCache| {
+            best_candidate_instrumented(&program, &config, store, &mut RoundState::default())
+        };
+        let private = DfgCache::new();
+        let alone = search(&private);
+        assert!(alone.is_some());
+        // The two functions hold the same blocks, so even a private
+        // store builds each once and finds it for the second function.
+        assert_eq!(private.hits(), private.misses());
+        let shared = DfgCache::new();
+        assert_eq!(search(&shared), alone);
+        let (hits, misses) = (shared.hits(), shared.misses());
+        assert_eq!(search(&shared), alone);
+        assert_eq!(shared.misses(), misses, "a warm store builds nothing");
+        assert_eq!(shared.hits(), hits + private.hits() + private.misses());
     }
 
     #[test]
@@ -1250,12 +1254,12 @@ mod tests {
         for _ in 0..150 {
             let regions = shuffled_copies(&mut rng);
             let items: Vec<&[Item]> = regions.iter().map(Vec::as_slice).collect();
+            let dfgs: Vec<Dfg> = items
+                .iter()
+                .map(|items| gpa_dfg::build_dfg_from_items(items))
+                .collect();
             for mode in [LabelMode::Exact, LabelMode::Canonical] {
-                let dfgs: Vec<Dfg> = regions
-                    .iter()
-                    .map(|items| gpa_dfg::build_dfg_from_items("f", 0, items, mode))
-                    .collect();
-                let (graphs, _) = InputGraph::from_dfgs(&dfgs);
+                let (graphs, _) = InputGraph::from_dfgs(&dfgs, mode);
                 for support in [Support::Embeddings, Support::Graphs] {
                     let config = Config {
                         support,
@@ -1297,7 +1301,7 @@ mod tests {
                         ..GraphConfig::default()
                     };
                     let mut state = RoundState::default();
-                    state.refresh(&program, &config, None);
+                    state.refresh(&program, &config, &DfgCache::new());
                     let items: Vec<&[Item]> = state
                         .regions
                         .iter()
@@ -1429,7 +1433,7 @@ mod tests {
             ..config.clone()
         };
         let mut state = RoundState::default();
-        let winner = best_candidate_instrumented(program, &config, None, &mut state);
+        let winner = best_candidate_instrumented(program, &config, &DfgCache::new(), &mut state);
         assert_eq!(
             winner,
             reference_winner(program, &state, &config),
@@ -1548,7 +1552,7 @@ mod tests {
             ..GraphConfig::default()
         };
         let mut state = RoundState::default();
-        state.refresh(program, &config, None);
+        state.refresh(program, &config, &DfgCache::new());
         let ctx = SearchCtx::new(program, &state, &config);
         let mine_config = Config {
             max_nodes: config.max_nodes,
@@ -1685,8 +1689,7 @@ mod tests {
         let (mut shared, mut built) = (0, 0);
         for _ in 0..300 {
             let (items, oracle) = random_region(&mut rng);
-            let full =
-                gpa_dfg::build_dfg_from_items_with("", 0, &items, LabelMode::Exact, Some(&oracle));
+            let full = gpa_dfg::build_dfg_from_items_with(&items, Some(&oracle));
             let conservative = Arc::new(BlockArtifact::build(&items));
             let overlay = Overlay::build(&conservative, &oracle);
             assert_eq!(overlay.artifact.dfg, full.dfg, "{items:?}");

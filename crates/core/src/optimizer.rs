@@ -198,6 +198,10 @@ pub struct Optimizer {
     /// each extraction marks the functions it rewrites, and the next
     /// detection rebuilds only those.
     state: RoundState,
+    /// The block store every rebuilt region's conservative artifact
+    /// comes from: private unless [`Optimizer::with_store`] handed over
+    /// a shared one.
+    store: Arc<DfgCache>,
 }
 
 impl Optimizer {
@@ -228,13 +232,23 @@ impl Optimizer {
         Optimizer::from_image(image)
     }
 
-    /// Wraps an already-lifted program.
+    /// Wraps an already-lifted program, with a private block store.
     pub fn from_program(program: Program) -> Optimizer {
         Optimizer {
             program,
             fragment_counter: 0,
             state: RoundState::default(),
+            store: Arc::default(),
         }
+    }
+
+    /// This optimizer with `store` as its block store in place of its
+    /// private one, for a caller that optimizes many images (`gpa
+    /// batch`, `gpa serve`) and hands each optimizer the same store at
+    /// construction. The store is keyed by a block's items, so sharing
+    /// it never changes an output.
+    pub fn with_store(self, store: Arc<DfgCache>) -> Optimizer {
+        Optimizer { store, ..self }
     }
 
     /// The current (possibly optimized) program.
@@ -252,22 +266,12 @@ impl Optimizer {
     }
 
     /// Finds the best candidate under `method` without applying it.
-    pub fn detect(&mut self, method: Method, config: &RunConfig) -> Option<Candidate> {
-        self.detect_instrumented(method, config, None)
-    }
-
-    /// [`Optimizer::detect`] with an optional shared DFG artifact cache.
     ///
     /// Every method searches inside a `mine` span; the graph methods
     /// first bring their carried detection inputs up to date inside a
     /// `front` span, rebuilding only the functions rewritten since the
-    /// last detection (and consulting `cache` for those alone).
-    pub fn detect_instrumented(
-        &mut self,
-        method: Method,
-        config: &RunConfig,
-        cache: Option<&DfgCache>,
-    ) -> Option<Candidate> {
+    /// last detection, with their blocks' artifacts from the store.
+    pub fn detect(&mut self, method: Method, config: &RunConfig) -> Option<Candidate> {
         let support = match method {
             Method::Sfx => {
                 let _mine_span = gpa_trace::span(config.tracer.as_ref(), "mine");
@@ -285,7 +289,7 @@ impl Optimizer {
                 tracer: config.tracer.clone(),
                 alias: config.alias,
             },
-            cache,
+            &self.store,
             &mut self.state,
         )
     }
@@ -359,6 +363,13 @@ impl Optimizer {
     /// step 8: "phase (6) is repeated as long as code fragments are found
     /// that reduce the overall number of instructions").
     ///
+    /// When the configured tracer is enabled the run emits hierarchical
+    /// spans (`optimize` → `round` → `detect` / `apply`, plus a final
+    /// `validate`). They are the run's only time record: `gpa
+    /// trace-profile` and `gpa perf --profile` aggregate them into a
+    /// self/total time tree, and `gpa perf` reads its per-stage
+    /// histograms from them.
+    ///
     /// # Errors
     ///
     /// [`OptimizerError::Extract`] when a detected candidate cannot be
@@ -369,28 +380,6 @@ impl Optimizer {
         &mut self,
         method: Method,
         config: &RunConfig,
-    ) -> Result<Report, OptimizerError> {
-        self.run_instrumented(method, config, None)
-    }
-
-    /// [`Optimizer::run_with`] with an optional shared DFG artifact
-    /// cache.
-    ///
-    /// When the configured tracer is enabled the run emits hierarchical
-    /// spans (`optimize` → `round` → `detect` / `apply`, plus a final
-    /// `validate`). They are the run's only time record: `gpa
-    /// trace-profile` and `gpa perf --profile` aggregate them into a
-    /// self/total time tree, and `gpa perf` reads its per-stage
-    /// histograms from them.
-    ///
-    /// # Errors
-    ///
-    /// See [`Optimizer::run_with`].
-    pub fn run_instrumented(
-        &mut self,
-        method: Method,
-        config: &RunConfig,
-        cache: Option<&DfgCache>,
     ) -> Result<Report, OptimizerError> {
         let _run_span = gpa_trace::span(config.tracer.as_ref(), "optimize");
         let initial_words = self.program.instruction_count();
@@ -407,7 +396,7 @@ impl Optimizer {
             let _round_span = gpa_trace::span(config.tracer.as_ref(), "round");
             let candidate = {
                 let _detect_span = gpa_trace::span(config.tracer.as_ref(), "detect");
-                self.detect_instrumented(method, config, cache)
+                self.detect(method, config)
             };
             let Some(candidate) = candidate else {
                 break;
@@ -686,10 +675,17 @@ mod tests {
     /// regions, conservative artifacts, oracles and overlays, mining
     /// graphs, label ids and seed buckets — and so does every round's
     /// winner, on the five small bundled kernels at both alias levels.
+    /// Every region a round rebuilds takes its artifact from the
+    /// optimizer's store, which finds exactly the blocks an earlier
+    /// lookup of the run built; in particular it answers every region of
+    /// a rewritten function that the rewrite left unchanged.
     #[test]
     fn carried_detection_inputs_equal_a_fresh_build_every_round() {
+        use crate::artifact::BlockArtifact;
+        use gpa_cfg::Item;
         use gpa_mining::embed::seed_buckets;
-        use gpa_trace::NoopTracer;
+        use gpa_trace::{CounterTracer, NoopTracer};
+        use std::collections::{BTreeSet, HashSet};
         let names = |state: &RoundState| -> Vec<String> {
             (0..state.label_count() as u32)
                 .map(|id| state.label_name(id).to_owned())
@@ -704,9 +700,21 @@ mod tests {
                     ..RunConfig::default()
                 };
                 let mut opt = Optimizer::from_image(&image).unwrap();
+                // The blocks the store holds; the functions the last
+                // extraction marked (`None`: every function is new); and
+                // their regions before it, with their artifacts.
+                let mut stored: HashSet<Vec<Item>> = HashSet::new();
+                let mut marked: Option<BTreeSet<usize>> = None;
+                let mut before: Vec<(usize, Arc<BlockArtifact>)> = Vec::new();
+                let mut unchanged = 0;
                 for round in 0.. {
                     let mut fresh = Optimizer::from_program(opt.program().clone());
-                    let winner = opt.detect(Method::Edgar, &config);
+                    let tracer = Arc::new(CounterTracer::new());
+                    let traced = RunConfig {
+                        tracer: tracer.clone(),
+                        ..config.clone()
+                    };
+                    let winner = opt.detect(Method::Edgar, &traced);
                     let expected = fresh.detect(Method::Edgar, &config);
                     let at = format!("{kernel} --alias {alias}, round {round}");
                     let (carried, built) = (&opt.state, &fresh.state);
@@ -718,9 +726,13 @@ mod tests {
                             b.info.function,
                             b.info.start
                         );
-                        let dfg = &b.artifact.dfg;
-                        let labels: Vec<&str> =
-                            (0..dfg.node_count()).map(|n| dfg.label(n)).collect();
+                        let labels: Vec<String> = b
+                            .artifact
+                            .dfg
+                            .items()
+                            .iter()
+                            .map(Item::mining_label)
+                            .collect();
                         assert_eq!(carried.keyed_labels(g), labels, "{at}: region {g} keys");
                     }
                     assert!(carried.graphs == built.graphs, "{at}: mining graphs");
@@ -731,10 +743,50 @@ mod tests {
                         "{at}: seed buckets"
                     );
                     assert_eq!(winner, expected, "{at}: winner");
+                    let rebuilt = carried
+                        .regions
+                        .iter()
+                        .filter(|r| marked.as_ref().is_none_or(|m| m.contains(&r.info.function)));
+                    let (mut blocks_built, mut blocks_found) = (0, 0);
+                    for region in rebuilt {
+                        if stored.insert(region.info.items.clone()) {
+                            blocks_built += 1;
+                        } else {
+                            blocks_found += 1;
+                        }
+                        let old = before.iter().find(|(f, artifact)| {
+                            *f == region.info.function && artifact.dfg.items() == region.info.items
+                        });
+                        if let Some((_, artifact)) = old {
+                            assert!(Arc::ptr_eq(artifact, &region.artifact), "{at}: unchanged");
+                            unchanged += 1;
+                        }
+                    }
+                    let c = tracer.counters();
+                    assert_eq!(
+                        (c.get("front.blocks_built"), c.get("front.blocks_found")),
+                        (blocks_built, blocks_found),
+                        "{at}: store lookups"
+                    );
                     let Some(candidate) = winner else { break };
+                    // The hosts, and the fragment function's index.
+                    let mut hosts: BTreeSet<usize> =
+                        candidate.occurrences.iter().map(|o| o.function).collect();
+                    hosts.insert(opt.program().functions.len());
+                    before = carried
+                        .regions
+                        .iter()
+                        .filter(|r| hosts.contains(&r.info.function))
+                        .map(|r| (r.info.function, Arc::clone(&r.artifact)))
+                        .collect();
+                    marked = Some(hosts);
                     opt.apply_candidate_with(&candidate, ValidateLevel::Off, alias)
                         .unwrap();
                 }
+                assert!(
+                    unchanged > 0,
+                    "{kernel} --alias {alias}: no unchanged region"
+                );
             }
         }
     }

@@ -12,7 +12,6 @@ use gpa_arm::{Instruction, Reg};
 use gpa_cfg::{FunctionCode, Item};
 use gpa_dfg::{
     build_dfg_from_items, build_dfg_from_items_with, AliasBase, AliasInterval, AliasOracle, Dfg,
-    LabelMode,
 };
 use gpa_emu::Machine;
 use gpa_image::Image;
@@ -175,14 +174,14 @@ fn disjoint_slots_do_relax() {
     let ops = [Op::StoreWord(0, 0), Op::LoadWord(1, 4)];
     let f = function(&ops);
     let oracle = oracle_for(&f);
-    let r = build_dfg_from_items_with("t", 0, &f.items, LabelMode::Exact, Some(&oracle));
+    let r = build_dfg_from_items_with(&f.items, Some(&oracle));
     assert_eq!(r.relaxed, vec![(0, 1)]);
     assert!(!r.dfg.reaches(0, 1), "relaxed pair must be unordered");
     // And the overlapping variant keeps its edge.
     let ops = [Op::StoreWord(0, 0), Op::LoadByte(1, 2)];
     let f = function(&ops);
     let oracle = oracle_for(&f);
-    let r = build_dfg_from_items_with("t", 0, &f.items, LabelMode::Exact, Some(&oracle));
+    let r = build_dfg_from_items_with(&f.items, Some(&oracle));
     assert!(r.relaxed.is_empty());
     assert!(r.dfg.reaches(0, 1));
 }
@@ -193,8 +192,8 @@ proptest! {
     #[test]
     fn no_oracle_is_byte_identical_to_conservative(ops in arb_ops()) {
         let f = function(&ops);
-        let conservative = build_dfg_from_items("t", 0, &f.items, LabelMode::Exact);
-        let r = build_dfg_from_items_with("t", 0, &f.items, LabelMode::Exact, None);
+        let conservative = build_dfg_from_items(&f.items);
+        let r = build_dfg_from_items_with(&f.items, None);
         prop_assert!(r.relaxed.is_empty());
         prop_assert_eq!(r.dfg, conservative);
     }
@@ -207,7 +206,7 @@ proptest! {
     fn relaxed_pairs_are_recertified_by_v107(ops in arb_ops()) {
         let f = function(&ops);
         let oracle = oracle_for(&f);
-        let r = build_dfg_from_items_with("t", 0, &f.items, LabelMode::Exact, Some(&oracle));
+        let r = build_dfg_from_items_with(&f.items, Some(&oracle));
         let a = AbsInt::analyze(&f, None);
         for &(i, j) in &r.relaxed {
             prop_assert!(i < j, "relaxed pairs are (earlier, later)");
@@ -238,13 +237,13 @@ proptest! {
     ) {
         let f = function(&ops);
         let oracle = oracle_for(&f);
-        let r = build_dfg_from_items_with("t", 0, &f.items, LabelMode::Exact, Some(&oracle));
+        let r = build_dfg_from_items_with(&f.items, Some(&oracle));
 
         let program_order: Vec<usize> = (0..ops.len()).collect();
         let reference = run_order(&ops, &program_order);
 
         // Conservative linearizations never leave the trace class.
-        let conservative = build_dfg_from_items("t", 0, &f.items, LabelMode::Exact);
+        let conservative = build_dfg_from_items(&f.items);
         let lin_c = linearize(&conservative, &picks);
         let reordered: Vec<Item> = lin_c.iter().map(|&i| f.items[i].clone()).collect();
         prop_assert!(trace_equivalent(&f.items, &reordered));

@@ -1,14 +1,18 @@
 //! Data-flow-graph construction (phase 6 of the paper).
 //!
 //! For every straight-line region (basic-block body) produced by
-//! [`gpa_cfg`], [`build_dfg`] constructs the directed acyclic dependence
-//! graph: nodes are instructions, and an edge *a → b* says *b* must
-//! execute after *a* (register RAW/WAR/WAW, condition-flag, or memory
-//! dependence). Edges are transitively reduced, so the graph shows direct
-//! dependencies like Fig. 2 of the paper while generating the same partial
-//! order.
+//! [`gpa_cfg`], [`build_dfg_from_items`] constructs the directed acyclic
+//! dependence graph: nodes are instructions, and an edge *a → b* says *b*
+//! must execute after *a* (register RAW/WAR/WAW, condition-flag, or
+//! memory dependence). Edges are transitively reduced, so the graph shows
+//! direct dependencies like Fig. 2 of the paper while generating the same
+//! partial order.
 //!
-//! Node labels come in two flavours:
+//! A [`Dfg`] is a function of its items alone: it holds the items and
+//! the edges, nothing about where the block sits and no label text. A
+//! node's mining label is [`LabelMode::label`] of its item, worked out
+//! where a label is read (the miner's input graphs, [`Dfg::to_dot`]).
+//! Labels come in two flavours:
 //!
 //! * **exact** — the full instruction text (`sub r2, r2, r3`); the paper's
 //!   main configuration, where fragment instructions must be identical;
@@ -24,7 +28,7 @@
 //! ```
 //! use gpa_arm::parse::parse_listing;
 //! use gpa_cfg::Item;
-//! use gpa_dfg::{build_dfg_from_items, LabelMode};
+//! use gpa_dfg::build_dfg_from_items;
 //!
 //! // The running example of Fig. 1/2.
 //! let items: Vec<Item> = parse_listing(
@@ -34,7 +38,7 @@
 //! .into_iter()
 //! .map(Item::Insn)
 //! .collect();
-//! let dfg = build_dfg_from_items("example", 0, &items, LabelMode::Exact);
+//! let dfg = build_dfg_from_items(&items);
 //! assert_eq!(dfg.node_count(), 7);
 //! // The first sub depends directly on the first load.
 //! assert!(dfg.succs(0).any(|e| e.to == 1));
@@ -47,10 +51,10 @@ pub mod canon;
 pub mod hash;
 pub mod stats;
 
-pub use hash::{block_content_hash, Fnv128};
+pub use hash::Fnv128;
 
 use gpa_arm::defuse::{conflicts, mem_conflict, Effects};
-use gpa_cfg::{Item, Region};
+use gpa_cfg::Item;
 
 /// Which node-label scheme to use for mining equality.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -343,15 +347,10 @@ pub struct Edge {
 /// contiguous slice of it; predecessors go through one extra flat
 /// permutation (`pred_edges`, edge indices sorted by `(to, from)`).
 /// Iteration order through [`Dfg::succs`]/[`Dfg::preds`] is identical to
-/// the historical per-node representation, so labels, hashes, and every
-/// downstream consumer see the same graph bit-for-bit.
+/// the historical per-node representation, so every downstream consumer
+/// sees the same graph bit-for-bit.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Dfg {
-    /// Owning function name.
-    pub function: String,
-    /// Item index of the region's first instruction within the function.
-    pub region_start: usize,
-    labels: Vec<String>,
     items: Vec<Item>,
     /// Transitively reduced edges, sorted by (from, to).
     edges: Vec<Edge>,
@@ -367,13 +366,7 @@ pub struct Dfg {
 
 impl Dfg {
     /// Assembles the arena from edges already sorted by `(from, to)`.
-    fn from_sorted_parts(
-        function: String,
-        region_start: usize,
-        labels: Vec<String>,
-        items: Vec<Item>,
-        edges: Vec<Edge>,
-    ) -> Dfg {
+    fn from_sorted_parts(items: Vec<Item>, edges: Vec<Edge>) -> Dfg {
         let n = items.len();
         debug_assert!(edges
             .windows(2)
@@ -399,9 +392,6 @@ impl Dfg {
             cursor[e.to] += 1;
         }
         Dfg {
-            function,
-            region_start,
-            labels,
             items,
             edges,
             succ_start,
@@ -420,14 +410,14 @@ impl Dfg {
         self.edges.len()
     }
 
-    /// The mining label of node `i`.
-    pub fn label(&self, i: usize) -> &str {
-        &self.labels[i]
-    }
-
     /// The underlying item of node `i`.
     pub fn item(&self, i: usize) -> &Item {
         &self.items[i]
+    }
+
+    /// The items the graph was built from, one per node.
+    pub fn items(&self) -> &[Item] {
+        &self.items
     }
 
     /// All edges.
@@ -497,27 +487,22 @@ impl Dfg {
     }
 
     /// This graph with the MEM dependence of each of `pairs` dropped,
-    /// reusing its labels and items: the graph [`build_dfg_from_items_with`]
+    /// on the same items: the graph [`build_dfg_from_items_with`]
     /// builds when its oracle proves exactly `pairs` disjoint. `pairs`
     /// must come from [`Dfg::disjoint_mem_pairs`].
     pub fn without_mem(&self, pairs: &[(usize, usize)]) -> Dfg {
         let fx: Vec<Effects> = self.items.iter().map(Item::effects).collect();
-        Dfg::from_sorted_parts(
-            self.function.clone(),
-            self.region_start,
-            self.labels.clone(),
-            self.items.clone(),
-            reduced_edges(&fx, pairs),
-        )
+        Dfg::from_sorted_parts(self.items.clone(), reduced_edges(&fx, pairs))
     }
 
-    /// Renders the graph in Graphviz dot format (used by examples to show
-    /// the paper's Fig. 2).
-    pub fn to_dot(&self) -> String {
+    /// Renders the graph in Graphviz dot format, each node labelled with
+    /// its item's label under `mode` (used by examples to show the
+    /// paper's Fig. 2).
+    pub fn to_dot(&self, mode: LabelMode) -> String {
         use std::fmt::Write;
         let mut out = String::from("digraph dfg {\n  rankdir=TB;\n");
-        for (i, l) in self.labels.iter().enumerate() {
-            let _ = writeln!(out, "  n{i} [label=\"{}\"];", dot_escape(l));
+        for (i, item) in self.items.iter().enumerate() {
+            let _ = writeln!(out, "  n{i} [label=\"{}\"];", dot_escape(&mode.label(item)));
         }
         for e in &self.edges {
             let _ = writeln!(out, "  n{} -> n{};", e.from, e.to);
@@ -540,24 +525,14 @@ fn dot_escape(label: &str) -> String {
     out
 }
 
-/// Builds the DFG of a region (see [`build_dfg_from_items`]).
-pub fn build_dfg(region: &Region<'_>, mode: LabelMode) -> Dfg {
-    build_dfg_from_items(region.function, region.start, region.items, mode)
-}
-
 /// Builds the transitively reduced dependence DAG of a straight-line item
 /// sequence.
 ///
 /// # Panics
 ///
 /// Panics if `items` contains a label (labels never occur inside regions).
-pub fn build_dfg_from_items(
-    function: &str,
-    region_start: usize,
-    items: &[Item],
-    mode: LabelMode,
-) -> Dfg {
-    build_dfg_from_items_with(function, region_start, items, mode, None).dfg
+pub fn build_dfg_from_items(items: &[Item]) -> Dfg {
+    build_dfg_from_items_with(items, None).dfg
 }
 
 /// Builds the dependence DAG with an optional [`AliasOracle`].
@@ -571,18 +546,11 @@ pub fn build_dfg_from_items(
 /// # Panics
 ///
 /// Panics if `items` contains a label (labels never occur inside regions).
-pub fn build_dfg_from_items_with(
-    function: &str,
-    region_start: usize,
-    items: &[Item],
-    mode: LabelMode,
-    oracle: Option<&AliasOracle>,
-) -> RelaxedDfg {
+pub fn build_dfg_from_items_with(items: &[Item], oracle: Option<&AliasOracle>) -> RelaxedDfg {
     assert!(
         items.iter().all(|i| !matches!(i, Item::Label(_))),
         "regions never contain labels"
     );
-    let labels = items.iter().map(|i| mode.label(i)).collect();
     let fx: Vec<Effects> = items.iter().map(Item::effects).collect();
     let (relaxed, stats) = match oracle {
         Some(oracle) => disjoint_mem_pairs(&fx, oracle),
@@ -590,52 +558,18 @@ pub fn build_dfg_from_items_with(
     };
     let edges = reduced_edges(&fx, &relaxed);
     RelaxedDfg {
-        dfg: Dfg::from_sorted_parts(
-            function.to_owned(),
-            region_start,
-            labels,
-            items.to_vec(),
-            edges,
-        ),
+        dfg: Dfg::from_sorted_parts(items.to_vec(), edges),
         relaxed,
         stats,
     }
 }
 
-/// [`build_dfg_from_items`] with the node labels given, one per item:
-/// for a caller that already holds each item's [`LabelMode::label`].
-///
-/// # Panics
-///
-/// Panics if `items` contains a label, or `labels` is not one per item.
-pub fn build_dfg_labelled(
-    function: &str,
-    region_start: usize,
-    items: &[Item],
-    labels: Vec<String>,
-) -> Dfg {
-    assert!(
-        items.iter().all(|i| !matches!(i, Item::Label(_))),
-        "regions never contain labels"
-    );
-    assert_eq!(labels.len(), items.len(), "one label per item");
-    let fx: Vec<Effects> = items.iter().map(Item::effects).collect();
-    let edges = reduced_edges(&fx, &[]);
-    Dfg::from_sorted_parts(
-        function.to_owned(),
-        region_start,
-        labels,
-        items.to_vec(),
-        edges,
-    )
-}
-
 /// Builds DFGs for every region of a program.
-pub fn build_all(program: &gpa_cfg::Program, mode: LabelMode) -> Vec<Dfg> {
+pub fn build_all(program: &gpa_cfg::Program) -> Vec<Dfg> {
     program
         .regions()
         .iter()
-        .map(|r| build_dfg(r, mode))
+        .map(|r| build_dfg_from_items(r.items))
         .collect()
 }
 
@@ -650,7 +584,7 @@ mod tests {
             .into_iter()
             .map(Item::Insn)
             .collect();
-        build_dfg_from_items("t", 0, &items, LabelMode::Exact)
+        build_dfg_from_items(&items)
     }
 
     #[test]
@@ -725,30 +659,28 @@ mod tests {
 
     #[test]
     fn canonical_mode_merges_register_variants() {
-        let items: Vec<Item> = parse_listing("add r1, r2, r3\nadd r4, r5, r6")
-            .unwrap()
-            .into_iter()
-            .map(Item::Insn)
-            .collect();
-        let exact = build_dfg_from_items("t", 0, &items, LabelMode::Exact);
-        assert_ne!(exact.label(0), exact.label(1));
-        let canonical = build_dfg_from_items("t", 0, &items, LabelMode::Canonical);
-        assert_eq!(canonical.label(0), canonical.label(1));
+        let items = items_of("add r1, r2, r3\nadd r4, r5, r6");
+        let exact = LabelMode::Exact;
+        assert_ne!(exact.label(&items[0]), exact.label(&items[1]));
+        let canonical = LabelMode::Canonical;
+        assert_eq!(canonical.label(&items[0]), canonical.label(&items[1]));
     }
 
     #[test]
     fn dot_output_is_well_formed() {
-        let dot = dfg_of("ldr r3, [r1]\nadd r2, r2, r3").to_dot();
+        let dfg = dfg_of("ldr r3, [r1]\nadd r2, r2, r3");
+        let dot = dfg.to_dot(LabelMode::Exact);
         assert!(dot.starts_with("digraph"));
+        assert!(dot.contains(r#"n1 [label="add r2, r2, r3"]"#), "{dot}");
         assert!(dot.contains("n0 -> n1"));
+        let dot = dfg.to_dot(LabelMode::Canonical);
+        assert!(dot.contains(r#"n1 [label="add R, R, R"]"#), "{dot}");
     }
 
     #[test]
     fn dot_escapes_quotes_and_backslashes_in_labels() {
-        let mut dfg = dfg_of("mov r0, #1");
-        dfg.labels[0] = r#"say "hi" \ bye"#.into();
-        let dot = dfg.to_dot();
-        assert!(dot.contains(r#"[label="say \"hi\" \\ bye"]"#), "{dot}");
+        assert_eq!(dot_escape(r#"say "hi" \ bye"#), r#"say \"hi\" \\ bye"#);
+        assert_eq!(dot_escape("add r2, r2, r3"), "add r2, r2, r3");
     }
 
     fn items_of(asm: &str) -> Vec<Item> {
@@ -775,7 +707,7 @@ mod tests {
         let oracle = AliasOracle {
             slots: vec![Some(vec![sp(0, 4)]), Some(vec![sp(4, 8)])],
         };
-        let r = build_dfg_from_items_with("t", 0, &items, LabelMode::Exact, Some(&oracle));
+        let r = build_dfg_from_items_with(&items, Some(&oracle));
         assert_eq!(r.dfg.edge_count(), 0);
         assert_eq!(r.relaxed, vec![(0, 1)]);
         assert_eq!(r.stats.mem_pairs_examined, 1);
@@ -789,7 +721,7 @@ mod tests {
         let oracle = AliasOracle {
             slots: vec![Some(vec![sp(0, 4)]), Some(vec![sp(0, 4)]), None],
         };
-        let r = build_dfg_from_items_with("t", 0, &items, LabelMode::Exact, Some(&oracle));
+        let r = build_dfg_from_items_with(&items, Some(&oracle));
         assert!(r.relaxed.is_empty());
         // Pairs (0,1), (0,2), (1,2) all carry MEM conservatively.
         assert_eq!(r.stats.mem_pairs_examined, 3);
@@ -808,7 +740,7 @@ mod tests {
         let oracle = AliasOracle {
             slots: vec![Some(vec![sp(0, 4)]), Some(vec![sp(4, 8)])],
         };
-        let r = build_dfg_from_items_with("t", 0, &items, LabelMode::Exact, Some(&oracle));
+        let r = build_dfg_from_items_with(&items, Some(&oracle));
         assert_eq!(r.relaxed, vec![(0, 1)]);
         let e = r
             .dfg
@@ -870,8 +802,8 @@ mod tests {
     fn no_oracle_matches_the_conservative_builder_exactly() {
         let asm = "str r0, [sp]\nldr r1, [sp, #4]\nadd r1, r1, r0\nstr r1, [sp]";
         let items = items_of(asm);
-        let plain = build_dfg_from_items("t", 0, &items, LabelMode::Exact);
-        let with = build_dfg_from_items_with("t", 0, &items, LabelMode::Exact, None);
+        let plain = build_dfg_from_items(&items);
+        let with = build_dfg_from_items_with(&items, None);
         assert_eq!(plain, with.dfg);
         assert!(with.relaxed.is_empty());
         assert_eq!(with.stats, RelaxStats::default());
@@ -885,7 +817,7 @@ mod tests {
         )
         .unwrap();
         let program = gpa_cfg::decode_image(&image).unwrap();
-        let dfgs = build_all(&program, LabelMode::Exact);
+        let dfgs = build_all(&program);
         assert!(!dfgs.is_empty());
         let nodes: usize = dfgs.iter().map(Dfg::node_count).sum();
         assert_eq!(nodes, program.instruction_count());

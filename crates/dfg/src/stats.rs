@@ -30,11 +30,11 @@ impl DegreeStats {
 /// ```
 /// use gpa_arm::parse::parse_listing;
 /// use gpa_cfg::Item;
-/// use gpa_dfg::{build_dfg_from_items, stats::degree_stats, LabelMode};
+/// use gpa_dfg::{build_dfg_from_items, stats::degree_stats};
 ///
 /// let items: Vec<Item> = parse_listing("ldr r3, [r1]\nadd r2, r2, r3\nadd r4, r4, r3")?
 ///     .into_iter().map(Item::Insn).collect();
-/// let dfg = build_dfg_from_items("f", 0, &items, LabelMode::Exact);
+/// let dfg = build_dfg_from_items(&items);
 /// let stats = degree_stats(&[dfg]);
 /// assert_eq!(stats.total(), 3);
 /// assert_eq!(stats.high_degree, 1); // the load fans out to both adds
@@ -61,7 +61,7 @@ pub fn degree_stats(dfgs: &[Dfg]) -> DegreeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_dfg_from_items, LabelMode};
+    use crate::build_dfg_from_items;
     use gpa_arm::parse::parse_listing;
     use gpa_cfg::Item;
 
@@ -71,7 +71,7 @@ mod tests {
             .into_iter()
             .map(Item::Insn)
             .collect();
-        build_dfg_from_items("t", 0, &items, LabelMode::Exact)
+        build_dfg_from_items(&items)
     }
 
     #[test]

@@ -8,8 +8,8 @@ use std::time::Instant;
 
 use gpa::json::Json;
 use gpa::{AliasLevel, Method, Report, RunConfig, ValidateLevel};
+use gpa_dfg::build_all;
 use gpa_dfg::stats::{degree_stats, DegreeStats};
-use gpa_dfg::{build_all, LabelMode};
 use gpa_emu::{Machine, Outcome};
 use gpa_image::Image;
 use gpa_minicc::Options;
@@ -197,7 +197,7 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
         let image = gpa_minicc::compile_benchmark(name, &opts)
             .map_err(|e| format!("kernel {name}: {e}"))?;
         let program = gpa_cfg::decode_image(&image).map_err(|e| format!("kernel {name}: {e}"))?;
-        degrees.push(degree_stats(&build_all(&program, LabelMode::Exact)));
+        degrees.push(degree_stats(&build_all(&program)));
         images.push((name.clone(), image));
     }
     let start = Instant::now();

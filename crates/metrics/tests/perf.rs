@@ -188,7 +188,7 @@ fn profile_mode_collects_a_span_tree() {
 /// --json` uses, and the markdown renders them.
 #[test]
 fn kernel_entries_carry_the_inputs_degree_statistics() {
-    use gpa_dfg::{build_all, stats::degree_stats, LabelMode};
+    use gpa_dfg::{build_all, stats::degree_stats};
     let config = PerfConfig {
         methods: vec![Method::Sfx],
         kernels: vec!["crc".into()],
@@ -203,7 +203,7 @@ fn kernel_entries_carry_the_inputs_degree_statistics() {
     };
     let image = gpa_minicc::compile_benchmark("crc", &options).unwrap();
     let program = gpa_cfg::decode_image(&image).unwrap();
-    let stats = degree_stats(&build_all(&program, LabelMode::Exact));
+    let stats = degree_stats(&build_all(&program));
     let doc = report.to_json(false);
     let kernel = &doc.get("kernels").and_then(Json::as_arr).unwrap()[0];
     let hist = |key| -> Vec<usize> {

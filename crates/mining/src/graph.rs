@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use gpa_dfg::Dfg;
+use gpa_dfg::{Dfg, LabelMode};
 
 /// Interns string node labels into dense ids so the miner compares `u32`s.
 #[derive(Clone, Debug, Default)]
@@ -92,25 +92,22 @@ impl InputGraph {
         self.labels.len()
     }
 
-    /// Converts a batch of DFGs, sharing one label interner so equal
-    /// instructions get equal ids across graphs.
-    pub fn from_dfgs(dfgs: &[Dfg]) -> (Vec<InputGraph>, LabelInterner) {
-        Self::from_dfg_refs(dfgs.iter())
-    }
-
-    /// [`InputGraph::from_dfgs`] over any iterator of DFG references —
-    /// lets callers holding `Arc`-shared (e.g. cached) DFGs convert
-    /// without cloning them into a contiguous slice.
-    pub fn from_dfg_refs<'a, I>(dfgs: I) -> (Vec<InputGraph>, LabelInterner)
-    where
-        I: IntoIterator<Item = &'a Dfg>,
-    {
+    /// Converts a batch of DFGs, labelling node `i` of each with
+    /// `mode`'s label of its item and sharing one label interner, so
+    /// equal labels get equal ids across graphs, numbered in first-seen
+    /// order.
+    pub fn from_dfgs<'a>(
+        dfgs: impl IntoIterator<Item = &'a Dfg>,
+        mode: LabelMode,
+    ) -> (Vec<InputGraph>, LabelInterner) {
         let mut interner = LabelInterner::new();
         let graphs = dfgs
             .into_iter()
             .map(|dfg| {
-                let labels = (0..dfg.node_count())
-                    .map(|i| interner.intern(dfg.label(i)))
+                let labels = dfg
+                    .items()
+                    .iter()
+                    .map(|item| interner.intern(&mode.label(item)))
                     .collect();
                 InputGraph::from_dfg(dfg, labels)
             })

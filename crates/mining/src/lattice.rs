@@ -49,8 +49,8 @@ impl Default for LatticeOptions {
 ///
 /// let items: Vec<Item> = parse_listing("ldr r3, [r1]!\nsub r2, r2, r3")?
 ///     .into_iter().map(Item::Insn).collect();
-/// let dfg = build_dfg_from_items("bb", 0, &items, LabelMode::Exact);
-/// let (graphs, interner) = InputGraph::from_dfgs(&[dfg]);
+/// let dfg = build_dfg_from_items(&items);
+/// let (graphs, interner) = InputGraph::from_dfgs(&[dfg], LabelMode::Exact);
 /// let text = render_lattice(&graphs, &interner, &LatticeOptions::default());
 /// assert!(text.contains("ldr r3, [r1]!"));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -144,8 +144,8 @@ mod tests {
             .into_iter()
             .map(Item::Insn)
             .collect();
-        let dfg = build_dfg_from_items("bb", 0, &items, LabelMode::Exact);
-        InputGraph::from_dfgs(&[dfg])
+        let dfg = build_dfg_from_items(&items);
+        InputGraph::from_dfgs(&[dfg], LabelMode::Exact)
     }
 
     #[test]

@@ -40,8 +40,8 @@
 //! .into_iter()
 //! .map(Item::Insn)
 //! .collect();
-//! let dfg = build_dfg_from_items("bb", 0, &items, LabelMode::Exact);
-//! let (graphs, _interner) = InputGraph::from_dfgs(&[dfg]);
+//! let dfg = build_dfg_from_items(&items);
+//! let (graphs, _interner) = InputGraph::from_dfgs(&[dfg], LabelMode::Exact);
 //! let found = mine(&graphs, &Config { min_support: 2, support: Support::Embeddings, ..Config::default() });
 //! // Some frequent fragment with three nodes and two disjoint embeddings
 //! // exists (Fig. 4 / Fig. 5).

@@ -455,10 +455,10 @@ mod tests {
                     .into_iter()
                     .map(Item::Insn)
                     .collect();
-                build_dfg_from_items("bb", 0, &items, LabelMode::Exact)
+                build_dfg_from_items(&items)
             })
             .collect();
-        InputGraph::from_dfgs(&dfgs).0
+        InputGraph::from_dfgs(&dfgs, LabelMode::Exact).0
     }
 
     const RUNNING_EXAMPLE: &str = "ldr r3, [r1]!\n\

@@ -155,7 +155,7 @@ pub fn run_batch(inputs: &[BatchInput], config: &BatchConfig) -> Result<CorpusRe
     if let Some(dir) = &config.trace_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("trace dir {}: {e}", dir.display()))?;
     }
-    let dfg_cache = DfgCache::new();
+    let dfg_cache = Arc::new(DfgCache::new());
     let jobs = effective_jobs(config.jobs, inputs.len());
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<ImageEntry>>> = inputs.iter().map(|_| Mutex::new(None)).collect();
@@ -240,7 +240,7 @@ fn process_one(
     input: &BatchInput,
     config: &BatchConfig,
     report_cache: &ReportCache,
-    dfg_cache: &DfgCache,
+    dfg_cache: &Arc<DfgCache>,
 ) -> ImageEntry {
     let name = input.name();
     let tracer: Arc<dyn Tracer> = match &config.trace_dir {
@@ -272,7 +272,7 @@ fn optimize_input(
     input: &BatchInput,
     config: &BatchConfig,
     report_cache: &ReportCache,
-    dfg_cache: &DfgCache,
+    dfg_cache: &Arc<DfgCache>,
     tracer: &Arc<dyn Tracer>,
 ) -> (Option<u128>, Result<Report, String>, Option<Image>, bool) {
     let image = match input {
@@ -297,11 +297,11 @@ fn optimize_input(
         return (Some(key), Ok(report), None, true);
     }
     let mut optimizer = match Optimizer::from_image_configured(&image, &run) {
-        Ok(optimizer) => optimizer,
+        Ok(optimizer) => optimizer.with_store(Arc::clone(dfg_cache)),
         Err(e) => return (Some(key), Err(e.to_string()), None, false),
     };
     let optimized = optimizer
-        .run_instrumented(config.method, &run, Some(dfg_cache))
+        .run_with(config.method, &run)
         .and_then(|report| Ok((report, optimizer.encode()?)));
     match optimized {
         Ok((report, optimized)) => {

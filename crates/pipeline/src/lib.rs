@@ -11,11 +11,12 @@
 //!   *input index*, so the deterministic section of the corpus report is
 //!   byte-identical no matter how many workers ran or how the scheduler
 //!   interleaved them.
-//! * **Content-addressed artifact cache** — two layers of reuse. Whole
-//!   results: [`gpa::image_cache_key`] addresses a serialized
-//!   [`gpa::Report`] in a [`ReportCache`] (in-memory, plus an optional
-//!   on-disk layer shared across runs). Within a run, every worker shares
-//!   one [`gpa::DfgCache`], so blocks the optimizer re-sees — across
+//! * **Two layers of reuse.** Whole results: [`gpa::image_cache_key`]
+//!   addresses a serialized [`gpa::Report`] in a [`ReportCache`]
+//!   (in-memory, plus an optional on-disk layer shared across runs).
+//!   Blocks: every optimizer takes its blocks' DFGs from a block store
+//!   keyed by their items, and within a run every worker's optimizer is
+//!   handed the same [`gpa::DfgCache`], so blocks seen before — across
 //!   rounds, occurrences and *images* (every MiniC binary carries the
 //!   same runtime) — skip DFG and reachability construction.
 //! * **Metrics** — wall time, cache hit/miss counters and (with a trace

@@ -17,8 +17,9 @@
 //!   latency grow without bound.
 //! * **Worker pool over warm caches** — workers reuse the batch
 //!   pipeline's [`gpa_pipeline::ReportCache`] (bounded by a
-//!   [`gpa_pipeline::CacheBudget`], LRU-evicted) and a shared
-//!   [`gpa::DfgCache`], so repeat images answer from memory.
+//!   [`gpa_pipeline::CacheBudget`], LRU-evicted) and hand every
+//!   optimizer the same bounded [`gpa::DfgCache`] block store, so repeat
+//!   images answer from memory and repeat blocks are not rebuilt.
 //! * **Deadlines** — a per-request `deadline_ms` maps onto the
 //!   optimizer's cooperative deadline and per-round pattern budget;
 //!   overrunning requests return a well-formed partial document with

@@ -8,11 +8,11 @@
 //! request is shed immediately with an `overloaded` (`draining`)
 //! response and counted `serve.shed`; the client never waits behind
 //! work the server cannot absorb. Otherwise a worker pops the job,
-//! answers from the shared warm [`ReportCache`] or runs the optimizer
-//! with the shared [`DfgCache`], and replies through a channel; the
-//! connection thread writes the response frame. Requests whose
-//! deadline expired in the queue, or whose run was cut short by the
-//! in-run deadline check, are counted `serve.deadline_exceeded` and
+//! answers from the shared warm [`ReportCache`] or runs an optimizer
+//! that owns the shared [`DfgCache`] block store, and replies through a
+//! channel; the connection thread writes the response frame. Requests
+//! whose deadline expired in the queue, or whose run was cut short by
+//! the in-run deadline check, are counted `serve.deadline_exceeded` and
 //! answered with a well-formed (possibly partial) document —
 //! deadline-cut reports are never admitted to the cache.
 //!
@@ -290,7 +290,7 @@ struct Shared {
     stats: Arc<ServeStats>,
     recorder: Arc<FlightRecorder>,
     report_cache: ReportCache,
-    dfg_cache: DfgCache,
+    dfg_cache: Arc<DfgCache>,
     queue_hist: Mutex<LogHistogram>,
     run_hist: Mutex<LogHistogram>,
     e2e_hist: Mutex<LogHistogram>,
@@ -451,7 +451,7 @@ impl Server {
             Some(dir) => ReportCache::with_dir_budget(dir, config.cache_budget)?,
             None => ReportCache::with_budget(config.cache_budget),
         };
-        let dfg_cache = DfgCache::bounded(config.dfg_entries);
+        let dfg_cache = Arc::new(DfgCache::bounded(config.dfg_entries));
         let worker_count = if config.workers == 0 {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -916,10 +916,10 @@ fn execute(
         return ("ok", Some(report), None, true, false);
     }
     let mut optimizer = match Optimizer::from_image_configured(&image, &run) {
-        Ok(optimizer) => optimizer,
+        Ok(optimizer) => optimizer.with_store(Arc::clone(&shared.dfg_cache)),
         Err(e) => return ("error", None, Some(e.to_string()), false, false),
     };
-    let outcome = optimizer.run_instrumented(method, &run, Some(&shared.dfg_cache));
+    let outcome = optimizer.run_with(method, &run);
     lock_recover(&shared.job_counters).merge(&job_tracer.counters());
     match outcome {
         Ok(report) => {

@@ -121,6 +121,13 @@ pub const IDENTITIES: &[Identity] = &[
         "front.regions",
         &["front.regions_built", "front.regions_reused"],
     ),
+    // Every region a round rebuilt took its artifact from the block
+    // store, which either built it or already held it.
+    trace(
+        4,
+        "front.regions_built",
+        &["front.blocks_built", "front.blocks_found"],
+    ),
     // Every request the daemon accepted was answered, shed, expired, or
     // abandoned at drain.
     trace(
@@ -273,14 +280,15 @@ mod tests {
     #[test]
     fn every_row_accepts_a_balanced_record_and_rejects_a_one_off_imbalance() {
         let classes: Vec<u8> = IDENTITIES.iter().map(|i| i.exit_class).collect();
-        assert_eq!(classes, [4, 4, 4, 4, 4, 4, 5, 5]);
+        assert_eq!(classes, [4, 4, 4, 4, 4, 4, 4, 5, 5]);
         for identity in IDENTITIES {
             let record = balanced(identity);
             assert_eq!(run(identity.form, &record), Ok(()));
             // Off by one in any part or in the total: the first row that
             // reads the bumped counter breaks and names its total. That is
             // `identity` itself unless an earlier row shares the counter
-            // (`mine.patterns_visited` is in two rows).
+            // (`mine.patterns_visited` and `front.regions_built` are in
+            // two rows each).
             for bumped in 0..record.len() {
                 let mut record = record.clone();
                 record[bumped].1 += 1;

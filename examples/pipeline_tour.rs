@@ -9,7 +9,7 @@
 
 use gpa::{Method, Optimizer};
 use gpa_cfg::{decode_image, encode_program, Item};
-use gpa_dfg::{build_all, stats::degree_stats, LabelMode};
+use gpa_dfg::{build_all, stats::degree_stats};
 use gpa_emu::Machine;
 use gpa_minicc::{compile_benchmark, Options};
 
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("pc-relative literal loads abstracted: {lit_loads}");
 
     // Phase 6: data-flow graphs.
-    let dfgs = build_all(&program, LabelMode::Exact);
+    let dfgs = build_all(&program);
     let stats = degree_stats(&dfgs);
     println!(
         "DFGs: {} nodes, {} with (in v out) degree > 1 ({:.0}% — reordering freedom)",

@@ -30,9 +30,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Fig. 2: the data-flow graph.
-    let dfg = build_dfg_from_items("example", 0, &items, LabelMode::Exact);
+    let dfg = build_dfg_from_items(&items);
     println!("\nFig. 2 — its data-flow graph (Graphviz):");
-    print!("{}", dfg.to_dot());
+    print!("{}", dfg.to_dot(LabelMode::Exact));
 
     // What the suffix trie sees (Fig. 3): only the 2-instruction sequence.
     let mut interner = gpa_mining::graph::LabelInterner::new();
@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nFig. 3 — longest repeated *sequence* (suffix trie): {longest_sfx} instructions");
 
     // What the graph miner sees (Figs. 4/5): three-instruction fragments.
-    let (graphs, interner) = InputGraph::from_dfgs(std::slice::from_ref(&dfg));
+    let (graphs, interner) = InputGraph::from_dfgs([&dfg], LabelMode::Exact);
     let found = mine(
         &graphs,
         &Config {

@@ -107,7 +107,9 @@ head -n1 "$WORK/opt_traced_full.txt" > "$WORK/opt_traced.txt"
 # (`mine.embeddings_built`). The front end builds each
 # region once and then only the regions of the functions each round
 # rewrites: 122 regions in round 1, 210 more over the 14 rounds after
-# it, out of 1830 reads. Every embedding a candidate evaluation checks
+# it, out of 1830 reads. Each of those 332 takes its artifact from the
+# optimizer's block store, which builds 152 of them and finds the other
+# 180 already built. Every embedding a candidate evaluation checks
 # keeps the first one's items and dependence order, so none needs
 # `trace_equivalent` (`detect.trace_fallback`).
 gate_counters() { # trace-file name=value...
@@ -129,7 +131,8 @@ crc_work=(mine.codes=17290 mine.patterns_visited=3571 mine.canon_checks=5277
     detect.candidates_evaluated=170 detect.embedding_unextractable=103
     detect.prune_unextractable_item=215 detect.prune_procedure_only=324
     detect.trace_fallback=0 mis.bb_steps=487 mine.embeddings_built=12627
-    front.regions=1830 front.regions_built=332 front.regions_reused=1498)
+    front.regions=1830 front.regions_built=332 front.regions_reused=1498
+    front.blocks_built=152 front.blocks_found=180)
 gate_counters "$WORK/crc.jsonl" "${crc_work[@]}"
 # Under --alias stack the same search runs on crc, and every round's
 # oracles and overlays must examine and relax what a fresh analysis
@@ -145,6 +148,20 @@ gate_counters "$WORK/crc_stack.jsonl" "${crc_work[@]}" \
 gate_counters "$WORK/crc_stack.jsonl" absint.overlays=361 \
     absint.overlays_built=83 absint.overlays_shared=278 \
     absint.summary_analyses=65 absint.balance_analyses=68
+# One front end: `gpa batch` gets a block's DFG the way `gpa optimize`
+# does, from the block store its optimizer owns, so a one-image batch
+# of crc rebuilds, builds and finds exactly what `gpa optimize` does.
+"$GPA" batch "$WORK/crc.img" --jobs 1 --trace-dir "$WORK/one_batch" \
+    --report "$WORK/one_batch.json" 2>/dev/null
+front_counters() { # trace-file -> its front.* counters, sorted
+    tail -n1 "$1" | grep -o '"front\.[a-z_]*":[0-9]*' | sort
+}
+if [ "$(front_counters "$WORK/crc.jsonl")" != \
+     "$(front_counters "$WORK"/one_batch/*.jsonl)" ]; then
+    echo "verify: gpa batch and gpa optimize front ends disagree on crc:" \
+         $(front_counters "$WORK"/one_batch/*.jsonl) >&2
+    exit 1
+fi
 if ! cmp -s "$WORK/opt_plain.txt" "$WORK/opt_traced.txt"; then
     echo "verify: tracing changed the optimize report" >&2
     exit 1

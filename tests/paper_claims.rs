@@ -46,8 +46,8 @@ fn fig3_suffix_trie_sees_only_two_instructions() {
 /// the suffix trie.
 #[test]
 fn figs4_5_graph_mining_finds_three_instruction_fragments() {
-    let dfg = build_dfg_from_items("bb", 0, &example_items(), LabelMode::Exact);
-    let (graphs, _) = InputGraph::from_dfgs(&[dfg]);
+    let dfg = build_dfg_from_items(&example_items());
+    let (graphs, _) = InputGraph::from_dfgs(&[dfg], LabelMode::Exact);
     let found = mine(
         &graphs,
         &Config {
@@ -73,8 +73,8 @@ fn figs4_5_graph_mining_finds_three_instruction_fragments() {
 /// load, so only one non-overlapping occurrence remains.
 #[test]
 fn fig8_overlapping_embeddings_collapse() {
-    let dfg = build_dfg_from_items("bb", 0, &example_items(), LabelMode::Exact);
-    let (graphs, _) = InputGraph::from_dfgs(&[dfg]);
+    let dfg = build_dfg_from_items(&example_items());
+    let (graphs, _) = InputGraph::from_dfgs(&[dfg], LabelMode::Exact);
     let found = mine(
         &graphs,
         &Config {
@@ -101,7 +101,7 @@ fn table2_substantial_reordering_freedom() {
     for name in ["crc", "sha"] {
         let image = compile_benchmark(name, &Options::default()).unwrap();
         let program = gpa_cfg::decode_image(&image).unwrap();
-        let stats = degree_stats(&build_all(&program, LabelMode::Exact));
+        let stats = degree_stats(&build_all(&program));
         let share = stats.high_degree as f64 / stats.total() as f64;
         assert!(
             share > 0.10,
@@ -142,7 +142,7 @@ fn scheduling_ablation_helps_sfx() {
 fn table3_histograms_are_complete() {
     let image = compile_benchmark("search", &Options::default()).unwrap();
     let program = gpa_cfg::decode_image(&image).unwrap();
-    let stats = degree_stats(&build_all(&program, LabelMode::Exact));
+    let stats = degree_stats(&build_all(&program));
     let in_total: usize = stats.in_hist.iter().sum();
     let out_total: usize = stats.out_hist.iter().sum();
     assert_eq!(in_total, stats.total());
