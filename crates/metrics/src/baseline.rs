@@ -2,7 +2,9 @@
 //!
 //! Two `gpa-bench/1` documents are compared field by field. Compression
 //! metrics live in the deterministic section, so any decrease is a real
-//! regression of the optimizer — a **hard** finding. Latency figures come
+//! regression of the optimizer — a **hard** finding. So is any change of
+//! a `work` counter: work is deterministic, and a change that moves it
+//! lands with a refreshed baseline. Latency figures come
 //! from the `"measured"` section and are noisy, so they only become
 //! **soft** findings when the drift exceeds both an absolute floor and a
 //! relative tolerance.
@@ -60,8 +62,10 @@ impl Comparison {
 
 /// Compares a fresh `gpa-bench/1` document against a baseline one.
 ///
-/// Every kernel × method of the *baseline* must still be present and
-/// must not save fewer words; `tolerance_pct` bounds the allowed
+/// Every kernel × method of the *baseline* must still be present, must
+/// not save fewer words, and must count exactly the work of the
+/// baseline's `work` block (a baseline without one gets a note, and its
+/// work goes ungated); `tolerance_pct` bounds the allowed
 /// relative latency growth of the gated percentiles (on top of a
 /// 200µs absolute floor). New kernels or methods in `current` are fine.
 ///
@@ -101,6 +105,7 @@ fn compare_kernels(current: &Json, baseline: &Json, cmp: &mut Comparison) -> Res
     };
     let cur_kernels = kernels(current, "current")?;
     let base_kernels = kernels(baseline, "baseline")?;
+    let mut work_ungated = false;
     for base_kernel in &base_kernels {
         let name = base_kernel
             .get("name")
@@ -147,6 +152,47 @@ fn compare_kernels(current: &Json, baseline: &Json, cmp: &mut Comparison) -> Res
                     "{ctx}: saved_words improved {base_saved} -> {cur_saved}"
                 ));
             }
+            match base_result.get("work") {
+                Some(base_work) => compare_work(&ctx, base_work, cur_result, cmp)?,
+                None => work_ungated = true,
+            }
+        }
+    }
+    if work_ungated {
+        cmp.notes
+            .push("work comparison skipped: the baseline has no `work` block".to_owned());
+    }
+    Ok(())
+}
+
+/// Holds one result's `work` counters to the baseline's: each counter the
+/// baseline lists must be present with the same value.
+fn compare_work(
+    ctx: &str,
+    base_work: &Json,
+    cur_result: &Json,
+    cmp: &mut Comparison,
+) -> Result<(), String> {
+    let Json::Obj(counters) = base_work else {
+        return Err(format!("baseline: {ctx} `work` is not an object"));
+    };
+    let Some(cur_work) = cur_result.get("work") else {
+        cmp.hard
+            .push(format!("{ctx}: work block missing from current run"));
+        return Ok(());
+    };
+    for (name, base) in counters {
+        let base = base
+            .as_int()
+            .ok_or_else(|| format!("baseline: {ctx} work `{name}` is not an integer"))?;
+        match cur_work.get(name).and_then(Json::as_int) {
+            Some(cur) if cur == base => {}
+            Some(cur) => cmp
+                .hard
+                .push(format!("{ctx}: work {name} changed {base} -> {cur}")),
+            None => cmp
+                .hard
+                .push(format!("{ctx}: work {name} missing from current run")),
         }
     }
     Ok(())
@@ -204,22 +250,33 @@ fn compare_latency(current: &Json, baseline: &Json, tolerance_pct: u64, cmp: &mu
 mod tests {
     use super::*;
 
-    /// A minimal bench document with one kernel × one method.
-    fn doc(saved: i64, p99: i64) -> Json {
+    /// A minimal bench document with one kernel × one method, whose
+    /// result ends with `work` (a `,"work":{…}` member, or nothing).
+    fn doc_with_work(saved: i64, p99: i64, work: &str) -> Json {
         Json::parse(&format!(
             concat!(
                 "{{\"schema\":\"gpa-bench/1\",\"methods\":[\"sfx\"],",
                 "\"kernels\":[{{\"name\":\"crc\",\"instructions\":100,",
-                "\"results\":[{{\"method\":\"sfx\",\"saved_words\":{saved}}}]}}],",
+                "\"results\":[{{\"method\":\"sfx\",\"saved_words\":{saved}{work}}}]}}],",
                 "\"totals\":[],",
                 "\"measured\":{{\"jobs\":1,\"wall_ns\":1,\"latency\":[",
                 "{{\"method\":\"sfx\",\"stages\":[{{\"stage\":\"mining\",",
                 "\"p50_ns\":10,\"p90_ns\":20,\"p99_ns\":{p99}}}]}}]}}}}"
             ),
             saved = saved,
+            work = work,
             p99 = p99,
         ))
         .unwrap()
+    }
+
+    /// [`doc_with_work`] with a two-counter work block.
+    fn doc(saved: i64, p99: i64) -> Json {
+        doc_with_work(
+            saved,
+            p99,
+            ",\"work\":{\"mine.codes\":40,\"mine.canon_tuples\":90}",
+        )
     }
 
     #[test]
@@ -275,6 +332,41 @@ mod tests {
         // Over the floor but inside a generous tolerance: ignored.
         let cmp = compare(&doc(10, 2_000_000), &doc(10, 1_000_000), 150).unwrap();
         assert!(!cmp.has_soft());
+    }
+
+    /// The work block is gated exactly: a count that moves either way,
+    /// or goes missing, is hard; a counter only the current run has is
+    /// not gated.
+    #[test]
+    fn work_changes_are_hard() {
+        let base = doc(10, 1000);
+        for work in [
+            ",\"work\":{\"mine.codes\":40,\"mine.canon_tuples\":89}",
+            ",\"work\":{\"mine.codes\":41,\"mine.canon_tuples\":90}",
+            ",\"work\":{\"mine.codes\":40}",
+            "",
+        ] {
+            let cmp = compare(&doc_with_work(10, 1000, work), &base, 10).unwrap();
+            assert!(cmp.is_regression(), "{work}");
+            assert_eq!(cmp.hard.len(), 1, "{:?}", cmp.hard);
+            assert!(cmp.hard[0].starts_with("crc/sfx: work"), "{:?}", cmp.hard);
+        }
+        let more = ",\"work\":{\"mine.codes\":40,\"mine.canon_tuples\":90,\"run.rounds\":3}";
+        let cmp = compare(&doc_with_work(10, 1000, more), &base, 10).unwrap();
+        assert!(cmp.render().is_empty(), "{}", cmp.render());
+    }
+
+    /// A baseline from before the work block gates nothing of it, and
+    /// says so once.
+    #[test]
+    fn a_baseline_without_work_skips_the_work_gate() {
+        let base = doc_with_work(10, 1000, "");
+        let cmp = compare(&doc(10, 1000), &base, 10).unwrap();
+        assert!(!cmp.is_regression(), "{:?}", cmp.hard);
+        assert_eq!(
+            cmp.notes,
+            ["work comparison skipped: the baseline has no `work` block"]
+        );
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   detection methods via the batch pipeline and produces a
 //!   [`PerfReport`]: paper-shape compression metrics per image × method
 //!   (original size, words saved, % savings in basis points, fragments,
-//!   procedure calls and cross jumps, rounds, per-method deltas), each
-//!   input's DFG degree statistics, each image's optimize time, plus
+//!   procedure calls and cross jumps, rounds, per-method deltas, and the
+//!   deterministic work counts of its trace), each input's DFG degree
+//!   statistics, each image's optimize time, plus
 //!   per-stage latency distributions as
 //!   log-bucketed [`gpa_trace::LogHistogram`]s with p50/p90/p99, read
 //!   from the spans of each image's trace ([`perf::STAGES`]). Every
@@ -26,7 +27,8 @@
 //!   identical across runs, machines and `--jobs` settings) followed by
 //!   a trailing `"measured"` section holding the wall-clock figures.
 //! * [`compare`] gates a fresh run against a committed baseline:
-//!   compression regressions are *hard* findings (non-zero exit),
+//!   compression regressions and changed work counts are *hard* findings
+//!   (non-zero exit),
 //!   latency drift beyond a tolerance is *soft* (reported, separate
 //!   exit code).
 //! * [`profile::spans_from_jsonl`] aggregates `gpa-trace/1` streams into
@@ -59,4 +61,5 @@ pub mod profile;
 pub use baseline::{compare, Comparison};
 pub use perf::{
     run_perf, KernelResult, MethodLatency, PerfConfig, PerfReport, BENCH_SCHEMA, STAGES,
+    WORK_COUNTERS,
 };

@@ -14,7 +14,7 @@ use gpa_emu::{Machine, Outcome};
 use gpa_image::Image;
 use gpa_minicc::Options;
 use gpa_pipeline::{run_batch, BatchConfig, BatchInput};
-use gpa_trace::{LogHistogram, SpanNode, SpanTree};
+use gpa_trace::{Counters, LogHistogram, SpanNode, SpanTree};
 
 /// Version tag of the benchmark-report JSON schema.
 pub const BENCH_SCHEMA: &str = "gpa-bench/1";
@@ -31,6 +31,29 @@ pub const STAGES: [(&str, &[&str]); 5] = [
     ("mining", &["optimize", "round", "detect", "mine"]),
     ("extraction", &["optimize", "round", "apply"]),
     ("validation", &["optimize", "validate"]),
+];
+
+/// The counters of each result's `work` block, under their `gpa-trace/1`
+/// names (DESIGN.md §11): the lattice search's patterns visited, codes,
+/// canonical checks and tuples its canonical walks compared; candidates
+/// evaluated and embeddings built; MIS components and branch-and-bound
+/// steps; regions rebuilt, rounds and exhausted pattern budgets. Each is
+/// a deterministic count for a fixed configuration, so `gpa perf
+/// --baseline` holds the block exactly. The block store's
+/// `front.blocks_built` / `front.blocks_found` are left out: in a batch
+/// they depend on which image reached a shared block first.
+pub const WORK_COUNTERS: [&str; 11] = [
+    "mine.patterns_visited",
+    "mine.codes",
+    "mine.canon_checks",
+    "mine.canon_tuples",
+    "detect.candidates_evaluated",
+    "mine.embeddings_built",
+    "mis.components",
+    "mis.bb_steps",
+    "front.regions_built",
+    "run.rounds",
+    "mine.budget_exhausted",
 ];
 
 /// Emulator step budget for one run of a kernel, before or after
@@ -99,6 +122,10 @@ pub struct KernelResult {
     /// Optimize time per configured method, in the same order: the
     /// image's root `front` and `optimize` spans (measured section).
     pub optimize_ns: Vec<u64>,
+    /// The final trace counters of each configured method's
+    /// optimization, in the same order; the deterministic section's
+    /// `work` blocks read [`WORK_COUNTERS`] from them.
+    pub counters: Vec<Counters>,
 }
 
 /// One method's cache-layer counters (measured section only).
@@ -150,9 +177,9 @@ pub struct PerfReport {
     pub profile: Option<SpanTree>,
 }
 
-/// One kernel optimized by one method: its report, optimize time and
-/// optimized image, or why there is none.
-type KernelRun = Result<(Report, u64, Image), String>;
+/// One kernel optimized by one method: its report, optimize time,
+/// optimized image and final trace counters, or why there is none.
+type KernelRun = Result<(Report, u64, Image, Counters), String>;
 
 /// Runs the corpus across every configured method and aggregates the
 /// benchmark report.
@@ -163,7 +190,8 @@ type KernelRun = Result<(Report, u64, Image), String>;
 /// deterministic merge are reused wholesale), so the deterministic
 /// section of the result is byte-identical for any `jobs` setting. Every image is traced into a temporary directory;
 /// its spans give the per-stage samples ([`STAGES`]), its optimize time
-/// and, with [`PerfConfig::profile`], the span profile. After the
+/// and, with [`PerfConfig::profile`], the span profile, and its final
+/// counters the `work` block ([`WORK_COUNTERS`]). After the
 /// batches, every input and every optimized image runs in the emulator
 /// on the batches' worker count, and each optimized image must exit and
 /// print exactly as its input does.
@@ -249,7 +277,7 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
                     .image
                     .ok_or_else(|| format!("{at}: no optimized image to check"))?;
                 let optimize_ns = trace.total_ns_at(&["front"]) + trace.total_ns_at(&["optimize"]);
-                Ok((report, optimize_ns, image))
+                Ok((report, optimize_ns, image, entry.counters))
             })
             .collect();
         let mut stages: Vec<(&'static str, LogHistogram)> = STAGES
@@ -285,7 +313,7 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
             .iter()
             .flatten()
             .flatten()
-            .map(|(_, _, image)| image),
+            .map(|(_, _, image, _)| image),
     );
     let mut outcomes = emulate_all(&to_run, jobs_used).into_iter();
     let emulator_ns = gpa_trace::saturating_ns(check_start.elapsed());
@@ -294,14 +322,14 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
         .zip(outcomes.by_ref())
         .map(|((name, _), outcome)| outcome.map_err(|e| format!("kernel {name}: {e}")))
         .collect::<Result<Vec<Outcome>, String>>()?;
-    let mut reports: Vec<Vec<(Report, u64)>> = Vec::new();
+    let mut reports: Vec<Vec<(Report, u64, Counters)>> = Vec::new();
     for (&method, runs) in config.methods.iter().zip(per_method) {
         let mut checked = Vec::new();
         for ((name, _), (run, input)) in images.iter().zip(runs.into_iter().zip(&behaviour)) {
-            let (report, optimize_ns, _) = run?;
+            let (report, optimize_ns, _, counters) = run?;
             let output = outcomes.next().expect("one outcome per optimized image");
             check_behaviour(name, method, input, output)?;
-            checked.push((report, optimize_ns));
+            checked.push((report, optimize_ns, counters));
         }
         reports.push(checked);
     }
@@ -324,6 +352,7 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
                 degrees,
                 results,
                 optimize_ns: reports.iter().map(|runs| runs[i].1).collect(),
+                counters: reports.iter().map(|runs| runs[i].2.clone()).collect(),
             }
         })
         .collect();
@@ -461,9 +490,10 @@ impl PerfReport {
     /// Serializes the `gpa-bench/1` document.
     ///
     /// With `include_measured = false` the result is the *deterministic
-    /// section only* — per-kernel, per-method compression metrics plus
-    /// totals, a pure function of the kernel sources, the compiler and
-    /// the optimizer. `include_measured = true` appends the trailing
+    /// section only* — per-kernel, per-method compression metrics and
+    /// `work` counts ([`WORK_COUNTERS`]) plus totals, a pure function of
+    /// the kernel sources, the compiler and the optimizer.
+    /// `include_measured = true` appends the trailing
     /// `"measured"` object (jobs, wall time, the emulator check's time,
     /// per-stage latency histograms/percentiles, cache counters and each
     /// image's optimize time), which varies run to run.
@@ -476,8 +506,10 @@ impl PerfReport {
                 let results: Vec<Json> = k
                     .results
                     .iter()
-                    .map(|(method, report)| {
+                    .zip(&k.counters)
+                    .map(|((method, report), counters)| {
                         let saved = report.saved_words();
+                        let work = WORK_COUNTERS.map(|name| (name, Json::from(counters.get(name))));
                         Json::obj([
                             ("method", Json::from(method.as_str())),
                             ("final_words", Json::from(report.final_words)),
@@ -491,6 +523,7 @@ impl PerfReport {
                             ("cross_jumps", Json::from(report.cross_jump_count())),
                             ("rounds", Json::from(report.rounds.len())),
                             ("delta_saved_words", Json::from(saved - base_saved)),
+                            ("work", Json::obj(work)),
                         ])
                     })
                     .collect();

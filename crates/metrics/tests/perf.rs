@@ -226,3 +226,50 @@ fn kernel_entries_carry_the_inputs_degree_statistics() {
     let row = format!("| crc | out | {d0} | {d1} | {d2} | {d3} | {d4} |");
     assert!(md.contains("\n## Table 3") && md.contains(&row), "{md}");
 }
+
+/// Each result's `work` block holds its image's final trace counters:
+/// those a traced optimization of the same input counts.
+#[test]
+fn result_entries_carry_their_images_work_counters() {
+    use gpa_metrics::WORK_COUNTERS;
+    use gpa_trace::{CounterTracer, Tracer};
+    use std::sync::Arc;
+    let config = PerfConfig {
+        methods: vec![Method::Edgar],
+        kernels: vec!["crc".into()],
+        jobs: 1,
+        validate: ValidateLevel::Off,
+        ..PerfConfig::default()
+    };
+    let doc = run_perf(&config).unwrap().to_json(false);
+    let options = gpa_minicc::Options {
+        schedule: config.schedule,
+        ..gpa_minicc::Options::default()
+    };
+    let image = gpa_minicc::compile_benchmark("crc", &options).unwrap();
+    let tracer = Arc::new(CounterTracer::new());
+    let run = gpa::RunConfig {
+        validate: ValidateLevel::Off,
+        alias: config.alias,
+        tracer: tracer.clone(),
+        ..gpa::RunConfig::default()
+    };
+    gpa::Optimizer::from_image(&image)
+        .unwrap()
+        .run_with(Method::Edgar, &run)
+        .unwrap();
+    let counters = tracer.counters();
+    let kernel = &doc.get("kernels").and_then(Json::as_arr).unwrap()[0];
+    let result = &kernel.get("results").and_then(Json::as_arr).unwrap()[0];
+    let work = result.get("work").expect("a work block");
+    let names: Vec<&str> = match work {
+        Json::Obj(pairs) => pairs.iter().map(|(name, _)| name.as_str()).collect(),
+        other => panic!("work is {other}"),
+    };
+    assert_eq!(names, WORK_COUNTERS);
+    for name in WORK_COUNTERS {
+        let count = counters.get(name) as i64;
+        assert_eq!(work.get(name).and_then(Json::as_int), Some(count), "{name}");
+    }
+    assert!(counters.get("mine.canon_tuples") > 0);
+}

@@ -6,7 +6,9 @@
 //! *minimal* code over all possible constructions is the canonical form;
 //! [`is_min`](Pattern::is_min) tests minimality by replaying the code
 //! over the pattern's own graph and failing at the first realizable
-//! tuple smaller than the stored one.
+//! tuple smaller than the stored one. The search keeps the walks of the
+//! patterns on its path (`Walks`), so that a child's walk replays only
+//! what its new edge adds to its parent's.
 
 use std::cmp::Ordering;
 
@@ -142,14 +144,42 @@ impl Pattern {
         joins(&self.tuples, a, b)
     }
 
-    /// Extends the pattern with one more tuple.
+    /// Extends the pattern with one more tuple. The child's vectors are
+    /// allocated at their exact lengths.
     ///
     /// # Panics
     ///
     /// Panics if a forward tuple does not attach on the rightmost path or
     /// a backward tuple does not start at the rightmost node.
     pub fn extend(&self, tuple: DfsTuple) -> Pattern {
-        let mut child = self.clone();
+        self.assert_extends(tuple);
+        let mut tuples = Vec::with_capacity(self.tuples.len() + 1);
+        tuples.extend_from_slice(&self.tuples);
+        tuples.push(tuple);
+        if !tuple.is_forward() {
+            return Pattern {
+                tuples,
+                node_labels: self.node_labels.clone(),
+                rightmost_path: self.rightmost_path.clone(),
+            };
+        }
+        let mut node_labels = Vec::with_capacity(self.node_labels.len() + 1);
+        node_labels.extend_from_slice(&self.node_labels);
+        node_labels.push(tuple.to_label);
+        // The path up to the attachment point, then the new node.
+        let kept = self.rightmost_path.partition_point(|&u| u <= tuple.from);
+        let mut rightmost_path = Vec::with_capacity(kept + 1);
+        rightmost_path.extend_from_slice(&self.rightmost_path[..kept]);
+        rightmost_path.push(tuple.to);
+        Pattern {
+            tuples,
+            node_labels,
+            rightmost_path,
+        }
+    }
+
+    /// Panics unless `tuple` is a rightmost-path extension of the code.
+    fn assert_extends(&self, tuple: DfsTuple) {
         if tuple.is_forward() {
             assert_eq!(
                 tuple.to as usize,
@@ -160,8 +190,6 @@ impl Pattern {
                 self.rightmost_path.contains(&tuple.from),
                 "forward tuples attach on the rightmost path"
             );
-            child.node_labels.push(tuple.to_label);
-            advance_rightmost_path(&mut child.rightmost_path, tuple);
         } else {
             assert_eq!(
                 tuple.from,
@@ -169,8 +197,6 @@ impl Pattern {
                 "backward tuples leave the rightmost node"
             );
         }
-        child.tuples.push(tuple);
-        child
     }
 
     /// Whether this code is the canonical (minimal) DFS code of its graph.
@@ -184,93 +210,39 @@ impl Pattern {
     /// structure alone orders them after the stored tuple are never
     /// enumerated.
     pub fn is_min(&self) -> bool {
-        let graph = PatternGraph::of(self);
-        let labels = &self.node_labels;
-        // The first tuple: either orientation of any edge.
-        let first = self.tuples[0];
+        self.walk().0
+    }
+
+    /// The full walk behind [`is_min`](Pattern::is_min): its verdict, and
+    /// the number of tuples it compared. Only the current prefix's
+    /// projections are kept.
+    fn walk(&self) -> (bool, u64) {
+        let mut compared = 0;
         let mut projections: Vec<u16> = Vec::new();
-        for a in 0..self.node_count() as u16 {
-            for link in graph.links(a) {
-                let t = DfsTuple {
-                    from: 0,
-                    to: 1,
-                    from_label: labels[a as usize],
-                    to_label: labels[link.node as usize],
-                    outgoing: link.outgoing,
-                    edge_label: link.label,
-                };
-                match tuple_cmp(&t, &first) {
-                    Ordering::Less => return false,
-                    Ordering::Equal => projections.extend_from_slice(&[a, link.node]),
-                    Ordering::Greater => {}
-                }
-            }
+        if first_finds_smaller(
+            self.tuples[0],
+            &self.tuples,
+            &mut compared,
+            &mut projections,
+        ) {
+            return (false, compared);
         }
-        let mut width = 2;
-        let mut rightmost_path: Vec<u16> = vec![0, 1];
-        let mut backward: Vec<u16> = Vec::new();
+        let mut graph = PatternGraph::default();
+        graph.fill(self.node_count(), self.tuples.iter());
+        let labels = &self.node_labels;
+        let mut shape = Shape::default();
+        shape.start();
         let mut next: Vec<u16> = Vec::new();
-        for k in 1..self.tuples.len() {
-            let want = self.tuples[k];
-            let rightmost = *rightmost_path.last().expect("paths hold the root");
-            let path_above = &rightmost_path[..rightmost_path.len() - 1];
-            // Backward tuples precede every forward one and order by their
-            // target; forward tuples order deepest attachment first.
-            backward.clear();
-            backward.extend(path_above.iter().copied().filter(|&v| {
-                (want.is_forward() || v <= want.to) && !joins(&self.tuples[..k], rightmost, v)
-            }));
-            let forward: &[u16] = if want.is_forward() {
-                &rightmost_path[rightmost_path.partition_point(|&u| u < want.from)..]
-            } else {
-                &[]
-            };
+        for &want in &self.tuples[1..] {
+            let level = shape.level(want);
             next.clear();
-            for p in projections.chunks_exact(width) {
-                for &v in &backward {
-                    let Some(link) = graph
-                        .links(p[rightmost as usize])
-                        .iter()
-                        .find(|l| l.node == p[v as usize])
-                    else {
-                        continue;
-                    };
-                    let t = DfsTuple {
-                        from: rightmost,
-                        to: v,
-                        from_label: labels[rightmost as usize],
-                        to_label: labels[v as usize],
-                        outgoing: link.outgoing,
-                        edge_label: link.label,
-                    };
-                    match tuple_cmp(&t, &want) {
-                        Ordering::Less => return false,
-                        Ordering::Equal => next.extend_from_slice(p),
-                        Ordering::Greater => {}
-                    }
-                }
-                for &u in forward {
-                    for link in graph.links(p[u as usize]) {
-                        if p.contains(&link.node) {
-                            continue;
-                        }
-                        let t = DfsTuple {
-                            from: u,
-                            to: width as u16,
-                            from_label: labels[u as usize],
-                            to_label: labels[link.node as usize],
-                            outgoing: link.outgoing,
-                            edge_label: link.label,
-                        };
-                        match tuple_cmp(&t, &want) {
-                            Ordering::Less => return false,
-                            Ordering::Equal => {
-                                next.extend_from_slice(p);
-                                next.push(link.node);
-                            }
-                            Ordering::Greater => {}
-                        }
-                    }
+            for p in projections.chunks_exact(level.width()) {
+                let smaller = level.finds_smaller(&graph, labels, p, &mut compared, |added| {
+                    next.extend_from_slice(p);
+                    next.extend(added);
+                });
+                if smaller {
+                    return (false, compared);
                 }
             }
             assert!(
@@ -278,12 +250,9 @@ impl Pattern {
                 "stored code must be realizable in its own graph"
             );
             std::mem::swap(&mut projections, &mut next);
-            if want.is_forward() {
-                width += 1;
-                advance_rightmost_path(&mut rightmost_path, want);
-            }
+            shape.advance(want);
         }
-        true
+        (true, compared)
     }
 }
 
@@ -295,15 +264,483 @@ fn joins(tuples: &[DfsTuple], a: u16, b: u16) -> bool {
         .any(|t| (t.from == a && t.to == b) || (t.from == b && t.to == a))
 }
 
-/// Cuts the rightmost path below a forward tuple's attachment point and
-/// appends the node it discovers.
-fn advance_rightmost_path(path: &mut Vec<u16>, tuple: DfsTuple) {
-    let cut = path
-        .iter()
-        .position(|&v| v == tuple.from)
-        .expect("attachment point is on the rightmost path");
-    path.truncate(cut + 1);
-    path.push(tuple.to);
+/// A walk's first level: compares either orientation of each of `edges`
+/// with the code's first tuple. Returns whether one is smaller, stopping
+/// there, and appends each equal one's projection to `projections`.
+fn first_finds_smaller(
+    first: DfsTuple,
+    edges: &[DfsTuple],
+    compared: &mut u64,
+    projections: &mut Vec<u16>,
+) -> bool {
+    for end in edges.iter().flat_map(|&edge| End::both(edge)) {
+        *compared += 1;
+        match tuple_cmp(&end.tuple(0, 1), &first) {
+            Ordering::Less => return true,
+            Ordering::Equal => projections.extend([end.at, end.other]),
+            Ordering::Greater => {}
+        }
+    }
+    false
+}
+
+/// Words of projections the walk stack may hold (128 KiB). A pattern
+/// whose walk would hold more keeps no lists, and it and its
+/// descendants take the full walk.
+const WALK_WORDS: usize = 1 << 16;
+
+/// The canonical walks of the patterns on the search path, root first,
+/// kept so that a child's walk pays only for what its new edge adds.
+///
+/// A walk's level `k` lists the projections of the code's first `k + 1`
+/// tuples. A child's code is its parent's minimal code plus one tuple
+/// for a new edge `e`. A projection of the child's prefix that avoids
+/// `e` is one of the parent's, and its extensions other than along `e`
+/// exist in the parent's graph, where the parent's walk compared them
+/// with the same stored tuple and found none smaller. So the child
+/// compares, at each level, only the extension along `e` of each of the
+/// parent's projections, and every extension of the projections that
+/// use `e`. Its level `k` is the parent's plus the projections that use
+/// `e`, and only those are pushed: the pattern at depth `d` (with
+/// `d + 1` tuples) holds, at each of its levels `k <= d`, the
+/// projections that use its own edge, and its level `k` is the union of
+/// what the patterns at depths `k..=d` hold there. The verdicts are the
+/// full walk's ([`Pattern::is_min`]).
+///
+/// Projections cost `width` words each, so the stack holds at most
+/// [`WALK_WORDS`] words plus one projection's extensions. A walk that
+/// would hold more is dropped, and that pattern and its descendants
+/// (whose lists contain its lists) take the full walk.
+pub(crate) struct Walks {
+    /// The projections of every kept walk, frame by frame and within a
+    /// frame level by level, each `width` words.
+    words: Vec<u16>,
+    /// Level bounds in `words`: level `k` of the frame whose entry in
+    /// `frames` is `base` spans `ends[base + k]..ends[base + k + 1]`.
+    ends: Vec<usize>,
+    /// The first index in `ends` of each kept walk, root first. The
+    /// patterns that keep walks are a prefix of the path.
+    frames: Vec<usize>,
+    /// Patterns on the path, with or without a kept walk.
+    depth: usize,
+    /// The cap on `words`.
+    bound: usize,
+    /// The checked code's graph, its labels and its walk's position:
+    /// buffers reused by every check.
+    graph: PatternGraph,
+    labels: Vec<u32>,
+    shape: Shape,
+    /// A copy of the projection being extended.
+    projection: Vec<u16>,
+}
+
+impl Walks {
+    /// An empty path.
+    pub(crate) fn new() -> Walks {
+        Walks::with_bound(WALK_WORDS)
+    }
+
+    /// An empty path whose stack holds at most `bound` words (plus one
+    /// projection's extensions).
+    pub(crate) fn with_bound(bound: usize) -> Walks {
+        // Sized up front, above what the bundled kernels' paths need, so
+        // that these buffers sit below the search's embedding lists on
+        // the heap: grown mid-search, they kept freed memory above them
+        // resident (crc's `gpa optimize` peaked about 230 KiB higher).
+        Walks {
+            words: Vec::with_capacity(1024),
+            ends: Vec::with_capacity(256),
+            frames: Vec::with_capacity(32),
+            depth: 0,
+            bound,
+            graph: PatternGraph::default(),
+            labels: Vec::new(),
+            shape: Shape::default(),
+            projection: Vec::new(),
+        }
+    }
+
+    /// Whether the top pattern of the path keeps its walk.
+    #[cfg(test)]
+    pub(crate) fn kept(&self) -> bool {
+        self.depth > 0 && self.frames.len() == self.depth
+    }
+
+    /// Whether `parent` plus `tuple` is a minimal DFS code (`parent`
+    /// `None`: `tuple` is a root), and how many tuples the walk compared.
+    /// A minimal code becomes the top of the path, whose walk its
+    /// children start from; [`pop`](Walks::pop) it when its subtree is
+    /// done.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `parent` is the top of the path (nothing for a
+    /// root) and `tuple` extends it on its rightmost path (is `(0, 1)`
+    /// for a root).
+    pub(crate) fn push_if_min(&mut self, parent: Option<&Pattern>, tuple: DfsTuple) -> (bool, u64) {
+        let depth = parent.map_or(0, Pattern::edge_count);
+        assert_eq!(self.depth, depth, "the parent is the top of the path");
+        match parent {
+            Some(parent) => parent.assert_extends(tuple),
+            None => assert_eq!((tuple.from, tuple.to), (0, 1), "root tuple must be (0, 1)"),
+        }
+        let mut compared = 0;
+        if self.frames.len() == depth {
+            let base = self.ends.len();
+            match self.walk_on(parent, tuple, &mut compared) {
+                Some(true) => {
+                    self.depth += 1;
+                    return (true, compared);
+                }
+                verdict => {
+                    self.drop_frame(base);
+                    if verdict == Some(false) {
+                        return (false, compared);
+                    }
+                }
+            }
+        }
+        // The full walk: the parent keeps no walk, or this one outgrew
+        // the stack.
+        let child = parent.map_or_else(|| Pattern::root(tuple), |p| p.extend(tuple));
+        let (minimal, full) = child.walk();
+        self.depth += usize::from(minimal);
+        (minimal, compared + full)
+    }
+
+    /// Takes the top pattern off the path.
+    pub(crate) fn pop(&mut self) {
+        self.depth -= 1;
+        if self.frames.len() > self.depth {
+            let base = self.frames[self.depth];
+            self.drop_frame(base);
+        }
+    }
+
+    /// Drops the top frame, which starts at `base` in `ends`.
+    fn drop_frame(&mut self, base: usize) {
+        self.frames.pop();
+        self.words.truncate(self.ends[base]);
+        self.ends.truncate(base);
+    }
+
+    /// Walks `parent` plus `tuple` on from the parent's walk, the top
+    /// frame, and pushes the child's frame: its verdict, or `None` when
+    /// the frame outgrows the stack. The caller drops the frame of a
+    /// code that is not minimal.
+    fn walk_on(
+        &mut self,
+        parent: Option<&Pattern>,
+        tuple: DfsTuple,
+        compared: &mut u64,
+    ) -> Option<bool> {
+        let code = parent.map_or(&[][..], Pattern::tuples);
+        let depth = code.len();
+        self.labels.clear();
+        match parent {
+            Some(parent) => self.labels.extend_from_slice(&parent.node_labels),
+            None => self.labels.push(tuple.from_label),
+        }
+        if tuple.is_forward() {
+            self.labels.push(tuple.to_label);
+        }
+        let base = self.ends.len();
+        self.frames.push(base);
+        self.ends.push(self.words.len());
+        // Level 0: of the code's edges only e is new.
+        let first = code.first().copied().unwrap_or(tuple);
+        if first_finds_smaller(first, &[tuple], compared, &mut self.words) {
+            return Some(false);
+        }
+        if self.words.len() > self.bound {
+            return None;
+        }
+        self.ends.push(self.words.len());
+        self.shape.start();
+        let edge = End::both(tuple);
+        let mut graph_filled = false;
+        for k in 1..=depth {
+            let want = code.get(k).copied().unwrap_or(tuple);
+            let level = self.shape.level(want);
+            let width = level.width();
+            // The parent's projections avoid e: only their extensions
+            // along e are new.
+            for &frame in &self.frames[k - 1..depth] {
+                for at in (self.ends[frame + k - 1]..self.ends[frame + k]).step_by(width) {
+                    let Some((t, added)) = level.along(&self.words[at..at + width], &edge) else {
+                        continue;
+                    };
+                    match level.compare(&t, compared) {
+                        Ordering::Less => return Some(false),
+                        Ordering::Equal => {
+                            self.words.extend_from_within(at..at + width);
+                            self.words.extend(added);
+                            if self.words.len() > self.bound {
+                                return None;
+                            }
+                        }
+                        Ordering::Greater => {}
+                    }
+                }
+            }
+            // This code's own projections use e: every extension is new.
+            let own = self.ends[base + k - 1]..self.ends[base + k];
+            if !own.is_empty() && !graph_filled {
+                let tuples = code.iter().chain(std::iter::once(&tuple));
+                self.graph.fill(self.labels.len(), tuples);
+                graph_filled = true;
+            }
+            for at in own.step_by(width) {
+                self.projection.clear();
+                self.projection
+                    .extend_from_slice(&self.words[at..at + width]);
+                let (p, words) = (&self.projection, &mut self.words);
+                let smaller =
+                    level.finds_smaller(&self.graph, &self.labels, p, compared, |added| {
+                        words.extend_from_slice(p);
+                        words.extend(added);
+                    });
+                if smaller {
+                    return Some(false);
+                }
+                if self.words.len() > self.bound {
+                    return None;
+                }
+            }
+            self.ends.push(self.words.len());
+            self.shape.advance(want);
+        }
+        assert!(
+            self.ends[base + depth] < self.words.len(),
+            "stored code must be realizable in its own graph"
+        );
+        Some(true)
+    }
+}
+
+/// One end of the edge a child adds: the node there, the node at the
+/// other end, and the edge as a tuple taken from this end (whose DFS
+/// indices [`tuple`](End::tuple) sets).
+#[derive(Clone, Copy)]
+struct End {
+    at: u16,
+    other: u16,
+    arc: DfsTuple,
+}
+
+impl End {
+    /// The edge of `tuple`, seen from its `from` end and from its `to`
+    /// end.
+    fn both(tuple: DfsTuple) -> [End; 2] {
+        let reversed = DfsTuple {
+            from_label: tuple.to_label,
+            to_label: tuple.from_label,
+            outgoing: !tuple.outgoing,
+            ..tuple
+        };
+        [
+            End {
+                at: tuple.from,
+                other: tuple.to,
+                arc: tuple,
+            },
+            End {
+                at: tuple.to,
+                other: tuple.from,
+                arc: reversed,
+            },
+        ]
+    }
+
+    /// The tuple that takes the edge from DFS index `from`, mapped to
+    /// this end, to DFS index `to`.
+    fn tuple(&self, from: u16, to: u16) -> DfsTuple {
+        DfsTuple {
+            from,
+            to,
+            ..self.arc
+        }
+    }
+}
+
+/// A walk's position in the code: the rightmost path of the prefix
+/// walked so far, the path nodes its rightmost node already joins, and
+/// its node count. It depends only on the code, so a walk advances it
+/// tuple by tuple instead of rescanning the tuples at every level.
+#[derive(Default)]
+struct Shape {
+    path: Vec<u16>,
+    /// The path nodes the rightmost node joins: the attachment point of
+    /// the forward tuple that discovered it, then the targets of the
+    /// backward tuples since.
+    closed: Vec<u16>,
+    /// The current level's backward targets.
+    backward: Vec<u16>,
+    width: u16,
+}
+
+impl Shape {
+    /// The position after the first tuple, `(0, 1)`.
+    fn start(&mut self) {
+        self.path.clear();
+        self.path.extend([0, 1]);
+        self.closed.clear();
+        self.closed.push(0);
+        self.width = 2;
+    }
+
+    /// The level that compares the prefix's extensions with `want`.
+    /// Backward tuples precede every forward one and order by their
+    /// target; forward tuples order deepest attachment first.
+    fn level(&mut self, want: DfsTuple) -> Level<'_> {
+        let (&rightmost, above) = self.path.split_last().expect("paths hold the root");
+        let closed = &self.closed;
+        self.backward.clear();
+        self.backward.extend(
+            above
+                .iter()
+                .copied()
+                .filter(|&v| (want.is_forward() || v <= want.to) && !closed.contains(&v)),
+        );
+        let forward: &[u16] = if want.is_forward() {
+            &self.path[self.path.partition_point(|&u| u < want.from)..]
+        } else {
+            &[]
+        };
+        Level {
+            want,
+            rightmost,
+            width: self.width,
+            backward: &self.backward,
+            forward,
+        }
+    }
+
+    /// Moves past `want`, the tuple the last level compared with.
+    fn advance(&mut self, want: DfsTuple) {
+        if want.is_forward() {
+            // The path up to the attachment point, then the new node.
+            let kept = self.path.partition_point(|&u| u <= want.from);
+            self.path.truncate(kept);
+            self.path.push(want.to);
+            self.closed.clear();
+            self.closed.push(want.from);
+            self.width += 1;
+        } else {
+            self.closed.push(want.to);
+        }
+    }
+}
+
+/// One level of a walk: the stored tuple, and the extensions of a
+/// projection of the prefix whose structure alone does not order them
+/// after it.
+struct Level<'a> {
+    want: DfsTuple,
+    /// The prefix's rightmost node.
+    rightmost: u16,
+    /// The prefix's node count: a projection's words, and the DFS index a
+    /// forward tuple discovers.
+    width: u16,
+    /// The path nodes a backward tuple from the rightmost node may close
+    /// to: not joined to it yet, and not after the stored tuple's target.
+    backward: &'a [u16],
+    /// The path nodes a forward tuple may attach at: the stored tuple's
+    /// attachment point and deeper.
+    forward: &'a [u16],
+}
+
+impl Level<'_> {
+    /// Words per projection of the prefix.
+    fn width(&self) -> usize {
+        usize::from(self.width)
+    }
+
+    /// Orders `t` against the stored tuple, counting the comparison.
+    fn compare(&self, t: &DfsTuple, compared: &mut u64) -> Ordering {
+        *compared += 1;
+        tuple_cmp(t, &self.want)
+    }
+
+    /// Compares every extension of the projection `p` in `graph` that
+    /// this level enumerates with the stored tuple. Returns whether one
+    /// is smaller, stopping there; reports each equal one to `equal`
+    /// with the node it adds (`None` for a backward tuple).
+    fn finds_smaller(
+        &self,
+        graph: &PatternGraph,
+        labels: &[u32],
+        p: &[u16],
+        compared: &mut u64,
+        mut equal: impl FnMut(Option<u16>),
+    ) -> bool {
+        let rightmost = self.rightmost;
+        for &v in self.backward {
+            let Some(link) = graph
+                .links(p[rightmost as usize])
+                .iter()
+                .find(|l| l.node == p[v as usize])
+            else {
+                continue;
+            };
+            let t = DfsTuple {
+                from: rightmost,
+                to: v,
+                from_label: labels[rightmost as usize],
+                to_label: labels[v as usize],
+                outgoing: link.outgoing,
+                edge_label: link.label,
+            };
+            match self.compare(&t, compared) {
+                Ordering::Less => return true,
+                Ordering::Equal => equal(None),
+                Ordering::Greater => {}
+            }
+        }
+        for &u in self.forward {
+            for link in graph.links(p[u as usize]) {
+                if p.contains(&link.node) {
+                    continue;
+                }
+                let t = DfsTuple {
+                    from: u,
+                    to: self.width,
+                    from_label: labels[u as usize],
+                    to_label: labels[link.node as usize],
+                    outgoing: link.outgoing,
+                    edge_label: link.label,
+                };
+                match self.compare(&t, compared) {
+                    Ordering::Less => return true,
+                    Ordering::Equal => equal(Some(link.node)),
+                    Ordering::Greater => {}
+                }
+            }
+        }
+        false
+    }
+
+    /// The extension of the projection `p` along `edge`, when this level
+    /// enumerates one: its tuple, and the node it adds (`None` for a
+    /// backward tuple). A projection that maps both ends extends along
+    /// the edge backward from its rightmost node; one that maps one end
+    /// extends forward from it.
+    fn along(&self, p: &[u16], edge: &[End; 2]) -> Option<(DfsTuple, Option<u16>)> {
+        let index = |node| p.iter().position(|&n| n == node).map(|i| i as u16);
+        let (a, b) = (index(edge[0].at), index(edge[1].at));
+        for (end, (here, there)) in edge.iter().zip([(a, b), (b, a)]) {
+            match (here, there) {
+                (Some(u), None) if self.forward.contains(&u) => {
+                    return Some((end.tuple(u, self.width), Some(end.other)));
+                }
+                (Some(u), Some(v)) if u == self.rightmost && self.backward.contains(&v) => {
+                    return Some((end.tuple(u, v), None));
+                }
+                _ => {}
+            }
+        }
+        None
+    }
 }
 
 /// One end of a pattern edge, as seen from the node it is listed under.
@@ -318,6 +755,8 @@ struct Link {
 }
 
 /// A pattern's own graph, with each node's links in one flat array.
+/// Refilled in place, so a walk that reuses one allocates nothing.
+#[derive(Default)]
 struct PatternGraph {
     /// Node `i`'s links are `links[start[i]..start[i + 1]]`.
     start: Vec<usize>,
@@ -325,40 +764,42 @@ struct PatternGraph {
 }
 
 impl PatternGraph {
-    fn of(pattern: &Pattern) -> PatternGraph {
-        let n = pattern.node_count();
-        let mut start = vec![0usize; n + 1];
-        for t in &pattern.tuples {
+    /// Refills the graph with the edges of a code over `nodes` nodes,
+    /// each node's links in tuple order.
+    fn fill<'t>(&mut self, nodes: usize, tuples: impl Iterator<Item = &'t DfsTuple> + Clone) {
+        let start = &mut self.start;
+        start.clear();
+        start.resize(nodes + 1, 0);
+        for t in tuples.clone() {
             start[t.from as usize + 1] += 1;
             start[t.to as usize + 1] += 1;
         }
-        for i in 0..n {
+        for i in 0..nodes {
             start[i + 1] += start[i];
         }
-        let mut fill = start.clone();
-        let mut links = vec![
-            Link {
-                node: 0,
-                outgoing: false,
-                label: 0,
-            };
-            2 * pattern.tuples.len()
-        ];
-        for t in &pattern.tuples {
-            links[fill[t.from as usize]] = Link {
-                node: t.to,
-                outgoing: t.outgoing,
-                label: t.edge_label,
-            };
-            fill[t.from as usize] += 1;
-            links[fill[t.to as usize]] = Link {
-                node: t.from,
-                outgoing: !t.outgoing,
-                label: t.edge_label,
-            };
-            fill[t.to as usize] += 1;
+        let unset = Link {
+            node: 0,
+            outgoing: false,
+            label: 0,
+        };
+        self.links.clear();
+        self.links.resize(start[nodes], unset);
+        // Each node's start serves as its cursor, and ends at the next
+        // node's start.
+        for t in tuples {
+            let ends = [(t.from, t.to, t.outgoing), (t.to, t.from, !t.outgoing)];
+            for (at, node, outgoing) in ends {
+                let cursor = &mut start[at as usize];
+                self.links[*cursor] = Link {
+                    node,
+                    outgoing,
+                    label: t.edge_label,
+                };
+                *cursor += 1;
+            }
         }
-        PatternGraph { start, links }
+        start.copy_within(..nodes, 1);
+        start[0] = 0;
     }
 
     fn links(&self, node: u16) -> &[Link] {
@@ -571,36 +1012,61 @@ mod tests {
         assert!(!outgoing_first.is_min());
     }
 
+    /// Where a code on the test's search stack walks on from.
+    enum From {
+        /// A root: the walk stacks are empty below it.
+        Root,
+        /// A minimal parent, whose walk is on the walk stacks.
+        Minimal(Pattern),
+        /// A parent that is not minimal, which has no walk.
+        NonMinimal,
+    }
+
     /// Every code rightmost-path extension reaches from both orientations
-    /// of every arc of random directed labelled graphs — canonical or not
-    /// — gets the same verdict from the projection walk as from the
-    /// reference engine.
+    /// of every arc of random directed labelled graphs and of stars —
+    /// canonical or not — gets the same verdict from the projection walk
+    /// as from the reference engine. Every root and every child of a
+    /// minimal code is also walked on from its parent's walk, on walk
+    /// stacks carried down the search as it descends, and gets that
+    /// verdict too: on a stack under the search's bound, and on one whose
+    /// small bound makes patterns outgrow it, so that they and their
+    /// descendants take the full walk. Stars' symmetric patterns have
+    /// many projections per level.
     #[test]
     fn is_min_matches_reference_on_random_graphs() {
+        use crate::embed::tests::star_graph;
         let mut rng = StdRng::seed_from_u64(0x6d696e);
+        let mut databases: Vec<InputGraph> = (0..60)
+            .map(|_| {
+                let n = rng.gen_range(2..7u32);
+                let labels: Vec<u32> = (0..n).map(|_| rng.gen_range(0..3u32)).collect();
+                let mut edges = Vec::new();
+                for from in 0..n {
+                    for to in 0..n {
+                        if from != to && rng.gen_bool(0.35) {
+                            edges.push(GEdge {
+                                from,
+                                to,
+                                label: rng.gen_range(1..3u8),
+                            });
+                        }
+                    }
+                }
+                InputGraph::new(labels, edges)
+            })
+            .collect();
+        databases.extend([star_graph(4), star_graph(6)]);
         let mut checked = 0usize;
         let mut canonical = 0usize;
         let mut non_minimal_roots = 0usize;
-        for _ in 0..60 {
-            let n = rng.gen_range(2..7u32);
-            let labels: Vec<u32> = (0..n).map(|_| rng.gen_range(0..3u32)).collect();
-            let mut edges = Vec::new();
-            for from in 0..n {
-                for to in 0..n {
-                    if from != to && rng.gen_bool(0.35) {
-                        edges.push(GEdge {
-                            from,
-                            to,
-                            label: rng.gen_range(1..3u8),
-                        });
-                    }
-                }
-            }
-            let graph = InputGraph::new(labels, edges);
-            let graphs = std::slice::from_ref(&graph);
+        // Per walk stack: codes walked on, and minimal ones that kept
+        // their walk or took the full walk.
+        let (mut walked, mut kept, mut fell_back) = ([0usize; 2], [0usize; 2], [0usize; 2]);
+        for graph in &databases {
+            let graphs = std::slice::from_ref(graph);
             // The seeds list each arc in its minimal orientation; the
             // reversed roots, never minimal, are built here.
-            let mut stack: Vec<(Pattern, Vec<Embedding>)> = Vec::new();
+            let mut stack: Vec<(Pattern, Vec<Embedding>, From)> = Vec::new();
             for (t, e) in seed_buckets(graphs, 1, &NoopTracer) {
                 let reversed = DfsTuple {
                     from_label: t.to_label,
@@ -612,12 +1078,13 @@ mod tests {
                     .iter()
                     .map(|e| Embedding::new(e.graph, vec![e.map[1], e.map[0]]))
                     .collect();
-                stack.push((Pattern::root(t), e));
-                stack.push((Pattern::root(reversed), flipped));
+                stack.push((Pattern::root(t), e, From::Root));
+                stack.push((Pattern::root(reversed), flipped, From::Root));
             }
-            stack.sort_by_key(|(p, _)| p.tuples[0]);
+            stack.sort_by_key(|(p, _, _)| p.tuples[0]);
+            let mut walks = [(Walks::new(), 0usize), (Walks::with_bound(8), 0usize)];
             let mut budget = 3000;
-            while let Some((pattern, embeddings)) = stack.pop() {
+            while let Some((pattern, embeddings, from)) = stack.pop() {
                 let fast = pattern.is_min();
                 non_minimal_roots += usize::from(pattern.edge_count() == 1 && !fast);
                 assert_eq!(
@@ -626,6 +1093,35 @@ mod tests {
                     "verdicts differ on {:?}",
                     pattern.tuples()
                 );
+                let parent = match &from {
+                    From::Root => Some(None),
+                    From::Minimal(parent) => Some(Some(parent)),
+                    From::NonMinimal => None,
+                };
+                if let Some(parent) = parent {
+                    let tuple = *pattern.tuples().last().expect("codes are not empty");
+                    for (i, (walks, depth)) in walks.iter_mut().enumerate() {
+                        // The stack holds the walks of the parent and its
+                        // ancestors: the search has left every deeper one.
+                        while *depth > parent.map_or(0, Pattern::edge_count) {
+                            walks.pop();
+                            *depth -= 1;
+                        }
+                        let (incremental, _) = walks.push_if_min(parent, tuple);
+                        assert_eq!(
+                            incremental,
+                            fast,
+                            "walked on on stack {i}, verdicts differ on {:?}",
+                            pattern.tuples()
+                        );
+                        if incremental {
+                            *depth += 1;
+                            kept[i] += usize::from(walks.kept());
+                            fell_back[i] += usize::from(!walks.kept());
+                        }
+                        walked[i] += 1;
+                    }
+                }
                 checked += 1;
                 canonical += usize::from(fast);
                 budget -= 1;
@@ -633,8 +1129,14 @@ mod tests {
                     break;
                 }
                 if pattern.node_count() < 6 {
-                    for (t, e) in extensions(&pattern, graphs, &embeddings, 1, &NoopTracer) {
-                        stack.push((pattern.extend(t), e));
+                    let children = extensions(&pattern, graphs, &embeddings, 1, &NoopTracer);
+                    for (t, e) in children {
+                        let from = if fast {
+                            From::Minimal(pattern.clone())
+                        } else {
+                            From::NonMinimal
+                        };
+                        stack.push((pattern.extend(t), e, from));
                     }
                 }
             }
@@ -642,5 +1144,14 @@ mod tests {
         assert!(checked > 10_000, "only {checked} codes checked");
         assert!(canonical > 0 && canonical < checked);
         assert!(non_minimal_roots > 0);
+        assert!(walked[0] > 2_000, "only {} codes walked on", walked[0]);
+        assert_eq!(walked[0], walked[1]);
+        assert_eq!(fell_back[0], 0, "the search's bound is never reached here");
+        assert!(
+            kept[1] > 300 && fell_back[1] > 300,
+            "under the small bound {} minimal codes kept their walk, {} took the full walk",
+            kept[1],
+            fell_back[1]
+        );
     }
 }

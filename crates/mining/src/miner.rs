@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use gpa_trace::{NoopTracer, Tracer, Value};
 
-use crate::dfs_code::Pattern;
+use crate::dfs_code::{DfsTuple, Pattern, Walks};
 use crate::embed::{extensions, seed_buckets, Embedding};
 use crate::graph::InputGraph;
 use crate::mis::{
@@ -291,152 +291,165 @@ pub fn mine_streaming(
     config: &Config,
     visit: &mut dyn FnMut(&Fragment, usize) -> GrowDecision,
 ) {
-    let mut budget = config.max_patterns;
+    let mut search = Search {
+        graphs,
+        config,
+        visit,
+        seed: 0,
+        budget: config.max_patterns,
+        walks: Walks::new(),
+    };
     let seeds = seed_buckets(graphs, config.min_support, &*config.tracer);
-    for (si, (tuple, embeddings)) in seeds.into_iter().enumerate() {
-        let mut visit_seed = |f: &Fragment| visit(f, si);
-        if !mine_seed(
-            tuple,
-            embeddings,
-            graphs,
-            config,
-            &mut visit_seed,
-            &mut budget,
-        ) {
+    for (seed, (tuple, embeddings)) in seeds.into_iter().enumerate() {
+        search.seed = seed;
+        if !search.branch(None, tuple, embeddings) {
             // The pattern budget ran dry mid-seed: the rest of the
             // lattice is silently unexplored — trace it.
             config
                 .tracer
-                .event("mine.budget_exhausted", &[("seed", Value::from(si))]);
+                .event("mine.budget_exhausted", &[("seed", Value::from(seed))]);
             return;
         }
     }
 }
 
-/// Grows one seed pattern to completion; returns `false` when the
-/// pattern budget is exhausted.
-fn mine_seed(
-    tuple: crate::dfs_code::DfsTuple,
-    embeddings: Vec<Embedding>,
-    graphs: &[InputGraph],
-    config: &Config,
-    visit: &mut dyn FnMut(&Fragment) -> GrowDecision,
-    budget: &mut usize,
-) -> bool {
-    match take_up(|| Pattern::root(tuple), embeddings, config) {
-        Some((fragment, raw)) => grow(fragment, raw, graphs, config, visit, budget),
-        None => true,
-    }
+/// One run of [`mine_streaming`]: what every step reads, the seed being
+/// grown, the pattern budget left, and the canonical walks of the
+/// patterns on the current path.
+struct Search<'a> {
+    graphs: &'a [InputGraph],
+    config: &'a Config,
+    visit: &'a mut dyn FnMut(&Fragment, usize) -> GrowDecision,
+    seed: usize,
+    budget: usize,
+    walks: Walks,
 }
 
-/// The gates every code the search takes up (a seed, or an extension of
-/// a visited pattern) meets, in order of cost: its embedding count, its
-/// canonical form, its support. Counts the code (`mine.codes`) and, when
-/// a gate cuts it, the cut. A code with fewer than `min_support`
-/// embeddings is cut before `pattern` builds it or the canonical test
-/// runs. That cut is exact: support under either counting (graphs for
-/// DgSpan, disjoint embeddings for Edgar) never exceeds the number of
-/// embeddings, and the enumerations leave the list of such a code empty.
-///
-/// Returns the code as a fragment, whose list is the raw list truncated
-/// to `max_embeddings` and deduplicated by node set. Its extensions are
-/// enumerated from the raw list: that is the fragment's own list when
-/// dedup dropped nothing, and is returned beside it otherwise.
-fn take_up(
-    pattern: impl FnOnce() -> Pattern,
-    mut embeddings: Vec<Embedding>,
-    config: &Config,
-) -> Option<(Fragment, Option<Vec<Embedding>>)> {
-    let tracer = &*config.tracer;
-    tracer.count("mine.codes", 1);
-    if embeddings.len() < config.min_support {
-        tracer.count("mine.prune_infrequent", 1);
-        return None;
-    }
-    let pattern = pattern();
-    tracer.count("mine.canon_checks", 1);
-    if !pattern.is_min() {
-        tracer.count("mine.prune_non_canonical", 1);
-        return None;
-    }
-    if embeddings.len() > config.max_embeddings {
-        tracer.event(
-            "mine.embeddings_truncated",
-            &[
-                ("pattern_nodes", Value::from(pattern.node_count())),
-                ("before", Value::from(embeddings.len())),
-                ("after", Value::from(config.max_embeddings)),
-            ],
-        );
-        embeddings.truncate(config.max_embeddings);
-    }
-    let (deduped, raw) = match dedup_by_node_set(&embeddings) {
-        None => (embeddings, None),
-        Some(deduped) => (deduped, Some(embeddings)),
-    };
-    if !support_at_least_traced(&deduped, config.support, config.min_support, tracer) {
-        tracer.count("mine.prune_infrequent", 1);
-        return None;
-    }
-    let fragment = Fragment {
-        pattern,
-        embeddings: deduped,
-    };
-    Some((fragment, raw))
-}
-
-/// Visits a pattern the gates let through and grows its children from
-/// `raw`, or from the fragment's own list when that is `None` (see
-/// [`take_up`]); returns `false` when the pattern budget is exhausted
-/// (abort the run).
-fn grow(
-    fragment: Fragment,
-    raw: Option<Vec<Embedding>>,
-    graphs: &[InputGraph],
-    config: &Config,
-    visit: &mut dyn FnMut(&Fragment) -> GrowDecision,
-    budget: &mut usize,
-) -> bool {
-    let tracer = &*config.tracer;
-    if *budget == 0 {
-        // The one code a round that runs out of budget stops on. The
-        // callers' `mine.budget_exhausted` event marks the same stop, but
-        // identity rows read only count-only counters.
-        tracer.count("mine.prune_budget", 1);
-        return false;
-    }
-    *budget -= 1;
-    // Exactly one of {subtree_skipped, stopped_max_nodes, expanded} is
-    // counted per visited pattern, so the identity
-    //   patterns_visited == expanded + subtree_skipped + stopped_max_nodes
-    // holds by construction (`gpa trace-check` asserts it).
-    tracer.count("mine.patterns_visited", 1);
-    let decision = visit(&fragment);
-    if decision == GrowDecision::SkipChildren {
-        tracer.count("mine.subtree_skipped", 1);
-        return true;
-    }
-    let pattern = fragment.pattern;
-    if pattern.node_count() >= config.max_nodes {
-        tracer.count("mine.stopped_max_nodes", 1);
-        return true;
-    }
-    tracer.count("mine.expanded", 1);
-    let parents = raw.unwrap_or(fragment.embeddings);
-    let children = extensions(&pattern, graphs, &parents, config.min_support, tracer);
-    // The children's lists are built: the parent's are not read again.
-    drop(parents);
-    for (tuple, child_embeddings) in children {
-        tracer.count("mine.extensions_generated", 1);
-        let Some((child, child_raw)) = take_up(|| pattern.extend(tuple), child_embeddings, config)
-        else {
-            continue;
+impl Search<'_> {
+    /// Takes up `parent` plus `tuple` (a seed when `parent` is `None`)
+    /// and grows it when the gates let it through; returns `false` when
+    /// the pattern budget is exhausted (abort the run).
+    fn branch(
+        &mut self,
+        parent: Option<&Pattern>,
+        tuple: DfsTuple,
+        embeddings: Vec<Embedding>,
+    ) -> bool {
+        let Some((fragment, raw)) = self.take_up(parent, tuple, embeddings) else {
+            return true;
         };
-        if !grow(child, child_raw, graphs, config, visit, budget) {
+        let grown = self.grow(fragment, raw);
+        self.walks.pop();
+        grown
+    }
+
+    /// The gates every code the search takes up (a seed, or an extension
+    /// of a visited pattern) meets, in order of cost: its embedding
+    /// count, its canonical form, its support. Counts the code
+    /// (`mine.codes`) and, when a gate cuts it, the cut. A code with
+    /// fewer than `min_support` embeddings is cut before the canonical
+    /// test runs. That cut is exact: support under either counting
+    /// (graphs for DgSpan, disjoint embeddings for Edgar) never exceeds
+    /// the number of embeddings, and the enumerations leave the list of
+    /// such a code empty. The canonical test walks on from the parent's
+    /// walk, and only a code that passes it is built.
+    ///
+    /// Returns the code as a fragment, whose list is the raw list
+    /// truncated to `max_embeddings` and deduplicated by node set, with
+    /// its walk on top of the path. Its extensions are enumerated from
+    /// the raw list: that is the fragment's own list when dedup dropped
+    /// nothing, and is returned beside it otherwise.
+    fn take_up(
+        &mut self,
+        parent: Option<&Pattern>,
+        tuple: DfsTuple,
+        mut embeddings: Vec<Embedding>,
+    ) -> Option<(Fragment, Option<Vec<Embedding>>)> {
+        let config = self.config;
+        let tracer = &*config.tracer;
+        tracer.count("mine.codes", 1);
+        if embeddings.len() < config.min_support {
+            tracer.count("mine.prune_infrequent", 1);
+            return None;
+        }
+        tracer.count("mine.canon_checks", 1);
+        let (minimal, compared) = self.walks.push_if_min(parent, tuple);
+        tracer.count("mine.canon_tuples", compared);
+        if !minimal {
+            tracer.count("mine.prune_non_canonical", 1);
+            return None;
+        }
+        let pattern = parent.map_or_else(|| Pattern::root(tuple), |p| p.extend(tuple));
+        if embeddings.len() > config.max_embeddings {
+            tracer.event(
+                "mine.embeddings_truncated",
+                &[
+                    ("pattern_nodes", Value::from(pattern.node_count())),
+                    ("before", Value::from(embeddings.len())),
+                    ("after", Value::from(config.max_embeddings)),
+                ],
+            );
+            embeddings.truncate(config.max_embeddings);
+        }
+        let (deduped, raw) = match dedup_by_node_set(&embeddings) {
+            None => (embeddings, None),
+            Some(deduped) => (deduped, Some(embeddings)),
+        };
+        if !support_at_least_traced(&deduped, config.support, config.min_support, tracer) {
+            tracer.count("mine.prune_infrequent", 1);
+            self.walks.pop();
+            return None;
+        }
+        let fragment = Fragment {
+            pattern,
+            embeddings: deduped,
+        };
+        Some((fragment, raw))
+    }
+
+    /// Visits a pattern the gates let through and grows its children from
+    /// `raw`, or from the fragment's own list when that is `None` (see
+    /// [`take_up`](Search::take_up)); returns `false` when the pattern
+    /// budget is exhausted (abort the run).
+    fn grow(&mut self, fragment: Fragment, raw: Option<Vec<Embedding>>) -> bool {
+        let config = self.config;
+        let tracer = &*config.tracer;
+        if self.budget == 0 {
+            // The one code a round that runs out of budget stops on. The
+            // callers' `mine.budget_exhausted` event marks the same stop, but
+            // identity rows read only count-only counters.
+            tracer.count("mine.prune_budget", 1);
             return false;
         }
+        self.budget -= 1;
+        // Exactly one of {subtree_skipped, stopped_max_nodes, expanded} is
+        // counted per visited pattern, so the identity
+        //   patterns_visited == expanded + subtree_skipped + stopped_max_nodes
+        // holds by construction (`gpa trace-check` asserts it).
+        tracer.count("mine.patterns_visited", 1);
+        let decision = (self.visit)(&fragment, self.seed);
+        if decision == GrowDecision::SkipChildren {
+            tracer.count("mine.subtree_skipped", 1);
+            return true;
+        }
+        let pattern = fragment.pattern;
+        if pattern.node_count() >= config.max_nodes {
+            tracer.count("mine.stopped_max_nodes", 1);
+            return true;
+        }
+        tracer.count("mine.expanded", 1);
+        let parents = raw.unwrap_or(fragment.embeddings);
+        let children = extensions(&pattern, self.graphs, &parents, config.min_support, tracer);
+        // The children's lists are built: the parent's are not read again.
+        drop(parents);
+        for (tuple, child_embeddings) in children {
+            tracer.count("mine.extensions_generated", 1);
+            if !self.branch(Some(&pattern), tuple, child_embeddings) {
+                return false;
+            }
+        }
+        true
     }
-    true
 }
 
 #[cfg(test)]
