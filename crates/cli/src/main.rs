@@ -16,8 +16,8 @@
 //! gpa optimize <image> -o <out.img> [--method sfx|dgspan|edgar] [--validate off|final|every-round] [--alias off|stack] [--jobs N] [--trace out.jsonl] [--report-json out.json]
 //!                                                     optimize one image on one thread
 //!                                                     (`--jobs` is accepted and ignored)
-//! gpa batch <dir|files...> [--jobs N] [--cache-dir D] [--cache-entries N] [--cache-bytes N] [--trace-dir D] [--method sfx|dgspan|edgar] [--validate] [--report out.json]
-//! gpa serve --listen <addr> [--workers N] [--queue-depth N] [--method M] [--cache-dir D] [--cache-entries N] [--cache-bytes N] [--trace out.jsonl]
+//! gpa batch <dir|files...> [--jobs N] [--cache-dir D] [--cache-entries N] [--cache-bytes N] [--trace-dir D] [--method sfx|dgspan|edgar] [--validate off|final|every-round] [--alias off|stack] [--report out.json]
+//! gpa serve --listen <addr> [--workers N] [--queue-depth N] [--method M] [--validate L] [--alias off|stack] [--cache-dir D] [--cache-entries N] [--cache-bytes N] [--trace out.jsonl]
 //! gpa submit <image> --addr <addr> [--knobs JSON] [--report-only]
 //! gpa perf [-o bench.json] [--methods a,b] [--kernels a,b] [--jobs N] [--no-sched] [--validate L] [--alias off|stack] [--profile] [--baseline FILE] [--tolerance-pct N] [--compare FILE]
 //! gpa trace-check <trace.jsonl...>                    validate trace streams
@@ -115,10 +115,10 @@ fn print_usage() {
          [--trace out.jsonl] [--report-json out.json]\n    \
          (one image, one thread: --jobs is accepted and ignored)\n  \
          gpa batch <dir|files...> [--jobs N] [--cache-dir D] [--cache-entries N] \
-         [--cache-bytes N] [--trace-dir D] \
-         [--method sfx|dgspan|edgar] [--validate] [--report out.json]\n  \
+         [--cache-bytes N] [--trace-dir D] [--method sfx|dgspan|edgar] \
+         [--validate off|final|every-round] [--alias off|stack] [--report out.json]\n  \
          gpa serve --listen <addr> [--workers N] [--queue-depth N] \
-         [--method sfx|dgspan|edgar] [--validate off|final|every-round] \
+         [--method sfx|dgspan|edgar] [--validate off|final|every-round] [--alias off|stack] \
          [--cache-dir D] [--cache-entries N] [--cache-bytes N] [--trace out.jsonl]\n  \
          gpa submit <image> --addr <addr> [--knobs JSON] [--report-only]\n  \
          gpa perf [-o bench.json] [--methods a,b] [--kernels a,b] [--jobs N] \
@@ -676,36 +676,10 @@ fn optimize(args: &[String]) -> Result<ExitCode, String> {
     let mut report_json_path = None;
     let mut iter = rest.iter();
     while let Some(a) = iter.next() {
+        if take_run_flag(a, &mut iter, Some(&mut method), &mut config)? {
+            continue;
+        }
         match a.as_str() {
-            "--method" => {
-                let m = iter
-                    .next()
-                    .ok_or_else(|| "--method requires a value".to_owned())?;
-                method = match m.as_str() {
-                    "sfx" => Method::Sfx,
-                    "dgspan" => Method::DgSpan,
-                    "edgar" => Method::Edgar,
-                    other => return Err(format!("unknown method `{other}`")),
-                };
-            }
-            "--validate" => {
-                let v = iter
-                    .next()
-                    .ok_or_else(|| "--validate requires a value".to_owned())?;
-                config.validate = match v.as_str() {
-                    "off" => ValidateLevel::Off,
-                    "final" => ValidateLevel::Final,
-                    "every-round" => ValidateLevel::EveryRound,
-                    other => return Err(format!("unknown validate level `{other}`")),
-                };
-            }
-            "--alias" => {
-                let v = iter
-                    .next()
-                    .ok_or_else(|| "--alias requires a value".to_owned())?;
-                config.alias =
-                    AliasLevel::parse(v).ok_or_else(|| format!("unknown alias level `{v}`"))?;
-            }
             "--jobs" => {
                 // Parsed for compatibility, but one image is optimized on
                 // one thread: the flag selects nothing.
@@ -767,6 +741,41 @@ fn optimize(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// Reads one of the run flags `optimize`, `batch`, `serve` and `perf`
+/// share: `--method M` (for the commands that pass a `method`),
+/// `--validate LEVEL` and `--alias LEVEL`. Returns whether `flag` was
+/// one of them.
+fn take_run_flag<'a>(
+    flag: &str,
+    iter: &mut impl Iterator<Item = &'a String>,
+    method: Option<&mut Method>,
+    run: &mut RunConfig,
+) -> Result<bool, String> {
+    match (flag, method) {
+        ("--method", Some(method)) => *method = take_parsed(flag, iter, Method::parse, "method")?,
+        ("--validate", _) => {
+            run.validate = take_parsed(flag, iter, ValidateLevel::parse, "validate level")?;
+        }
+        ("--alias", _) => run.alias = take_parsed(flag, iter, AliasLevel::parse, "alias level")?,
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// Parses the value of `flag` with `parse`; `what` names the value in
+/// the error for one `parse` rejects.
+fn take_parsed<'a, T>(
+    flag: &str,
+    iter: &mut impl Iterator<Item = &'a String>,
+    parse: fn(&str) -> Option<T>,
+    what: &str,
+) -> Result<T, String> {
+    let value = iter
+        .next()
+        .ok_or_else(|| format!("{flag} requires a value"))?;
+    parse(value).ok_or_else(|| format!("unknown {what} `{value}`"))
+}
+
 /// Parses the value of a `--jobs` flag (`0` means auto-detect).
 fn take_jobs<'a>(iter: &mut impl Iterator<Item = &'a String>) -> Result<usize, String> {
     iter.next()
@@ -795,6 +804,9 @@ fn batch_run(args: &[String]) -> Result<ExitCode, String> {
     let mut report_path = None;
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
+        if take_run_flag(a, &mut iter, Some(&mut config.method), &mut config.run)? {
+            continue;
+        }
         match a.as_str() {
             "--jobs" => config.jobs = take_jobs(&mut iter)?,
             "--cache-dir" => {
@@ -811,13 +823,6 @@ fn batch_run(args: &[String]) -> Result<ExitCode, String> {
                     .ok_or_else(|| "--trace-dir requires a path".to_owned())?;
                 config.trace_dir = Some(dir.into());
             }
-            "--method" => {
-                let m = iter
-                    .next()
-                    .ok_or_else(|| "--method requires a value".to_owned())?;
-                config.method = Method::parse(m).ok_or_else(|| format!("unknown method `{m}`"))?;
-            }
-            "--validate" => config.run.validate = ValidateLevel::Final,
             "--report" => {
                 let p = iter
                     .next()
@@ -907,6 +912,9 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
     let mut cache_bytes = None;
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
+        if take_run_flag(a, &mut iter, Some(&mut config.method), &mut config.run)? {
+            continue;
+        }
         match a.as_str() {
             "--listen" => {
                 let addr = iter
@@ -920,23 +928,6 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
                 if config.queue_depth == 0 {
                     return Err("--queue-depth must be at least 1".to_owned());
                 }
-            }
-            "--method" => {
-                let m = iter
-                    .next()
-                    .ok_or_else(|| "--method requires a value".to_owned())?;
-                config.method = Method::parse(m).ok_or_else(|| format!("unknown method `{m}`"))?;
-            }
-            "--validate" => {
-                let v = iter
-                    .next()
-                    .ok_or_else(|| "--validate requires a value".to_owned())?;
-                config.run.validate = match v.as_str() {
-                    "off" => ValidateLevel::Off,
-                    "final" => ValidateLevel::Final,
-                    "every-round" => ValidateLevel::EveryRound,
-                    other => return Err(format!("unknown validate level `{other}`")),
-                };
             }
             "--cache-dir" => {
                 let dir = iter
@@ -1095,8 +1086,16 @@ fn perf(args: &[String]) -> Result<ExitCode, String> {
     let mut baseline_path = None;
     let mut compare_path = None;
     let mut tolerance_pct: u64 = 25;
+    let mut run = RunConfig {
+        validate: config.validate,
+        alias: config.alias,
+        ..RunConfig::default()
+    };
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
+        if take_run_flag(a, &mut iter, None, &mut run)? {
+            continue;
+        }
         match a.as_str() {
             "-o" => {
                 output = iter
@@ -1121,24 +1120,6 @@ fn perf(args: &[String]) -> Result<ExitCode, String> {
             }
             "--jobs" => config.jobs = take_jobs(&mut iter)?,
             "--no-sched" => config.schedule = false,
-            "--validate" => {
-                let v = iter
-                    .next()
-                    .ok_or_else(|| "--validate requires a value".to_owned())?;
-                config.validate = match v.as_str() {
-                    "off" => ValidateLevel::Off,
-                    "final" => ValidateLevel::Final,
-                    "every-round" => ValidateLevel::EveryRound,
-                    other => return Err(format!("unknown validate level `{other}`")),
-                };
-            }
-            "--alias" => {
-                let v = iter
-                    .next()
-                    .ok_or_else(|| "--alias requires a value".to_owned())?;
-                config.alias =
-                    AliasLevel::parse(v).ok_or_else(|| format!("unknown alias level `{v}`"))?;
-            }
             "--profile" => config.profile = true,
             "--baseline" => {
                 let p = iter
@@ -1162,6 +1143,8 @@ fn perf(args: &[String]) -> Result<ExitCode, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
+    config.validate = run.validate;
+    config.alias = run.alias;
     let load_doc = |path: &str| -> Result<Json, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         Json::parse(&text).map_err(|e| format!("{path}: {e}"))

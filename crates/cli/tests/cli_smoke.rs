@@ -1056,6 +1056,72 @@ fn trace_profile_renders_span_hierarchy() {
     }
 }
 
+/// `gpa batch` reads `--method`, `--validate LEVEL` and `--alias` the
+/// way `gpa optimize` does: a one-image batch at `--alias stack`
+/// reports what `gpa optimize --alias stack --report-json` writes.
+#[test]
+fn one_image_batch_reports_what_optimize_reports_at_alias_stack() {
+    let img = tmp("batch_alias.img");
+    let out_img = tmp("batch_alias.out");
+    let optimize_json = tmp("batch_alias_optimize.json");
+    let batch_json = tmp("batch_alias_batch.json");
+    let run = |args: &[&str]| {
+        let out = gpa().args(args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    let path = |p: &std::path::Path| p.to_str().unwrap().to_owned();
+    run(&["build-bench", "crc", "-o", &path(&img)]);
+    let knobs = ["--method", "edgar", "--validate", "off", "--alias", "stack"];
+    let mut optimize = vec!["optimize".to_owned(), path(&img), "-o".to_owned()];
+    optimize.extend([
+        path(&out_img),
+        "--report-json".to_owned(),
+        path(&optimize_json),
+    ]);
+    optimize.extend(knobs.map(str::to_owned));
+    run(&optimize.iter().map(String::as_str).collect::<Vec<_>>());
+    let mut batch = vec![
+        "batch".to_owned(),
+        path(&img),
+        "--jobs".to_owned(),
+        "1".to_owned(),
+    ];
+    batch.extend(["--report".to_owned(), path(&batch_json)]);
+    batch.extend(knobs.map(str::to_owned));
+    run(&batch.iter().map(String::as_str).collect::<Vec<_>>());
+    let parse =
+        |p: &std::path::Path| gpa::json::Json::parse(&std::fs::read_to_string(p).unwrap()).unwrap();
+    let batch_doc = parse(&batch_json);
+    let images = batch_doc.get("images").and_then(gpa::json::Json::as_arr);
+    let [entry] = images.expect("an image list") else {
+        panic!("one image expected: {batch_doc}");
+    };
+    let report = entry.get("report").expect("the image's report");
+    assert_eq!(report.to_string(), parse(&optimize_json).to_string());
+    // The flag reached the run: crc's report is the same at both alias
+    // levels, but its result is addressed under another key.
+    let off_json = tmp("batch_alias_off.json");
+    run(&[
+        "batch",
+        &path(&img),
+        "--validate",
+        "off",
+        "--report",
+        &path(&off_json),
+    ]);
+    let off_doc = parse(&off_json);
+    let off_images = off_doc.get("images").and_then(gpa::json::Json::as_arr);
+    let key = |entry: &gpa::json::Json| entry.get("key").map(ToString::to_string);
+    assert_ne!(key(&off_images.unwrap()[0]), key(entry));
+    for p in [&img, &out_img, &optimize_json, &batch_json, &off_json] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
 #[test]
 fn unknown_command_fails_cleanly() {
     let out = gpa().args(["frobnicate"]).output().unwrap();

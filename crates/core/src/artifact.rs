@@ -25,7 +25,7 @@
 //!   Equal keys ⇒ byte-identical [`crate::Report`]s.
 
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
@@ -40,9 +40,18 @@ use gpa_image::Image;
 use gpa_mining::graph::{InputGraph, LabelInterner};
 use gpa_trace::Tracer;
 
-use crate::graph_detect::{function_region_infos, region_oracle, GraphConfig, Reach, RegionInfo};
+use crate::graph_detect::{function_region_infos, region_oracle, Reach, RegionInfo};
+use crate::lru::{CacheBudget, Lru};
 use crate::optimizer::{AliasLevel, Method, RunConfig};
 use crate::validate::ValidateLevel;
+
+/// The longest region detection builds a DFG for. Building one costs
+/// time and memory that grow faster than the region (the DFG's
+/// transitive reduction compares every pair of items), and no deadline
+/// can stop that work, which runs inside a round. The bound is three
+/// times the longest region of the bundled kernels (rijndael's 341
+/// items), so it skips none of theirs.
+pub(crate) const MAX_REGION_ITEMS: usize = 1024;
 
 /// A per-block detection artifact: the DFG plus its reachability closure,
 /// both functions of the block's items alone.
@@ -223,14 +232,16 @@ impl RoundState {
     /// Brings the state up to date with `program`: rebuilds the dirty
     /// functions' entries, taking every rebuilt region's conservative
     /// artifact from `store`, keeps the rest, and reassembles the
-    /// whole-program views.
+    /// whole-program views. A region longer than [`MAX_REGION_ITEMS`]
+    /// gets no entry: no artifact, mining graph or overlay.
     ///
     /// Emits `front.regions`, `front.regions_built` (split into
     /// `front.blocks_built`, the artifacts the store had to build, and
-    /// `front.blocks_found`, the ones it already held) and
-    /// `front.regions_reused`, and under [`AliasLevel::Stack`] the
-    /// `absint.*` counters.
-    pub(crate) fn refresh(&mut self, program: &Program, config: &GraphConfig, store: &DfgCache) {
+    /// `front.blocks_found`, the ones it already held),
+    /// `front.regions_reused` and `front.regions_oversized` (the rebuilt
+    /// functions' regions skipped for their length), and under
+    /// [`AliasLevel::Stack`] the `absint.*` counters.
+    pub(crate) fn refresh(&mut self, program: &Program, config: &RunConfig, store: &DfgCache) {
         let tracer = &*config.tracer;
         let _front_span = gpa_trace::span(tracer, "front");
         if self.built_for != Some(config.alias) || program.functions.len() < self.funcs.len() {
@@ -243,7 +254,7 @@ impl RoundState {
         let mut old_regions = std::mem::take(&mut self.regions).into_iter();
         let mut old_graphs = std::mem::take(&mut self.graphs).into_iter();
         let mut rebuilt = vec![false; program.functions.len()];
-        let (mut blocks_built, mut blocks_found) = (0u64, 0u64);
+        let (mut blocks_built, mut blocks_found, mut oversized) = (0u64, 0u64, 0u64);
         for (fi, f) in program.functions.iter().enumerate() {
             let start = self.regions.len();
             let old = old_funcs.next();
@@ -262,6 +273,10 @@ impl RoundState {
                     old_graphs.by_ref().take(carried).for_each(drop);
                     rebuilt[fi] = true;
                     for info in function_region_infos(fi, f) {
+                        if info.len > MAX_REGION_ITEMS {
+                            oversized += 1;
+                            continue;
+                        }
                         let keys: Vec<u32> =
                             info.items.iter().map(|item| self.key_of(item)).collect();
                         let (artifact, found) = store.get_or_build(&info.items);
@@ -295,6 +310,7 @@ impl RoundState {
         tracer.count("front.blocks_built", blocks_built);
         tracer.count("front.blocks_found", blocks_found);
         tracer.count("front.regions_reused", regions - built);
+        tracer.count("front.regions_oversized", oversized);
         if config.alias == AliasLevel::Stack {
             self.refresh_overlays(program, &rebuilt, tracer);
         }
@@ -422,50 +438,6 @@ impl Borrow<[Item]> for Block {
     }
 }
 
-/// The keyed side of a [`DfgCache`]: the blocks plus the recency index
-/// that makes bounded stores LRU.
-#[derive(Default)]
-struct DfgInner {
-    /// block → recency tick of its last touch.
-    map: HashMap<Block, u64>,
-    /// tick → block, ascending: the front is the least recently used.
-    recency: BTreeMap<u64, Block>,
-    /// Monotone touch counter.
-    tick: u64,
-}
-
-impl DfgInner {
-    /// The artifact built from exactly `items`, marked most recently
-    /// used, if the store holds it.
-    fn find(&mut self, items: &[Item]) -> Option<Arc<BlockArtifact>> {
-        let last = self.map.get_mut(items)?;
-        let block = self.recency.remove(last).expect("every block is indexed");
-        self.tick += 1;
-        *last = self.tick;
-        let found = Arc::clone(&block.0);
-        self.recency.insert(self.tick, block);
-        Some(found)
-    }
-
-    /// Publishes `artifact` as most recently used and evicts from the
-    /// least recently used end down to `max_entries`; returns how many
-    /// it evicted.
-    fn insert(&mut self, artifact: Arc<BlockArtifact>, max_entries: usize) -> u64 {
-        self.tick += 1;
-        self.map.insert(Block(Arc::clone(&artifact)), self.tick);
-        self.recency.insert(self.tick, Block(artifact));
-        let mut evicted = 0;
-        while self.map.len() > max_entries {
-            let Some((_, victim)) = self.recency.pop_first() else {
-                break;
-            };
-            self.map.remove(&victim);
-            evicted += 1;
-        }
-        evicted
-    }
-}
-
 /// The block store: a thread-safe map from a block's items to its
 /// [`Dfg`] and reachability closure.
 ///
@@ -475,17 +447,15 @@ impl DfgInner {
 ///
 /// [`DfgCache::new`] is unbounded (one optimization's, or one batch
 /// run's, working set); [`DfgCache::bounded`] caps the entry count with
-/// least-recently-used eviction, which is what a long-lived `gpa serve`
-/// process needs to keep its resident size finite under arbitrary
-/// traffic.
+/// the least-recently-used eviction of an [`Lru`], which is what a
+/// long-lived `gpa serve` process needs to keep its resident size finite
+/// under arbitrary traffic.
 ///
 /// Hit/miss/eviction counters feed the pipeline's metrics report.
 pub struct DfgCache {
-    inner: Mutex<DfgInner>,
-    max_entries: usize,
+    blocks: Mutex<Lru<Block, ()>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evicted: AtomicU64,
 }
 
 impl Default for DfgCache {
@@ -498,7 +468,6 @@ impl fmt::Debug for DfgCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DfgCache")
             .field("entries", &self.len())
-            .field("max_entries", &self.max_entries)
             .field("hits", &self.hits())
             .field("misses", &self.misses())
             .field("evicted", &self.evicted())
@@ -513,15 +482,12 @@ impl DfgCache {
     }
 
     /// An empty store holding at most `max_entries` artifacts, evicting
-    /// the least recently used beyond that (`max_entries` is clamped to
-    /// at least 1 so the entry being inserted always fits).
+    /// the least recently used beyond that.
     pub fn bounded(max_entries: usize) -> DfgCache {
         DfgCache {
-            inner: Mutex::new(DfgInner::default()),
-            max_entries: max_entries.max(1),
+            blocks: Mutex::new(Lru::new(CacheBudget::bounded(max_entries, u64::MAX))),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
         }
     }
 
@@ -537,12 +503,12 @@ impl DfgCache {
 
     /// Number of artifacts evicted to stay under the capacity bound.
     pub fn evicted(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
+        self.lock().evicted()
     }
 
     /// Number of artifacts currently resident.
     pub fn len(&self) -> usize {
-        self.lock().map.len()
+        self.lock().len()
     }
 
     /// Whether the store is empty.
@@ -550,28 +516,33 @@ impl DfgCache {
         self.len() == 0
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, DfgInner> {
-        self.inner.lock().expect("dfg cache poisoned")
+    fn lock(&self) -> std::sync::MutexGuard<'_, Lru<Block, ()>> {
+        self.blocks.lock().expect("dfg cache poisoned")
+    }
+
+    /// The artifact built from exactly `items`, marked most recently
+    /// used, if the store holds it.
+    fn find(blocks: &mut Lru<Block, ()>, items: &[Item]) -> Option<Arc<BlockArtifact>> {
+        blocks.get(items).map(|(block, ())| Arc::clone(&block.0))
     }
 
     /// Returns the artifact built from `items`, building and publishing
     /// it on first sight, and whether the store already held it.
     pub(crate) fn get_or_build(&self, items: &[Item]) -> (Arc<BlockArtifact>, bool) {
-        if let Some(found) = self.lock().find(items) {
+        if let Some(found) = DfgCache::find(&mut self.lock(), items) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (found, true);
         }
         // Build outside the lock: duplicate work on a race is cheaper
         // than serializing every construction behind one mutex.
         let built = Arc::new(BlockArtifact::build(items));
-        let mut inner = self.lock();
-        if let Some(rival) = inner.find(items) {
+        let mut blocks = self.lock();
+        if let Some(rival) = DfgCache::find(&mut blocks, items) {
             // A racing builder published first; adopt its artifact.
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (rival, true);
         }
-        let evicted = inner.insert(Arc::clone(&built), self.max_entries);
-        self.evicted.fetch_add(evicted, Ordering::Relaxed);
+        blocks.insert(Block(Arc::clone(&built)), (), 0);
         self.misses.fetch_add(1, Ordering::Relaxed);
         (built, false)
     }
@@ -596,7 +567,7 @@ pub fn image_cache_key(image: &Image, method: Method, config: &RunConfig) -> u12
     // The salt names the optimizer's output function: a change that moves
     // any output byte for some input must bump it, or a `--cache-dir`
     // written by an older build keeps serving the older result.
-    h.write(b"gpa-image-key/2");
+    h.write(b"gpa-image-key/3");
     h.write(crate::report::REPORT_SCHEMA.as_bytes());
     h.write(match method {
         Method::Sfx => b"sfx",

@@ -1,7 +1,5 @@
 //! Graph-based fragment detection: DgSpan and Edgar candidates.
 
-use std::sync::Arc;
-
 use gpa_arm::defuse::conflicts;
 use gpa_cfg::{FunctionCode, Item, Program};
 use gpa_dfg::{AliasOracle, Dfg};
@@ -10,57 +8,15 @@ use gpa_mining::graph::InputGraph;
 use gpa_mining::miner::{
     mine_streaming, non_overlapping_count_traced, Config, Fragment, GrowDecision, Support,
 };
-use gpa_trace::{NoopTracer, Tracer, Value};
+use gpa_trace::{Tracer, Value};
 
 use crate::artifact::{BlockArtifact, DfgCache, RegionState, RoundState};
 use crate::candidate::{
     classify_body, item_extractable, Candidate, ExtractionKind, Occurrence, RelaxedPair,
 };
 use crate::cost::saved_words;
-use crate::optimizer::AliasLevel;
+use crate::optimizer::RunConfig;
 use crate::trace::trace_equivalent;
-
-/// Detection configuration for the graph-based methods.
-#[derive(Clone, Debug)]
-pub struct GraphConfig {
-    /// Support counting: `Graphs` = DgSpan, `Embeddings` = Edgar.
-    pub support: Support,
-    /// Fragment size cap in nodes.
-    pub max_nodes: usize,
-    /// Pattern-visit budget per mining round (bounds the exponential
-    /// lattice of large repetitive blocks; see
-    /// [`gpa_mining::miner::Config::max_patterns`]).
-    pub max_patterns: usize,
-    /// Telemetry sink for detection counters, the per-round candidate
-    /// table and degradation events. Tracing never changes which
-    /// candidate wins, so the tracer is excluded from
-    /// [`crate::artifact::image_cache_key`].
-    pub tracer: Arc<dyn Tracer>,
-    /// Memory disambiguation for the region DFGs. Under
-    /// [`AliasLevel::Stack`] the abstract interpreter builds a second,
-    /// *relaxed* DFG per region with the MEM edges between provably
-    /// disjoint stack accesses dropped. Mining still counts on the
-    /// conservative DFG (dropped edges are context-dependent, so they
-    /// would break cross-region isomorphism and fragment connectivity);
-    /// the relaxed graph only widens what is *extractable* — convexity,
-    /// cross-jump exit-closedness, and the contraction probe — so the
-    /// candidate universe under `Stack` is a superset of `Off`'s. Every
-    /// winning candidate carries the dropped pairs as claims for the
-    /// validator.
-    pub alias: AliasLevel,
-}
-
-impl Default for GraphConfig {
-    fn default() -> GraphConfig {
-        GraphConfig {
-            support: Support::Embeddings,
-            max_nodes: 16,
-            max_patterns: crate::optimizer::DEFAULT_MAX_PATTERNS,
-            tracer: Arc::new(NoopTracer),
-            alias: AliasLevel::default(),
-        }
-    }
-}
 
 /// A region with its provenance, aligned with the DFG/graph indices.
 #[derive(Clone, Debug, PartialEq)]
@@ -690,7 +646,7 @@ struct RunningBest {
 
 impl<'a> SearchCtx<'a> {
     /// The search over `state`, refreshed for `program`.
-    fn new(program: &Program, state: &'a RoundState, config: &'a GraphConfig) -> SearchCtx<'a> {
+    fn new(program: &Program, state: &'a RoundState, config: &'a RunConfig) -> SearchCtx<'a> {
         let regions = &state.regions;
         let lr_free = lr_free_functions(program);
         // A region's return can join a connected fragment only through a
@@ -716,7 +672,7 @@ impl<'a> SearchCtx<'a> {
             lr_free,
             closing_return,
             region_live,
-            max_body_words: 2 * config.max_nodes as i64, // fused calls = 2 words
+            max_body_words: 2 * config.max_fragment_nodes as i64, // fused calls = 2 words
             tracer: &*config.tracer,
         }
     }
@@ -844,43 +800,38 @@ impl<'a> SearchCtx<'a> {
 }
 
 /// Finds the best extractable candidate in the program under graph-based
-/// detection, or `None` when no extraction shrinks the program.
-pub fn best_candidate(program: &Program, config: &GraphConfig) -> Option<Candidate> {
-    best_candidate_instrumented(
-        program,
-        config,
-        &DfgCache::new(),
-        &mut RoundState::default(),
-    )
-}
-
-/// [`best_candidate`] on detection inputs carried in `state` from the
-/// previous round: the state first rebuilds what the program's rewrites
-/// since then invalidated (inside a `front` span, with the rebuilt
-/// regions' conservative artifacts from `store`), then the lattice
-/// search, MIS overlap resolution included, runs inside a `mine` span.
+/// detection with `support` counting, or `None` when no extraction
+/// shrinks the program.
+///
+/// The detection inputs are carried in `state` from the previous round:
+/// the state first rebuilds what the program's rewrites since then
+/// invalidated (inside a `front` span, with the rebuilt regions'
+/// conservative artifacts from `store`), then the lattice search, MIS
+/// overlap resolution included, runs inside a `mine` span.
 ///
 /// The search ([`mine_streaming`]) grows the seeds of the DFS-code
 /// lattice in seed order under one `max_patterns` budget for the whole
-/// round, carrying one incumbent from seed to seed.
-pub(crate) fn best_candidate_instrumented(
+/// round, carrying one incumbent from seed to seed. Mining counts on
+/// the conservative DFGs: alias verdicts are context-dependent, so
+/// relaxed edges would break cross-region isomorphism and fragment
+/// connectivity. Under [`crate::AliasLevel::Stack`] each region's
+/// relaxed overlay widens only what is extractable (convexity,
+/// cross-jump exit-closedness, the contraction probe), and every
+/// winning candidate carries the dropped pairs as claims for the
+/// validator.
+pub(crate) fn best_candidate(
     program: &Program,
-    config: &GraphConfig,
+    config: &RunConfig,
+    support: Support,
     store: &DfgCache,
     state: &mut RoundState,
 ) -> Option<Candidate> {
-    // Mining always counts on the conservative DFGs: alias verdicts are
-    // context-dependent, so relaxed edges would break cross-region
-    // isomorphism and fragment connectivity (shrinking the candidate
-    // universe instead of growing it). Under `Stack` each region's
-    // relaxed overlay decides extractability instead (convexity,
-    // exit-closedness, contraction).
     state.refresh(program, config, store);
     let ctx = SearchCtx::new(program, state, config);
     let mine_config = Config {
         min_support: 2,
-        support: config.support,
-        max_nodes: config.max_nodes,
+        support,
+        max_nodes: config.max_fragment_nodes,
         max_patterns: config.max_patterns,
         tracer: config.tracer.clone(),
         ..Config::default()
@@ -947,9 +898,12 @@ pub(crate) fn best_candidate_instrumented(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AliasLevel;
     use gpa_arm::Cond;
     use gpa_cfg::{FunctionCode, LabelId};
     use gpa_dfg::LabelMode;
+    use gpa_trace::NoopTracer;
+    use std::sync::Arc;
 
     fn insn(text: &str) -> Item {
         Item::Insn(text.parse().unwrap())
@@ -999,17 +953,23 @@ mod tests {
         }
     }
 
+    /// The first round's winner on `program` under `support`, with the
+    /// default tuning and a private store.
+    fn detect(program: &Program, support: Support) -> Option<Candidate> {
+        best_candidate(
+            program,
+            &RunConfig::default(),
+            support,
+            &DfgCache::new(),
+            &mut RoundState::default(),
+        )
+    }
+
     #[test]
     fn edgar_finds_profitable_fragment() {
         let program = running_example_program();
-        let cand = best_candidate(
-            &program,
-            &GraphConfig {
-                support: Support::Embeddings,
-                ..GraphConfig::default()
-            },
-        )
-        .expect("four occurrences of a three-node fragment are profitable");
+        let cand = detect(&program, Support::Embeddings)
+            .expect("four occurrences of a three-node fragment are profitable");
         assert!(cand.saved > 0);
         assert!(cand.occurrences.len() >= 2);
         // Occurrences never overlap.
@@ -1027,12 +987,10 @@ mod tests {
     #[test]
     fn warm_shared_store_matches_a_private_one() {
         let program = running_example_program();
-        let config = GraphConfig {
-            support: Support::Embeddings,
-            ..GraphConfig::default()
-        };
+        let config = RunConfig::default();
         let search = |store: &DfgCache| {
-            best_candidate_instrumented(&program, &config, store, &mut RoundState::default())
+            let mut state = RoundState::default();
+            best_candidate(&program, &config, Support::Embeddings, store, &mut state)
         };
         let private = DfgCache::new();
         let alone = search(&private);
@@ -1051,24 +1009,9 @@ mod tests {
     #[test]
     fn edgar_beats_dgspan_on_intra_block_repeats() {
         let program = running_example_program();
-        let edgar = best_candidate(
-            &program,
-            &GraphConfig {
-                support: Support::Embeddings,
-                ..GraphConfig::default()
-            },
-        )
-        .map(|c| c.saved)
-        .unwrap_or(0);
-        let dgspan = best_candidate(
-            &program,
-            &GraphConfig {
-                support: Support::Graphs,
-                ..GraphConfig::default()
-            },
-        )
-        .map(|c| c.saved)
-        .unwrap_or(0);
+        let saved = |support| detect(&program, support).map_or(0, |c| c.saved);
+        let edgar = saved(Support::Embeddings);
+        let dgspan = saved(Support::Graphs);
         assert!(
             edgar >= dgspan,
             "edgar {edgar} must be at least dgspan {dgspan}"
@@ -1295,10 +1238,9 @@ mod tests {
             let program = gpa_cfg::decode_image(&image).unwrap();
             for alias in [AliasLevel::Off, AliasLevel::Stack] {
                 for support in [Support::Embeddings, Support::Graphs] {
-                    let config = GraphConfig {
-                        support,
+                    let config = RunConfig {
                         alias,
-                        ..GraphConfig::default()
+                        ..RunConfig::default()
                     };
                     let mut state = RoundState::default();
                     state.refresh(&program, &config, &DfgCache::new());
@@ -1309,7 +1251,7 @@ mod tests {
                         .collect();
                     let mine_config = Config {
                         support,
-                        max_nodes: config.max_nodes,
+                        max_nodes: config.max_fragment_nodes,
                         max_patterns: 20_000,
                         ..Config::default()
                     };
@@ -1391,13 +1333,14 @@ mod tests {
     fn reference_winner(
         program: &Program,
         state: &RoundState,
-        config: &GraphConfig,
+        config: &RunConfig,
+        support: Support,
     ) -> Option<Candidate> {
         let lr_free = lr_free_functions(program);
         let regions = &state.regions;
         let mine_config = Config {
-            support: config.support,
-            max_nodes: config.max_nodes,
+            support,
+            max_nodes: config.max_fragment_nodes,
             max_patterns: usize::MAX,
             ..Config::default()
         };
@@ -1422,23 +1365,26 @@ mod tests {
         })
     }
 
-    /// Holds the first detection round of `program` under `config`, with
-    /// no pattern budget, to [`reference_winner`]. Every visit meets one
-    /// counted outcome. Returns the round's counters.
-    fn assert_reference_winner(program: &Program, config: &GraphConfig) -> gpa_trace::Counters {
+    /// Holds the first detection round of `program` under `config` and
+    /// `support`, with no pattern budget, to [`reference_winner`]. Every
+    /// visit meets one counted outcome. Returns the round's counters.
+    fn assert_reference_winner(
+        program: &Program,
+        config: &RunConfig,
+        support: Support,
+    ) -> gpa_trace::Counters {
         let tracer = Arc::new(gpa_trace::CounterTracer::new());
-        let config = GraphConfig {
+        let config = RunConfig {
             max_patterns: usize::MAX,
             tracer: tracer.clone(),
             ..config.clone()
         };
         let mut state = RoundState::default();
-        let winner = best_candidate_instrumented(program, &config, &DfgCache::new(), &mut state);
+        let winner = best_candidate(program, &config, support, &DfgCache::new(), &mut state);
         assert_eq!(
             winner,
-            reference_winner(program, &state, &config),
-            "{:?} {:?}",
-            config.support,
+            reference_winner(program, &state, &config, support),
+            "{support:?} {:?}",
             config.alias
         );
         let c = tracer.counters();
@@ -1498,12 +1444,11 @@ mod tests {
         for _ in 0..240 {
             let program = random_program(&mut rng);
             for support in [Support::Embeddings, Support::Graphs] {
-                let config = GraphConfig {
-                    support,
-                    max_nodes: 6,
-                    ..GraphConfig::default()
+                let config = RunConfig {
+                    max_fragment_nodes: 6,
+                    ..RunConfig::default()
                 };
-                let c = assert_reference_winner(&program, &config);
+                let c = assert_reference_winner(&program, &config, support);
                 unextractable += c.get("detect.prune_unextractable_item");
                 procedure_only += c.get("detect.prune_procedure_only");
                 won += c.get("detect.candidates_evaluated").min(1);
@@ -1526,12 +1471,11 @@ mod tests {
             let program = gpa_cfg::decode_image(&image).unwrap();
             for alias in [AliasLevel::Off, AliasLevel::Stack] {
                 for support in [Support::Embeddings, Support::Graphs] {
-                    let config = GraphConfig {
-                        support,
+                    let config = RunConfig {
                         alias,
-                        ..GraphConfig::default()
+                        ..RunConfig::default()
                     };
-                    let c = assert_reference_winner(&program, &config);
+                    let c = assert_reference_winner(&program, &config, support);
                     assert!(c.get("detect.prune_procedure_only") > 0, "{kernel}");
                 }
             }
@@ -1547,15 +1491,15 @@ mod tests {
         counter: &str,
     ) -> (Option<GrowDecision>, u64) {
         let tracer = Arc::new(gpa_trace::CounterTracer::new());
-        let config = GraphConfig {
+        let config = RunConfig {
             tracer: tracer.clone(),
-            ..GraphConfig::default()
+            ..RunConfig::default()
         };
         let mut state = RoundState::default();
         state.refresh(program, &config, &DfgCache::new());
         let ctx = SearchCtx::new(program, &state, &config);
         let mine_config = Config {
-            max_nodes: config.max_nodes,
+            max_nodes: config.max_fragment_nodes,
             ..Config::default()
         };
         let mut best = RunningBest::default();

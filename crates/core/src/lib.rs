@@ -54,6 +54,7 @@ pub mod cost;
 pub mod extract;
 pub mod graph_detect;
 pub mod json;
+pub mod lru;
 pub mod optimizer;
 pub mod report;
 pub mod sfx_detect;
@@ -62,6 +63,7 @@ pub mod validate;
 
 pub use artifact::{image_cache_key, DfgCache};
 pub use candidate::{Candidate, ExtractionKind, Occurrence, RelaxedPair};
+pub use lru::CacheBudget;
 pub use optimizer::{
     AliasLevel, Method, Optimizer, OptimizerError, RunConfig, DEFAULT_MAX_PATTERNS,
 };

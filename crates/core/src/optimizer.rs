@@ -13,7 +13,7 @@ use gpa_verify::{has_errors, Diagnostic};
 use crate::artifact::{DfgCache, RoundState};
 use crate::candidate::Candidate;
 use crate::extract;
-use crate::graph_detect::{self, GraphConfig};
+use crate::graph_detect;
 use crate::report::{Report, Round};
 use crate::sfx_detect;
 use crate::validate::{self, ValidateLevel};
@@ -147,17 +147,19 @@ pub struct RunConfig {
     /// resolution. Tracing observes the run without changing it, so the
     /// tracer is excluded from [`crate::artifact::image_cache_key`].
     pub tracer: Arc<dyn Tracer>,
-    /// Memory-disambiguation level for the graph miners' DFGs. Changes
-    /// the graphs (and therefore the output), so it participates in
+    /// Memory-disambiguation level for the graph methods' DFGs: under
+    /// [`AliasLevel::Stack`] each region also gets a relaxed DFG, which
+    /// decides what is extractable (mining still counts on the
+    /// conservative one). Changes the output, so it participates in
     /// [`crate::artifact::image_cache_key`].
     pub alias: AliasLevel,
     /// Pattern-visit budget per mining round (maps onto
-    /// [`GraphConfig::max_patterns`]). Bounds the worst case of a single
-    /// round, which is what lets a serving deadline be honoured: each
-    /// round does at most this much lattice work before the `deadline`
-    /// check between rounds can fire. Changes the output when a round
-    /// would exhaust it, so a non-default value participates in
-    /// [`crate::artifact::image_cache_key`].
+    /// [`gpa_mining::miner::Config::max_patterns`]). Bounds the worst
+    /// case of a single round, which is what lets a serving deadline be
+    /// honoured: each round does at most this much lattice work before
+    /// the `deadline` check between rounds can fire. Changes the output
+    /// when a round would exhaust it, so a non-default value
+    /// participates in [`crate::artifact::image_cache_key`].
     pub max_patterns: usize,
     /// Cooperative deadline: when set, the extraction loop stops before
     /// starting a round past this instant and returns the (well-formed,
@@ -169,9 +171,9 @@ pub struct RunConfig {
     pub deadline: Option<Instant>,
 }
 
-/// Default per-round pattern-visit budget (the historical
-/// [`GraphConfig::default`] value; keys hash `max_patterns` only when it
-/// differs from this, so existing cache keys and goldens are unchanged).
+/// Default per-round pattern-visit budget (keys hash `max_patterns` only
+/// when it differs from this, so existing cache keys and goldens are
+/// unchanged).
 pub const DEFAULT_MAX_PATTERNS: usize = 60_000;
 
 impl Default for RunConfig {
@@ -280,18 +282,7 @@ impl Optimizer {
             Method::DgSpan => Support::Graphs,
             Method::Edgar => Support::Embeddings,
         };
-        graph_detect::best_candidate_instrumented(
-            &self.program,
-            &GraphConfig {
-                support,
-                max_nodes: config.max_fragment_nodes,
-                max_patterns: config.max_patterns,
-                tracer: config.tracer.clone(),
-                alias: config.alias,
-            },
-            &self.store,
-            &mut self.state,
-        )
+        graph_detect::best_candidate(&self.program, config, support, &self.store, &mut self.state)
     }
 
     /// Applies one candidate, naming the new fragment from the internal
@@ -791,13 +782,71 @@ mod tests {
         }
     }
 
+    /// A `main` of one straight-line block of over 5,000 instructions,
+    /// the kind whose DFG took 20 s to build: the front end skips the
+    /// block and counts it once (no region of it ever hosts an
+    /// occurrence, so `main` is never rebuilt), and the output still runs
+    /// as its input does, at both alias levels.
     #[test]
-    fn alias_level_names_round_trip() {
+    fn an_oversized_block_gets_no_dfg() {
+        use crate::artifact::MAX_REGION_ITEMS;
+        use gpa_trace::CounterTracer;
+        let mut src = String::from("int main() { int x = 1; int y = 2;\n");
+        for k in 0..800 {
+            src.push_str(&format!("x = x + y * {}; y = y ^ x;\n", k % 200 + 3));
+        }
+        src.push_str("putint(x); putint(y); return 0; }");
+        let image = compile(&src, &Options::default()).unwrap();
+        let program = gpa_cfg::decode_image(&image).unwrap();
+        let main = program.function("main").unwrap();
+        let longest = main.regions().iter().map(|r| r.items.len()).max();
+        assert!(
+            longest >= Some(5_000.max(MAX_REGION_ITEMS + 1)),
+            "{longest:?}"
+        );
+        let before = Machine::new(&image).run(100_000_000).unwrap();
+        for alias in [AliasLevel::Off, AliasLevel::Stack] {
+            let tracer = Arc::new(CounterTracer::new());
+            let config = RunConfig {
+                alias,
+                tracer: tracer.clone(),
+                ..RunConfig::default()
+            };
+            let mut opt = Optimizer::from_image(&image).unwrap();
+            let report = opt.run_with(Method::Edgar, &config).unwrap();
+            let c = tracer.counters();
+            assert_eq!(c.get("front.regions_oversized"), 1, "--alias {alias}");
+            assert_eq!(c.check_identities(), Ok(()));
+            let after = Machine::new(&opt.encode().unwrap())
+                .run(100_000_000)
+                .unwrap();
+            assert_eq!(before.exit_code, after.exit_code, "--alias {alias}");
+            assert_eq!(before.output, after.output, "--alias {alias}");
+            assert!(report.saved_words() >= 0);
+        }
+    }
+
+    /// The names the command line and `gpa serve` knobs read parse back
+    /// to the value that prints them, and nothing else parses.
+    #[test]
+    fn knob_names_round_trip() {
         for level in [AliasLevel::Off, AliasLevel::Stack] {
             assert_eq!(AliasLevel::parse(level.as_str()), Some(level));
         }
         assert_eq!(AliasLevel::parse("both"), None);
         assert_eq!(AliasLevel::default(), AliasLevel::Off);
+        for method in [Method::Sfx, Method::DgSpan, Method::Edgar] {
+            assert_eq!(Method::parse(method.as_str()), Some(method));
+        }
+        assert_eq!(Method::parse("Edgar"), None);
+        for level in [
+            ValidateLevel::Off,
+            ValidateLevel::Final,
+            ValidateLevel::EveryRound,
+        ] {
+            assert_eq!(ValidateLevel::parse(level.as_str()), Some(level));
+        }
+        assert_eq!(ValidateLevel::parse("every_round"), None);
     }
 
     #[test]

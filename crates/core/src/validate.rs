@@ -65,6 +65,28 @@ pub enum ValidateLevel {
     EveryRound,
 }
 
+impl ValidateLevel {
+    /// The stable lowercase name used on the command line and in `gpa
+    /// serve` knobs; [`ValidateLevel::parse`] is its inverse.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            ValidateLevel::Off => "off",
+            ValidateLevel::Final => "final",
+            ValidateLevel::EveryRound => "every-round",
+        }
+    }
+
+    /// Parses a [`ValidateLevel::as_str`] name (case-sensitive).
+    pub fn parse(s: &str) -> Option<ValidateLevel> {
+        match s {
+            "off" => Some(ValidateLevel::Off),
+            "final" => Some(ValidateLevel::Final),
+            "every-round" => Some(ValidateLevel::EveryRound),
+            _ => None,
+        }
+    }
+}
+
 impl Default for ValidateLevel {
     /// [`ValidateLevel::EveryRound`] in debug builds, [`ValidateLevel::Off`]
     /// in release builds — mirroring the `debug_assert!` economics the

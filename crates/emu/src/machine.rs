@@ -154,11 +154,6 @@ impl Machine {
         &self.mem
     }
 
-    /// Mutable access to the machine's memory.
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
     /// Runs until exit or until `max_steps` instructions have executed.
     ///
     /// # Errors

@@ -220,11 +220,6 @@ impl Image {
         self.code = words;
     }
 
-    /// Replaces the symbol table.
-    pub fn set_symbols(&mut self, symbols: Vec<Symbol>) {
-        self.symbols = symbols;
-    }
-
     /// Looks up a symbol by name.
     pub fn symbol(&self, name: &str) -> Option<&Symbol> {
         self.symbols.iter().find(|s| s.name == name)

@@ -26,16 +26,6 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
-    /// The identifier text, if this is an identifier.
-    pub fn ident(&self) -> Option<&str> {
-        match self {
-            TokenKind::Ident(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
 /// Multi-character operators, longest first so maximal munch works.
 const PUNCTS: &[&str] = &[
     "<<=", ">>=", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "+=", "-=", "*=", "/=", "%=",

@@ -8,10 +8,7 @@ use gpa_trace::{NoopTracer, Tracer, Value};
 use crate::dfs_code::{DfsTuple, Pattern, Walks};
 use crate::embed::{extensions, seed_buckets, Embedding};
 use crate::graph::InputGraph;
-use crate::mis::{
-    count_isolated, disjoint_count_traced, max_independent_set_traced, CollisionGraph,
-};
-use crate::nodeset::NodeSet;
+use crate::mis::{count_isolated, max_independent_set_traced, CollisionGraph};
 
 /// How a fragment's support is counted.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -110,32 +107,31 @@ fn dedup_by_node_set(embeddings: &[Embedding]) -> Option<Vec<Embedding>> {
     Some(deduped)
 }
 
-/// Counts support of a set of node-set-deduplicated embeddings.
+/// Counts support of a set of node-set-deduplicated embeddings, in
+/// graph order.
 ///
 /// Under [`Support::Embeddings`] this is the non-overlapping count
-/// (summed per graph) — exact up to the per-graph set limit of the
-/// bounded MIS solver, the greedy lower bound beyond it.
+/// ([`non_overlapping_count_traced`], summed per graph): exact for every
+/// collision-graph component of up to 128 embeddings, the greedy lower
+/// bound beyond.
 pub fn count_support(embeddings: &[Embedding], support: Support) -> usize {
     match support {
         Support::Graphs => {
             let graphs: HashSet<u32> = embeddings.iter().map(|e| e.graph).collect();
             graphs.len()
         }
-        Support::Embeddings => node_sets_by_graph(embeddings)
-            .values()
-            .map(|sets| disjoint_count_traced(sets, &NoopTracer))
-            .sum(),
+        Support::Embeddings => {
+            let embeddings: Vec<&Embedding> = embeddings.iter().collect();
+            non_overlapping_count_traced(&embeddings, &NoopTracer).0
+        }
     }
 }
 
-/// Whether the support reaches `min` — exact for the paper's minimum
-/// support of 2 under both counting schemes, and for any `min` while
-/// the per-graph embedding counts stay within the exact-MIS limit.
-pub fn support_at_least(embeddings: &[Embedding], support: Support, min: usize) -> bool {
-    support_at_least_traced(embeddings, support, min, &NoopTracer)
-}
-
-/// [`support_at_least`] with telemetry on which gate path answered.
+/// Whether the support of a set of node-set-deduplicated embeddings, in
+/// graph order, reaches `min`: the search's frequency gate. Exact for
+/// the paper's minimum support of 2 under both counting schemes, and
+/// for any `min` while no collision-graph component holds more than 128
+/// embeddings.
 pub fn support_at_least_traced(
     embeddings: &[Embedding],
     support: Support,
@@ -165,32 +161,13 @@ pub fn support_at_least_traced(
                         .any(|b| a.graph != b.graph || !a.node_set().intersects(b.node_set()))
                 });
             }
-            // min > 2 must NOT be answered by the greedy count alone: a
-            // greedy undershoot here prunes a whole lattice subtree, and
-            // the antimonotone gate must never under-approximate. The
-            // traced count is exact while each graph's embedding count
-            // stays within the bounded-MIS limit.
-            let mut total = 0;
-            for sets in node_sets_by_graph(embeddings).values() {
-                total += disjoint_count_traced(sets, tracer);
-                if total >= min {
-                    return true;
-                }
-            }
-            false
+            // A greedy undershoot here would prune a whole lattice
+            // subtree, and the antimonotone gate must never
+            // under-approximate: count with occurrence selection's MIS.
+            let embeddings: Vec<&Embedding> = embeddings.iter().collect();
+            non_overlapping_count_traced(&embeddings, tracer).0 >= min
         }
     }
-}
-
-fn node_sets_by_graph(embeddings: &[Embedding]) -> std::collections::BTreeMap<u32, Vec<NodeSet>> {
-    let mut by_graph: std::collections::BTreeMap<u32, Vec<NodeSet>> = Default::default();
-    for e in embeddings {
-        by_graph
-            .entry(e.graph)
-            .or_default()
-            .push(e.node_set().clone());
-    }
-    by_graph
 }
 
 /// Computes the maximum number of pairwise node-disjoint embeddings and
@@ -455,6 +432,7 @@ impl Search<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nodeset::NodeSet;
     use gpa_arm::parse::parse_listing;
     use gpa_cfg::Item;
     use gpa_dfg::{build_dfg_from_items, LabelMode};
@@ -692,6 +670,54 @@ mod tests {
         assert_eq!(c.check_identities(), Ok(()), "{c:?}");
     }
 
+    /// The maximum number of pairwise-disjoint sets, by brute force over
+    /// every subset.
+    fn brute_force_disjoint(sets: &[Vec<u32>]) -> usize {
+        let n = sets.len();
+        assert!(n <= 20, "test inputs stay brute-forceable");
+        let mut best = 0usize;
+        for mask in 0u32..(1 << n) {
+            let idx: Vec<usize> = (0..n).filter(|&i| mask & (1 << i) != 0).collect();
+            let ok = idx.iter().enumerate().all(|(a, &i)| {
+                idx[a + 1..]
+                    .iter()
+                    .all(|&j| !crate::mis::sorted_intersects(&sets[i], &sets[j]))
+            });
+            if ok {
+                best = best.max(idx.len());
+            }
+        }
+        best
+    }
+
+    /// `sets` as embeddings of graph `graph`, one per set.
+    fn embeddings_of(graph: u32, sets: &[Vec<u32>]) -> Vec<Embedding> {
+        sets.iter()
+            .map(|s| Embedding::new(graph, s.clone()))
+            .collect()
+    }
+
+    /// Holds `count_support` and the frequency gate, at every `min` up
+    /// to past the count, to `count`: the known maximum number of
+    /// disjoint embeddings.
+    fn assert_support(embeddings: &[Embedding], count: usize) {
+        assert_eq!(count_support(embeddings, Support::Embeddings), count);
+        for min in 0..=count + 2 {
+            let gate = support_at_least_traced(embeddings, Support::Embeddings, min, &NoopTracer);
+            assert_eq!(gate, count >= min, "min {min}, count {count}");
+        }
+    }
+
+    /// The adversarial 5-set gadget: a greedy count that takes
+    /// equal-length sets in input order picks the two "centre" sets and
+    /// blocks the three-set optimum {1,2}, {3,4}, {5,6}.
+    fn gadget(base: u32) -> Vec<Vec<u32>> {
+        [[2, 3], [4, 5], [1, 2], [3, 4], [5, 6]]
+            .iter()
+            .map(|pair| pair.iter().map(|n| base + n).collect())
+            .collect()
+    }
+
     #[test]
     fn min_support_three_matches_brute_force_disjoint_count() {
         // Three disjoint occurrences of ldr→sub in one block, arranged so
@@ -715,24 +741,39 @@ mod tests {
             "three disjoint ldr→sub embeddings must survive min_support = 3"
         );
         for f in &found {
-            // Brute force over all embedding subsets.
             let sets: Vec<Vec<u32>> = f.embeddings.iter().map(Embedding::sorted_nodes).collect();
-            let n = sets.len();
-            assert!(n <= 20, "test inputs stay brute-forceable");
-            let mut best = 0usize;
-            for mask in 0u32..(1 << n) {
-                let idx: Vec<usize> = (0..n).filter(|&i| mask & (1 << i) != 0).collect();
-                let ok = idx.iter().enumerate().all(|(a, &i)| {
-                    idx[a + 1..]
-                        .iter()
-                        .all(|&j| !crate::mis::sorted_intersects(&sets[i], &sets[j]))
-                });
-                if ok {
-                    best = best.max(idx.len());
-                }
-            }
+            let best = brute_force_disjoint(&sets);
             assert!(best >= 3, "reported fragment lacks 3 disjoint embeddings");
             assert_eq!(f.support, best, "support disagrees with brute force");
+        }
+        // The gadget, on which a greedy gate once reported a support of 3
+        // unreachable.
+        assert_support(&embeddings_of(0, &gadget(0)), 3);
+        // Random sets, in one graph or spread over two.
+        let mut state = 0x9e3779b9u64;
+        let mut rand = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..50 {
+            let n = 3 + (rand() % 10) as usize;
+            let sets: Vec<Vec<u32>> = (0..n)
+                .map(|_| {
+                    let mut s: Vec<u32> =
+                        (0..2 + rand() % 3).map(|_| (rand() % 12) as u32).collect();
+                    s.sort_unstable();
+                    s.dedup();
+                    s
+                })
+                .collect();
+            let split = if case % 2 == 0 { n } else { n / 2 };
+            let (first, second) = sets.split_at(split);
+            let mut embeddings = embeddings_of(0, first);
+            embeddings.extend(embeddings_of(1, second));
+            let count = brute_force_disjoint(first) + brute_force_disjoint(second);
+            assert_support(&embeddings, count);
         }
     }
 
@@ -764,17 +805,24 @@ mod tests {
             .max()
             .expect("the ldr→sub fragment must be frequent");
         assert_eq!(best, 70, "all 70 disjoint occurrences count");
+        // 19 and 26 gadgets in one graph: 95 and 130 embeddings, the
+        // second past the 128 sets the count was once exact for. Each
+        // gadget is a collision-graph component of its own, solved
+        // exactly: 3 disjoint embeddings per gadget.
+        for copies in [19, 26] {
+            let sets: Vec<Vec<u32>> = (0..copies).flat_map(|rep| gadget(rep * 10)).collect();
+            assert_support(&embeddings_of(0, &sets), 3 * copies as usize);
+        }
     }
 
     /// The search as it was before its gates paid only for what
     /// detection reads: seeds in both orientations, each one
     /// canonical-tested; every code that passes cloned into a node-set
-    /// dedup, gated on per-graph node-set maps and its support counted;
+    /// dedup, its support counted on per-graph node-set maps and gated;
     /// extensions enumerated from the raw list.
     mod reference {
         use super::*;
         use crate::dfs_code::DfsTuple;
-        use crate::mis::has_k_disjoint;
 
         /// One visit: the seed index (over minimal seed codes), the code,
         /// the embeddings and the support.
@@ -824,10 +872,10 @@ mod tests {
                 .filter(|e| seen.insert((e.graph, e.node_set().clone())))
                 .cloned()
                 .collect();
-            if !support_at_least(&deduped, config.support, config.min_support) {
+            let support = support(&deduped, config.support);
+            if support < config.min_support {
                 return None;
             }
-            let support = count_support(&deduped, config.support);
             let frequent = Frequent {
                 pattern,
                 embeddings: deduped,
@@ -836,21 +884,17 @@ mod tests {
             Some((frequent, embeddings))
         }
 
-        fn support_at_least(embeddings: &[Embedding], support: Support, min: usize) -> bool {
-            if support == Support::Graphs {
-                let graphs: HashSet<u32> = embeddings.iter().map(|e| e.graph).collect();
-                return graphs.len() >= min;
+        /// The support of `embeddings`: their graphs, or per graph a
+        /// maximum set of disjoint ones on a collision graph built from
+        /// cloned node sets.
+        fn support(embeddings: &[Embedding], support: Support) -> usize {
+            match support {
+                Support::Graphs => {
+                    let graphs: HashSet<u32> = embeddings.iter().map(|e| e.graph).collect();
+                    graphs.len()
+                }
+                Support::Embeddings => non_overlapping_count_reference(embeddings, &NoopTracer).0,
             }
-            let by_graph = node_sets_by_graph(embeddings);
-            if min <= 2 {
-                return by_graph.len() >= 2
-                    || by_graph.values().any(|sets| has_k_disjoint(sets, min));
-            }
-            let total: usize = by_graph
-                .values()
-                .map(|sets| disjoint_count_traced(sets, &NoopTracer))
-                .sum();
-            total >= min
         }
 
         struct Search<'a> {

@@ -146,11 +146,6 @@ const EXACT_BUDGET: u64 = 200_000;
 /// candidate-set bits).
 const EXACT_COMPONENT_VERTICES: usize = 128;
 
-/// Largest node-set count for which the frequency gate answers exactly
-/// (via [`max_independent_set`] on the collision graph); beyond it the
-/// gate is genuinely greedy and traced as `mis.support_greedy`.
-const EXACT_SUPPORT_SETS: usize = 128;
-
 /// Computes a maximum independent set of the collision graph, returning
 /// the chosen vertex indices (exact for components of at most 128
 /// vertices within a branch-and-bound budget, greedy beyond).
@@ -225,68 +220,6 @@ pub(crate) fn count_isolated(n: usize, tracer: &dyn Tracer) {
     tracer.count("mis.components", n);
     tracer.count("mis.component_exact", n);
     tracer.count("mis.bb_steps", n);
-}
-
-/// Whether at least `k` pairwise-disjoint node sets exist: exact for
-/// `k <= 2` (all pairs are tested) and for up to [`EXACT_SUPPORT_SETS`]
-/// node sets (via the bounded exact MIS on the collision graph), the
-/// greedy lower bound beyond both. The miner's tests hold the search's
-/// support gate to it.
-#[cfg(test)]
-pub(crate) fn has_k_disjoint(node_sets: &[NodeSet], k: usize) -> bool {
-    match k {
-        0 => true,
-        1 => !node_sets.is_empty(),
-        2 => node_sets
-            .iter()
-            .enumerate()
-            .any(|(i, a)| node_sets[i + 1..].iter().any(|b| !a.intersects(b))),
-        // The greedy count is a sound lower bound: reaching `k` proves
-        // the disjoint sets exist. Failing to reach `k` proves nothing.
-        _ => {
-            greedy_disjoint_count(node_sets) >= k
-                || (node_sets.len() <= EXACT_SUPPORT_SETS
-                    && max_independent_set(&collision_graph(node_sets)).len() >= k)
-        }
-    }
-}
-
-/// Best-effort maximum number of pairwise-disjoint node sets: exact for
-/// up to [`EXACT_SUPPORT_SETS`] sets (within the branch-and-bound
-/// budget), the greedy lower bound beyond (traced).
-pub fn disjoint_count_traced(node_sets: &[NodeSet], tracer: &dyn Tracer) -> usize {
-    let greedy = greedy_disjoint_count(node_sets);
-    if node_sets.len() <= greedy.max(1) {
-        // 0 or 1 sets, or greedy already took everything: exact.
-        return greedy;
-    }
-    if node_sets.len() <= EXACT_SUPPORT_SETS {
-        tracer.count("mis.support_exact", 1);
-        let adj = collision_graph(node_sets);
-        return max_independent_set_traced(&adj, tracer).len().max(greedy);
-    }
-    tracer.event(
-        "mis.support_greedy",
-        &[
-            ("sets", Value::from(node_sets.len())),
-            ("k", Value::Int(-1)),
-        ],
-    );
-    greedy
-}
-
-/// Greedy lower bound on the number of pairwise-disjoint node sets
-/// (shortest sets first — short embeddings block fewer others).
-pub fn greedy_disjoint_count(node_sets: &[NodeSet]) -> usize {
-    let mut order: Vec<usize> = (0..node_sets.len()).collect();
-    order.sort_by_key(|&i| node_sets[i].len());
-    let mut chosen: Vec<&NodeSet> = Vec::new();
-    for i in order {
-        if chosen.iter().all(|c| !c.intersects(&node_sets[i])) {
-            chosen.push(&node_sets[i]);
-        }
-    }
-    chosen.len()
 }
 
 /// Exact branch-and-bound MIS on one component (≤ 128 vertices) using
@@ -583,107 +516,6 @@ mod tests {
         // The bitset kernel agrees with the scalar reference.
         assert!(ns(&[1, 3, 5]).intersects(&ns(&[5, 7])));
         assert!(!ns(&[1, 3, 5]).intersects(&ns(&[2, 4, 6])));
-    }
-
-    /// The adversarial 5-set gadget: greedy (input order on equal-length
-    /// sets) picks the two "centre" sets and blocks the three-set
-    /// optimum.
-    fn gadget(base: u32) -> Vec<NodeSet> {
-        vec![
-            ns(&[base + 2, base + 3]), // greedy picks this first …
-            ns(&[base + 4, base + 5]), // … and this, blocking the rest.
-            ns(&[base + 1, base + 2]),
-            ns(&[base + 3, base + 4]),
-            ns(&[base + 5, base + 6]),
-        ]
-    }
-
-    /// Regression for the `min_support > 2` antimonotone-gate violation:
-    /// the pre-fix gate wrongly reported `k = 3` unreachable on the
-    /// gadget.
-    #[test]
-    fn k_disjoint_beyond_two_is_exact_on_small_inputs() {
-        let sets = gadget(0);
-        assert!(
-            greedy_disjoint_count(&sets) < 3,
-            "the adversarial input must defeat the greedy heuristic"
-        );
-        // {1,2}, {3,4}, {5,6} are pairwise disjoint: the answer is yes.
-        assert!(has_k_disjoint(&sets, 3));
-        assert!(!has_k_disjoint(&sets, 4));
-        assert_eq!(disjoint_count_traced(&sets, &NoopTracer), 3);
-    }
-
-    /// The exact gate straddles the old 64-set boundary: 95 gadget sets
-    /// (19 disjoint universes × 5) have a known optimum of 57 that greedy
-    /// undershoots. With the pre-widening `EXACT_SUPPORT_SETS = 64` the
-    /// gate answered the greedy "no" here; the 128-set gate answers
-    /// exactly.
-    #[test]
-    fn k_disjoint_straddles_the_old_64_set_boundary() {
-        use gpa_trace::CounterTracer;
-        let sets: Vec<NodeSet> = (0..19).flat_map(|rep| gadget(rep * 10)).collect();
-        assert_eq!(sets.len(), 95);
-        assert!(
-            greedy_disjoint_count(&sets) < 57,
-            "greedy must undershoot so the exact path is what answers"
-        );
-        assert!(has_k_disjoint(&sets, 57));
-        assert!(!has_k_disjoint(&sets, 58));
-        let tracer = CounterTracer::new();
-        assert_eq!(disjoint_count_traced(&sets, &tracer), 57);
-        assert_eq!(tracer.counters().get("mis.support_exact"), 1);
-        assert_eq!(tracer.counters().get("mis.support_greedy"), 0);
-        // Past 128 sets the gate is genuinely greedy again (and traced).
-        let big: Vec<NodeSet> = (0..26).flat_map(|rep| gadget(rep * 10)).collect();
-        assert_eq!(big.len(), 130);
-        assert!(!has_k_disjoint(&big, 3 * 26));
-        let tracer = CounterTracer::new();
-        assert!(disjoint_count_traced(&big, &tracer) < 3 * 26);
-        assert_eq!(tracer.counters().get("mis.support_exact"), 0);
-        assert_eq!(tracer.counters().get("mis.support_greedy"), 1);
-    }
-
-    #[test]
-    fn k_disjoint_matches_brute_force_on_random_sets() {
-        let mut state = 0x9e3779b9u64;
-        let mut rand = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..50 {
-            let n = 3 + (rand() % 10) as usize;
-            let raw: Vec<Vec<u32>> = (0..n)
-                .map(|_| {
-                    let mut s: Vec<u32> =
-                        (0..2 + rand() % 3).map(|_| (rand() % 12) as u32).collect();
-                    s.sort_unstable();
-                    s.dedup();
-                    s
-                })
-                .collect();
-            let sets: Vec<NodeSet> = raw.iter().map(|s| ns(s)).collect();
-            // Brute-force maximum disjoint count over all subsets, via
-            // the scalar reference intersection.
-            let mut best = 0usize;
-            for mask in 0u32..(1 << n) {
-                let idx: Vec<usize> = (0..n).filter(|&i| mask & (1 << i) != 0).collect();
-                let ok = idx.iter().enumerate().all(|(a, &i)| {
-                    idx[a + 1..]
-                        .iter()
-                        .all(|&j| !sorted_intersects(&raw[i], &raw[j]))
-                });
-                if ok {
-                    best = best.max(idx.len());
-                }
-            }
-            assert_eq!(disjoint_count_traced(&sets, &NoopTracer), best, "{raw:?}");
-            for k in 0..=n + 1 {
-                assert_eq!(has_k_disjoint(&sets, k), best >= k, "k={k} {raw:?}");
-            }
-        }
     }
 
     /// A 70-leaf star was the old greedy-fallback witness; with the

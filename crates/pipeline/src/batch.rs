@@ -5,12 +5,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use gpa::{image_cache_key, DfgCache, Method, Optimizer, Report, RunConfig};
+use gpa::{image_cache_key, CacheBudget, DfgCache, Method, Optimizer, Report, RunConfig};
 use gpa_image::Image;
 use gpa_trace::{CounterTracer, JsonlTracer, NoopTracer, Tracer};
 
 use crate::cache::ReportCache;
-use crate::lru::CacheBudget;
 use crate::report::{CorpusReport, ImageEntry};
 use crate::shutdown::ShutdownFlag;
 

@@ -3,12 +3,12 @@
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use gpa::json::Json;
-use gpa::Report;
+use gpa::lru::Lru;
+use gpa::{CacheBudget, Report};
 use gpa_trace::{NoopTracer, Tracer, Value};
-
-use crate::lru::{CacheBudget, ShardedLru};
 
 /// A content-addressed cache of optimization results, keyed by
 /// [`gpa::image_cache_key`].
@@ -23,15 +23,15 @@ use crate::lru::{CacheBudget, ShardedLru};
 /// place, and an unreadable or unparsable file (e.g. a stale schema after
 /// an upgrade) counts as a miss rather than an error.
 ///
-/// The in-memory layer is bounded by a [`CacheBudget`]: the default
-/// constructors keep the historical unbounded behaviour (a batch run
-/// over a finite corpus), while a resident `gpa serve` process passes
+/// The in-memory layer is one [`Lru`] bounded by a [`CacheBudget`]: the
+/// default constructors keep the historical unbounded behaviour (a batch
+/// run over a finite corpus), while a resident `gpa serve` process passes
 /// explicit entry/byte limits and sheds least-recently-used reports
 /// (counted by [`ReportCache::evicted`] and the `cache.evicted` trace
 /// counter). Eviction never touches the disk layer.
 pub struct ReportCache {
     dir: Option<PathBuf>,
-    map: ShardedLru<Report>,
+    map: Mutex<Lru<u128, Report>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -46,7 +46,7 @@ impl ReportCache {
     pub fn with_budget(budget: CacheBudget) -> ReportCache {
         ReportCache {
             dir: None,
-            map: ShardedLru::new(budget),
+            map: Mutex::new(Lru::new(budget)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -91,13 +91,21 @@ impl ReportCache {
 
     /// Memory-layer entries evicted (or rejected at admission) so far.
     pub fn evicted(&self) -> u64 {
-        self.map.evicted()
+        self.memory().evicted()
     }
 
-    /// Per-shard occupancy of the memory layer (entries and estimated
-    /// bytes), for live telemetry against the configured budget.
-    pub fn occupancy(&self) -> Vec<crate::lru::ShardOccupancy> {
-        self.map.occupancy()
+    /// Entries resident in the memory layer.
+    pub fn entries(&self) -> usize {
+        self.memory().len()
+    }
+
+    /// Total estimated cost (bytes) of the memory layer's entries.
+    pub fn bytes(&self) -> u64 {
+        self.memory().bytes()
+    }
+
+    fn memory(&self) -> MutexGuard<'_, Lru<u128, Report>> {
+        self.map.lock().expect("report cache poisoned")
     }
 
     /// Removes stale `*.tmp.*` files from the disk layer, if any. Safe
@@ -134,14 +142,15 @@ impl ReportCache {
     /// `cache.corrupt_entry` event when an on-disk entry had to be
     /// degraded to a miss.
     pub fn get_traced(&self, key: u128, tracer: &dyn Tracer) -> Option<Report> {
-        if let Some(found) = self.map.get(key) {
+        let found = self.memory().get(&key).map(|(_, report)| report.clone());
+        if let Some(found) = found {
             self.hits.fetch_add(1, Ordering::Relaxed);
             tracer.count("cache.hit_memory", 1);
             return Some(found);
         }
         match self.read_disk(key) {
             DiskRead::Hit(report, cost) => {
-                let evicted = self.map.insert(key, report.clone(), cost);
+                let evicted = self.memory().insert(key, report.clone(), cost);
                 if evicted > 0 {
                     tracer.count("cache.evicted", evicted);
                 }
@@ -200,7 +209,9 @@ impl ReportCache {
         // memory-layer cost estimate (a report's heap footprint tracks
         // its JSON size closely enough for budgeting).
         let payload = report.to_json().to_string();
-        let evicted = self.map.insert(key, report.clone(), payload.len() as u64);
+        let evicted = self
+            .memory()
+            .insert(key, report.clone(), payload.len() as u64);
         if evicted > 0 {
             tracer.count("cache.evicted", evicted);
         }
@@ -240,7 +251,6 @@ enum DiskRead {
 mod tests {
     use super::*;
     use gpa::{ExtractionKind, Round};
-    use std::sync::Mutex;
 
     fn sample() -> Report {
         Report {
@@ -269,16 +279,17 @@ mod tests {
     #[test]
     fn bounded_memory_layer_evicts_and_traces() {
         use gpa_trace::CounterTracer;
-        // One entry per shard; same-shard keys force an eviction.
-        let cache = ReportCache::with_budget(CacheBudget::bounded(crate::lru::SHARDS, u64::MAX));
-        let shard_stride = crate::lru::SHARDS as u128;
+        // One entry: a second key forces an eviction.
+        let cache = ReportCache::with_budget(CacheBudget::bounded(1, u64::MAX));
         let tracer = CounterTracer::new();
-        cache.put_traced(shard_stride, &sample(), &tracer);
-        cache.put_traced(2 * shard_stride, &sample_sized(2), &tracer);
+        cache.put_traced(1, &sample(), &tracer);
+        cache.put_traced(2, &sample_sized(2), &tracer);
         assert_eq!(cache.evicted(), 1);
         assert_eq!(tracer.counters().get("cache.evicted"), 1);
-        assert!(cache.get(shard_stride).is_none(), "LRU entry was shed");
-        assert_eq!(cache.get(2 * shard_stride), Some(sample_sized(2)));
+        assert!(cache.get(1).is_none(), "LRU entry was shed");
+        assert_eq!(cache.get(2), Some(sample_sized(2)));
+        let cost = sample_sized(2).to_json().to_string().len() as u64;
+        assert_eq!((cache.entries(), cache.bytes()), (1, cost));
     }
 
     fn sample_sized(rounds: usize) -> Report {

@@ -51,12 +51,11 @@
 
 mod batch;
 mod cache;
-mod lru;
 mod report;
 mod shutdown;
 
 pub use batch::{expand_inputs, run_batch, BatchConfig, BatchInput};
 pub use cache::ReportCache;
-pub use lru::{CacheBudget, ShardOccupancy, ShardedLru};
+pub use gpa::CacheBudget;
 pub use report::{CorpusReport, ImageEntry, CORPUS_SCHEMA};
 pub use shutdown::ShutdownFlag;

@@ -291,8 +291,8 @@ fn bounded_cache_budget_preserves_results() {
     );
     assert_eq!(cold.report_cache_evicted, 0);
 
-    // One entry per shard at most, and almost no byte budget: the
-    // memory layer thrashes, the reports do not.
+    // One entry at most, and almost no byte budget: the memory layer
+    // thrashes, the reports do not.
     let tiny = BatchConfig {
         cache_budget: CacheBudget::bounded(1, 64),
         ..fast_config()

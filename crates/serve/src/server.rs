@@ -74,6 +74,10 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Bound on the shared per-block [`DfgCache`] (entries): it covers the
+/// working set of the bundled kernels and their edits (DESIGN.md §15).
+const DFG_ENTRIES: usize = 1 << 10;
+
 /// Tuning for one server instance.
 #[derive(Clone)]
 pub struct ServeConfig {
@@ -93,10 +97,6 @@ pub struct ServeConfig {
     /// default here is bounded — a resident process must not grow
     /// without limit.
     pub cache_budget: CacheBudget,
-    /// Bound on the shared per-block [`DfgCache`] (entries). The default
-    /// covers the working set of the bundled kernels and their edits;
-    /// see DESIGN.md §15.
-    pub dfg_entries: usize,
     /// Flight-recorder ring capacity in events.
     pub recorder_capacity: usize,
     /// `gpa-trace/1` JSONL trace of the server's lifetime; `None`
@@ -115,7 +115,6 @@ impl Default for ServeConfig {
             run: RunConfig::default(),
             cache_dir: None,
             cache_budget: CacheBudget::bounded(4096, 256 << 20),
-            dfg_entries: 1 << 10,
             recorder_capacity: DEFAULT_RECORDER_CAPACITY,
             trace_file: None,
             shutdown: ShutdownFlag::new(),
@@ -157,20 +156,14 @@ impl RequestKnobs {
         for (key, value) in pairs {
             match key.as_str() {
                 "method" => {
-                    knobs.method = Some(match value.as_str() {
-                        Some("sfx") => Method::Sfx,
-                        Some("dgspan") => Method::DgSpan,
-                        Some("edgar") => Method::Edgar,
-                        _ => return Err(format!("knobs: bad method {value}")),
-                    });
+                    let method = value.as_str().and_then(Method::parse);
+                    knobs.method =
+                        Some(method.ok_or_else(|| format!("knobs: bad method {value}"))?);
                 }
                 "validate" => {
-                    knobs.validate = Some(match value.as_str() {
-                        Some("off") => ValidateLevel::Off,
-                        Some("final") => ValidateLevel::Final,
-                        Some("every-round") => ValidateLevel::EveryRound,
-                        _ => return Err(format!("knobs: bad validate {value}")),
-                    });
+                    let level = value.as_str().and_then(ValidateLevel::parse);
+                    knobs.validate =
+                        Some(level.ok_or_else(|| format!("knobs: bad validate {value}"))?);
                 }
                 "deadline_ms" => {
                     let Some(ms) = value.as_int().filter(|&v| v >= 0) else {
@@ -391,7 +384,8 @@ impl Shared {
             report_hits: self.report_cache.hits(),
             report_misses: self.report_cache.misses(),
             report_evicted: self.report_cache.evicted(),
-            report_shards: self.report_cache.occupancy(),
+            report_entries: self.report_cache.entries(),
+            report_bytes: self.report_cache.bytes(),
             report_budget: self.config.cache_budget,
             dfg_entries: self.dfg_cache.len(),
             dfg_hits: self.dfg_cache.hits(),
@@ -451,7 +445,7 @@ impl Server {
             Some(dir) => ReportCache::with_dir_budget(dir, config.cache_budget)?,
             None => ReportCache::with_budget(config.cache_budget),
         };
-        let dfg_cache = Arc::new(DfgCache::bounded(config.dfg_entries));
+        let dfg_cache = Arc::new(DfgCache::bounded(DFG_ENTRIES));
         let worker_count = if config.workers == 0 {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)

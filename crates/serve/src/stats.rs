@@ -287,8 +287,10 @@ pub struct StatsSnapshot {
     pub report_misses: u64,
     /// Report-cache entries evicted or rejected.
     pub report_evicted: u64,
-    /// Per-shard occupancy of the report cache's memory layer.
-    pub report_shards: Vec<gpa_pipeline::ShardOccupancy>,
+    /// Entries resident in the report cache's memory layer.
+    pub report_entries: usize,
+    /// Total estimated cost (bytes) of those entries.
+    pub report_bytes: u64,
     /// The report cache's configured budget.
     pub report_budget: gpa_pipeline::CacheBudget,
     /// Resident DFG-cache entries.
@@ -380,31 +382,21 @@ impl StatsSnapshot {
         }
         out.push('}');
 
-        let (entries, bytes) = self
-            .report_shards
-            .iter()
-            .fold((0usize, 0u64), |(e, b), s| (e + s.entries, b + s.bytes));
         let _ = write!(
             out,
             ",\"cache\":{{\"report\":{{\"hits\":{},\"misses\":{},\"evicted\":{},\
-             \"entries\":{},\"bytes\":{},\"budget_entries\":{},\"budget_bytes\":{},\"shards\":[",
+             \"entries\":{},\"bytes\":{},\"budget_entries\":{},\"budget_bytes\":{}}}",
             self.report_hits,
             self.report_misses,
             self.report_evicted,
-            entries,
-            bytes,
+            self.report_entries,
+            self.report_bytes,
             budget_axis(self.report_budget.max_entries as u64, usize::MAX as u64),
             budget_axis(self.report_budget.max_bytes, u64::MAX),
         );
-        for (i, shard) in self.report_shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{},{}]", shard.entries, shard.bytes);
-        }
         let _ = write!(
             out,
-            "]}},\"dfg\":{{\"entries\":{},\"hits\":{},\"misses\":{},\"evicted\":{}}}}}",
+            ",\"dfg\":{{\"entries\":{},\"hits\":{},\"misses\":{},\"evicted\":{}}}}}",
             self.dfg_entries, self.dfg_hits, self.dfg_misses, self.dfg_evicted,
         );
 
@@ -519,10 +511,8 @@ mod tests {
             report_hits: 5,
             report_misses: 5,
             report_evicted: 0,
-            report_shards: vec![gpa_pipeline::ShardOccupancy {
-                entries: 3,
-                bytes: 900,
-            }],
+            report_entries: 3,
+            report_bytes: 900,
             report_budget: gpa_pipeline::CacheBudget::bounded(4096, 256 << 20),
             dfg_entries: 12,
             dfg_hits: 30,

@@ -5,11 +5,10 @@
 //! functions are derived from [`gpa_arm::defuse`] effects, optionally
 //! refined with interprocedural summaries from [`crate::callgraph`].
 //!
-//! Two classic analyses are provided: backward **liveness** (registers
-//! and condition flags) and forward **reaching definitions**. Both are
-//! *may* analyses computed to a least fixpoint, so liveness
-//! over-approximates ("might still be read") — the safe direction for a
-//! validator that asks whether clobbering a register can change
+//! The analysis provided is backward **liveness** (registers and
+//! condition flags), a *may* analysis computed to a least fixpoint, so
+//! it over-approximates ("might still be read") — the safe direction
+//! for a validator that asks whether clobbering a register can change
 //! behaviour.
 
 use std::collections::HashMap;
@@ -130,11 +129,6 @@ impl FnCfg {
             cfg.blocks[b].exits = exits;
         }
         cfg
-    }
-
-    /// The block containing a label definition, if any.
-    pub fn block_of_label(&self, id: LabelId) -> Option<usize> {
-        self.label_block.get(&id).copied()
     }
 
     /// Block indices reachable from the entry block.
@@ -333,85 +327,6 @@ impl Liveness {
     }
 }
 
-/// Forward reaching definitions: which item indices may have produced the
-/// current value of each register.
-#[derive(Clone, Debug)]
-pub struct ReachingDefs {
-    /// Per block, per register (0..16), the set of reaching def sites at
-    /// block entry. [`ReachingDefs::ENTRY`] denotes the function-entry
-    /// value.
-    pub reach_in: Vec<[Vec<usize>; 16]>,
-}
-
-impl ReachingDefs {
-    /// Pseudo-site for "the value the register had at function entry".
-    pub const ENTRY: usize = usize::MAX;
-
-    /// Runs the forward worklist to a fixpoint.
-    pub fn analyze(f: &FunctionCode, cfg: &FnCfg) -> ReachingDefs {
-        let n = cfg.blocks.len();
-        let entry_fact: [Vec<usize>; 16] = std::array::from_fn(|_| vec![ReachingDefs::ENTRY]);
-        let empty: [Vec<usize>; 16] = std::array::from_fn(|_| Vec::new());
-        let mut reach_in: Vec<[Vec<usize>; 16]> = vec![empty; n];
-        if n > 0 {
-            reach_in[0] = entry_fact;
-        }
-        let flow = |fact: &[Vec<usize>; 16], block: &Block| -> [Vec<usize>; 16] {
-            let mut out = fact.clone();
-            for i in block.start..block.end {
-                let item = &f.items[i];
-                let defs = item.effects().defs;
-                for r in defs.iter() {
-                    let slot = &mut out[r.number() as usize];
-                    if writes_unconditionally(item) {
-                        slot.clear();
-                    }
-                    if !slot.contains(&i) {
-                        slot.push(i);
-                        slot.sort_unstable();
-                    }
-                }
-            }
-            out
-        };
-        let mut work: Vec<usize> = (0..n).collect();
-        work.reverse();
-        let mut out_facts: Vec<Option<[Vec<usize>; 16]>> = vec![None; n];
-        while let Some(b) = work.pop() {
-            let out = flow(&reach_in[b], &cfg.blocks[b]);
-            if out_facts[b].as_ref() == Some(&out) {
-                continue;
-            }
-            for &s in &cfg.blocks[b].succs {
-                let mut merged = reach_in[s].clone();
-                let mut changed = false;
-                for (r, sites) in out.iter().enumerate() {
-                    for &site in sites {
-                        if !merged[r].contains(&site) {
-                            merged[r].push(site);
-                            merged[r].sort_unstable();
-                            changed = true;
-                        }
-                    }
-                }
-                if changed {
-                    reach_in[s] = merged;
-                    if !work.contains(&s) {
-                        work.push(s);
-                    }
-                }
-            }
-            out_facts[b] = Some(out);
-        }
-        ReachingDefs { reach_in }
-    }
-
-    /// The def sites of `reg` reaching the entry of `block`.
-    pub fn defs_reaching(&self, block: usize, reg: Reg) -> &[usize] {
-        &self.reach_in[block][reg.number() as usize]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,31 +435,5 @@ mod tests {
         );
         // r1 may flow through the untaken moveq, so it is live at entry.
         assert!(live.live_in[0].regs.contains(Reg::r(1)));
-    }
-
-    #[test]
-    fn reaching_defs_merge_at_join() {
-        let f = func(
-            vec![
-                insn("cmp r0, #0"),
-                Item::Branch {
-                    cond: Cond::Eq,
-                    target: LabelId(0),
-                },
-                insn("mov r1, #1"),
-                Item::Label(LabelId(0)),
-                insn("mov r2, r1"),
-                insn("bx lr"),
-            ],
-            1,
-        );
-        let cfg = FnCfg::build(&f);
-        let reach = ReachingDefs::analyze(&f, &cfg);
-        // At the join block, r1 is either the entry value or the mov at 2.
-        let sites = reach.defs_reaching(2, Reg::r(1));
-        assert!(sites.contains(&2));
-        assert!(sites.contains(&ReachingDefs::ENTRY));
-        // r0 is only ever the entry value.
-        assert_eq!(reach.defs_reaching(2, Reg::r(0)), &[ReachingDefs::ENTRY]);
     }
 }

@@ -4,10 +4,10 @@
 //! Three layers, each usable on its own:
 //!
 //! 1. **Dataflow** ([`dataflow`]) — worklist liveness (registers + flags)
-//!    and reaching definitions over lifted [`gpa_cfg::Program`] functions,
-//!    plus a call graph with per-function clobber/use summaries
-//!    ([`callgraph`]) so `bl __gpa_frag…` calls can be modelled precisely
-//!    instead of as the conservative barrier in [`gpa_cfg::Item::effects`].
+//!    over lifted [`gpa_cfg::Program`] functions, plus a call graph with
+//!    per-function clobber/use summaries ([`callgraph`]) so `bl
+//!    __gpa_frag…` calls can be modelled precisely instead of as the
+//!    conservative barrier in [`gpa_cfg::Item::effects`].
 //! 2. **Lints** ([`lint`]) — structural checks over programs and raw
 //!    images, reported as [`Diagnostic`]s with stable `Vnnn` codes.
 //! 3. **Validation support** — the per-round translation validator lives
@@ -36,8 +36,6 @@ pub mod lint;
 
 pub use absint::{AbsAccess, AbsEnv, AbsInt, AbsValue, AccessBase, RegState};
 pub use callgraph::{CallGraph, FnSummary, SummaryTransfer};
-pub use dataflow::{
-    EffectsTransfer, FnCfg, GenKill, ItemTransfer, LiveState, Liveness, ReachingDefs,
-};
+pub use dataflow::{EffectsTransfer, FnCfg, GenKill, ItemTransfer, LiveState, Liveness};
 pub use diag::{has_errors, Code, Diagnostic, Location, Severity};
 pub use lint::{lint_image, lint_program};

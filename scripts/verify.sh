@@ -165,6 +165,16 @@ if [ "$(front_counters "$WORK/crc.jsonl")" != \
          $(front_counters "$WORK"/one_batch/*.jsonl) >&2
     exit 1
 fi
+# The same at --alias stack: `gpa batch` reads --alias as `gpa optimize`
+# does.
+"$GPA" batch "$WORK/crc.img" --jobs 1 --alias stack --trace-dir "$WORK/one_batch_stack" \
+    --report "$WORK/one_batch_stack.json" 2>/dev/null
+if [ "$(front_counters "$WORK/crc_stack.jsonl")" != \
+     "$(front_counters "$WORK"/one_batch_stack/*.jsonl)" ]; then
+    echo "verify: gpa batch and gpa optimize front ends disagree on crc at --alias stack:" \
+         $(front_counters "$WORK"/one_batch_stack/*.jsonl) >&2
+    exit 1
+fi
 if ! cmp -s "$WORK/opt_plain.txt" "$WORK/opt_traced.txt"; then
     echo "verify: tracing changed the optimize report" >&2
     exit 1
